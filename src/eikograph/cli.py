@@ -14,14 +14,13 @@ import sys
 from typing import List, Optional
 
 from . import one_dim
-from .cost import CostField
 from .ekeland import ekeland_maximize, ekeland_point
 from .errors import (DivergenceError, EikographError, HamiltonianRejection,
                      InputError, VerificationError)
-from .graph import Curve, GraphPoint, MetricGraph
+from .graph import Curve, MetricGraph
 from .hamiltonian import catalog, reduce_to_eikonal, solve_general
 from .io import (dump_json, dump_value_function, edge_csv, load_graph,
-                 load_value_function, value_function_to_dict)
+                 load_value_function, point_from_obj, point_to_obj)
 from .slopes import monge_samples_csv, verify_monge
 from .solver import (boundary_modulus, check_compatibility, solve, verify_dpp,
                      verify_suboptimality)
@@ -119,7 +118,7 @@ def cmd_solve(args) -> int:
     u = solve(field, data)
     compat = check_compatibility(field, data, tol=args.tol)
     print("u.json ->", _write(args.out_dir, "u.json", dump_value_function(u)))
-    print("compat.json ->", _write(args.out_dir, "compat.json", dump_json(compat.to_dict())))
+    print("compat.json ->", _write(args.out_dir, "compat.json", dump_json(compat)))
     if args.edge_csv is not None:
         print("edge csv ->", _write(args.out_dir, "edge_%s.csv" % args.edge_csv,
                                     edge_csv(u, args.edge_csv)))
@@ -129,14 +128,6 @@ def cmd_solve(args) -> int:
         return EXIT_INCOMPATIBLE
     print("compatibility ok")
     return EXIT_OK
-
-
-def _parse_point(obj, graph: MetricGraph) -> GraphPoint:
-    if isinstance(obj, dict) and "vertex" in obj:
-        return graph.vertex_point(str(obj["vertex"]))
-    if isinstance(obj, dict) and "edge" in obj and "s" in obj:
-        return graph.point(str(obj["edge"]), float(obj["s"]))
-    raise InputError("bad point %r: expected {\"vertex\": id} or {\"edge\": id, \"s\": offset}" % (obj,))
 
 
 def _load_curves(path: str, graph: MetricGraph) -> List[Curve]:
@@ -151,7 +142,7 @@ def _load_curves(path: str, graph: MetricGraph) -> List[Curve]:
     for entry in doc:
         if not isinstance(entry, dict) or "points" not in entry:
             raise InputError("%s: each curve needs a 'points' array" % path)
-        pts = [_parse_point(o, graph) for o in entry["points"]]
+        pts = [point_from_obj(o, graph) for o in entry["points"]]
         hints = entry.get("edges")
         curve = Curve(graph, pts, hints)
         for ptx in pts:
@@ -175,10 +166,10 @@ def cmd_verify(args) -> int:
                     "the solution belongs to different input" % (args.u, vid, u.data[vid], g))
     if args.mode == "monge":
         report = verify_monge(u, field, tol=args.tol, n_radii=args.slope_radii)
-        _write(args.out_dir, "monge.json", dump_json(report.to_dict()))
+        _write(args.out_dir, "monge.json", dump_json(report))
         _write(args.out_dir, "monge.csv", monge_samples_csv(report))
         if not report.ok:
-            loc = report.to_dict()["worst_point"]
+            loc = None if report.worst_point is None else point_to_obj(report.worst_point)
             print("steepest-descent check failed: worst violation %.17g at %r"
                   % (report.worst_violation, loc))
             return EXIT_VERIFICATION
@@ -186,12 +177,12 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     if args.mode == "dpp":
         report = verify_dpp(u, tau=args.tau, tol=args.tol)
-        _write(args.out_dir, "dpp.json", dump_json(report.to_dict()))
+        _write(args.out_dir, "dpp.json", dump_json(report))
         if not report.ok:
             worst = max((s for s in report.samples if not s.skipped),
                         key=lambda s: abs(s.residual))
             print("dynamic-programming check failed: residual %.17g at %r"
-                  % (worst.residual, worst.to_dict()["point"]))
+                  % (worst.residual, point_to_obj(worst.point)))
             return EXIT_VERIFICATION
         print("dynamic-programming check ok (max defect %.17g)" % report.max_defect)
         return EXIT_OK
@@ -201,7 +192,7 @@ def cmd_verify(args) -> int:
             curves = _load_curves(args.curves_file, graph)
         report = verify_suboptimality(u, curves=curves, rng=random.Random(args.seed),
                                       n_random=args.curves, tol=args.tol)
-        _write(args.out_dir, "subopt.json", dump_json(report.to_dict()))
+        _write(args.out_dir, "subopt.json", dump_json(report))
         if not report.ok:
             print("sub-optimality failed: defect %.17g over %d pairs"
                   % (report.max_defect, report.n_pairs))
@@ -212,7 +203,7 @@ def cmd_verify(args) -> int:
     if u.data is None:
         raise InputError("solution file carries no boundary data")
     report = boundary_modulus(u)
-    _write(args.out_dir, "modulus.json", dump_json(report.to_dict()))
+    _write(args.out_dir, "modulus.json", dump_json(report))
     if not report.ok:
         print("boundary modulus failed: one-sided defect %.17g, two-sided defect %.17g"
               % (report.max_upper_defect, report.max_abs_defect))
@@ -271,7 +262,7 @@ def cmd_ekeland(args) -> int:
         if args.eps is None:
             raise InputError("need --eps (or --maximize with --delta/--lam)")
         rec = ekeland_point(space, fvals, args.eps, args.start, full=True)
-    _write(args.out_dir, "ekeland.json", dump_json(rec.to_dict()))
+    _write(args.out_dir, "ekeland.json", dump_json(rec))
     print(space.labels[rec.point])
     return EXIT_OK
 

@@ -4,19 +4,19 @@ A profile describes f restricted to one edge as a function of the arc-length
 offset ``s`` from the edge's src endpoint.  What the rest of the package
 actually consumes is the cumulative integral ``F(s) = ∫_0^s f`` and its
 inverse, both of which every profile provides in closed form so that optical
-lengths and walk times stay at full float accuracy for constant and linear
+lengths and kink offsets stay at full float accuracy for constant and linear
 speed fields.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .graph import EdgeInterior, GraphPoint, MetricGraph, Vertex
+from .graph import EdgeInterior, GraphPoint, MetricGraph
 
 
 @dataclass(frozen=True)
@@ -202,12 +202,6 @@ class CostField:
     def constant(cls, graph: MetricGraph, value: float = 1.0, fmin: float = 1e-6) -> "CostField":
         return cls(graph, {eid: Constant(value) for eid in graph.edges}, fmin=fmin)
 
-    def profile(self, eid: str) -> Profile:
-        try:
-            return self.profiles[eid]
-        except KeyError:
-            raise InputError("no profile for edge %r" % eid) from None
-
     def edge_cost(self, eid: str, s0: float, s1: float) -> float:
         """∫ f over the within-edge segment [min(s0,s1), max(s0,s1)]."""
         rec = self.graph.edge(eid)
@@ -252,34 +246,6 @@ class CostField:
         looser when sampled profiles force quadrature-grade arithmetic."""
         sampled = any(isinstance(p, Samples) for p in self.profiles.values())
         return 1e-6 if sampled else 1e-9
-
-    def walk_time(self, germ, budget: float) -> float:
-        """Largest arc distance t along ``germ`` with segment cost <= budget,
-        capped at the far endpoint of the edge."""
-        avail = self.graph.germ_available(germ)
-        rec = self.graph.edge(germ.edge)
-        prof = self.profiles[germ.edge]
-        if germ.sign > 0:
-            total = prof.integral(germ.base, rec.length, rec.length)
-            if budget >= total:
-                return avail
-            return min(prof.inverse_integral(germ.base, budget, rec.length), avail)
-        total = prof.integral(0.0, germ.base, rec.length)
-        if budget >= total:
-            return avail
-        # walking toward src: mirror the profile
-        lo, hi = 0.0, germ.base
-        # bisection on the exact integral; closed-form inversion of the
-        # mirrored profile is not worth a second code path here.
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if prof.integral(germ.base - mid, germ.base, rec.length) < budget:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, germ.base):
-                break
-        return 0.5 * (lo + hi)
 
 
 def path_integral(field: CostField, curve) -> float:

@@ -17,7 +17,7 @@ well-posed (e.g. dyadic) data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 from .errors import InputError, PreconditionError, VerificationError
@@ -32,10 +32,6 @@ class EkelandRecord:
     x0: int
     improvement_ok: bool                 # condition (a)
     strictness_ok: bool                  # condition (b)
-
-    def to_dict(self) -> dict:
-        return {"point": self.point, "path": self.path, "eps": self.eps, "x0": self.x0,
-                "improvement_ok": self.improvement_ok, "strictness_ok": self.strictness_ok}
 
 
 def _validate(space: FiniteMetricSpace, fvals: Sequence[float], x0: int):

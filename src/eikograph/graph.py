@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import InputError, PreconditionError, UnreachableError
+from .errors import InputError, UnreachableError
 
 
 @dataclass(frozen=True)
@@ -291,10 +291,6 @@ class MetricGraph:
                                lambda eid: self.edges[eid].length)
 
 
-def graph_distance(graph: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
-    return graph.distance(x, y)
-
-
 class DistanceField:
     """d(., x0): exact evaluation everywhere plus exact one-sided germ
     derivatives, which are what distance-type test functions need."""
@@ -468,22 +464,6 @@ class Curve:
     def times(self) -> List[float]:
         """Curve times of the polyline breakpoints."""
         return list(self._cum)
-
-
-def curve_length(curve: Curve) -> float:
-    return curve.length
-
-
-def arc_length_parametrize(curve: Curve) -> Curve:
-    """The unit-speed representative of ``curve``.
-
-    On a graph a polyline already is its own arc-length parametrization once
-    time is measured by accumulated length, so this validates the curve is
-    nondegenerate and returns an evaluator-capable Curve (``point_at``).
-    """
-    if curve.length <= 0.0:
-        raise PreconditionError("cannot arc-length parametrize a zero-length curve")
-    return curve
 
 
 def random_curve(graph: MetricGraph, rng: random.Random, steps: int = 6,

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from .cost import Constant, CostField, Samples
+from .cost import CostField, Samples
 from .errors import (CoercivityProbeFailed, DivergenceError, InputError,
                      NonmonotoneHamiltonian, NoSubsolution, PreconditionError)
 from .graph import GraphPoint, MetricGraph, Vertex

@@ -20,13 +20,15 @@ byte-identical files.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 from typing import Dict, List, Optional, Tuple
 
 from .cost import Constant, CostField, Linear, Profile, Samples
 from .errors import GraphFormatError, InputError
-from .graph import MetricGraph
+from .graph import EdgeInterior, GraphPoint, MetricGraph, Vertex
 from .optical import OpticalMap, StoredSolution
 from .solver import BoundaryData, ValueFunction
 
@@ -50,6 +52,13 @@ def _fail(filename: str, text: str, key: Optional[str], message: str):
     raise GraphFormatError("%s: %s" % (_anchor(filename, text, key), message))
 
 
+def _number(x) -> float:
+    """A JSON number as a float; true/false, strings and null are refused."""
+    if type(x) not in (int, float):
+        raise TypeError("%r is not a number" % (x,))
+    return float(x)
+
+
 def _parse_profile(obj, eid: str, filename: str, text: str) -> Profile:
     if not isinstance(obj, dict) or "kind" not in obj:
         _fail(filename, text, eid, "edge %r: f must be an object with a 'kind'" % eid)
@@ -59,14 +68,16 @@ def _parse_profile(obj, eid: str, filename: str, text: str) -> Profile:
         _fail(filename, text, eid, "edge %r: f params must be an object" % eid)
     try:
         if kind == "const":
-            return Constant(float(params["value"]))
+            return Constant(_number(params["value"]))
         if kind == "linear":
-            return Linear(float(params["a"]), float(params["b"]))
+            return Linear(_number(params["a"]), _number(params["b"]))
         if kind == "samples":
-            knots = [float(t) for t in params["knots"]]
-            values = [float(t) for t in params["values"]]
-            return Samples(tuple(knots), tuple(values))
-    except (KeyError, TypeError, ValueError) as exc:
+            knots, values = params["knots"], params["values"]
+            # one pass over the types keeps large sampled profiles cheap
+            if not set(map(type, knots)) | set(map(type, values)) <= {int, float}:
+                raise TypeError("knots and values must be numbers")
+            return Samples(knots, values)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         _fail(filename, text, eid, "edge %r: bad f params for kind %r (%s)" % (eid, kind, exc))
     _fail(filename, text, eid,
           "edge %r: unknown f kind %r (expected const, linear, or samples)" % (eid, kind))
@@ -102,8 +113,8 @@ def load_graph(text: str, filename: str = "<graph>",
             if "g" not in entry:
                 _fail(filename, text, vid, "boundary vertex %r is missing its value 'g'" % vid)
             try:
-                gvals[vid] = float(entry["g"])
-            except (TypeError, ValueError):
+                gvals[vid] = _number(entry["g"])
+            except (TypeError, OverflowError):
                 _fail(filename, text, vid, "vertex %r: 'g' must be a number" % vid)
         elif "g" in entry:
             _fail(filename, text, vid, "vertex %r has 'g' but is not a boundary vertex" % vid)
@@ -119,8 +130,8 @@ def load_graph(text: str, filename: str = "<graph>",
             if not isinstance(entry.get(key), str):
                 _fail(filename, text, eid, "edge %r: %r must name a vertex" % (eid, key))
         try:
-            length = float(entry["length"])
-        except (KeyError, TypeError, ValueError):
+            length = _number(entry["length"])
+        except (KeyError, TypeError, OverflowError):
             _fail(filename, text, eid, "edge %r: 'length' must be a number" % eid)
         edges.append((eid, entry["from"], entry["to"], length))
         if "f" in entry:
@@ -133,6 +144,12 @@ def load_graph(text: str, filename: str = "<graph>",
         field = CostField(graph, profiles, fmin=fmin)
     except InputError as exc:
         raise GraphFormatError("%s: %s" % (filename, exc)) from None
+    for eid, rec in graph.edges.items():
+        # every cost on the edge is at most sup f times its length
+        fmax = field.profiles[eid].bounds(rec.length)[1]
+        if not math.isfinite(fmax * rec.length):
+            _fail(filename, text, eid, "edge %r: cost overflows (f up to %r over length %r)"
+                  % (eid, fmax, rec.length))
     data = None
     if gvals:
         try:
@@ -169,17 +186,45 @@ def graph_to_dict(graph: MetricGraph, field: CostField,
 # deterministic JSON emission
 # ----------------------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps(str) minus its call layers
+
+
+def point_to_obj(p: GraphPoint) -> dict:
+    """The JSON form of a graph point: {"vertex": id} or {"edge": id, "s": offset}."""
+    if isinstance(p, Vertex):
+        return {"vertex": p.id}
+    return {"edge": p.edge, "s": p.s}
+
+
+def point_from_obj(obj, graph: MetricGraph) -> GraphPoint:
+    """The graph point a ``point_to_obj`` form names on ``graph``."""
+    if isinstance(obj, dict) and "vertex" in obj:
+        return graph.vertex_point(str(obj["vertex"]))
+    if isinstance(obj, dict) and "edge" in obj and "s" in obj:
+        return graph.point(str(obj["edge"]), float(obj["s"]))
+    raise InputError("bad point %r: expected {\"vertex\": id} or {\"edge\": id, \"s\": offset}" % (obj,))
+
+
 def dump_json(obj, indent: int = 2) -> str:
-    """JSON text with floats at 17 significant digits (non-finite → null)."""
+    """JSON text with floats at 17 significant digits (non-finite → null).
+
+    A dataclass becomes an object of its fields in declaration order; a
+    graph point takes its ``point_to_obj`` form."""
     out: List[str] = []
     _emit(obj, out, 0, indent)
     out.append("\n")
     return "".join(out)
 
 
+@functools.cache
+def _field_keys(cls: type) -> Tuple[Tuple[str, str], ...]:
+    """(field name, encoded key) pairs of a dataclass, built once per class."""
+    if not dataclasses.is_dataclass(cls):
+        raise InputError("cannot serialize %s objects" % cls.__name__)
+    return tuple((f.name, _encode_str(f.name) + ": ") for f in dataclasses.fields(cls))
+
+
 def _emit(obj, out: List[str], depth: int, indent: int):
-    pad = " " * (indent * (depth + 1))
-    close_pad = " " * (indent * depth)
     if obj is None or obj is True or obj is False:
         out.append("null" if obj is None else ("true" if obj else "false"))
     elif isinstance(obj, int):
@@ -187,31 +232,33 @@ def _emit(obj, out: List[str], depth: int, indent: int):
     elif isinstance(obj, float):
         out.append("%.17g" % obj if math.isfinite(obj) else "null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(pad)
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _emit(v, out, depth + 1, indent)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "}")
+        out.append(_encode_str(obj))
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad)
-            _emit(v, out, depth + 1, indent)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "]")
+        _emit_block("[", "]", (("", v) for v in obj), out, depth, indent)
+    elif isinstance(obj, dict):
+        _emit_block("{", "}", ((_encode_str(str(k)) + ": ", v) for k, v in obj.items()),
+                    out, depth, indent)
+    elif isinstance(obj, (Vertex, EdgeInterior)):
+        _emit(point_to_obj(obj), out, depth, indent)
     else:
-        raise InputError("cannot serialize %r" % (obj,))
+        _emit_block("{", "}", ((key, getattr(obj, name)) for name, key in _field_keys(type(obj))),
+                    out, depth, indent)
+
+
+def _emit_block(opening: str, closing: str, members, out: List[str], depth: int, indent: int):
+    """One member per line: ``members`` yields (encoded key or "", value)."""
+    pad = " " * (indent * (depth + 1))
+    start = len(out)
+    out.append(opening + "\n")
+    for key, v in members:
+        out.append(pad + key)
+        _emit(v, out, depth + 1, indent)
+        out.append(",\n")
+    if len(out) == start + 1:
+        out[start] = opening + closing
+    else:
+        out[-1] = "\n"
+        out.append(" " * (indent * depth) + closing)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -88,9 +88,6 @@ class MonotoneReport:
     max_rise: float      # largest increase of the tested combination between neighbors
     at_x: Optional[float]
     tol: float = MONOTONE_TOL
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "max_rise": self.max_rise, "at_x": self.at_x, "tol": self.tol}
 
 
 def _cumtrapz(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

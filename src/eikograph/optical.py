@@ -13,11 +13,11 @@ derivatives are available in closed form.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cost import CostField
 from .errors import InputError
-from .graph import EdgeInterior, Germ, GraphPoint, MetricGraph, Vertex
+from .graph import Germ, GraphPoint, Vertex
 
 
 def optical_length(field: CostField, x: GraphPoint, y: GraphPoint) -> float:
@@ -133,10 +133,6 @@ class OpticalMap:
         t = prof.inverse_integral(0.0, target, rec.length)
         s = min(max(t, 0.0), rec.length)
         return s if 0.0 < s < rec.length else None
-
-
-def multi_source_optical(field: CostField, seeds: Dict[GraphPoint, float]) -> OpticalMap:
-    return OpticalMap(field, seeds)
 
 
 class StoredSolution(OpticalMap):

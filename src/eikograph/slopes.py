@@ -128,13 +128,6 @@ class MongeSample:
     super_ok: bool
     reason: str = ""
 
-    def to_dict(self) -> dict:
-        p = {"vertex": self.point.id} if isinstance(self.point, Vertex) \
-            else {"edge": self.point.edge, "s": self.point.s}
-        return {"point": p, "kind": self.kind, "down": self.down,
-                "f_lo": self.f_lo, "f_hi": self.f_hi, "residual": self.residual,
-                "sub_ok": self.sub_ok, "super_ok": self.super_ok, "reason": self.reason}
-
 
 @dataclass
 class MongeReport:
@@ -145,16 +138,6 @@ class MongeReport:
     worst_violation: float
     worst_point: Optional[GraphPoint]
     samples: List[MongeSample] = dc_field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        wp = None
-        if self.worst_point is not None:
-            wp = {"vertex": self.worst_point.id} if isinstance(self.worst_point, Vertex) \
-                else {"edge": self.worst_point.edge, "s": self.worst_point.s}
-        return {"ok": self.ok, "subsolution_ok": self.subsolution_ok,
-                "supersolution_ok": self.supersolution_ok, "tol": self.tol,
-                "worst_violation": self.worst_violation, "worst_point": wp,
-                "samples": [s.to_dict() for s in self.samples]}
 
 
 def _monge_default_samples(graph: MetricGraph, n_per_edge: int = 5) -> List[GraphPoint]:
@@ -306,11 +289,6 @@ class SemiconcaveReport:
     max_gap: float        # max over interior points of |∇u| - |∇⁻u| (>= 0)
     gap_bound: float      # 2 K h_max, the kink convexity a K-semiconcave u allows
     points: List[Tuple[float, float, float]] = dc_field(default_factory=list)  # (x, total, down)
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "K": self.K, "max_gap": self.max_gap,
-                "gap_bound": self.gap_bound,
-                "points": [list(t) for t in self.points]}
 
 
 def semiconcave_slope_check(xs: Sequence[float], ys: Sequence[float], K: float,

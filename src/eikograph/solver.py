@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cost import CostField, path_integral
-from .errors import InputError, PreconditionError
+from .cost import CostField
+from .errors import InputError
 from .graph import Curve, EdgeInterior, GraphPoint, MetricGraph, Vertex, random_curve
 from .optical import OpticalMap, optical_length
 
@@ -65,9 +65,6 @@ class ValueFunction(OpticalMap):
         super().__init__(field, seeds)
         self.data = data
 
-    def boundary_value(self, vid: str) -> float:
-        return self.data[vid]
-
 
 def solve(field: CostField, data: BoundaryData) -> ValueFunction:
     """Solve the Dirichlet problem |∇u| = f, u = g on the boundary, by the
@@ -81,11 +78,6 @@ class CompatibilityReport:
     ok: bool
     worst_violation: float
     witness: Optional[Tuple[str, str]]  # (x, y) with g(x) > g(y) + L_f(x, y)
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok,
-                "worst_violation": self.worst_violation,
-                "witness": list(self.witness) if self.witness else None}
 
 
 def check_compatibility(field: CostField, data: BoundaryData, tol: float = 1e-12) -> CompatibilityReport:
@@ -125,10 +117,6 @@ class DPPSample:
     skipped: bool = False
     reason: str = ""
 
-    def to_dict(self) -> dict:
-        return {"point": _point_to_obj(self.point), "tau": self.tau,
-                "residual": self.residual, "skipped": self.skipped, "reason": self.reason}
-
 
 @dataclass
 class DPPReport:
@@ -136,16 +124,6 @@ class DPPReport:
     tol: float
     max_defect: float        # max over samples of max(0, -residual) and residual magnitude
     samples: List[DPPSample] = dc_field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "tol": self.tol, "max_defect": self.max_defect,
-                "samples": [s.to_dict() for s in self.samples]}
-
-
-def _point_to_obj(p: GraphPoint):
-    if isinstance(p, Vertex):
-        return {"vertex": p.id}
-    return {"edge": p.edge, "s": p.s}
 
 
 def _default_samples(graph: MetricGraph, n_per_edge: int = 3) -> List[GraphPoint]:
@@ -236,10 +214,6 @@ class SuboptimalityReport:
     n_curves: int
     n_pairs: int
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "tol": self.tol, "max_defect": self.max_defect,
-                "n_curves": self.n_curves, "n_pairs": self.n_pairs}
-
 
 def verify_suboptimality(u: OpticalMap, curves: Optional[Sequence[Curve]] = None,
                          rng: Optional[random.Random] = None, n_random: int = 12,
@@ -305,12 +279,6 @@ class BoundaryModulusReport:
     max_abs_defect: float      # only meaningful when compatible
     n_checked: int
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "upper_constant": self.upper_constant,
-                "modulus_constant": self.modulus_constant, "compatible": self.compatible,
-                "max_upper_defect": self.max_upper_defect, "max_abs_defect": self.max_abs_defect,
-                "n_checked": self.n_checked}
-
 
 def _lipschitz_of_g(graph: MetricGraph, data: BoundaryData) -> float:
     """Least L with |g(x) - g(y)| <= L d(x, y) over boundary pairs."""
@@ -366,19 +334,3 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
                                  max_abs_defect=(max_abs if comp else math.nan),
                                  n_checked=n)
 
-
-# ----------------------------------------------------------------------
-# sampling helpers for output
-# ----------------------------------------------------------------------
-
-def edge_samples(u: OpticalMap, n_per_edge: int = 33) -> List[Tuple[str, float, float]]:
-    """(edge id, offset, u) rows on a uniform grid of every edge, in edge-id
-    then offset order — the deterministic tabular form of the solution."""
-    rows: List[Tuple[str, float, float]] = []
-    for eid in sorted(u.graph.edges):
-        L = u.graph.edges[eid].length
-        for k in range(n_per_edge):
-            s = L * k / (n_per_edge - 1)
-            p = u.graph.point(eid, s)
-            rows.append((eid, s, u.evaluate(p)))
-    return rows

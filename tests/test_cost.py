@@ -145,29 +145,6 @@ def test_field_bounds_and_tolerances(interval):
     assert sampled.sup_value() == 2.0
 
 
-def test_walk_time_constant_field(interval):
-    graph, field, _ = interval
-    p = graph.point("e", 0.5)
-    fwd = next(g for g in graph.germs(p) if g.sign > 0)
-    back = next(g for g in graph.germs(p) if g.sign < 0)
-    assert field.walk_time(fwd, 0.3) == pytest.approx(0.3, abs=1e-12)
-    assert field.walk_time(fwd, 99.0) == pytest.approx(1.5, abs=1e-12)   # capped at R
-    assert field.walk_time(back, 0.2) == pytest.approx(0.2, abs=1e-12)
-    assert field.walk_time(back, 99.0) == pytest.approx(0.5, abs=1e-12)  # capped at L
-
-
-def test_walk_time_backward_matches_forward_on_symmetric_profile():
-    g = MetricGraph([("a", True), ("b", True)], [("e", "a", "b", 2.0)])
-    # symmetric tent profile: mirroring around the midpoint changes nothing
-    field = CostField(g, {"e": Samples((0.0, 1.0, 2.0), (1.0, 3.0, 1.0))})
-    p = g.point("e", 1.0)
-    fwd = next(gm for gm in g.germs(p) if gm.sign > 0)
-    back = next(gm for gm in g.germs(p) if gm.sign < 0)
-    for budget in (0.1, 0.8, 1.9):
-        assert field.walk_time(back, budget) == pytest.approx(
-            field.walk_time(fwd, budget), abs=1e-10)
-
-
 def test_path_integral_on_interval(interval):
     graph, field, _ = interval
     c = Curve(graph, [Vertex("L"), graph.point("e", 1.2), graph.point("e", 0.4)])

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eikograph import (Curve, DistanceField, EdgeInterior, Germ, InputError,
-                       MetricGraph, Vertex, arc_length_parametrize,
-                       curve_length, graph_distance, random_curve)
+                       MetricGraph, Vertex, random_curve)
 from conftest import build_instance, random_graph_spec, tiny_dijkstra
 
 
@@ -148,7 +147,7 @@ def test_interval_distance_is_coordinate_gap(interval):
     graph, _, _ = interval
     p, q = graph.point("e", 0.25), graph.point("e", 1.8)
     assert graph.distance(p, q) == pytest.approx(1.55, abs=1e-15)
-    assert graph_distance(graph, Vertex("L"), Vertex("R")) == 2.0
+    assert graph.distance(Vertex("L"), Vertex("R")) == 2.0
 
 
 def test_same_edge_detour_beats_direct_when_shorter():
@@ -204,7 +203,7 @@ def test_curve_basic_polyline(interval):
     assert c.point_at(1.2) == EdgeInterior("e", 1.2)
     # after the turn the curve heads back down the edge
     assert c.point_at(1.5) == EdgeInterior("e", pytest.approx(0.9))
-    assert curve_length(c) == c.length
+    assert c.length == c.times()[-1]
 
 
 def test_curve_prefix_has_matching_endpoint(interval):
@@ -240,16 +239,6 @@ def test_curve_self_loop_full_traversal():
     c = Curve(g, [Vertex("a"), Vertex("a")], edges=["loop"])
     assert c.length == 2.0
     assert c.point_at(1.0) == EdgeInterior("loop", 1.0)
-
-
-def test_arc_length_parametrize_rejects_degenerate(interval):
-    graph, _, _ = interval
-    c = Curve(graph, [graph.point("e", 1.0)])
-    from eikograph import PreconditionError
-    with pytest.raises(PreconditionError):
-        arc_length_parametrize(c)
-    moving = Curve(graph, [Vertex("L"), graph.point("e", 0.5)])
-    assert arc_length_parametrize(moving) is moving
 
 
 @given(st.integers(0, 5_000))

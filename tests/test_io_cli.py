@@ -5,8 +5,9 @@ import math
 import pytest
 
 from eikograph import (Constant, GraphFormatError, InputError, Linear, Samples,
-                       dump_json, dump_value_function, edge_csv, graph_to_dict,
-                       load_graph, load_value_function, solve)
+                       Vertex, dump_json, dump_value_function, edge_csv,
+                       graph_to_dict, load_graph, load_value_function,
+                       point_from_obj, point_to_obj, solve)
 from eikograph.cli import entry
 
 TENT_DOC = """{
@@ -110,6 +111,35 @@ def test_load_graph_rejections():
         load_graph(json.dumps({"nodes": []}))
     assert base  # round-trip reference stays untouched
 
+    # only JSON numbers count as numbers: true/false and strings are refused
+    doc = json.loads(TENT_DOC)
+    doc["edges"][0]["length"] = True
+    with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': 'length' must be a number"):
+        load_graph(json.dumps(doc, indent=2), filename="g.json")
+
+    doc = json.loads(TENT_DOC)
+    doc["vertices"][0]["g"] = True
+    with pytest.raises(GraphFormatError, match=r"g\.json:\d+: vertex 'L': 'g' must be a number"):
+        load_graph(json.dumps(doc, indent=2), filename="g.json")
+
+    doc = json.loads(TENT_DOC)
+    doc["edges"][0]["f"] = {"kind": "samples",
+                            "params": {"knots": [0.0, True, 2.0], "values": [1.0, 1.0, 1.0]}}
+    with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': bad f params"):
+        load_graph(json.dumps(doc, indent=2), filename="g.json")
+
+    doc = json.loads(TENT_DOC)
+    doc["edges"][0]["f"]["params"]["value"] = "1.0"
+    with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': bad f params"):
+        load_graph(json.dumps(doc, indent=2), filename="g.json")
+
+    # a finite length and a finite f whose product overflows
+    doc = json.loads(TENT_DOC)
+    doc["edges"][0]["length"] = 1e300
+    doc["edges"][0]["f"]["params"]["value"] = 1e10
+    with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': cost overflows"):
+        load_graph(json.dumps(doc, indent=2), filename="g.json")
+
 
 # ----------------------------------------------------------------------
 # emission
@@ -125,6 +155,18 @@ def test_dump_json_is_deterministic_and_round_trip_exact():
     assert back["b"][1] == 2.5e-300 and back["b"][2] == math.pi
     assert back["inf"] is None
     assert one.endswith("\n")
+
+
+def test_points_round_trip_through_their_json_form(interval):
+    graph, _, _ = interval
+    for p in (Vertex("L"), graph.point("e", 0.75)):
+        obj = point_to_obj(p)
+        assert point_from_obj(json.loads(dump_json(obj)), graph) == p
+        assert dump_json([p]) == dump_json([obj])
+    with pytest.raises(InputError, match="bad point"):
+        point_from_obj({"edge": "e"}, graph)
+    with pytest.raises(InputError, match="cannot serialize"):
+        dump_json({"x": object()})
 
 
 def test_graph_document_round_trips_byte_identically():
@@ -226,6 +268,16 @@ def test_cli_solve_input_errors(tmp_path, capsys):
 
     assert entry(["solve", str(tmp_path / "missing.json")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_cli_solve_rejects_an_overflowing_edge_cost(tmp_path, capsys):
+    doc = json.loads(TENT_DOC)
+    doc["edges"][0]["length"] = 1e300
+    doc["edges"][0]["f"]["params"]["value"] = 1e10
+    g = put(tmp_path, "g.json", json.dumps(doc, indent=2))
+    assert entry(["solve", g, "--out-dir", str(tmp_path / "out")]) == 1
+    assert "g.json:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "u.json").exists()
 
 
 def solve_path3(tmp_path):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eikograph import (Constant, CostField, InputError, Linear, MetricGraph,
-                       OpticalMap, StoredSolution, Vertex, multi_source_optical,
-                       optical_length)
+                       OpticalMap, StoredSolution, Vertex, optical_length)
 from conftest import build_instance, interval_point, make_interval, random_graph_spec
 
 
@@ -76,8 +75,8 @@ def test_multi_source_is_min_of_single_sources(seed):
     vids = spec["vertices"]
     seeds = {Vertex(v): rng.uniform(0.0, 2.0)
              for v in rng.sample(vids, rng.randint(1, min(3, len(vids))))}
-    combined = multi_source_optical(field, seeds)
-    singles = [multi_source_optical(field, {p: val}) for p, val in seeds.items()]
+    combined = OpticalMap(field, seeds)
+    singles = [OpticalMap(field, {p: val}) for p, val in seeds.items()]
     for _ in range(10):
         eid = sorted(graph.edges)[rng.randrange(len(graph.edges))]
         p = graph.point(eid, rng.random() * graph.edges[eid].length)
