@@ -10,6 +10,8 @@ speed fields.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple, Union
 
@@ -81,16 +83,19 @@ class Linear:
 class Samples:
     """f given by values at increasing knots along the edge, linearly
     interpolated between them.  Knots must start at 0 and end at the edge
-    length (the last knot may be off by float dust; it gets snapped)."""
+    length (the last knot may be off by float dust; it gets snapped).
+
+    The cumulative table ``F(knot)`` is built once, on first use, and kept on
+    the instance (``check()`` drops it when it snaps the last knot), so a
+    profile costs O(K) once and O(log K) per integral."""
 
     knots: Tuple[float, ...]
     values: Tuple[float, ...]
 
     def __init__(self, knots: Sequence[float], values: Sequence[float]):
-        k = tuple(float(t) for t in knots)
-        v = tuple(float(t) for t in values)
-        object.__setattr__(self, "knots", k)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "knots", tuple(map(float, knots)))
+        object.__setattr__(self, "values", tuple(map(float, values)))
+        object.__setattr__(self, "_pre", None)
 
     def check(self, length: float, fmin: float):
         k, v = self.knots, self.values
@@ -98,26 +103,22 @@ class Samples:
             raise InputError("sampled profile needs >= 2 matching knots and values")
         if k[0] != 0.0:
             raise InputError("sampled profile must start at offset 0 (got %r)" % (k[0],))
-        if any(k[i] >= k[i + 1] for i in range(len(k) - 1)):
+        if not all(map(operator.lt, k, k[1:])):
             raise InputError("sampled profile knots must be strictly increasing")
         if abs(k[-1] - length) > 1e-12 * max(1.0, length):
             raise InputError("sampled profile ends at %r but the edge has length %r" % (k[-1], length))
         if k[-1] != length:
             object.__setattr__(self, "knots", k[:-1] + (length,))
-        bad = [x for x in v if not (math.isfinite(x) and x >= fmin)]
-        if bad:
+            object.__setattr__(self, "_pre", None)
+        if not (all(map(math.isfinite, v)) and min(v) >= fmin):
+            bad = [x for x in v if not (math.isfinite(x) and x >= fmin)]
             raise InputError("sampled profile values %r below floor %r" % (bad, fmin))
 
     def _segment(self, s: float) -> int:
-        k = self.knots
-        lo, hi = 0, len(k) - 2
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if k[mid] <= s:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        """The knot segment [k[i], k[i+1]] holding s, i clamped to [0, K-2]."""
+        i = bisect_right(self.knots, s) - 1
+        last = len(self.knots) - 2
+        return 0 if i < 0 else (last if i > last else i)
 
     def at(self, s: float, length: float) -> float:
         k, v = self.knots, self.values
@@ -127,29 +128,34 @@ class Samples:
         return v[i] * (1.0 - w) + v[i + 1] * w
 
     def _prefix(self) -> Tuple[float, ...]:
+        """F at every knot: the trapezoid sums, built once per knot set."""
         k, v = self.knots, self.values
         out = [0.0]
         for i in range(len(k) - 1):
             h = k[i + 1] - k[i]
             out.append(out[-1] + 0.5 * (v[i] + v[i + 1]) * h)
-        return tuple(out)
+        pre = tuple(out)
+        object.__setattr__(self, "_pre", pre)
+        return pre
+
+    def _F(self, pre: Tuple[float, ...], s: float) -> float:
+        """F(s) = ∫_0^s f: one segment lookup, then the trapezoid to s."""
+        k, v = self.knots, self.values
+        s = min(max(s, k[0]), k[-1])
+        i = self._segment(s)
+        t = s - k[i]
+        w = t / (k[i + 1] - k[i])
+        fi = v[i] * (1.0 - w) + v[i + 1] * w
+        return pre[i] + 0.5 * (v[i] + fi) * t
 
     def integral(self, s0: float, s1: float, length: float) -> float:
-        pre = self._prefix()
-
-        def F(s: float) -> float:
-            s = min(max(s, self.knots[0]), self.knots[-1])
-            i = self._segment(s)
-            t = s - self.knots[i]
-            fi = self.at(s, length)
-            return pre[i] + 0.5 * (self.values[i] + fi) * t
-
-        return F(s1) - F(s0)
+        pre = self._pre or self._prefix()
+        return self._F(pre, s1) - self._F(pre, s0)
 
     def inverse_integral(self, s0: float, target: float, length: float) -> float:
         if target == 0.0:
             return 0.0
-        pre = self._prefix()
+        pre = self._pre or self._prefix()
         i = self._segment(min(max(s0, 0.0), self.knots[-1]))
         remaining = target + self.integral(self.knots[i], s0, length)
         # march knot segments; on each, f is linear with slope b.

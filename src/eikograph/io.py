@@ -150,6 +150,10 @@ def load_graph(text: str, filename: str = "<graph>",
         if not math.isfinite(fmax * rec.length):
             _fail(filename, text, eid, "edge %r: cost overflows (f up to %r over length %r)"
                   % (eid, fmax, rec.length))
+        # Linear.integral squares offsets along the edge
+        if isinstance(field.profiles[eid], Linear) and not math.isfinite(rec.length * rec.length):
+            _fail(filename, text, eid, "edge %r: linear profile over length %r overflows "
+                  "(length squared is not finite)" % (eid, rec.length))
     data = None
     if gvals:
         try:

@@ -137,16 +137,14 @@ def _default_samples(graph: MetricGraph, n_per_edge: int = 3) -> List[GraphPoint
     return pts
 
 
-def _distance_to_boundary(graph: MetricGraph, p: GraphPoint) -> float:
-    bids = graph.boundary_ids
-    if not bids:
-        return math.inf
-    if isinstance(p, Vertex) and graph.vertices[p.id].boundary:
-        return 0.0
-    dv = graph.shortest_from_seeds(
-        graph._seed_costs(p, 0.0, lambda eid, s0, s1: abs(s1 - s0)),
-        lambda eid: graph.edges[eid].length)
-    return min(dv[vid] for vid in bids)
+def _distance_to_boundary(graph: MetricGraph, to_boundary: Dict[str, float],
+                          p: GraphPoint) -> float:
+    """d(p, ∂) from the vertex table ``to_boundary`` of d(·, ∂): a point at
+    offset s on edge (a, b) of length L leaves through a or through b."""
+    if isinstance(p, Vertex):
+        return to_boundary[p.id]
+    rec = graph.edges[p.edge]
+    return min(to_boundary[rec.src] + p.s, to_boundary[rec.dst] + (rec.length - p.s))
 
 
 def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
@@ -167,6 +165,11 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
         tol = field.default_tol()
     if points is None:
         points = _default_samples(graph)
+    # d(·, ∂) at every vertex, from one Dijkstra seeded at the whole boundary
+    bids = graph.boundary_ids
+    to_boundary = (graph.shortest_from_seeds(dict.fromkeys(bids, 0.0),
+                                             lambda eid: graph.edges[eid].length)
+                   if bids else dict.fromkeys(graph.vertices, math.inf))
     samples: List[DPPSample] = []
     max_defect = 0.0
     ok = True
@@ -176,7 +179,7 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
             samples.append(DPPSample(p, 0.0, 0.0, skipped=True, reason="boundary point"))
             continue
         tau_x = tau if tau is not None else graph.half_min_incident(p)
-        dist_b = _distance_to_boundary(graph, p)
+        dist_b = _distance_to_boundary(graph, to_boundary, p)
         if tau_x > dist_b:
             samples.append(DPPSample(p, tau_x, 0.0, skipped=True,
                                      reason="radius %g exceeds distance %g to the boundary" % (tau_x, dist_b)))
@@ -317,9 +320,9 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     max_abs = -math.inf
     n = 0
     for p in points:
+        ux = u.evaluate(p)
         for vid in graph.boundary_ids:
             d = graph.distance(p, Vertex(vid))
-            ux = u.evaluate(p)
             g = data[vid]
             max_upper = max(max_upper, (ux - g) - upper_c * d)
             if comp:

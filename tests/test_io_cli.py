@@ -140,6 +140,14 @@ def test_load_graph_rejections():
     with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': cost overflows"):
         load_graph(json.dumps(doc, indent=2), filename="g.json")
 
+    # sup f · length is finite, but the linear integral squares the length
+    doc = json.loads(TENT_DOC)
+    doc["edges"][0]["length"] = 1e200
+    doc["edges"][0]["f"] = {"kind": "linear", "params": {"a": 1.0, "b": 0.0}}
+    with pytest.raises(GraphFormatError,
+                       match=r"g\.json:\d+: edge 'e': linear profile over length 1e\+200 overflows"):
+        load_graph(json.dumps(doc, indent=2), filename="g.json")
+
 
 # ----------------------------------------------------------------------
 # emission
@@ -277,6 +285,18 @@ def test_cli_solve_rejects_an_overflowing_edge_cost(tmp_path, capsys):
     g = put(tmp_path, "g.json", json.dumps(doc, indent=2))
     assert entry(["solve", g, "--out-dir", str(tmp_path / "out")]) == 1
     assert "g.json:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "u.json").exists()
+
+
+def test_cli_solve_rejects_a_linear_edge_whose_length_squared_overflows(tmp_path, capsys):
+    doc = json.loads(TENT_DOC)
+    doc["edges"][0]["length"] = 1e200
+    doc["edges"][0]["f"] = {"kind": "linear", "params": {"a": 1.0, "b": 0.0}}
+    g = put(tmp_path, "g.json", json.dumps(doc, indent=2))
+    assert entry(["solve", g, "--out-dir", str(tmp_path / "out")]) == 1
+    text = (tmp_path / "g.json").read_text()
+    line = text[:text.index('"id": "e"')].count("\n") + 1
+    assert "g.json:%d: edge 'e': linear profile" % line in capsys.readouterr().err
     assert not (tmp_path / "out" / "u.json").exists()
 
 

@@ -9,6 +9,8 @@ from eikograph import (BoundaryData, Constant, CostField, Curve, InputError,
                        MetricGraph, StoredSolution, Vertex, boundary_modulus,
                        check_compatibility, optical_length, solve, verify_dpp,
                        verify_suboptimality)
+from eikograph import solver as solver_module
+from eikograph.solver import _default_samples
 from conftest import build_instance, interval_point, make_interval, random_graph_spec
 
 
@@ -211,6 +213,52 @@ def test_dpp_detects_negated_solution(interval):
     rep = verify_dpp(neg, points=[interval_point(graph, 0.0)], tau=0.1)
     assert not rep.ok
     assert rep.max_defect == pytest.approx(0.2, abs=1e-12)
+
+
+def test_dpp_boundary_distance_matches_a_dijkstra_from_each_point(monkeypatch):
+    seen = []
+    table_distance = solver_module._distance_to_boundary
+
+    def recording(graph, to_boundary, p):
+        d = table_distance(graph, to_boundary, p)
+        seen.append((p, d))
+        return d
+
+    monkeypatch.setattr(solver_module, "_distance_to_boundary", recording)
+    rng = random.Random(41)
+    for _ in range(8):
+        spec = random_graph_spec(rng, max_vertices=14, max_extra_edges=12)
+        graph, field, data = build_instance(spec)
+        seen.clear()
+        verify_dpp(solve(field, data))
+        assert seen
+        for p, d in seen:
+            want = min(graph.distance(p, Vertex(b)) for b in graph.boundary_ids)
+            # the same path lengths, summed from the other end
+            assert d == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("n_points", [1, 7, None])
+def test_dpp_runs_one_dijkstra_whatever_the_sample_count(monkeypatch, n_points):
+    rng = random.Random(5)
+    spec = random_graph_spec(rng, max_vertices=12, max_extra_edges=10)
+    graph, field, data = build_instance(spec)
+    u = solve(field, data)
+    points = None
+    if n_points is not None:
+        points = [graph.point(eid, rec.length * (k + 1) / (n_points + 1))
+                  for eid, rec in list(graph.edges.items())[:1] for k in range(n_points)]
+    runs = []
+    dijkstra = MetricGraph.shortest_from_seeds
+
+    def counting(self, seeds, edge_weight):
+        runs.append(dict(seeds))
+        return dijkstra(self, seeds, edge_weight)
+
+    monkeypatch.setattr(MetricGraph, "shortest_from_seeds", counting)
+    rep = verify_dpp(u, points=points)
+    assert len(rep.samples) == (n_points or len(_default_samples(graph)))
+    assert runs == [{b: 0.0 for b in graph.boundary_ids}]
 
 
 # ----------------------------------------------------------------------
