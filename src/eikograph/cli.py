@@ -8,6 +8,7 @@ flags.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -42,6 +43,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a nonnegative finite number.  A negative or NaN tolerance
+    fails every check and an infinite one passes every check, so neither
+    gives a verdict worth printing."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError("must be a nonnegative finite number (got %r)" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="eikograph",
                 description="Solve and verify |∇u| = f on metric graphs.")
@@ -50,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", parents=[], help="solve the Dirichlet problem from a graph file")
     ps.add_argument("graph", help="graph JSON file")
     ps.add_argument("--out-dir", default=".", help="directory for u.json and compat.json")
-    ps.add_argument("--tol", type=float, default=1e-12, help="compatibility tolerance")
+    ps.add_argument("--tol", type=_tolerance, default=1e-12, help="compatibility tolerance")
     ps.add_argument("--edge-csv", metavar="EDGE", default=None,
                     help="also write (s, u) samples along this edge")
 
@@ -59,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("u", help="solution JSON file (from solve)")
     pv.add_argument("--mode", required=True, choices=("monge", "dpp", "subopt", "modulus"))
     pv.add_argument("--out-dir", default=".")
-    pv.add_argument("--tol", type=float, default=None, help="verdict tolerance")
+    pv.add_argument("--tol", type=_tolerance, default=None, help="verdict tolerance")
     pv.add_argument("--tau", type=float, default=None, help="walk radius for dpp")
     pv.add_argument("--slope-radii", type=int, default=13,
                     help="radius count for sampled slopes (monge)")
@@ -202,7 +216,7 @@ def cmd_verify(args) -> int:
     # modulus
     if u.data is None:
         raise InputError("solution file carries no boundary data")
-    report = boundary_modulus(u)
+    report = boundary_modulus(u, tol=args.tol)
     _write(args.out_dir, "modulus.json", dump_json(report))
     if not report.ok:
         print("boundary modulus failed: one-sided defect %.17g, two-sided defect %.17g"

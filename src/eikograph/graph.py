@@ -99,10 +99,20 @@ class MetricGraph:
             self.edges[rec.id] = EdgeRec(rec.id, rec.src, rec.dst, float(rec.length))
 
         # adjacency: vertex id -> [(edge id, end)] with end 0 = src side, 1 = dst side.
+        # _nbrs holds the same incidences as (edge id, vertex at the far end) for
+        # the kernel; a self-loop leads back to its own vertex.
         self._adj: Dict[str, List[Tuple[str, int]]] = {vid: [] for vid in self.vertices}
+        self._nbrs: Dict[str, List[Tuple[str, str]]] = {vid: [] for vid in self.vertices}
         for rec in self.edges.values():
             self._adj[rec.src].append((rec.id, 0))
             self._adj[rec.dst].append((rec.id, 1))
+            self._nbrs[rec.src].append((rec.id, rec.dst))
+            self._nbrs[rec.dst].append((rec.id, rec.src))
+
+        # point_cost's one-entry memo: (source, segcost, edge_weight) of the
+        # last query and the vertex table its Dijkstra returned
+        self._last_source: Optional[tuple] = None
+        self._last_table: Dict[str, float] = {}
 
         self._check_connected()
 
@@ -221,7 +231,9 @@ class MetricGraph:
         ``seeds`` maps vertex id -> initial cost; ``edge_weight`` gives the
         (nonnegative) traversal cost of a whole edge.  Ties are broken by
         (cost, vertex id), which makes relaxation order — and therefore any
-        downstream report — deterministic.
+        downstream report — deterministic.  An offer is pushed only when it
+        strictly lowers the best cost known for its vertex; the entries that
+        are left out could never be the first to settle it.
         """
         for vid in seeds:
             if vid not in self.vertices:
@@ -229,19 +241,22 @@ class MetricGraph:
         if not seeds:
             raise InputError("empty seed set")
         done: Dict[str, float] = {}
+        best = dict(seeds)
         heap = sorted((c, vid) for vid, c in seeds.items())
+        nbrs = self._nbrs
+        push, pop = heapq.heappush, heapq.heappop
         while heap:
-            cost, vid = heapq.heappop(heap)
+            cost, vid = pop(heap)
             if vid in done:
                 continue
             done[vid] = cost
-            for eid, _end in self._adj[vid]:
-                rec = self.edges[eid]
-                other = rec.dst if rec.src == vid else rec.src
-                if rec.src == rec.dst:
-                    other = vid
+            for eid, other in nbrs[vid]:
                 if other not in done:
-                    heapq.heappush(heap, (cost + edge_weight(eid), other))
+                    c = cost + edge_weight(eid)
+                    known = best.get(other)
+                    if known is None or c < known:
+                        best[other] = c
+                        push(heap, (c, other))
         if len(done) != len(self.vertices):
             missing = sorted(set(self.vertices) - set(done))
             raise UnreachableError("vertices unreachable from seeds: %s" % ", ".join(missing))
@@ -270,10 +285,21 @@ class MetricGraph:
         segment; ``edge_weight(eid)`` the full-edge cost.  Used with unit
         costs this is the intrinsic metric, with cumulative-profile costs the
         optical length.
+
+        The vertex table of the last source is kept: a query with an equal
+        ``x`` and equal cost callables reads it instead of running Dijkstra
+        again, so a loop over targets from one source costs one run.  The
+        graph is immutable, and the callables must be too (a bound method
+        compares equal only to the same method of the same object).
         """
         self.validate_point(x)
         self.validate_point(y)
-        dv = self.shortest_from_seeds(self._seed_costs(x, 0.0, segcost), edge_weight)
+        source = (x, segcost, edge_weight)
+        if source == self._last_source:
+            dv = self._last_table
+        else:
+            dv = self.shortest_from_seeds(self._seed_costs(x, 0.0, segcost), edge_weight)
+            self._last_source, self._last_table = source, dv
         if isinstance(y, Vertex):
             best = dv[y.id]
         else:
@@ -284,11 +310,17 @@ class MetricGraph:
             best = min(best, segcost(x.edge, min(x.s, y.s), max(x.s, y.s)))
         return best
 
+    def _length(self, eid: str) -> float:
+        return self.edges[eid].length
+
     def distance(self, x: GraphPoint, y: GraphPoint) -> float:
         """The intrinsic metric: length of a shortest path between x and y."""
-        return self.point_cost(x, y,
-                               lambda eid, s0, s1: abs(s1 - s0),
-                               lambda eid: self.edges[eid].length)
+        return self.point_cost(x, y, _unit_segment, self._length)
+
+
+def _unit_segment(eid: str, s0: float, s1: float) -> float:
+    """Unit-cost segcost: a within-edge segment costs its arc length."""
+    return abs(s1 - s0)
 
 
 class DistanceField:
@@ -299,9 +331,8 @@ class DistanceField:
         graph.validate_point(x0)
         self.graph = graph
         self.x0 = x0
-        seg = lambda eid, s0, s1: abs(s1 - s0)
         self.vertex_values = graph.shortest_from_seeds(
-            graph._seed_costs(x0, 0.0, seg), lambda eid: graph.edges[eid].length)
+            graph._seed_costs(x0, 0.0, _unit_segment), graph._length)
 
     def _branches(self, eid: str, s: float) -> List[Tuple[float, float]]:
         """(value, d value/d s) pairs whose pointwise min is d(., x0) on the edge."""

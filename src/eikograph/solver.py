@@ -161,6 +161,8 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
     """
     graph = u.graph
     field = u.field
+    if tau is not None and not (math.isfinite(tau) and tau > 0.0):
+        raise InputError("walk radius tau must be a positive finite number (got %r)" % tau)
     if tol is None:
         tol = field.default_tol()
     if points is None:
@@ -297,7 +299,7 @@ def _lipschitz_of_g(graph: MetricGraph, data: BoundaryData) -> float:
 
 
 def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = None,
-                     tol: float = 1e-9) -> BoundaryModulusReport:
+                     tol: Optional[float] = None) -> BoundaryModulusReport:
     """How u meets its boundary data.
 
     Unconditionally  u(x) - g(y) <= max(sup f, Lip g) · d(x, y)  for every
@@ -305,7 +307,10 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     |u(x) - g(y)| <= (2 sup f) d(x, y) + ω_g(2 d(x, y))  holds with
     ω_g(r) = (Lip g) r; incompatible data genuinely loses the lower side at
     the violated vertices, so then only the one-sided bound is asserted.
+    ``tol`` defaults to 1e-9.
     """
+    if tol is None:
+        tol = 1e-9
     graph = u.graph
     field = u.field
     data = u.data

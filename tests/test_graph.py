@@ -1,4 +1,5 @@
 """Metric-graph foundations: validation, points, germs, distances, curves."""
+import heapq
 import math
 import random
 
@@ -161,6 +162,94 @@ def test_same_edge_detour_beats_direct_when_shorter():
     q = g.point("long", 9.5)
     # direct 9.5 vs through b on "short" then 0.5 back: 1.5
     assert g.distance(Vertex("a"), q) == pytest.approx(1.5)
+
+
+# ----------------------------------------------------------------------
+# the kernel's pruned pushes and point_cost's source memo
+# ----------------------------------------------------------------------
+
+def _unpruned_dijkstra(graph, seeds, edge_weight):
+    """The kernel before pruning: every offer to an unsettled vertex is
+    pushed, and stale entries are skipped when popped."""
+    done = {}
+    heap = sorted((c, vid) for vid, c in seeds.items())
+    while heap:
+        cost, vid = heapq.heappop(heap)
+        if vid in done:
+            continue
+        done[vid] = cost
+        for eid, _end in graph.adjacency(vid):
+            rec = graph.edges[eid]
+            other = rec.dst if rec.src == vid else rec.src
+            if rec.src == rec.dst:
+                other = vid
+            if other not in done:
+                heapq.heappush(heap, (cost + edge_weight(eid), other))
+    return done
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pruned_kernel_equals_the_unpruned_one(seed):
+    """Equal tables in the same key order, on multigraphs with a self-loop,
+    parallel edges, many tied costs and a seed undercut by another seed."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    vids = ["v%d" % i for i in rng.sample(range(100), n)]
+    edges = [("t%d" % i, vids[rng.randrange(i)], vids[i], 1.0) for i in range(1, n)]
+    a = vids[rng.randrange(n)]
+    edges.append(("loop", a, a, 0.5))
+    b = vids[rng.randrange(1, n)]
+    edges.append(("par0", vids[0], b, 1.0))
+    edges.append(("par1", b, vids[0], 0.5))
+    for i in range(rng.randint(0, 2 * n)):
+        edges.append(("x%d" % i, vids[rng.randrange(n)], vids[rng.randrange(n)], 1.0))
+    graph = MetricGraph([(v,) for v in vids], edges)
+    # quarter-steps make ties common, so (cost, id) ordering is exercised
+    weight = {eid: 0.25 * rng.randint(1, 8) for eid in graph.edges}
+    seeds = {vids[0]: 0.0}
+    for v in rng.sample(vids, rng.randint(0, n - 1)):
+        seeds[v] = 0.25 * rng.randint(0, 12)
+    seeds[vids[-1]] = 100.0   # undercut: every path here is shorter than 100
+    for edge_weight in (weight.__getitem__, lambda eid: graph.edges[eid].length):
+        got = graph.shortest_from_seeds(seeds, edge_weight)
+        want = _unpruned_dijkstra(graph, seeds, edge_weight)
+        assert list(got.items()) == list(want.items())
+
+
+def _memo_instance(seed):
+    spec = random_graph_spec(random.Random(seed), max_vertices=10, max_extra_edges=8)
+    return spec, build_instance(spec)[0]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_distance_memo_matches_a_fresh_graph_for_interleaved_sources(seed):
+    spec, graph = _memo_instance(seed)
+    rng = random.Random(seed + 1000)
+    x1, x2, y, y2 = (_random_point(graph, rng) for _ in range(4))
+    for x, target in ((x1, y), (x2, y), (x1, y), (x1, y2), (x2, y2), (x2, y)):
+        fresh = build_instance(spec)[0]
+        assert graph.distance(x, target) == fresh.distance(x, target)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_distance_memo_from_an_edge_interior_source(seed):
+    """An interior source seeds both ends of its edge; a target on the same
+    edge may be reached directly, on either side of the source."""
+    spec, graph = _memo_instance(seed)
+    rng = random.Random(seed + 2000)
+    eid = sorted(graph.edges)[rng.randrange(len(graph.edges))]
+    rec = graph.edges[eid]
+    L = rec.length
+    x = EdgeInterior(eid, 0.4 * L)
+    targets = [EdgeInterior(eid, 0.1 * L), EdgeInterior(eid, 0.9 * L), x,
+               Vertex(rec.src), Vertex(rec.dst), _random_point(graph, rng),
+               EdgeInterior(eid, 0.7 * L)]
+    for target in targets:
+        fresh = build_instance(spec)[0]
+        assert graph.distance(x, target) == fresh.distance(x, target)
+    # the direct same-edge branch bounds both by their offset gap
+    assert graph.distance(x, targets[0]) <= 0.3 * L * (1 + 1e-12)
+    assert graph.distance(x, targets[6]) <= 0.3 * L * (1 + 1e-12)
 
 
 # ----------------------------------------------------------------------

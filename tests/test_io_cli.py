@@ -345,6 +345,42 @@ def test_cli_verify_flags_a_perturbed_boundary_value(tmp_path, capsys):
     assert "boundary modulus failed" in capsys.readouterr().out
 
 
+def test_cli_verify_modulus_honours_tol(tmp_path, capsys):
+    """The boundary defect of 0.5, which fails at the default tolerance
+    (the test above), passes under --tol 1."""
+    g, ufile = solve_path3(tmp_path)
+    doc = json.loads(open(ufile).read())
+    doc["vertices"]["L"] = 0.5
+    bad = put(tmp_path, "bad_u.json", json.dumps(doc))
+    assert entry(["verify", g, bad, "--mode", "modulus", "--tol", "1",
+                  "--out-dir", str(tmp_path / "rb")]) == 0
+    assert "boundary modulus ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tau", ["0", "-1", "inf", "nan"])
+def test_cli_verify_dpp_refuses_a_degenerate_radius(tmp_path, capsys, tau):
+    g, ufile = solve_path3(tmp_path)
+    assert entry(["verify", g, ufile, "--mode", "dpp", "--tau", tau,
+                  "--out-dir", str(tmp_path / "rd")]) == 1
+    assert "walk radius tau must be a positive finite number" in capsys.readouterr().err
+    assert not (tmp_path / "rd" / "dpp.json").exists()
+
+
+@pytest.mark.parametrize("command,tol", [("solve", "-1"), ("solve", "nan"), ("solve", "inf"),
+                                         ("monge", "nan"), ("modulus", "-1"),
+                                         ("dpp", "inf"), ("subopt", "-1e-9")])
+def test_cli_refuses_a_degenerate_tolerance(tmp_path, capsys, command, tol):
+    g, ufile = solve_path3(tmp_path)
+    capsys.readouterr()
+    argv = (["solve", g] if command == "solve"
+            else ["verify", g, ufile, "--mode", command])
+    with pytest.raises(SystemExit) as exc:
+        entry(argv + ["--tol=" + tol, "--out-dir", str(tmp_path / "rt")])
+    assert exc.value.code == 1
+    assert "argument --tol: must be a nonnegative finite number" in capsys.readouterr().err
+    assert not (tmp_path / "rt").exists()
+
+
 def test_cli_verify_rejects_solution_from_different_input(tmp_path, capsys):
     g, ufile = solve_path3(tmp_path)
     doc = json.loads(PATH3_DOC)

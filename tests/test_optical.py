@@ -57,6 +57,35 @@ def test_optical_length_is_symmetric_and_triangular(seed):
                    + 1e-9 * (1.0 + dxy))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_optical_length_memo_keeps_cost_fields_apart(seed):
+    """Two cost fields and the unit metric on one graph, queried in turns
+    from the same sources: no query may read another's vertex table."""
+    rng = random.Random(seed)
+    spec = random_graph_spec(rng, max_vertices=10, max_extra_edges=8)
+    other = {e["id"]: Linear(rng.uniform(0.1, 5.0), 0.0) for e in spec["edges"]}
+    graph, field_a, _ = build_instance(spec)
+    field_b = CostField(graph, other)
+
+    def fresh(kind):
+        g, fa, _ = build_instance(spec)
+        return {"a": fa, "b": CostField(g, other), "d": g}[kind]
+
+    def rand_point():
+        eid = sorted(graph.edges)[rng.randrange(len(graph.edges))]
+        return graph.point(eid, rng.random() * graph.edges[eid].length)
+
+    x1, x2, y1, y2 = (rand_point() for _ in range(4))
+    for kind, x, y in (("a", x1, y1), ("b", x1, y1), ("a", x1, y2), ("d", x1, y2),
+                       ("b", x1, y2), ("b", x2, y1), ("a", x2, y1), ("a", x2, y2)):
+        if kind == "d":
+            got, want = graph.distance(x, y), fresh("d").distance(x, y)
+        else:
+            field = field_a if kind == "a" else field_b
+            got, want = optical_length(field, x, y), optical_length(fresh(kind), x, y)
+        assert got == want
+
+
 # ----------------------------------------------------------------------
 # the map
 # ----------------------------------------------------------------------

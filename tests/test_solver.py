@@ -261,6 +261,15 @@ def test_dpp_runs_one_dijkstra_whatever_the_sample_count(monkeypatch, n_points):
     assert runs == [{b: 0.0 for b in graph.boundary_ids}]
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+def test_dpp_refuses_a_radius_that_is_not_positive_and_finite(interval, tau):
+    """tau <= 0 would make every residual inf; tau = inf would skip every
+    sample and pass having checked nothing."""
+    _, field, data = interval
+    with pytest.raises(InputError, match="positive finite"):
+        verify_dpp(solve(field, data), tau=tau)
+
+
 # ----------------------------------------------------------------------
 # sub-optimality along curves
 # ----------------------------------------------------------------------
@@ -341,3 +350,49 @@ def test_modulus_flags_perturbed_boundary_value(interval):
     bad = StoredSolution(field, {"L": 0.4, "R": 0.0}, data=data)
     rep = boundary_modulus(bad)
     assert not rep.ok
+
+
+def _count_dijkstras(monkeypatch):
+    runs = []
+    dijkstra = MetricGraph.shortest_from_seeds
+
+    def counting(self, seeds, edge_weight):
+        runs.append(dict(seeds))
+        return dijkstra(self, seeds, edge_weight)
+
+    monkeypatch.setattr(MetricGraph, "shortest_from_seeds", counting)
+    return runs
+
+
+def test_compatibility_witness_runs_one_dijkstra_per_violated_vertex(monkeypatch):
+    """A star whose leaves l1, l2, l3 each undercut the worst violation so
+    far: three witness searches, each one Dijkstra from its leaf, plus the
+    solve itself."""
+    graph = MetricGraph([("c",)] + [("l%d" % i, True) for i in range(4)],
+                        [("a%d" % i, "c", "l%d" % i, 1.0) for i in range(4)])
+    field = CostField.constant(graph, 1.0)
+    data = BoundaryData(graph, {"l0": 0.0, "l1": 5.0, "l2": 6.0, "l3": 7.0})
+    runs = _count_dijkstras(monkeypatch)
+    rep = check_compatibility(field, data)
+    assert (rep.worst_violation, rep.witness) == (5.0, ("l3", "l0"))
+    assert runs[1:] == [{"l1": 0.0}, {"l2": 0.0}, {"l3": 0.0}]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 10, 11, 20, 29])
+def test_modulus_runs_one_dijkstra_per_point_whatever_the_boundary_size(monkeypatch, seed):
+    """P sample points, B boundary vertices: P runs for the pairwise
+    distances, B for Lip g and the compatibility check's own runs (seeds 10
+    and 20 have incompatible data, so those include witness searches)."""
+    spec = random_graph_spec(random.Random(seed), max_vertices=14, max_extra_edges=12)
+    graph, field, data = build_instance(spec)
+    u = solve(field, data)
+    points = _default_samples(graph) + [Vertex(b) for b in graph.boundary_ids]
+    runs = _count_dijkstras(monkeypatch)
+    _, fresh_field, fresh_data = build_instance(spec)   # a graph with no memo yet
+    check_compatibility(fresh_field, fresh_data)
+    n_compat = len(runs)
+    runs.clear()
+    rep = boundary_modulus(u)
+    B = len(graph.boundary_ids)
+    assert rep.n_checked == len(points) * B
+    assert len(runs) == len(points) + B + n_compat
