@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import random
+import re
 import sys
 from typing import List, Optional
 
@@ -33,8 +34,19 @@ EXIT_INCOMPATIBLE = 2
 EXIT_VERIFICATION = 3
 EXIT_HAMILTONIAN = 4
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as an option unless
+        # it looks like a negative number, which to argparse means "-1" or
+        # "-.5"; widen that to every float literal, so that "--tol -1e-9" and
+        # "--tau -inf" reach the range checks
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse's default exit status for bad usage is 2, which this tool
     # reserves for compatibility failures; remap to the input-error code
     def error(self, message):

@@ -110,9 +110,9 @@ class MetricGraph:
             self._nbrs[rec.dst].append((rec.id, rec.src))
 
         # point_cost's one-entry memo: (source, segcost, edge_weight) of the
-        # last query and the vertex table its Dijkstra returned
+        # last query and the map seeded there
         self._last_source: Optional[tuple] = None
-        self._last_table: Dict[str, float] = {}
+        self._last_map: Optional[SeedMap] = None
 
         self._check_connected()
 
@@ -262,20 +262,6 @@ class MetricGraph:
             raise UnreachableError("vertices unreachable from seeds: %s" % ", ".join(missing))
         return done
 
-    def _seed_costs(self, p: GraphPoint, base: float,
-                    segcost: Callable[[str, float, float], float]) -> Dict[str, float]:
-        """Project a point onto vertex seeds via its own edge."""
-        if isinstance(p, Vertex):
-            return {p.id: base}
-        rec = self.edge(p.edge)
-        out: Dict[str, float] = {}
-        for vid, c in ((rec.src, segcost(p.edge, 0.0, p.s)),
-                       (rec.dst, segcost(p.edge, p.s, rec.length))):
-            cc = base + c
-            if vid not in out or cc < out[vid]:
-                out[vid] = cc
-        return out
-
     def point_cost(self, x: GraphPoint, y: GraphPoint,
                    segcost: Callable[[str, float, float], float],
                    edge_weight: Callable[[str], float]) -> float:
@@ -286,29 +272,19 @@ class MetricGraph:
         costs this is the intrinsic metric, with cumulative-profile costs the
         optical length.
 
-        The vertex table of the last source is kept: a query with an equal
-        ``x`` and equal cost callables reads it instead of running Dijkstra
-        again, so a loop over targets from one source costs one run.  The
-        graph is immutable, and the callables must be too (a bound method
-        compares equal only to the same method of the same object).
+        The map of the last source is kept: a query with an equal ``x`` and
+        equal cost callables reads it instead of running Dijkstra again, so a
+        loop over targets from one source costs one run.  The graph is
+        immutable, and the callables must be too (a bound method compares
+        equal only to the same method of the same object).
         """
         self.validate_point(x)
         self.validate_point(y)
         source = (x, segcost, edge_weight)
-        if source == self._last_source:
-            dv = self._last_table
-        else:
-            dv = self.shortest_from_seeds(self._seed_costs(x, 0.0, segcost), edge_weight)
-            self._last_source, self._last_table = source, dv
-        if isinstance(y, Vertex):
-            best = dv[y.id]
-        else:
-            rec = self.edge(y.edge)
-            best = min(dv[rec.src] + segcost(y.edge, 0.0, y.s),
-                       dv[rec.dst] + segcost(y.edge, y.s, rec.length))
-        if isinstance(x, EdgeInterior) and isinstance(y, EdgeInterior) and x.edge == y.edge:
-            best = min(best, segcost(x.edge, min(x.s, y.s), max(x.s, y.s)))
-        return best
+        if source != self._last_source:
+            self._last_map = SeedMap(self, {x: 0.0}, segcost, edge_weight)
+            self._last_source = source
+        return self._last_map._value(y)
 
     def _length(self, eid: str) -> float:
         return self.edges[eid].length
@@ -323,51 +299,91 @@ def _unit_segment(eid: str, s0: float, s1: float) -> float:
     return abs(s1 - s0)
 
 
-class DistanceField:
-    """d(., x0): exact evaluation everywhere plus exact one-sided germ
-    derivatives, which are what distance-type test functions need."""
+class SeedMap:
+    """u(p) = min over seeds q of (seed value + c(q, p)), with c the least
+    cost of a path from q to p under an additive edge cost.
 
-    def __init__(self, graph: MetricGraph, x0: GraphPoint):
-        graph.validate_point(x0)
+    ``segcost(eid, s0, s1)`` is the cost of the within-edge segment between
+    offsets s0 and s1, ``edge_weight(eid)`` that of the whole edge.  A seed
+    inside an edge is projected onto the edge's two ends, and one Dijkstra
+    run gives ``vertex_values``.  On edge (a, b) of length L the map is the
+    least of its branches: u(a) + c(0, s), u(b) + c(s, L), and for each seed
+    at offset s0 inside that edge its value + c(s0, s).  Unit costs give the
+    distance to the seeds, profile integrals the optical length.
+    """
+
+    def __init__(self, graph: MetricGraph, seeds: Dict[GraphPoint, float],
+                 segcost: Callable[[str, float, float], float],
+                 edge_weight: Callable[[str], float]):
+        if not seeds:
+            raise InputError("an optical map needs at least one seed")
+        vseeds: Dict[str, float] = {}
+        interior: Dict[str, List[Tuple[float, float]]] = {}
+        for p, val in seeds.items():
+            graph.validate_point(p)
+            if isinstance(p, Vertex):
+                ends = ((p.id, val),)
+            else:
+                rec = graph.edge(p.edge)
+                ends = ((rec.src, val + segcost(p.edge, 0.0, p.s)),
+                        (rec.dst, val + segcost(p.edge, p.s, rec.length)))
+                interior.setdefault(p.edge, []).append((p.s, val))
+            for vid, c in ends:
+                if vid not in vseeds or c < vseeds[vid]:
+                    vseeds[vid] = c
         self.graph = graph
-        self.x0 = x0
-        self.vertex_values = graph.shortest_from_seeds(
-            graph._seed_costs(x0, 0.0, _unit_segment), graph._length)
+        self._segcost = segcost
+        self._interior_seeds = interior
+        self.vertex_values: Dict[str, float] = graph.shortest_from_seeds(vseeds, edge_weight)
 
-    def _branches(self, eid: str, s: float) -> List[Tuple[float, float]]:
-        """(value, d value/d s) pairs whose pointwise min is d(., x0) on the edge."""
+    def _branches(self, eid: str, s: float) -> Tuple[List[float], List[int]]:
+        """The branch values at offset ``s`` on edge ``eid``, whose least is
+        the map there, and the sign of each branch's slope in +s.  A seed's
+        own branch has sign 0 at the seed, where both departures ascend."""
         rec = self.graph.edge(eid)
-        out = [(self.vertex_values[rec.src] + s, 1.0),
-               (self.vertex_values[rec.dst] + rec.length - s, -1.0)]
-        if isinstance(self.x0, EdgeInterior) and self.x0.edge == eid:
-            s0 = self.x0.s
-            slope = 1.0 if s >= s0 else -1.0
-            out.append((abs(s - s0), slope))
-        return out
+        segcost = self._segcost
+        values = [self.vertex_values[rec.src] + segcost(eid, 0.0, s),
+                  self.vertex_values[rec.dst] + segcost(eid, s, rec.length)]
+        signs = [1, -1]
+        for s0, val in self._interior_seeds.get(eid, ()):
+            values.append(val + segcost(eid, min(s, s0), max(s, s0)))
+            signs.append((s > s0) - (s < s0))
+        return values, signs
+
+    def _value(self, p: GraphPoint) -> float:
+        """``evaluate`` at a point the caller has already validated."""
+        if isinstance(p, Vertex):
+            return self.vertex_values[p.id]
+        return min(self._branches(p.edge, p.s)[0])
 
     def evaluate(self, p: GraphPoint) -> float:
         self.graph.validate_point(p)
-        if isinstance(p, Vertex):
-            return self.vertex_values[p.id]
-        return min(v for v, _ in self._branches(p.edge, p.s))
+        return self._value(p)
 
     __call__ = evaluate
 
-    def germ_derivative(self, p: GraphPoint, germ: Germ) -> float:
-        """Exact one-sided derivative of d(., x0) along ``germ`` at ``p``."""
-        branches = self._branches(germ.edge, germ.base)
-        m = min(v for v, _ in branches)
+    def germ_sign(self, germ: Germ) -> int:
+        """-1 if the map descends along ``germ`` and +1 if it ascends: the
+        steepest of the branches that are least at the germ's base (to a
+        relative 1e-12)."""
+        values, signs = self._branches(germ.edge, germ.base)
+        m = min(values)
         tol = 1e-12 * (1.0 + abs(m))
-        derivs = []
-        for v, dvds in branches:
-            if v <= m + tol:
-                d = germ.sign * dvds
-                # the direct branch kinks at x0 itself: moving away always ascends
-                if isinstance(self.x0, EdgeInterior) and self.x0.edge == germ.edge \
-                        and germ.base == self.x0.s and len(branches) == 3 and (v, dvds) == branches[2]:
-                    d = 1.0
-                derivs.append(d)
-        return min(derivs)
+        for v, sign in zip(values, signs):
+            if v <= m + tol and germ.sign * sign < 0:
+                return -1
+        return 1
+
+
+class DistanceField(SeedMap):
+    """d(., x0): the unit-cost map seeded at x0, with the exact one-sided
+    germ derivatives (+1 or -1) that distance-type test functions need."""
+
+    def __init__(self, graph: MetricGraph, x0: GraphPoint):
+        super().__init__(graph, {x0: 0.0}, _unit_segment, graph._length)
+
+    def germ_derivative(self, p: GraphPoint, germ: Germ) -> float:
+        return float(self.germ_sign(germ))
 
 
 # ----------------------------------------------------------------------

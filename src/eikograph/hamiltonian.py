@@ -188,21 +188,20 @@ class _KruzkovForward:
 
     def __init__(self, u):
         self._u = u
+        self._inner = _as_evaluator(u)
         g = getattr(u, "graph", None)
         if g is not None:
             self.graph = g
 
     def evaluate(self, p: GraphPoint) -> float:
-        inner = self._u.evaluate(p) if hasattr(self._u, "evaluate") else self._u(p)
-        return -math.exp(-inner)
+        return -math.exp(-self._inner(p))
 
     __call__ = evaluate
 
 
 class _KruzkovForwardDiff(_KruzkovForward):
     def germ_derivative(self, p: GraphPoint, germ) -> float:
-        inner = self._u.evaluate(p) if hasattr(self._u, "evaluate") else self._u(p)
-        return math.exp(-inner) * self._u.germ_derivative(p, germ)
+        return math.exp(-self._inner(p)) * self._u.germ_derivative(p, germ)
 
 
 class _KruzkovInverse:
@@ -210,12 +209,13 @@ class _KruzkovInverse:
 
     def __init__(self, U):
         self._U = U
+        self._outer = _as_evaluator(U)
         g = getattr(U, "graph", None)
         if g is not None:
             self.graph = g
 
     def _value(self, p: GraphPoint) -> float:
-        val = self._U.evaluate(p) if hasattr(self._U, "evaluate") else self._U(p)
+        val = self._outer(p)
         if not val < 0.0:
             raise InputError("inverse transform needs strictly negative values, got %r at %r" % (val, p))
         return val

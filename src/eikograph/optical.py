@@ -13,11 +13,11 @@ derivatives are available in closed form.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from .cost import CostField
 from .errors import InputError
-from .graph import Germ, GraphPoint, Vertex
+from .graph import Germ, GraphPoint, SeedMap
 
 
 def optical_length(field: CostField, x: GraphPoint, y: GraphPoint) -> float:
@@ -25,90 +25,26 @@ def optical_length(field: CostField, x: GraphPoint, y: GraphPoint) -> float:
     return field.graph.point_cost(x, y, field.edge_cost, field.full_edge_cost)
 
 
-class OpticalMap:
-    """u(x) = min over seeds of (seed value + optical length to the seed).
-
-    ``vertex_values`` carries the propagated values at every vertex; on an
-    edge the map is  min( u(src) + F(s),  u(dst) + F_total - F(s) )  with
-    F the cumulative integral of f from the src end, possibly undercut by a
-    direct branch when a seed sits inside that very edge.
+class OpticalMap(SeedMap):
+    """u(x) = min over seeds of (seed value + optical length to the seed):
+    the SeedMap whose costs are the integrals of f.  On an edge it is
+    min( u(src) + F(s),  u(dst) + F_total - F(s) ), with F the cumulative
+    integral of f from the src end, possibly undercut by a direct branch
+    when a seed sits inside that very edge.
     """
 
     def __init__(self, field: CostField, seeds: Dict[GraphPoint, float]):
-        if not seeds:
-            raise InputError("an optical map needs at least one seed")
-        graph = field.graph
-        for p in seeds:
-            graph.validate_point(p)
+        super().__init__(field.graph, seeds, field.edge_cost, field.full_edge_cost)
         self.field = field
-        self.graph = graph
-        self.seeds = dict(seeds)
-        vseeds: Dict[str, float] = {}
 
-        def offer(vid: str, c: float):
-            if vid not in vseeds or c < vseeds[vid]:
-                vseeds[vid] = c
-
-        self._interior_seeds: Dict[str, List[Tuple[float, float]]] = {}
-        for p, val in seeds.items():
-            if isinstance(p, Vertex):
-                offer(p.id, val)
-            else:
-                rec = graph.edge(p.edge)
-                offer(rec.src, val + field.edge_cost(p.edge, 0.0, p.s))
-                offer(rec.dst, val + field.edge_cost(p.edge, p.s, rec.length))
-                self._interior_seeds.setdefault(p.edge, []).append((p.s, val))
-        self.vertex_values: Dict[str, float] = graph.shortest_from_seeds(
-            vseeds, field.full_edge_cost)
-
-    # -- evaluation -----------------------------------------------------
-
-    def _branches(self, eid: str, s: float) -> List[Tuple[float, float]]:
-        """(value, one-sided derivative in +s direction at points of
-        activity) pairs; u on the edge is their pointwise min.  The direct
-        branches kink at their seed offsets; the returned slope is the one
-        valid on the side of ``s`` relative to the seed, with the convention
-        that at the seed itself both directions ascend at rate f."""
-        rec = self.graph.edge(eid)
-        f0 = self.field.edge_cost(eid, 0.0, s)
-        f1 = self.field.edge_cost(eid, s, rec.length)
-        fs = self.field.profiles[eid].at(s, rec.length)
-        out = [(self.vertex_values[rec.src] + f0, fs),
-               (self.vertex_values[rec.dst] + f1, -fs)]
-        for s0, val in self._interior_seeds.get(eid, ()):
-            cost = self.field.edge_cost(eid, min(s, s0), max(s, s0))
-            out.append((val + cost, fs if s >= s0 else -fs))
-        return out
-
-    def evaluate(self, p: GraphPoint) -> float:
-        self.graph.validate_point(p)
-        if isinstance(p, Vertex):
-            best = self.vertex_values[p.id]
-            # a vertex can still be undercut by an interior seed on an
-            # incident edge only through the matching endpoint cost, which
-            # the seeding above already folded in.
-            return best
-        return min(v for v, _ in self._branches(p.edge, p.s))
-
-    __call__ = evaluate
+    # bound here as well, because bench/tracing.py wraps the methods it finds
+    # in this class's own namespace
+    evaluate = __call__ = SeedMap.evaluate
 
     def germ_derivative(self, p: GraphPoint, germ: Germ) -> float:
-        """Exact one-sided derivative of u along ``germ`` at its base point."""
-        branches = self._branches(germ.edge, germ.base)
-        m = min(v for v, _ in branches)
-        tol = 1e-12 * (1.0 + abs(m))
-        derivs = []
-        for idx, (v, dvds) in enumerate(branches):
-            if v > m + tol:
-                continue
-            d = germ.sign * dvds
-            if idx >= 2:
-                s0 = self._interior_seeds[germ.edge][idx - 2][0]
-                if germ.base == s0:
-                    # sitting exactly on the seed: both departures ascend
-                    d = abs(dvds)
-            derivs.append(d)
-        return min(derivs)
+        """Exact one-sided derivative of u along ``germ`` at its base point:
+        f there, with the sign of the steepest active branch."""
+        return self.germ_sign(germ) * self.field.germ_value(germ)
 
     def vertex_value(self, vid: str) -> float:
         try:
@@ -158,7 +94,7 @@ class StoredSolution(OpticalMap):
             raise InputError("non-finite values at vertices: %s" % ", ".join(sorted(bad)))
         self.field = field
         self.graph = graph
-        self.seeds = {}
+        self._segcost = field.edge_cost
         self._interior_seeds = {}
         self.vertex_values = {vid: float(v) for vid, v in vertex_values.items()}
         self.data = data

@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cost import CostField
 from .errors import InputError
-from .graph import Curve, EdgeInterior, GraphPoint, MetricGraph, Vertex, random_curve
+from .graph import (Curve, EdgeInterior, GraphPoint, MetricGraph, SeedMap, Vertex,
+                    _unit_segment, random_curve)
 from .optical import OpticalMap, optical_length
 
 
@@ -137,16 +138,6 @@ def _default_samples(graph: MetricGraph, n_per_edge: int = 3) -> List[GraphPoint
     return pts
 
 
-def _distance_to_boundary(graph: MetricGraph, to_boundary: Dict[str, float],
-                          p: GraphPoint) -> float:
-    """d(p, ∂) from the vertex table ``to_boundary`` of d(·, ∂): a point at
-    offset s on edge (a, b) of length L leaves through a or through b."""
-    if isinstance(p, Vertex):
-        return to_boundary[p.id]
-    rec = graph.edges[p.edge]
-    return min(to_boundary[rec.src] + p.s, to_boundary[rec.dst] + (rec.length - p.s))
-
-
 def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
                tau: Optional[float] = None, tol: Optional[float] = None) -> DPPReport:
     """Check the exact dynamic programming principle
@@ -167,11 +158,10 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
         tol = field.default_tol()
     if points is None:
         points = _default_samples(graph)
-    # d(·, ∂) at every vertex, from one Dijkstra seeded at the whole boundary
+    # d(·, ∂), from one unit-cost map seeded at the whole boundary
     bids = graph.boundary_ids
-    to_boundary = (graph.shortest_from_seeds(dict.fromkeys(bids, 0.0),
-                                             lambda eid: graph.edges[eid].length)
-                   if bids else dict.fromkeys(graph.vertices, math.inf))
+    to_boundary = (SeedMap(graph, {Vertex(b): 0.0 for b in bids}, _unit_segment, graph._length)
+                   if bids else None)
     samples: List[DPPSample] = []
     max_defect = 0.0
     ok = True
@@ -181,7 +171,7 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
             samples.append(DPPSample(p, 0.0, 0.0, skipped=True, reason="boundary point"))
             continue
         tau_x = tau if tau is not None else graph.half_min_incident(p)
-        dist_b = _distance_to_boundary(graph, to_boundary, p)
+        dist_b = to_boundary._value(p) if to_boundary else math.inf
         if tau_x > dist_b:
             samples.append(DPPSample(p, tau_x, 0.0, skipped=True,
                                      reason="radius %g exceeds distance %g to the boundary" % (tau_x, dist_b)))
@@ -290,7 +280,7 @@ def _lipschitz_of_g(graph: MetricGraph, data: BoundaryData) -> float:
     bids = graph.boundary_ids
     best = 0.0
     for i, a in enumerate(bids):
-        dv = graph.shortest_from_seeds({a: 0.0}, lambda eid: graph.edges[eid].length)
+        dv = graph.shortest_from_seeds({a: 0.0}, graph._length)
         for b in bids[i + 1:]:
             d = dv[b]
             if d > 0:

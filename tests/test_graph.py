@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from eikograph import (Curve, DistanceField, EdgeInterior, Germ, InputError,
-                       MetricGraph, Vertex, random_curve)
+from eikograph import (CostField, Curve, DistanceField, EdgeInterior, Germ, InputError,
+                       MetricGraph, OpticalMap, Vertex, optical_length, random_curve)
 from conftest import build_instance, random_graph_spec, tiny_dijkstra
 
 
@@ -129,6 +129,12 @@ def test_vertex_shortest_paths_match_oracle(seed):
 def _random_point(graph, rng):
     eid = sorted(graph.edges)[rng.randrange(len(graph.edges))]
     return graph.point(eid, rng.random() * graph.edges[eid].length)
+
+
+def _interior(graph, rng):
+    """(edge, offset) strictly inside a random edge."""
+    eid = sorted(graph.edges)[rng.randrange(len(graph.edges))]
+    return eid, rng.uniform(0.1, 0.9) * graph.edges[eid].length
 
 
 @given(st.integers(0, 10_000))
@@ -257,14 +263,40 @@ def test_distance_memo_from_an_edge_interior_source(seed):
 # ----------------------------------------------------------------------
 
 def test_distance_field_matches_pairwise_distance():
+    """A map seeded at x0 and the pairwise queries from x0 apply one branch
+    rule, so they agree to the last bit: for the distance and for the
+    optical length alike."""
     rng = random.Random(5)
-    spec = random_graph_spec(rng, max_vertices=9, max_extra_edges=8)
-    graph, _, _ = build_instance(spec)
-    x0 = _random_point(graph, rng)
-    dfield = DistanceField(graph, x0)
-    for _ in range(25):
-        p = _random_point(graph, rng)
-        assert dfield.evaluate(p) == pytest.approx(graph.distance(x0, p), abs=1e-12)
+    for _ in range(40):
+        spec = random_graph_spec(rng, max_vertices=9, max_extra_edges=8)
+        graph, field, _ = build_instance(spec)
+        x0 = _random_point(graph, rng)
+        dfield = DistanceField(graph, x0)
+        omap = OpticalMap(field, {x0: 0.0})
+        for _ in range(25):
+            p = _random_point(graph, rng)
+            assert dfield.evaluate(p) == graph.distance(x0, p)
+            assert omap.evaluate(p) == optical_length(field, x0, p)
+
+
+def test_distance_field_germ_derivatives_equal_a_unit_optical_map():
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(30):
+        spec = random_graph_spec(rng, max_vertices=8, max_extra_edges=6)
+        graph, _, _ = build_instance(spec)
+        x0 = graph.point(*_interior(graph, rng))
+        dfield = DistanceField(graph, x0)
+        unit = OpticalMap(CostField.constant(graph, 1.0), {x0: 0.0})
+        # the seed itself, points of its edge, random interior points, vertices
+        targets = [x0, graph.point(x0.edge, 0.5 * x0.s)]
+        targets += [graph.point(*_interior(graph, rng)) for _ in range(6)]
+        targets += [Vertex(vid) for vid in graph.vertices]
+        for p in targets:
+            for germ in graph.germs(p):
+                assert dfield.germ_derivative(p, germ) == unit.germ_derivative(p, germ)
+                checked += 1
+    assert checked > 500
 
 
 def test_distance_field_germ_derivatives_on_interval(interval):

@@ -32,3 +32,38 @@ def test_star_import_resolves_every_exported_name():
     exec("from eikograph import *", namespace)
     import eikograph
     assert set(eikograph.__all__) <= set(namespace)
+
+
+def _private_definitions(tree: ast.Module):
+    """(line, name) of every private function, class and method a module
+    defines; dunder names are protocol hooks, not helpers."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                out.append((node.lineno, node.name))
+    return out
+
+
+def _referenced_names(tree: ast.Module):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_every_private_helper_is_referenced():
+    """A private helper that no code in the package names any more is dead.
+    References are matched by name alone, across all modules."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    orphans = ["%s:%d %s" % (name, line, helper)
+               for name, tree in trees.items()
+               for line, helper in _private_definitions(tree)
+               if helper not in referenced]
+    assert orphans == []

@@ -357,7 +357,7 @@ def test_cli_verify_modulus_honours_tol(tmp_path, capsys):
     assert "boundary modulus ok" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tau", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("tau", ["0", "-1", "inf", "nan", "-1e-3", "-inf"])
 def test_cli_verify_dpp_refuses_a_degenerate_radius(tmp_path, capsys, tau):
     g, ufile = solve_path3(tmp_path)
     assert entry(["verify", g, ufile, "--mode", "dpp", "--tau", tau,
@@ -368,17 +368,21 @@ def test_cli_verify_dpp_refuses_a_degenerate_radius(tmp_path, capsys, tau):
 
 @pytest.mark.parametrize("command,tol", [("solve", "-1"), ("solve", "nan"), ("solve", "inf"),
                                          ("monge", "nan"), ("modulus", "-1"),
-                                         ("dpp", "inf"), ("subopt", "-1e-9")])
+                                         ("dpp", "inf"), ("subopt", "-1e-9"),
+                                         ("solve", "-1e-9"), ("monge", "-inf")])
 def test_cli_refuses_a_degenerate_tolerance(tmp_path, capsys, command, tol):
+    """Both spellings, "--tol=X" and "--tol X": a negative number in exponent
+    form is a value, not an option."""
     g, ufile = solve_path3(tmp_path)
     capsys.readouterr()
     argv = (["solve", g] if command == "solve"
             else ["verify", g, ufile, "--mode", command])
-    with pytest.raises(SystemExit) as exc:
-        entry(argv + ["--tol=" + tol, "--out-dir", str(tmp_path / "rt")])
-    assert exc.value.code == 1
-    assert "argument --tol: must be a nonnegative finite number" in capsys.readouterr().err
-    assert not (tmp_path / "rt").exists()
+    for flag in (["--tol=" + tol], ["--tol", tol]):
+        with pytest.raises(SystemExit) as exc:
+            entry(argv + flag + ["--out-dir", str(tmp_path / "rt")])
+        assert exc.value.code == 1
+        assert "argument --tol: must be a nonnegative finite number" in capsys.readouterr().err
+        assert not (tmp_path / "rt").exists()
 
 
 def test_cli_verify_rejects_solution_from_different_input(tmp_path, capsys):

@@ -9,7 +9,7 @@ from eikograph import (BoundaryData, Constant, CostField, Curve, InputError,
                        MetricGraph, StoredSolution, Vertex, boundary_modulus,
                        check_compatibility, optical_length, solve, verify_dpp,
                        verify_suboptimality)
-from eikograph import solver as solver_module
+from eikograph.graph import SeedMap
 from eikograph.solver import _default_samples
 from conftest import build_instance, interval_point, make_interval, random_graph_spec
 
@@ -216,23 +216,27 @@ def test_dpp_detects_negated_solution(interval):
 
 
 def test_dpp_boundary_distance_matches_a_dijkstra_from_each_point(monkeypatch):
+    """verify_dpp reads d(p, ∂) from one unit-cost SeedMap seeded at every
+    boundary vertex; every value it reads is a graph distance."""
     seen = []
-    table_distance = solver_module._distance_to_boundary
+    value = SeedMap._value
 
-    def recording(graph, to_boundary, p):
-        d = table_distance(graph, to_boundary, p)
-        seen.append((p, d))
+    def recording(self, p):
+        d = value(self, p)
+        if type(self) is SeedMap:      # the boundary map, not u
+            seen.append((self, p, d))
         return d
 
-    monkeypatch.setattr(solver_module, "_distance_to_boundary", recording)
+    monkeypatch.setattr(SeedMap, "_value", recording)
     rng = random.Random(41)
     for _ in range(8):
         spec = random_graph_spec(rng, max_vertices=14, max_extra_edges=12)
         graph, field, data = build_instance(spec)
         seen.clear()
         verify_dpp(solve(field, data))
-        assert seen
-        for p, d in seen:
+        read = list(seen)          # graph.distance below reads SeedMaps too
+        assert read and len({id(m) for m, _, _ in read}) == 1
+        for _, p, d in read:
             want = min(graph.distance(p, Vertex(b)) for b in graph.boundary_ids)
             # the same path lengths, summed from the other end
             assert d == pytest.approx(want, rel=1e-13, abs=1e-15)
