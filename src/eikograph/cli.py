@@ -142,7 +142,7 @@ def cmd_solve(args) -> int:
     if data is None:
         raise InputError("%s declares no boundary vertices; nothing to solve" % args.graph)
     u = solve(field, data)
-    compat = check_compatibility(field, data, tol=args.tol)
+    compat = check_compatibility(field, data, tol=args.tol, u=u)
     print("u.json ->", _write(args.out_dir, "u.json", dump_value_function(u)))
     print("compat.json ->", _write(args.out_dir, "compat.json", dump_json(compat)))
     if args.edge_csv is not None:

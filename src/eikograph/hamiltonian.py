@@ -36,17 +36,25 @@ class Hamiltonian:
 
     ``fn`` must be total on graph points x, reals r, and p >= 0; for p < 0
     the package extends by H(x, r, p) = H(x, r, 0), so callers may probe
-    freely.  The declared flags describe intent, not verified fact — the
-    probes in reduce_to_eikonal are what actually accept or reject.
+    freely.  ``fn`` is called with ``p`` either a float or a 1-D ndarray
+    and must act elementwise in ``p`` (numpy ufuncs such as ``np.maximum``,
+    not the builtin ``max``); a value constant in ``p`` may come back as a
+    scalar.  The reduction costs one array call per knot for the sign scan
+    over the probe grid, then about 32 scalar calls for the bisection.  The
+    declared flags describe intent, not verified fact — the probes in
+    reduce_to_eikonal are what actually accept or reject.
     """
 
-    fn: Callable[[GraphPoint, float, float], float]
+    fn: Callable[[GraphPoint, float, Union[float, np.ndarray]], Union[float, np.ndarray]]
     depends_on_r: bool = False
     claims_increasing: bool = True
     pmax: float = 1e3
     name: str = ""
 
-    def __call__(self, x: GraphPoint, r: float, p: float) -> float:
+    def __call__(self, x: GraphPoint, r: float,
+                 p: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        if isinstance(p, np.ndarray):
+            return self.fn(x, r, np.where(p > 0.0, p, 0.0))
         return self.fn(x, r, p if p > 0.0 else 0.0)
 
 
@@ -54,29 +62,27 @@ def _probe_grid(pmax: float) -> np.ndarray:
     return np.concatenate(([0.0], np.geomspace(pmax * 1e-9, pmax, PROBE_POINTS - 1)))
 
 
-def _implicit_slope(H: Hamiltonian, x: GraphPoint, r: float) -> float:
-    """inf{p >= 0 : H(x, r, p) > 0} by sign scan + bisection, with the
-    monotonicity probes that justify calling it a slope."""
-    grid = _probe_grid(H.pmax)
-    signs = [H(x, r, float(p)) > 0.0 for p in grid]
-    # a positive value followed by a nonpositive one means H comes back down:
-    # not increasing past its zero, so the infimum formula is meaningless
-    last_pos: Optional[int] = None
-    for i, s in enumerate(signs):
-        if s:
-            last_pos = i
-        elif last_pos is not None:
-            raise NonmonotoneHamiltonian(
-                "H(x, r, .) drops from positive at p=%g back to nonpositive at p=%g"
-                % (grid[last_pos], grid[i]),
-                point=x, p_pair=(float(grid[last_pos]), float(grid[i])))
-    if all(signs):
-        raise NoSubsolution(
-            "H(x, r, 0) = %g > 0: constants are not subsolutions at %r" % (H(x, r, 0.0), x))
-    if not any(signs):
+def _implicit_slope(H: Hamiltonian, x: GraphPoint, r: float, grid: np.ndarray) -> float:
+    """inf{p >= 0 : H(x, r, p) > 0} by sign scan over ``grid`` (one array
+    call) + bisection, with the monotonicity probes that justify calling it
+    a slope."""
+    positive = np.broadcast_to(H(x, r, grid), grid.shape) > 0.0
+    rise = int(np.argmax(positive))  # first positive; everything before is nonpositive
+    if not positive[rise]:
         raise CoercivityProbeFailed(
             "H(x, r, .) never exceeds 0 up to pmax=%g at %r" % (H.pmax, x))
-    rise = signs.index(True)         # first positive; everything before is nonpositive
+    # a positive value followed by a nonpositive one means H comes back down:
+    # not increasing past its zero, so the infimum formula is meaningless
+    drops = np.flatnonzero(~positive[rise:])
+    if drops.size:
+        i = rise + int(drops[0])
+        raise NonmonotoneHamiltonian(
+            "H(x, r, .) drops from positive at p=%g back to nonpositive at p=%g"
+            % (grid[i - 1], grid[i]),
+            point=x, p_pair=(float(grid[i - 1]), float(grid[i])))
+    if rise == 0:
+        raise NoSubsolution(
+            "H(x, r, 0) = %g > 0: constants are not subsolutions at %r" % (H(x, r, 0.0), x))
     lo, hi = float(grid[rise - 1]), float(grid[rise])
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
@@ -108,6 +114,7 @@ def reduce_to_eikonal(H: Hamiltonian, u: Union[float, Callable[[GraphPoint], flo
     if n_knots < 2:
         raise InputError("need at least 2 knots per edge (got %r)" % n_knots)
     ueval = _as_evaluator(u)
+    grid = _probe_grid(H.pmax)
     profiles: Dict[str, Samples] = {}
     for eid in sorted(graph.edges):
         L = graph.edges[eid].length
@@ -115,7 +122,7 @@ def reduce_to_eikonal(H: Hamiltonian, u: Union[float, Callable[[GraphPoint], flo
         values = []
         for s in knots:
             p = graph.point(eid, float(s))
-            values.append(max(_implicit_slope(H, p, ueval(p)), fmin))
+            values.append(max(_implicit_slope(H, p, ueval(p), grid), fmin))
         profiles[eid] = Samples(tuple(float(s) for s in knots), tuple(values))
     return CostField(graph, profiles, fmin=fmin)
 
@@ -264,11 +271,13 @@ def catalog(name: str, field: Optional[CostField] = None) -> Hamiltonian:
     if name == "quadratic":
         return Hamiltonian(lambda x, r, p: p * p - fval(x) ** 2, name=name)
     if name == "nonmono-a":
-        return Hamiltonian(lambda x, r, p: 1.0 - abs(p - 2.0) + max(p - 3.0, 0.0) ** 2,
-                           claims_increasing=False, name=name)
+        return Hamiltonian(
+            lambda x, r, p: 1.0 - abs(p - 2.0) + np.square(np.maximum(p - 3.0, 0.0)),
+            claims_increasing=False, name=name)
     if name == "nonmono-b":
-        return Hamiltonian(lambda x, r, p: 1.0 - abs(p) + max(p - 3.0, 0.0) ** 2,
-                           claims_increasing=False, name=name)
+        return Hamiltonian(
+            lambda x, r, p: 1.0 - abs(p) + np.square(np.maximum(p - 3.0, 0.0)),
+            claims_increasing=False, name=name)
     if name == "discounted":
         return Hamiltonian(lambda x, r, p: p + r - 1.0, depends_on_r=True, name=name)
     raise InputError("unknown Hamiltonian %r (catalog: eikonal-affine, quadratic, "

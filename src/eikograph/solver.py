@@ -81,13 +81,16 @@ class CompatibilityReport:
     witness: Optional[Tuple[str, str]]  # (x, y) with g(x) > g(y) + L_f(x, y)
 
 
-def check_compatibility(field: CostField, data: BoundaryData, tol: float = 1e-12) -> CompatibilityReport:
+def check_compatibility(field: CostField, data: BoundaryData, tol: float = 1e-12,
+                        u: Optional[ValueFunction] = None) -> CompatibilityReport:
     """g is compatible iff g(x) <= g(y) + L_f(x, y) for all boundary x, y.
 
     Equivalent statement: the value formula reproduces g at every boundary
     vertex, which is what is checked (the map already holds every pairwise
-    minimum)."""
-    u = ValueFunction(field, data)
+    minimum).  ``u``, when given, must be ``solve(field, data)``; it spares
+    the check its own solve."""
+    if u is None:
+        u = ValueFunction(field, data)
     worst = 0.0
     witness = None
     for vid, g in data.items():
@@ -279,7 +282,7 @@ def _lipschitz_of_g(graph: MetricGraph, data: BoundaryData) -> float:
     """Least L with |g(x) - g(y)| <= L d(x, y) over boundary pairs."""
     bids = graph.boundary_ids
     best = 0.0
-    for i, a in enumerate(bids):
+    for i, a in enumerate(bids[:-1]):  # the last vertex has no later partner
         dv = graph.shortest_from_seeds({a: 0.0}, graph._length)
         for b in bids[i + 1:]:
             d = dv[b]

@@ -3,15 +3,20 @@ point, and the exponential change of variables."""
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import eikograph.hamiltonian as hamiltonian_module
 from eikograph import (BoundaryData, CoercivityProbeFailed, CostField,
-                       DivergenceError, Hamiltonian, InputError, Linear,
-                       MetricGraph, NoSubsolution, NonmonotoneHamiltonian,
-                       PreconditionError, Vertex, catalog, kruzkov,
-                       reduce_to_eikonal, slopes, solve, solve_general)
+                       DivergenceError, Hamiltonian, HamiltonianRejection,
+                       InputError, Linear, MetricGraph, NoSubsolution,
+                       NonmonotoneHamiltonian, PreconditionError, Samples, Vertex,
+                       catalog, kruzkov, reduce_to_eikonal, slopes, solve,
+                       solve_general)
 from conftest import build_instance, interval_point, make_interval, random_graph_spec
+
+CATALOG = ("eikonal-affine", "quadratic", "nonmono-a", "nonmono-b", "discounted")
 
 
 def coord(p):
@@ -127,6 +132,158 @@ def test_negative_p_probes_use_zero_extension():
     H = catalog("quadratic")
     x = Vertex("L")
     assert H(x, 0.0, -5.0) == H(x, 0.0, 0.0) == -1.0
+    assert H(x, 0.0, np.array([-5.0, -0.0, 0.5])).tolist() == [-1.0, -1.0, -0.75]
+
+
+# ----------------------------------------------------------------------
+# the array sign scan against the scalar reference
+# ----------------------------------------------------------------------
+
+def _scalar_slope(H, x, r):
+    """Reference for the sign scan: 64 scalar probes on a grid rebuilt at
+    every call, then the same bisection."""
+    grid = np.concatenate(([0.0], np.geomspace(H.pmax * 1e-9, H.pmax, 63)))
+    signs = [H(x, r, float(p)) > 0.0 for p in grid]
+    last_pos = None
+    for i, s in enumerate(signs):
+        if s:
+            last_pos = i
+        elif last_pos is not None:
+            raise NonmonotoneHamiltonian(
+                "H(x, r, .) drops from positive at p=%g back to nonpositive at p=%g"
+                % (grid[last_pos], grid[i]),
+                point=x, p_pair=(float(grid[last_pos]), float(grid[i])))
+    if all(signs):
+        raise NoSubsolution(
+            "H(x, r, 0) = %g > 0: constants are not subsolutions at %r" % (H(x, r, 0.0), x))
+    if not any(signs):
+        raise CoercivityProbeFailed(
+            "H(x, r, .) never exceeds 0 up to pmax=%g at %r" % (H.pmax, x))
+    rise = signs.index(True)
+    lo, hi = float(grid[rise - 1]), float(grid[rise])
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if H(x, r, mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _scalar_reduction(H, u, graph, n_knots, fmin=1e-6):
+    ueval = u.evaluate if hasattr(u, "evaluate") else (lambda p: float(u))
+    profiles = {}
+    for eid in sorted(graph.edges):
+        knots = np.linspace(0.0, graph.edges[eid].length, n_knots)
+        values = []
+        for s in knots:
+            p = graph.point(eid, float(s))
+            values.append(max(_scalar_slope(H, p, ueval(p)), fmin))
+        profiles[eid] = Samples(tuple(float(s) for s in knots), tuple(values))
+    return CostField(graph, profiles, fmin=fmin)
+
+
+def _outcome(reduce, H, u, graph, n_knots):
+    """Knots and values of every edge, or the rejection with its witness."""
+    try:
+        h = reduce(H, u, graph, n_knots)
+    except HamiltonianRejection as exc:
+        return (type(exc), str(exc), getattr(exc, "point", None), getattr(exc, "p_pair", None))
+    return {eid: (prof.knots, prof.values) for eid, prof in h.profiles.items()}
+
+
+def _assert_reduction_matches_reference(H, u, graph, n_knots=65):
+    got = _outcome(reduce_to_eikonal, H, u, graph, n_knots)
+    assert got == _outcome(_scalar_reduction, H, u, graph, n_knots)
+    return got if isinstance(got, tuple) else "reduced"
+
+
+class _Ramp:
+    """u = (1 - x) / 2 on the interval: 1 exactly at L, in [0, 1) elsewhere,
+    so the discounted H(x, u, 0) = u - 1 vanishes exactly at L."""
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def evaluate(self, p):
+        return 0.5 * (1.0 - coord(p))
+
+
+class _Damped:
+    """exp(-u) of a solution: nonconstant, in (0, 1]."""
+
+    def __init__(self, u):
+        self._u = u
+
+    def evaluate(self, p):
+        return math.exp(-self._u.evaluate(p))
+
+
+def test_array_scan_reproduces_the_scalar_scan_on_the_interval():
+    graph, _, data = make_interval()
+    field = CostField(graph, {"e": Linear(0.5, 0.75)})
+    ramp = _Ramp(graph)
+    cases = [(catalog("eikonal-affine", field), 0.0),
+             (catalog("quadratic", field), 0.0),
+             (catalog("nonmono-a"), 0.0),
+             (catalog("nonmono-b"), 0.0),
+             (catalog("discounted"), ramp),
+             (catalog("discounted"), solve(field, data)),
+             (Hamiltonian(lambda x, r, p: p + 1.0, name="shifted-up"), 0.0),
+             (Hamiltonian(lambda x, r, p: -1.0, name="flat"), 0.0),
+             (Hamiltonian(lambda x, r, p: 0.0, name="zero"), 0.0),
+             (Hamiltonian(lambda x, r, p: p - 2000.0, name="far"), 0.0),
+             (Hamiltonian(lambda x, r, p: p - 1.0, name="unit"), 0.0),
+             (Hamiltonian(lambda x, r, p: p - r - 1.0, depends_on_r=True, name="anti"), ramp)]
+    kinds = set()
+    for H, u in cases:
+        got = _assert_reduction_matches_reference(H, u, graph)
+        kinds.add(got if got == "reduced" else got[0])
+    assert kinds == {"reduced", NonmonotoneHamiltonian, NoSubsolution, CoercivityProbeFailed}
+
+
+@given(st.integers(0, 10_000))
+def test_array_scan_reproduces_the_scalar_scan_on_random_graphs(seed):
+    spec = random_graph_spec(random.Random(seed), max_vertices=6, max_extra_edges=4)
+    graph, field, data = build_instance(spec)
+    u = solve(field, data)
+    for name in CATALOG:
+        H = catalog(name, field)
+        for r in ((u, _Damped(u)) if H.depends_on_r else (0.0,)):
+            _assert_reduction_matches_reference(H, r, graph, n_knots=9)
+
+
+def test_reduction_builds_the_probe_grid_once_and_scans_each_knot_in_one_call(monkeypatch):
+    grids = []
+    build = hamiltonian_module._probe_grid
+
+    def counting(pmax):
+        grids.append(pmax)
+        return build(pmax)
+
+    monkeypatch.setattr(hamiltonian_module, "_probe_grid", counting)
+    array_calls = []
+
+    def fn(x, r, p):
+        if isinstance(p, np.ndarray):
+            array_calls.append(p.shape)
+        return p - 1.0
+
+    graph, _, _ = make_interval()
+    reduce_to_eikonal(Hamiltonian(fn, name="unit"), 0.0, graph, n_knots=17)
+    assert grids == [1e3]
+    assert array_calls == [(hamiltonian_module.PROBE_POINTS,)] * 17
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_hamiltonians_act_elementwise(name):
+    graph, _, _ = make_interval()
+    H = catalog(name, CostField(graph, {"e": Linear(0.5, 0.75)}))
+    grid = hamiltonian_module._probe_grid(H.pmax)
+    for x in (Vertex("L"), graph.point("e", 0.7)):
+        vec = H.fn(x, 0.3, grid)
+        assert isinstance(vec, np.ndarray) and vec.shape == grid.shape
+        assert vec.tolist() == [H.fn(x, 0.3, float(p)) for p in grid]
 
 
 # ----------------------------------------------------------------------

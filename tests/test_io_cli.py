@@ -1,6 +1,7 @@
 """Graph/solution file formats and the command-line front end."""
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -324,7 +325,7 @@ def test_cli_verify_flags_a_perturbed_interior_value(tmp_path, capsys):
     """Dropping the interior vertex below its true value plants a spurious
     local minimum: the walk check and the descent check both see it."""
     g, ufile = solve_path3(tmp_path)
-    doc = json.loads(open(ufile).read())
+    doc = json.loads(Path(ufile).read_text())
     doc["vertices"]["m"] = 0.6
     bad = put(tmp_path, "bad_u.json", json.dumps(doc))
     assert entry(["verify", g, bad, "--mode", "dpp",
@@ -337,7 +338,7 @@ def test_cli_verify_flags_a_perturbed_interior_value(tmp_path, capsys):
 
 def test_cli_verify_flags_a_perturbed_boundary_value(tmp_path, capsys):
     g, ufile = solve_path3(tmp_path)
-    doc = json.loads(open(ufile).read())
+    doc = json.loads(Path(ufile).read_text())
     doc["vertices"]["L"] = 0.5   # table no longer meets its own boundary data
     bad = put(tmp_path, "bad_u.json", json.dumps(doc))
     assert entry(["verify", g, bad, "--mode", "modulus",
@@ -349,7 +350,7 @@ def test_cli_verify_modulus_honours_tol(tmp_path, capsys):
     """The boundary defect of 0.5, which fails at the default tolerance
     (the test above), passes under --tol 1."""
     g, ufile = solve_path3(tmp_path)
-    doc = json.loads(open(ufile).read())
+    doc = json.loads(Path(ufile).read_text())
     doc["vertices"]["L"] = 0.5
     bad = put(tmp_path, "bad_u.json", json.dumps(doc))
     assert entry(["verify", g, bad, "--mode", "modulus", "--tol", "1",

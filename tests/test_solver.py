@@ -1,4 +1,5 @@
 """The Dirichlet solver and its verification battery."""
+import json
 import math
 import random
 
@@ -7,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from eikograph import (BoundaryData, Constant, CostField, Curve, InputError,
                        MetricGraph, StoredSolution, Vertex, boundary_modulus,
-                       check_compatibility, optical_length, solve, verify_dpp,
-                       verify_suboptimality)
+                       check_compatibility, graph_to_dict, optical_length, solve,
+                       verify_dpp, verify_suboptimality)
+from eikograph.cli import entry
 from eikograph.graph import SeedMap
 from eikograph.solver import _default_samples
 from conftest import build_instance, interval_point, make_interval, random_graph_spec
@@ -382,11 +384,26 @@ def test_compatibility_witness_runs_one_dijkstra_per_violated_vertex(monkeypatch
     assert runs[1:] == [{"l1": 0.0}, {"l2": 0.0}, {"l3": 0.0}]
 
 
+def test_cli_solve_runs_one_dijkstra_on_compatible_data(monkeypatch, tmp_path):
+    """The compatibility check reads the solve's own map: the CLI ``solve``
+    (solution, report and an edge table) costs one run from the boundary."""
+    graph = MetricGraph([("c",)] + [("l%d" % i, True) for i in range(3)],
+                        [("a%d" % i, "c", "l%d" % i, 1.0 + i) for i in range(3)])
+    data = BoundaryData(graph, {"l0": 0.0, "l1": 0.5, "l2": 1.0})
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(graph_to_dict(graph, CostField.constant(graph, 1.0), data)))
+    runs = _count_dijkstras(monkeypatch)
+    assert entry(["solve", str(path), "--out-dir", str(tmp_path / "out"),
+                  "--edge-csv", "a1"]) == 0
+    assert runs == [{"l0": 0.0, "l1": 0.5, "l2": 1.0}]
+
+
 @pytest.mark.parametrize("seed", [0, 3, 10, 11, 20, 29])
 def test_modulus_runs_one_dijkstra_per_point_whatever_the_boundary_size(monkeypatch, seed):
     """P sample points, B boundary vertices: P runs for the pairwise
-    distances, B for Lip g and the compatibility check's own runs (seeds 10
-    and 20 have incompatible data, so those include witness searches)."""
+    distances, B - 1 for Lip g (the last vertex has no later partner) and
+    the compatibility check's own runs (seeds 10 and 20 have incompatible
+    data, so those include witness searches)."""
     spec = random_graph_spec(random.Random(seed), max_vertices=14, max_extra_edges=12)
     graph, field, data = build_instance(spec)
     u = solve(field, data)
@@ -399,4 +416,4 @@ def test_modulus_runs_one_dijkstra_per_point_whatever_the_boundary_size(monkeypa
     rep = boundary_modulus(u)
     B = len(graph.boundary_ids)
     assert rep.n_checked == len(points) * B
-    assert len(runs) == len(points) + B + n_compat
+    assert len(runs) == len(points) + (B - 1) + n_compat
