@@ -257,6 +257,23 @@ def kruzkov(u, direction: str = "forward"):
 # built-in catalog
 # ----------------------------------------------------------------------
 
+def _f_per_point(field: CostField) -> Callable[[GraphPoint], float]:
+    """x -> f(x), computed once for a run of calls at the same point object:
+    the reduction calls H about 33 times per knot, always with that knot's
+    point.  The last point is held by reference, so an identity match cannot
+    come from a new object that reuses its id."""
+    last_x: Optional[GraphPoint] = None
+    last_f = 0.0
+
+    def fval(x: GraphPoint) -> float:
+        nonlocal last_x, last_f
+        if x is not last_x:
+            last_x, last_f = x, field.value_at(x)
+        return last_f
+
+    return fval
+
+
 def catalog(name: str, field: Optional[CostField] = None) -> Hamiltonian:
     """Named Hamiltonians for the CLI and the test batteries.
 
@@ -265,7 +282,7 @@ def catalog(name: str, field: Optional[CostField] = None) -> Hamiltonian:
     canonical rejects whose graphs dip back below zero; ``discounted`` is
     the r-coupled p + r - 1.
     """
-    fval = (lambda x: field.value_at(x)) if field is not None else (lambda x: 1.0)
+    fval = _f_per_point(field) if field is not None else (lambda x: 1.0)
     if name == "eikonal-affine":
         return Hamiltonian(lambda x, r, p: p - fval(x), name=name)
     if name == "quadratic":

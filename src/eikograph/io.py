@@ -33,23 +33,24 @@ from .optical import OpticalMap, StoredSolution
 from .solver import BoundaryData, ValueFunction
 
 
-def _line_of(text: str, needle: str) -> Optional[int]:
-    pos = text.find(needle)
+def _line_of(text: str, needle: str, start: int = 0) -> Optional[int]:
+    pos = text.find(needle, start)
     if pos < 0:
         return None
     return text.count("\n", 0, pos) + 1
 
 
-def _anchor(filename: str, text: str, key: Optional[str]) -> str:
+def _anchor(filename: str, text: str, key: Optional[str], start: int = 0) -> str:
+    """file:line of the first ``"key"`` at or after ``start`` in the text."""
     if key is not None:
-        line = _line_of(text, '"%s"' % key)
+        line = _line_of(text, '"%s"' % key, start)
         if line is not None:
             return "%s:%d" % (filename, line)
     return filename
 
 
-def _fail(filename: str, text: str, key: Optional[str], message: str):
-    raise GraphFormatError("%s: %s" % (_anchor(filename, text, key), message))
+def _fail(filename: str, text: str, key: Optional[str], message: str, start: int = 0):
+    raise GraphFormatError("%s: %s" % (_anchor(filename, text, key, start), message))
 
 
 def _number(x) -> float:
@@ -309,11 +310,21 @@ def load_value_function(text: str, graph: MetricGraph, field: CostField,
         raise GraphFormatError("%s:%d: not valid JSON: %s" % (filename, exc.lineno, exc.msg)) from None
     if not isinstance(doc, dict) or doc.get("kind") != "value-function":
         raise GraphFormatError("%s: not a value-function document" % filename)
-    try:
-        gvals = {str(k): float(v) for k, v in doc["boundary"].items()}
-        stored = {str(k): float(v) for k, v in doc["vertices"].items()}
-    except (KeyError, AttributeError, TypeError, ValueError):
-        raise GraphFormatError("%s: malformed boundary/vertex tables" % filename) from None
+    tables = []
+    for name in ("boundary", "vertices"):
+        table = doc.get(name)
+        if not isinstance(table, dict):
+            raise GraphFormatError("%s: malformed boundary/vertex tables" % filename)
+        values: Dict[str, float] = {}
+        for vid, v in table.items():
+            try:
+                values[vid] = _number(v)
+            except (TypeError, OverflowError):
+                # anchored inside this table: a boundary id also keys the other one
+                _fail(filename, text, vid, "%s table: value at %r must be a number (got %s)"
+                      % (name, vid, json.dumps(v)), start=max(text.find('"%s"' % name), 0))
+        tables.append(values)
+    gvals, stored = tables
     try:
         data = BoundaryData(graph, gvals)
         return StoredSolution(field, stored, data=data)

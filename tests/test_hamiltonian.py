@@ -275,6 +275,22 @@ def test_reduction_builds_the_probe_grid_once_and_scans_each_knot_in_one_call(mo
     assert array_calls == [(hamiltonian_module.PROBE_POINTS,)] * 17
 
 
+@pytest.mark.parametrize("name", ["eikonal-affine", "quadratic"])
+def test_catalog_reduction_reads_f_once_per_knot(monkeypatch, name):
+    spec = random_graph_spec(random.Random(3), max_vertices=6, max_extra_edges=4)
+    graph, field, _ = build_instance(spec)
+    calls = []
+    value_at = CostField.value_at
+
+    def counting(self, p):
+        calls.append(p)
+        return value_at(self, p)
+
+    monkeypatch.setattr(CostField, "value_at", counting)
+    reduce_to_eikonal(catalog(name, field), 0.0, graph, n_knots=9)
+    assert len(calls) == 9 * len(graph.edges)
+
+
 @pytest.mark.parametrize("name", CATALOG)
 def test_catalog_hamiltonians_act_elementwise(name):
     graph, _, _ = make_interval()

@@ -358,6 +358,26 @@ def test_cli_verify_modulus_honours_tol(tmp_path, capsys):
     assert "boundary modulus ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("table", ["boundary", "vertices"])
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_cli_verify_refuses_a_solution_entry_that_is_not_a_number(tmp_path, capsys, table, value):
+    """A JSON true, string or null in either table of u.json is refused
+    with exit 1 and a file:line anchor at that table's entry, never read as
+    a number (true once loaded as 1.0 and passed the modulus check)."""
+    g, ufile = solve_path3(tmp_path)
+    doc = json.loads(Path(ufile).read_text())
+    doc[table]["L"] = value
+    bad = put(tmp_path, "bad_u.json", json.dumps(doc, indent=2))
+    capsys.readouterr()
+    assert entry(["verify", g, bad, "--mode", "modulus",
+                  "--out-dir", str(tmp_path / "rn")]) == 1
+    text = Path(bad).read_text()
+    line = text[:text.index('"L"', text.index('"%s"' % table))].count("\n") + 1
+    err = capsys.readouterr().err
+    assert "bad_u.json:%d: %s table: value at 'L' must be a number" % (line, table) in err
+    assert not (tmp_path / "rn" / "modulus.json").exists()
+
+
 @pytest.mark.parametrize("tau", ["0", "-1", "inf", "nan", "-1e-3", "-inf"])
 def test_cli_verify_dpp_refuses_a_degenerate_radius(tmp_path, capsys, tau):
     g, ufile = solve_path3(tmp_path)

@@ -1,4 +1,5 @@
 """The Dirichlet solver and its verification battery."""
+import dataclasses
 import json
 import math
 import random
@@ -8,11 +9,12 @@ from hypothesis import given, strategies as st
 
 from eikograph import (BoundaryData, Constant, CostField, Curve, InputError,
                        MetricGraph, StoredSolution, Vertex, boundary_modulus,
-                       check_compatibility, graph_to_dict, optical_length, solve,
-                       verify_dpp, verify_suboptimality)
+                       check_compatibility, graph_to_dict, optical_length,
+                       random_curve, solve, verify_dpp, verify_monge,
+                       verify_suboptimality)
 from eikograph.cli import entry
 from eikograph.graph import SeedMap
-from eikograph.solver import _default_samples
+from eikograph.solver import BoundaryModulusReport, _default_samples, _lipschitz_of_g
 from conftest import build_instance, interval_point, make_interval, random_graph_spec
 
 
@@ -399,21 +401,141 @@ def test_cli_solve_runs_one_dijkstra_on_compatible_data(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("seed", [0, 3, 10, 11, 20, 29])
-def test_modulus_runs_one_dijkstra_per_point_whatever_the_boundary_size(monkeypatch, seed):
-    """P sample points, B boundary vertices: P runs for the pairwise
-    distances, B - 1 for Lip g (the last vertex has no later partner) and
-    the compatibility check's own runs (seeds 10 and 20 have incompatible
-    data, so those include witness searches)."""
+def test_modulus_runs_one_dijkstra_per_boundary_vertex_whatever_the_point_count(monkeypatch, seed):
+    """B boundary vertices: B runs for the pairwise distances, B - 1 for
+    Lip g (the last vertex has no later partner) and the compatibility
+    check's own runs (seeds 10 and 20 have incompatible data, so those
+    include witness searches), for a point set and one about three times
+    its size.  Each count is taken on a freshly built graph, whose distance
+    map holds no earlier source."""
     spec = random_graph_spec(random.Random(seed), max_vertices=14, max_extra_edges=12)
+    runs = _count_dijkstras(monkeypatch)
+    _, field, data = build_instance(spec)
+    check_compatibility(field, data)
+    n_compat = len(runs)
+    for scale in (1, 3):
+        graph, field, data = build_instance(spec)
+        u = solve(field, data)
+        points = (_default_samples(graph, n_per_edge=scale)
+                  + [Vertex(b) for b in graph.boundary_ids])
+        runs.clear()
+        rep = boundary_modulus(u, points=points)
+        B = len(graph.boundary_ids)
+        assert rep.n_checked == len(points) * B
+        assert len(runs) == B + (B - 1) + n_compat
+
+
+def _point_major_modulus(u, points=None, tol=1e-9):
+    """Reference for ``boundary_modulus``: its pair loop as first written,
+    one point at a time against every boundary vertex, so each point is a
+    distance source of its own."""
+    graph, field, data = u.graph, u.field, u.data
+    supf = field.sup_value()
+    lipg = _lipschitz_of_g(graph, data)
+    upper_c = max(supf, lipg)
+    comp = check_compatibility(field, data).ok
+    if points is None:
+        points = _default_samples(graph) + [Vertex(b) for b in graph.boundary_ids]
+    max_upper = max_abs = -math.inf
+    n = 0
+    for p in points:
+        ux = u.evaluate(p)
+        for vid in graph.boundary_ids:
+            d = graph.distance(p, Vertex(vid))
+            g = data[vid]
+            max_upper = max(max_upper, (ux - g) - upper_c * d)
+            if comp:
+                max_abs = max(max_abs, abs(ux - g) - (2.0 * supf * d + lipg * 2.0 * d))
+            n += 1
+    return BoundaryModulusReport(
+        ok=max_upper <= tol and (not comp or max_abs <= tol), upper_constant=upper_c,
+        modulus_constant=2.0 * supf + 2.0 * lipg, compatible=comp,
+        max_upper_defect=max_upper, max_abs_defect=(max_abs if comp else math.nan),
+        n_checked=n)
+
+
+def _report_fields(rep):
+    # NaN (the two-sided defect under incompatible data) matches NaN
+    return [("nan" if isinstance(v, float) and math.isnan(v) else v)
+            for v in dataclasses.astuple(rep)]
+
+
+def test_modulus_report_equals_the_point_major_loop_on_random_graphs():
+    """The boundary-major pair loop sums each distance from the other end,
+    and on a solver output every report field still equals the point-major
+    loop's with ``==``: both maxima sit at pairs whose distance is exact."""
+    rng = random.Random(20261018)
+    seen = {"incompatible": 0, "self-loop": 0, "parallel": 0}
+    for _ in range(48):
+        spec = random_graph_spec(rng, max_vertices=24, max_extra_edges=30)
+        graph, field, data = build_instance(spec)
+        u = solve(field, data)
+        want = _point_major_modulus(u)
+        got = boundary_modulus(u)
+        assert _report_fields(got) == _report_fields(want)
+        seen["incompatible"] += not got.compatible
+        ends = [tuple(sorted((e["src"], e["dst"]))) for e in spec["edges"]]
+        seen["self-loop"] += any(a == b for a, b in ends)
+        seen["parallel"] += len(set(ends)) < len(ends)
+    assert all(seen.values()), seen
+
+
+def test_modulus_report_matches_the_point_major_loop_on_doctored_tables():
+    """On a table raised far above the value at one interior vertex the
+    worst pair can span several edges, and a distance summed from the other
+    end may differ in its last bits: the defects then agree to a relative
+    1e-13, every other field with ``==``."""
+    rng = random.Random(7)
+    n_failed = 0
+    for _ in range(40):
+        spec = random_graph_spec(rng, max_vertices=24, max_extra_edges=30)
+        graph, field, data = build_instance(spec)
+        inner = [vid for vid, rec in graph.vertices.items() if not rec.boundary]
+        if not inner:
+            continue
+        table = dict(solve(field, data).vertex_values)
+        table[rng.choice(inner)] += 20.0
+        bad = StoredSolution(field, table, data=data)
+        want = _point_major_modulus(bad)
+        got = boundary_modulus(bad)
+        assert got.ok == want.ok
+        n_failed += not got.ok
+        assert (got.upper_constant, got.modulus_constant, got.compatible, got.n_checked) == \
+            (want.upper_constant, want.modulus_constant, want.compatible, want.n_checked)
+        assert got.max_upper_defect == pytest.approx(want.max_upper_defect, rel=1e-13)
+        if got.compatible:
+            assert got.max_abs_defect == pytest.approx(want.max_abs_defect, rel=1e-13, abs=1e-15)
+        else:
+            assert math.isnan(got.max_abs_defect) and math.isnan(want.max_abs_defect)
+    assert n_failed >= 20
+
+
+def _north_star_runs(monkeypatch, verifier, scale):
+    """Dijkstra runs of one verifier on a fresh instance (solve excluded),
+    with ``scale`` times the base point or curve set."""
+    spec = random_graph_spec(random.Random(5), max_vertices=12, max_extra_edges=10)
     graph, field, data = build_instance(spec)
     u = solve(field, data)
-    points = _default_samples(graph) + [Vertex(b) for b in graph.boundary_ids]
     runs = _count_dijkstras(monkeypatch)
-    _, fresh_field, fresh_data = build_instance(spec)   # a graph with no memo yet
-    check_compatibility(fresh_field, fresh_data)
-    n_compat = len(runs)
-    runs.clear()
-    rep = boundary_modulus(u)
-    B = len(graph.boundary_ids)
-    assert rep.n_checked == len(points) * B
-    assert len(runs) == len(points) + (B - 1) + n_compat
+    if verifier == "subopt":
+        rng = random.Random(9)
+        curves = [random_curve(graph, rng, steps=4) for _ in range(4 * scale)]
+        verify_suboptimality(u, curves=curves, rng=random.Random(1))
+        return len(runs)
+    points = _default_samples(graph, n_per_edge=scale)
+    if verifier == "monge":
+        verify_monge(u, field, points=points)
+    elif verifier == "dpp":
+        verify_dpp(u, points=points)
+    else:
+        boundary_modulus(u, points=points)
+    return len(runs)
+
+
+@pytest.mark.parametrize("verifier", ["monge", "dpp", "subopt", "modulus"])
+def test_no_verifier_runs_one_dijkstra_per_sample(monkeypatch, verifier):
+    """A verifier's Dijkstra runs do not grow with its sample set: three
+    times the points (curves for subopt) cost the same runs."""
+    small = _north_star_runs(monkeypatch, verifier, 1)
+    large = _north_star_runs(monkeypatch, verifier, 3)
+    assert small == large
