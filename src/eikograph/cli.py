@@ -21,7 +21,7 @@ from .errors import (DivergenceError, EikographError, HamiltonianRejection,
                      InputError, VerificationError)
 from .graph import Curve, MetricGraph
 from .hamiltonian import catalog, reduce_to_eikonal, solve_general
-from .io import (dump_json, dump_value_function, edge_csv, load_graph,
+from .io import (_decode_json, dump_json, dump_value_function, edge_csv, load_graph,
                  load_value_function, point_from_obj, point_to_obj)
 from .slopes import monge_samples_csv, verify_monge
 from .solver import (boundary_modulus, check_compatibility, solve, verify_dpp,
@@ -157,11 +157,7 @@ def cmd_solve(args) -> int:
 
 
 def _load_curves(path: str, graph: MetricGraph) -> List[Curve]:
-    import json as _json
-    try:
-        doc = _json.loads(_read(path))
-    except ValueError as exc:
-        raise InputError("%s: %s" % (path, exc)) from None
+    doc = _decode_json(_read(path), path)
     if not isinstance(doc, list):
         raise InputError("%s: expected a JSON array of curves" % path)
     curves = []
@@ -184,12 +180,11 @@ def _load_curves(path: str, graph: MetricGraph) -> List[Curve]:
 def cmd_verify(args) -> int:
     graph, field, data = load_graph(_read(args.graph), filename=args.graph)
     u = load_value_function(_read(args.u), graph, field, filename=args.u)
-    if data is not None and u.data is not None:
-        for vid, g in data.items():
-            if abs(u.data[vid] - g) > 1e-12 * max(1.0, abs(g)):
-                raise InputError(
-                    "%s: boundary value at %r is %.17g but the graph file says %.17g; "
-                    "the solution belongs to different input" % (args.u, vid, u.data[vid], g))
+    for vid, g in data.items():
+        if abs(u.data[vid] - g) > 1e-12 * max(1.0, abs(g)):
+            raise InputError(
+                "%s: boundary value at %r is %.17g but the graph file says %.17g; "
+                "the solution belongs to different input" % (args.u, vid, u.data[vid], g))
     if args.mode == "monge":
         report = verify_monge(u, field, tol=args.tol, n_radii=args.slope_radii)
         _write(args.out_dir, "monge.json", dump_json(report))
@@ -226,8 +221,6 @@ def cmd_verify(args) -> int:
         print("sub-optimality ok (%d curves, %d pairs)" % (report.n_curves, report.n_pairs))
         return EXIT_OK
     # modulus
-    if u.data is None:
-        raise InputError("solution file carries no boundary data")
     report = boundary_modulus(u, tol=args.tol)
     _write(args.out_dir, "modulus.json", dump_json(report))
     if not report.ok:
@@ -306,17 +299,12 @@ def entry(argv: Optional[List[str]] = None) -> int:
         if args.command == "viscous":
             return cmd_viscous(args)
         return cmd_ekeland(args)
-    except SystemExit:
-        raise
     except (HamiltonianRejection, DivergenceError) as exc:
         sys.stderr.write("hamiltonian rejected: %s\n" % exc)
         return EXIT_HAMILTONIAN
     except VerificationError as exc:
         sys.stderr.write("verification failed: %s\n" % exc)
         return EXIT_VERIFICATION
-    except InputError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_INPUT
     except EikographError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT

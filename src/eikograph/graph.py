@@ -386,6 +386,64 @@ class DistanceField(SeedMap):
         return float(self.germ_sign(germ))
 
 
+def _as_evaluator(u: Union[float, Callable[[GraphPoint], float]]) -> Callable[[GraphPoint], float]:
+    """p -> u(p) for a number (a constant function), an object with
+    ``evaluate``, or a plain callable."""
+    if isinstance(u, (int, float)):
+        c = float(u)
+        return lambda p: c
+    if hasattr(u, "evaluate"):
+        return u.evaluate
+    return u
+
+
+class _Composed:
+    """p -> outer(u(p)): a scalar map put outside a function on the graph.
+
+    ``check(v, p)``, when given, vets each inner value before it is used.
+    ``graph`` is copied from u when u has one.
+    """
+
+    def __init__(self, u, outer: Callable[[float], float],
+                 chain: Callable[[float, float], float],
+                 check: Optional[Callable[[float, GraphPoint], None]] = None):
+        self._u = u
+        self._inner = _as_evaluator(u)
+        self._outer = outer
+        self._chain = chain
+        self._check = check
+        g = getattr(u, "graph", None)
+        if g is not None:
+            self.graph = g
+
+    def _inner_value(self, p: GraphPoint) -> float:
+        v = self._inner(p)
+        if self._check is not None:
+            self._check(v, p)
+        return v
+
+    def evaluate(self, p: GraphPoint) -> float:
+        return self._outer(self._inner_value(p))
+
+    __call__ = evaluate
+
+
+class _ComposedDiff(_Composed):
+    """A composition whose inner function has one-sided germ derivatives:
+    ∂(outer ∘ u) = chain(u(p), ∂u) germ-wise."""
+
+    def germ_derivative(self, p: GraphPoint, germ: Germ) -> float:
+        return self._chain(self._inner_value(p), self._u.germ_derivative(p, germ))
+
+
+def _compose(u, outer: Callable[[float], float], chain: Callable[[float, float], float],
+             check: Optional[Callable[[float, GraphPoint], None]] = None) -> _Composed:
+    """outer ∘ u, with ``germ_derivative`` exactly when u has one, so a
+    sampled slope falls back to evaluation for an evaluate-only u."""
+    cls = _ComposedDiff if hasattr(u, "germ_derivative") else _Composed
+    return cls(u, outer, chain, check)
+
+
 # ----------------------------------------------------------------------
 # curves
 # ----------------------------------------------------------------------
@@ -461,14 +519,6 @@ class Curve:
     def length(self) -> float:
         return self._cum[-1]
 
-    @property
-    def start(self) -> GraphPoint:
-        return self.points[0]
-
-    @property
-    def end(self) -> GraphPoint:
-        return self.points[-1]
-
     def point_at(self, t: float) -> GraphPoint:
         """Arc-length parametrization: the point at curve time t in [0, length]."""
         if t < -1e-12 or t > self.length + 1e-12:
@@ -486,27 +536,6 @@ class Curve:
                 s = s0 + math.copysign(1.0, s1 - s0) * min(local, seg_len)
                 return self.graph.point(eid, min(max(s, 0.0), self.graph.edge(eid).length))
         return self.points[-1]
-
-    def prefix(self, t: float) -> "Curve":
-        """The subcurve traced on [0, t], as a Curve (used to check that the
-        arc-length parametrization really has unit speed)."""
-        if t < 0 or t > self.length + 1e-12:
-            raise InputError("curve time %r outside [0, %r]" % (t, self.length))
-        pts: List[GraphPoint] = [self.points[0]]
-        eids: List[str] = []
-        for i, (eid, s0, s1) in enumerate(self.segments):
-            if t >= self._cum[i + 1] and i < len(self.segments) - 1:
-                pts.append(self.points[i + 1])
-                eids.append(eid)
-                continue
-            local = min(t, self._cum[i + 1]) - self._cum[i]
-            seg_len = abs(s1 - s0)
-            if seg_len > 0.0:
-                s = s0 + math.copysign(1.0, s1 - s0) * max(0.0, min(local, seg_len))
-                pts.append(self.graph.point(eid, s))
-                eids.append(eid)
-            break
-        return Curve(self.graph, pts, eids)
 
     def times(self) -> List[float]:
         """Curve times of the polyline breakpoints."""

@@ -23,7 +23,7 @@ import numpy as np
 from .cost import CostField, Samples
 from .errors import (CoercivityProbeFailed, DivergenceError, InputError,
                      NonmonotoneHamiltonian, NoSubsolution, PreconditionError)
-from .graph import GraphPoint, MetricGraph, Vertex
+from .graph import GraphPoint, MetricGraph, Vertex, _as_evaluator, _compose
 from .solver import BoundaryData, ValueFunction, solve
 
 PROBE_POINTS = 64
@@ -40,14 +40,11 @@ class Hamiltonian:
     and must act elementwise in ``p`` (numpy ufuncs such as ``np.maximum``,
     not the builtin ``max``); a value constant in ``p`` may come back as a
     scalar.  The reduction costs one array call per knot for the sign scan
-    over the probe grid, then about 32 scalar calls for the bisection.  The
-    declared flags describe intent, not verified fact — the probes in
-    reduce_to_eikonal are what actually accept or reject.
+    over the probe grid, then about 32 scalar calls for the bisection.
     """
 
     fn: Callable[[GraphPoint, float, Union[float, np.ndarray]], Union[float, np.ndarray]]
     depends_on_r: bool = False
-    claims_increasing: bool = True
     pmax: float = 1e3
     name: str = ""
 
@@ -91,15 +88,6 @@ def _implicit_slope(H: Hamiltonian, x: GraphPoint, r: float, grid: np.ndarray) -
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def _as_evaluator(u: Union[float, Callable[[GraphPoint], float]]) -> Callable[[GraphPoint], float]:
-    if isinstance(u, (int, float)):
-        c = float(u)
-        return lambda p: c
-    if hasattr(u, "evaluate"):
-        return u.evaluate
-    return u
 
 
 def reduce_to_eikonal(H: Hamiltonian, u: Union[float, Callable[[GraphPoint], float]],
@@ -190,66 +178,24 @@ def solve_general(H: Hamiltonian, graph: MetricGraph, data: BoundaryData,
 # Kružkov transform
 # ----------------------------------------------------------------------
 
-class _KruzkovForward:
-    """U = -exp(-u): maps solutions of |∇u| = f to |∇U| + f U = 0."""
-
-    def __init__(self, u):
-        self._u = u
-        self._inner = _as_evaluator(u)
-        g = getattr(u, "graph", None)
-        if g is not None:
-            self.graph = g
-
-    def evaluate(self, p: GraphPoint) -> float:
-        return -math.exp(-self._inner(p))
-
-    __call__ = evaluate
-
-
-class _KruzkovForwardDiff(_KruzkovForward):
-    def germ_derivative(self, p: GraphPoint, germ) -> float:
-        return math.exp(-self._inner(p)) * self._u.germ_derivative(p, germ)
-
-
-class _KruzkovInverse:
-    """u = -log(-U), defined only where U < 0."""
-
-    def __init__(self, U):
-        self._U = U
-        self._outer = _as_evaluator(U)
-        g = getattr(U, "graph", None)
-        if g is not None:
-            self.graph = g
-
-    def _value(self, p: GraphPoint) -> float:
-        val = self._outer(p)
-        if not val < 0.0:
-            raise InputError("inverse transform needs strictly negative values, got %r at %r" % (val, p))
-        return val
-
-    def evaluate(self, p: GraphPoint) -> float:
-        return -math.log(-self._value(p))
-
-    __call__ = evaluate
-
-
-class _KruzkovInverseDiff(_KruzkovInverse):
-    def germ_derivative(self, p: GraphPoint, germ) -> float:
-        return self._U.germ_derivative(p, germ) / (-self._value(p))
+def _strictly_negative(v: float, p: GraphPoint):
+    if not v < 0.0:
+        raise InputError("inverse transform needs strictly negative values, got %r at %r" % (v, p))
 
 
 def kruzkov(u, direction: str = "forward"):
-    """The transform U = -e^(-u) (``forward``) or its inverse u = -log(-U).
+    """The transform U = -e^(-u) (``forward``), which maps solutions of
+    |∇u| = f to |∇U| + f U = 0, or its inverse u = -log(-U), defined only
+    where U < 0.  Both are one chain-rule composition (``graph._compose``).
 
     The result evaluates anywhere the input does and carries exact one-sided
     derivatives by the chain rule whenever the input has them, so slope
     computations commute with the transform.
     """
-    diff = hasattr(u, "germ_derivative")
     if direction == "forward":
-        return _KruzkovForwardDiff(u) if diff else _KruzkovForward(u)
+        return _compose(u, lambda v: -math.exp(-v), lambda v, dv: math.exp(-v) * dv)
     if direction == "inverse":
-        return _KruzkovInverseDiff(u) if diff else _KruzkovInverse(u)
+        return _compose(u, lambda v: -math.log(-v), lambda v, dv: dv / (-v), _strictly_negative)
     raise InputError("direction must be 'forward' or 'inverse', got %r" % direction)
 
 
@@ -290,11 +236,11 @@ def catalog(name: str, field: Optional[CostField] = None) -> Hamiltonian:
     if name == "nonmono-a":
         return Hamiltonian(
             lambda x, r, p: 1.0 - abs(p - 2.0) + np.square(np.maximum(p - 3.0, 0.0)),
-            claims_increasing=False, name=name)
+            name=name)
     if name == "nonmono-b":
         return Hamiltonian(
             lambda x, r, p: 1.0 - abs(p) + np.square(np.maximum(p - 3.0, 0.0)),
-            claims_increasing=False, name=name)
+            name=name)
     if name == "discounted":
         return Hamiltonian(lambda x, r, p: p + r - 1.0, depends_on_r=True, name=name)
     raise InputError("unknown Hamiltonian %r (catalog: eikonal-affine, quadratic, "

@@ -60,6 +60,17 @@ def _number(x) -> float:
     return float(x)
 
 
+def _decode_json(text: str, filename: str):
+    """The JSON document in ``text``; malformed text, and an integer literal
+    past Python's int-string digit limit, are refused naming the file."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError("%s:%d: not valid JSON: %s" % (filename, exc.lineno, exc.msg)) from None
+    except ValueError as exc:
+        raise GraphFormatError("%s: unreadable number: %s" % (filename, exc)) from None
+
+
 def _parse_profile(obj, eid: str, filename: str, text: str) -> Profile:
     if not isinstance(obj, dict) or "kind" not in obj:
         _fail(filename, text, eid, "edge %r: f must be an object with a 'kind'" % eid)
@@ -92,10 +103,7 @@ def load_graph(text: str, filename: str = "<graph>",
     graph declares no boundary vertices — solving then needs different input,
     but slope/verification work does not).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError("%s:%d: not valid JSON: %s" % (filename, exc.lineno, exc.msg)) from None
+    doc = _decode_json(text, filename)
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise GraphFormatError("%s: document must be an object with 'vertices' and 'edges'" % filename)
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
@@ -206,7 +214,11 @@ def point_from_obj(obj, graph: MetricGraph) -> GraphPoint:
     if isinstance(obj, dict) and "vertex" in obj:
         return graph.vertex_point(str(obj["vertex"]))
     if isinstance(obj, dict) and "edge" in obj and "s" in obj:
-        return graph.point(str(obj["edge"]), float(obj["s"]))
+        try:
+            s = _number(obj["s"])
+        except (TypeError, OverflowError) as exc:
+            raise InputError("bad point %r: offset 's' must be a number (%s)" % (obj, exc)) from None
+        return graph.point(str(obj["edge"]), s)
     raise InputError("bad point %r: expected {\"vertex\": id} or {\"edge\": id, \"s\": offset}" % (obj,))
 
 
@@ -304,10 +316,7 @@ def load_value_function(text: str, graph: MetricGraph, field: CostField,
     honored as-is, so a hand-perturbed table loads fine and then *fails* the
     verifiers, which is the point of having them.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError("%s:%d: not valid JSON: %s" % (filename, exc.lineno, exc.msg)) from None
+    doc = _decode_json(text, filename)
     if not isinstance(doc, dict) or doc.get("kind") != "value-function":
         raise GraphFormatError("%s: not a value-function document" % filename)
     tables = []

@@ -22,8 +22,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .cost import CostField
 from .errors import InputError, PreconditionError, VerificationError
-from .graph import (DistanceField, EdgeInterior, Germ, GraphPoint, MetricGraph,
-                    Vertex)
+from .graph import (DistanceField, EdgeInterior, GraphPoint, MetricGraph, Vertex,
+                    _as_evaluator, _ComposedDiff)
 
 #: radius schedule for the sampling estimator: r0 * 2^-k for k = 0..12,
 #: with the reported value the max over the tail k >= TAIL_START.
@@ -53,10 +53,6 @@ class SlopeEstimate:
     @property
     def tol(self) -> float:
         return EXACT_TOL if self.method == "exact-directional" else SAMPLED_TOL
-
-
-def _evaluate(u, p: GraphPoint) -> float:
-    return u.evaluate(p) if hasattr(u, "evaluate") else u(p)
 
 
 def _resolve_graph(u, graph: Optional[MetricGraph]) -> MetricGraph:
@@ -96,7 +92,8 @@ def slopes(u, x: GraphPoint, graph: Optional[MetricGraph] = None,
     r0 = g.half_min_incident(x)
     radii = tuple(r0 * 2.0 ** (-k) for k in range(n_radii))
     tail_start = max(0, n_radii - (N_RADII - TAIL_START))
-    ux = _evaluate(u, x)
+    ueval = _as_evaluator(u)
+    ux = ueval(x)
     germs = g.germs(x)
     up = down = 0.0
     for k in range(tail_start, n_radii):
@@ -106,7 +103,7 @@ def slopes(u, x: GraphPoint, graph: Optional[MetricGraph] = None,
                 continue
             # within this radius the germ parametrizes by arc length, so the
             # metric distance to the sampled point is exactly t
-            q = (_evaluate(u, g.germ_point(germ, t)) - ux) / t
+            q = (ueval(g.germ_point(germ, t)) - ux) / t
             up = max(up, q)
             down = max(down, -q)
     return SlopeEstimate(x, max(up, down), up, down, "shrinking-radius", radii)
@@ -220,7 +217,11 @@ def monge_samples_csv(report: MongeReport) -> str:
 # distance-type test functions
 # ----------------------------------------------------------------------
 
-class DistanceTestFunction:
+def _no_h(r: float) -> float:
+    raise PreconditionError("no h supplied; only derivatives are available")
+
+
+class DistanceTestFunction(_ComposedDiff):
     """φ(x) = h(d(x, x₀)) with one-sided derivatives by the chain rule.
 
     The germ derivative of d(·, x₀) is ±1 exactly on a graph, so
@@ -231,22 +232,8 @@ class DistanceTestFunction:
     def __init__(self, graph: MetricGraph, x0: GraphPoint,
                  hprime: Callable[[float], float],
                  h: Optional[Callable[[float], float]] = None):
-        self.graph = graph
-        self.x0 = x0
-        self.hprime = hprime
-        self.h = h
         self.dist = DistanceField(graph, x0)
-
-    def evaluate(self, p: GraphPoint) -> float:
-        if self.h is None:
-            raise PreconditionError("no h supplied; only derivatives are available")
-        return self.h(self.dist.evaluate(p))
-
-    __call__ = evaluate
-
-    def germ_derivative(self, p: GraphPoint, germ: Germ) -> float:
-        r = self.dist.evaluate(p)
-        return self.hprime(r) * self.dist.germ_derivative(p, germ)
+        super().__init__(self.dist, _no_h if h is None else h, lambda r, dr: hprime(r) * dr)
 
 
 def distance_test_slope(graph: MetricGraph, x0: GraphPoint,

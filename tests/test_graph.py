@@ -327,15 +327,6 @@ def test_curve_basic_polyline(interval):
     assert c.length == c.times()[-1]
 
 
-def test_curve_prefix_has_matching_endpoint(interval):
-    graph, _, _ = interval
-    c = Curve(graph, [Vertex("L"), graph.point("e", 1.5), graph.point("e", 1.0)])
-    for t in (0.0, 0.3, 1.5, 1.7, c.length):
-        pre = c.prefix(t)
-        assert pre.length == pytest.approx(t, abs=1e-12)
-        assert graph.distance(pre.end, c.point_at(t)) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_curve_needs_shared_edge():
     g = star3()
     with pytest.raises(InputError, match="share no edge"):

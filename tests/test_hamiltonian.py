@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eikograph.hamiltonian as hamiltonian_module
-from eikograph import (BoundaryData, CoercivityProbeFailed, CostField,
-                       DivergenceError, Hamiltonian, HamiltonianRejection,
+from eikograph import (BoundaryData, CoercivityProbeFailed, CostField, DistanceField,
+                       DistanceTestFunction, DivergenceError, Hamiltonian, HamiltonianRejection,
                        InputError, Linear, MetricGraph, NoSubsolution,
                        NonmonotoneHamiltonian, PreconditionError, Samples, Vertex,
                        catalog, kruzkov, reduce_to_eikonal, slopes, solve,
@@ -441,3 +441,139 @@ def test_inverse_transform_needs_negative_values():
         kruzkov(Pos(), direction="inverse").evaluate(Vertex("L"))
     with pytest.raises(InputError, match="forward"):
         kruzkov(Pos(), direction="sideways")
+
+
+# ----------------------------------------------------------------------
+# the chain-rule composition against the five classes it replaced
+# ----------------------------------------------------------------------
+
+def _ref_as_evaluator(u):
+    if isinstance(u, (int, float)):
+        c = float(u)
+        return lambda p: c
+    if hasattr(u, "evaluate"):
+        return u.evaluate
+    return u
+
+
+class _RefForward:
+    def __init__(self, u):
+        self._u = u
+        self._inner = _ref_as_evaluator(u)
+        g = getattr(u, "graph", None)
+        if g is not None:
+            self.graph = g
+
+    def evaluate(self, p):
+        return -math.exp(-self._inner(p))
+
+
+class _RefForwardDiff(_RefForward):
+    def germ_derivative(self, p, germ):
+        return math.exp(-self._inner(p)) * self._u.germ_derivative(p, germ)
+
+
+class _RefInverse:
+    def __init__(self, U):
+        self._U = U
+        self._outer = _ref_as_evaluator(U)
+        g = getattr(U, "graph", None)
+        if g is not None:
+            self.graph = g
+
+    def _value(self, p):
+        val = self._outer(p)
+        if not val < 0.0:
+            raise InputError("inverse transform needs strictly negative values, got %r at %r" % (val, p))
+        return val
+
+    def evaluate(self, p):
+        return -math.log(-self._value(p))
+
+
+class _RefInverseDiff(_RefInverse):
+    def germ_derivative(self, p, germ):
+        return self._U.germ_derivative(p, germ) / (-self._value(p))
+
+
+class _RefDistanceTestFunction:
+    def __init__(self, graph, x0, hprime, h=None):
+        self.graph = graph
+        self.hprime = hprime
+        self.h = h
+        self.dist = DistanceField(graph, x0)
+
+    def evaluate(self, p):
+        if self.h is None:
+            raise PreconditionError("no h supplied; only derivatives are available")
+        return self.h(self.dist.evaluate(p))
+
+    def germ_derivative(self, p, germ):
+        r = self.dist.evaluate(p)
+        return self.hprime(r) * self.dist.germ_derivative(p, germ)
+
+
+def _ref_kruzkov(u, direction):
+    diff = hasattr(u, "germ_derivative")
+    if direction == "forward":
+        return _RefForwardDiff(u) if diff else _RefForward(u)
+    return _RefInverseDiff(u) if diff else _RefInverse(u)
+
+
+class _EvalOnly:
+    """The same function with its germ derivatives hidden."""
+
+    def __init__(self, u):
+        self.graph = u.graph
+        self.evaluate = u.evaluate
+
+
+def _call_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, type and message, with the reference's
+        return (type(exc), str(exc))
+
+
+def _assert_same_function(new, old, points):
+    assert hasattr(new, "germ_derivative") == hasattr(old, "germ_derivative")
+    assert getattr(new, "graph", None) is getattr(old, "graph", None)
+    for p in points:
+        assert _call_outcome(new.evaluate, p) == _call_outcome(old.evaluate, p)
+        if hasattr(old, "germ_derivative"):
+            for germ in new.graph.germs(p):
+                assert _call_outcome(new.germ_derivative, p, germ) == _call_outcome(old.germ_derivative, p, germ)
+
+
+def test_compositions_equal_the_classes_they_replaced_on_random_graphs():
+    """Values and germ derivatives with ==, hasattr(germ_derivative), and the
+    type and message of every refusal: an inverse transform of a
+    nonnegative function, and a distance test function without h."""
+    rng = random.Random(61)
+    refusals = 0
+    for _ in range(24):
+        graph, field, data = build_instance(random_graph_spec(rng, max_vertices=9, max_extra_edges=8))
+        u = solve(field, data)
+        eids = sorted(graph.edges)
+        points = [Vertex(vid) for vid in sorted(graph.vertices)]
+        points += [graph.point(eid, rng.uniform(0.05, 0.95) * graph.edges[eid].length) for eid in eids]
+        base = eids[rng.randrange(len(eids))]
+        x0 = graph.point(base, rng.uniform(0.0, 1.0) * graph.edges[base].length)
+        for inner in (u, _EvalOnly(u)):
+            _assert_same_function(kruzkov(inner), _ref_kruzkov(inner, "forward"), points)
+            # u >= 0 on these graphs, so every inverse of it is refused
+            _assert_same_function(kruzkov(inner, "inverse"), _ref_kruzkov(inner, "inverse"), points)
+            refusals += isinstance(_call_outcome(kruzkov(inner, "inverse").evaluate, points[0]), tuple)
+            negative = _RefForwardDiff(u) if inner is u else _EvalOnly(_RefForwardDiff(u))
+            _assert_same_function(kruzkov(negative, "inverse"), _ref_kruzkov(negative, "inverse"), points)
+        hprime, h = (lambda t: 2.0 * t), (lambda t: t * t + 0.5)
+        for hh in (h, None):
+            phi = DistanceTestFunction(graph, x0, hprime, h=hh)
+            _assert_same_function(phi, _RefDistanceTestFunction(graph, x0, hprime, h=hh), points)
+        # the evaluate-only form of a distance-type composition: the old class
+        # had none, so its values and sampled slopes are what must agree
+        phi = DistanceTestFunction(graph, x0, hprime, h=h)
+        ref = _RefDistanceTestFunction(graph, x0, hprime, h=h)
+        for p in points:
+            assert slopes(_EvalOnly(phi), p) == slopes(_EvalOnly(ref), p)
+    assert refusals == 48

@@ -378,6 +378,51 @@ def test_cli_verify_refuses_a_solution_entry_that_is_not_a_number(tmp_path, caps
     assert not (tmp_path / "rn" / "modulus.json").exists()
 
 
+#: an integer literal past Python's 4300-digit int-string conversion limit
+HUGE_INT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("where", ["g", "length", "u.json", "curves-file"])
+def test_cli_refuses_an_integer_past_the_digit_limit(tmp_path, capsys, where):
+    """Every document the CLI reads goes through one decoder, which refuses
+    the literal with exit 1 naming the file, not a ValueError traceback."""
+    g, ufile = solve_path3(tmp_path)
+    graph_doc = json.loads(PATH3_DOC)
+    if where == "g":
+        graph_doc["vertices"][0]["g"] = "HUGE"
+        doc, argv = graph_doc, ["solve"]
+    elif where == "length":
+        graph_doc["edges"][0]["length"] = "HUGE"
+        doc, argv = graph_doc, ["solve"]
+    elif where == "u.json":
+        doc = json.loads(Path(ufile).read_text())
+        doc["vertices"]["m"] = "HUGE"
+        argv = ["verify", g, "--mode", "modulus"]
+    else:
+        doc = [{"points": [{"edge": "b", "s": "HUGE"}]}]
+        argv = ["verify", g, ufile, "--mode", "subopt", "--curves-file"]
+    bad = put(tmp_path, "bad.json", json.dumps(doc, indent=2).replace('"HUGE"', HUGE_INT))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert entry(argv + [bad, "--out-dir", str(out)]) == 1
+    assert "error: %s: unreadable number: " % bad in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("s", [None, "0.2", True, pytest.param(10 ** 400, id="int-1e400")])
+def test_cli_verify_subopt_refuses_a_curve_offset_that_is_not_a_number(tmp_path, capsys, s):
+    """null once crashed with a TypeError traceback, and "0.2" and true were
+    read as offsets; a float-overflowing integer is refused too."""
+    g, ufile = solve_path3(tmp_path)
+    curves = put(tmp_path, "curves.json", json.dumps(
+        [{"points": [{"edge": "b", "s": s}, {"vertex": "m"}]}]))
+    capsys.readouterr()
+    assert entry(["verify", g, ufile, "--mode", "subopt", "--curves-file", curves,
+                  "--out-dir", str(tmp_path / "rs")]) == 1
+    assert "offset 's' must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "rs" / "subopt.json").exists()
+
+
 @pytest.mark.parametrize("tau", ["0", "-1", "inf", "nan", "-1e-3", "-inf"])
 def test_cli_verify_dpp_refuses_a_degenerate_radius(tmp_path, capsys, tau):
     g, ufile = solve_path3(tmp_path)

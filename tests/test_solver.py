@@ -7,8 +7,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from eikograph import (BoundaryData, Constant, CostField, Curve, InputError,
-                       MetricGraph, StoredSolution, Vertex, boundary_modulus,
+from eikograph import (BoundaryData, Constant, CostField, Curve, InputError, Linear,
+                       MetricGraph, Samples, StoredSolution, Vertex, boundary_modulus,
                        check_compatibility, graph_to_dict, optical_length,
                        random_curve, solve, verify_dpp, verify_monge,
                        verify_suboptimality)
@@ -539,3 +539,65 @@ def test_no_verifier_runs_one_dijkstra_per_sample(monkeypatch, verifier):
     small = _north_star_runs(monkeypatch, verifier, 1)
     large = _north_star_runs(monkeypatch, verifier, 3)
     assert small == large
+
+
+# ----------------------------------------------------------------------
+# metamorphic relations of the solve
+# ----------------------------------------------------------------------
+
+def _profile(e: dict, kind: str, scale: float):
+    """The spec edge's profile as ``kind``, every f value times ``scale``."""
+    a, b, L = e["a"], e["b"], e["length"]
+    if kind == "const":
+        return Constant(scale * a)
+    if kind == "linear":
+        return Linear(scale * a, scale * b)
+    knots = [L * k / 4 for k in range(5)]
+    return Samples(knots, [scale * (a + abs(b) * s) for s in knots])
+
+
+def _solve_spec(spec: dict, kind: str, scale: float = 1.0, rename=None, reverse: bool = False):
+    name = rename or (lambda v: v)
+    vs = [(name(v), v in spec["boundary"]) for v in spec["vertices"]]
+    es = [(e["id"], name(e["src"]), name(e["dst"]), e["length"]) for e in spec["edges"]]
+    if reverse:
+        vs, es = vs[::-1], es[::-1]
+    graph = MetricGraph(vs, es)
+    field = CostField(graph, {e["id"]: _profile(e, kind, scale) for e in spec["edges"]})
+    return solve(field, BoundaryData(graph, {name(v): scale * g for v, g in spec["g"].items()}))
+
+
+@pytest.mark.parametrize("kind", ["const", "linear", "samples"])
+def test_doubling_f_and_g_doubles_every_vertex_value_and_keeps_every_kink(kind):
+    """Scaling by 2 is exact in binary floating point, so the relation holds
+    with ==; a kink is where two costs cross, and doubling both keeps the
+    offset."""
+    rng = random.Random(404)
+    kinks = 0
+    for _ in range(40):
+        spec = random_graph_spec(rng, max_vertices=12, max_extra_edges=12)
+        u = _solve_spec(spec, kind)
+        u2 = _solve_spec(spec, kind, scale=2.0)
+        assert {v: 2.0 * x for v, x in u.vertex_values.items()} == u2.vertex_values
+        for e in spec["edges"]:
+            assert u2.kink(e["id"]) == u.kink(e["id"])
+            kinks += u.kink(e["id"]) is not None
+    assert kinks >= 100
+
+
+@pytest.mark.parametrize("kind", ["const", "linear", "samples"])
+def test_renaming_vertices_and_reversing_records_leaves_u_unchanged(kind):
+    """The new names sort in the reverse of the record order, so the
+    kernel's (cost, vertex id) ties break differently."""
+    rng = random.Random(405)
+    for _ in range(40):
+        spec = random_graph_spec(rng, max_vertices=12, max_extra_edges=12)
+        n = len(spec["vertices"])
+        name = {v: "w%03d" % (n - j) for j, v in enumerate(spec["vertices"])}
+        u = _solve_spec(spec, kind)
+        u2 = _solve_spec(spec, kind, rename=name.get, reverse=True)
+        assert {name[v]: x for v, x in u.vertex_values.items()} == u2.vertex_values
+        for e in spec["edges"]:
+            assert u2.kink(e["id"]) == u.kink(e["id"])
+            mid = 0.5 * e["length"]
+            assert u2.evaluate(u2.graph.point(e["id"], mid)) == u.evaluate(u.graph.point(e["id"], mid))
