@@ -3,9 +3,8 @@
 from .cost import (Constant, CostField, Linear, Samples, path_integral,
                    resample_profile)
 from .ekeland import EkelandRecord, ekeland_maximize, ekeland_point
-from .errors import (CoercivityProbeFailed, DivergenceError, EikographError,
-                     GraphFormatError, HamiltonianRejection, InputError,
-                     NonmonotoneHamiltonian, NoSubsolution, PreconditionError,
+from .errors import (CoercivityProbeFailed, EikographError, GraphFormatError, HamiltonianRejection,
+                     InputError, NonmonotoneHamiltonian, NoSubsolution, PreconditionError,
                      UnreachableError, VerificationError)
 from .graph import (Curve, DistanceField, EdgeInterior, EdgeRec, Germ,
                     MetricGraph, Vertex, VertexRec, random_curve)
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryData", "CoercivityProbeFailed", "Constant", "CostField", "Curve",
-    "DistanceField", "DistanceTestFunction", "DivergenceError", "EdgeInterior", "EdgeRec", "EikographError",
+    "DistanceField", "DistanceTestFunction", "EdgeInterior", "EdgeRec", "EikographError",
     "EkelandRecord", "FiniteMetricSpace", "Germ", "GraphFormatError",
     "Hamiltonian", "HamiltonianRejection", "InputError", "Linear",
     "MetricGraph", "MongeReport", "MonotoneReport", "NoSubsolution", "NonmonotoneHamiltonian",

@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input error, 2 compatibility failure (solution still
-written), 3 verification failure, 4 Hamiltonian rejected (or its fixed-point
-iteration diverged).  Outputs are byte-identical for identical inputs and
-flags.
+written), 3 verification failure, 4 Hamiltonian rejected.  Outputs are
+byte-identical for identical inputs and flags.
 """
 from __future__ import annotations
 
@@ -17,8 +16,7 @@ from typing import List, Optional
 
 from . import one_dim
 from .ekeland import ekeland_maximize, ekeland_point
-from .errors import (DivergenceError, EikographError, HamiltonianRejection,
-                     InputError, VerificationError)
+from .errors import EikographError, HamiltonianRejection, InputError, VerificationError
 from .graph import Curve, MetricGraph
 from .hamiltonian import catalog, reduce_to_eikonal, solve_general
 from .io import (_decode_json, dump_json, dump_value_function, edge_csv, load_graph,
@@ -55,17 +53,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _tolerance(text: str) -> float:
-    """``--tol``: a nonnegative finite number.  A negative or NaN tolerance
-    fails every check and an infinite one passes every check, so neither
-    gives a verdict worth printing."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError("must be a nonnegative finite number (got %r)" % text)
-    return value
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert`` the text, then refuse a value that
+    fails ``ok``, saying it must be ``rule``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid %s value: %r" % (convert.__name__, text)) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError("must be %s (got %r)" % (rule, text))
+        return value
+    return parse
+
+
+# A negative or NaN tolerance fails every check and an infinite one passes
+# every check, and zero curves check nothing: none gives a verdict worth printing.
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a nonnegative finite number")
+_count = _checked(int, lambda v: v >= 1, "at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,10 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out-dir", default=".")
     pv.add_argument("--tol", type=_tolerance, default=None, help="verdict tolerance")
     pv.add_argument("--tau", type=float, default=None, help="walk radius for dpp")
-    pv.add_argument("--slope-radii", type=int, default=13,
-                    help="radius count for sampled slopes (monge)")
     pv.add_argument("--seed", type=int, default=0, help="seed for random curves (subopt)")
-    pv.add_argument("--curves", type=int, default=25, help="random curve count (subopt)")
+    pv.add_argument("--curves", type=_count, default=25, help="random curve count (subopt)")
     pv.add_argument("--curves-file", default=None,
                     help="JSON curves to test instead of random ones (subopt)")
 
@@ -100,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="eikonal-affine | quadratic | nonmono-a | nonmono-b | discounted")
     pr.add_argument("--out-dir", default=".")
     pr.add_argument("--quad-knots", type=int, default=65, help="knots per edge for h")
-    pr.add_argument("--lam", type=float, default=None,
-                    help="monotonicity rate in u to spot-check (r-dependent H)")
 
     pw = sub.add_parser("viscous", help="viscous 1-D solutions: CSV per eps plus an overlay SVG")
     pw.add_argument("--eps", required=True, help="comma-separated positive values")
@@ -162,10 +163,14 @@ def _load_curves(path: str, graph: MetricGraph) -> List[Curve]:
         raise InputError("%s: expected a JSON array of curves" % path)
     curves = []
     for entry in doc:
-        if not isinstance(entry, dict) or "points" not in entry:
-            raise InputError("%s: each curve needs a 'points' array" % path)
-        pts = [point_from_obj(o, graph) for o in entry["points"]]
+        points = entry.get("points") if isinstance(entry, dict) else None
+        if not (isinstance(points, list) and len(points) >= 2):
+            raise InputError("%s: each curve needs a 'points' array of two or more points" % path)
         hints = entry.get("edges")
+        if hints is not None and not (isinstance(hints, list)
+                                      and all(isinstance(h, str) for h in hints)):
+            raise InputError("%s: a curve's 'edges' must be an array of edge ids" % path)
+        pts = [point_from_obj(o, graph) for o in points]
         curve = Curve(graph, pts, hints)
         for ptx in pts:
             if graph.is_boundary(ptx):
@@ -186,7 +191,7 @@ def cmd_verify(args) -> int:
                 "%s: boundary value at %r is %.17g but the graph file says %.17g; "
                 "the solution belongs to different input" % (args.u, vid, u.data[vid], g))
     if args.mode == "monge":
-        report = verify_monge(u, field, tol=args.tol, n_radii=args.slope_radii)
+        report = verify_monge(u, field, tol=args.tol)
         _write(args.out_dir, "monge.json", dump_json(report))
         _write(args.out_dir, "monge.csv", monge_samples_csv(report))
         if not report.ok:
@@ -235,14 +240,13 @@ def cmd_verify(args) -> int:
 def cmd_reduce(args) -> int:
     graph, field, data = load_graph(_read(args.graph), filename=args.graph)
     H = catalog(args.hamiltonian, field)
-    if H.depends_on_r:
-        if data is None:
-            raise InputError("r-dependent Hamiltonians need boundary data to iterate against")
-        u = solve_general(H, graph, data, lam=args.lam, n_knots=args.quad_knots)
-        h_field = reduce_to_eikonal(H, u, graph, n_knots=args.quad_knots)
+    if data is not None:
+        u = solve_general(H, graph, data, n_knots=args.quad_knots)
+        h_field = u.field
+    elif H.depends_on_r:
+        raise InputError("r-dependent Hamiltonians need boundary data to solve against")
     else:
-        h_field = reduce_to_eikonal(H, 0.0, graph, n_knots=args.quad_knots)
-        u = solve(h_field, data) if data is not None else None
+        u, h_field = None, reduce_to_eikonal(H, 0.0, graph, n_knots=args.quad_knots)
     h_doc = {"kind": "reduced-cost-field", "hamiltonian": args.hamiltonian,
              "edges": {eid: {"knots": list(h_field.profiles[eid].knots),
                              "values": list(h_field.profiles[eid].values)}
@@ -299,7 +303,7 @@ def entry(argv: Optional[List[str]] = None) -> int:
         if args.command == "viscous":
             return cmd_viscous(args)
         return cmd_ekeland(args)
-    except (HamiltonianRejection, DivergenceError) as exc:
+    except HamiltonianRejection as exc:
         sys.stderr.write("hamiltonian rejected: %s\n" % exc)
         return EXIT_HAMILTONIAN
     except VerificationError as exc:

@@ -35,14 +35,6 @@ class VerificationError(EikographError):
     failed (e.g. the slope-engine self-test)."""
 
 
-class DivergenceError(EikographError):
-    """The fixed-point iteration for r-dependent Hamiltonians did not settle."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history or [])
-
-
 class HamiltonianRejection(EikographError):
     """Base for Hamiltonians refused by the eikonal reduction preconditions."""
 

@@ -9,20 +9,23 @@ the level-set rule
 turns the general equation into |∇u| = h(x) with the same solutions.  The
 reduction probes each sample point for the monotonicity it relies on and
 refuses Hamiltonians that fail it, rather than returning a meaningless h.
-When H depends on u itself, a fixed-point loop re-reduces against the last
-iterate until the solve stabilizes.
+When H depends on u itself, h and u come together from one label-setting
+pass over the knots, Dijkstra-style: each knot's value is fixed once, in
+increasing order.
 """
 from __future__ import annotations
 
+import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .cost import CostField, Samples
-from .errors import (CoercivityProbeFailed, DivergenceError, InputError,
-                     NonmonotoneHamiltonian, NoSubsolution, PreconditionError)
+from .errors import (CoercivityProbeFailed, InputError, NonmonotoneHamiltonian,
+                     NoSubsolution)
 from .graph import GraphPoint, MetricGraph, Vertex, _as_evaluator, _compose
 from .solver import BoundaryData, ValueFunction, solve
 
@@ -90,6 +93,14 @@ def _implicit_slope(H: Hamiltonian, x: GraphPoint, r: float, grid: np.ndarray) -
     return 0.5 * (lo + hi)
 
 
+def _edge_knots(graph: MetricGraph, n_knots: int):
+    """(edge id, the ``n_knots`` uniform offsets where h is sampled), sorted."""
+    if n_knots < 2:
+        raise InputError("need at least 2 knots per edge (got %r)" % n_knots)
+    return [(eid, np.linspace(0.0, graph.edges[eid].length, n_knots))
+            for eid in sorted(graph.edges)]
+
+
 def reduce_to_eikonal(H: Hamiltonian, u: Union[float, Callable[[GraphPoint], float]],
                       graph: MetricGraph, n_knots: int = 65,
                       fmin: float = 1e-6) -> CostField:
@@ -99,79 +110,66 @@ def reduce_to_eikonal(H: Hamiltonian, u: Union[float, Callable[[GraphPoint], flo
     evaluable function otherwise).  Each edge gets ``n_knots`` uniform knots;
     h is clamped below at ``fmin`` so the result is a legal cost field.
     """
-    if n_knots < 2:
-        raise InputError("need at least 2 knots per edge (got %r)" % n_knots)
+    edge_knots = _edge_knots(graph, n_knots)
     ueval = _as_evaluator(u)
     grid = _probe_grid(H.pmax)
     profiles: Dict[str, Samples] = {}
-    for eid in sorted(graph.edges):
-        L = graph.edges[eid].length
-        knots = np.linspace(0.0, L, n_knots)
+    for eid, knots in edge_knots:
         values = []
         for s in knots:
             p = graph.point(eid, float(s))
             values.append(max(_implicit_slope(H, p, ueval(p), grid), fmin))
-        profiles[eid] = Samples(tuple(float(s) for s in knots), tuple(values))
+        profiles[eid] = Samples(knots, values)
     return CostField(graph, profiles, fmin=fmin)
 
 
-def _probe_r_monotone(H: Hamiltonian, graph: MetricGraph, lam: float,
-                      r_lo: float, r_hi: float, tol: float = 1e-9):
-    """Spot-check H(x,r,p) - H(x,s,p) >= lam (r - s) for r > s on a small
-    (x, r, p) grid; a violation voids the fixed-point argument."""
-    pts: List[GraphPoint] = [Vertex(vid) for vid in list(graph.vertices)[:3]]
-    eid = next(iter(sorted(graph.edges)))
-    pts.append(graph.point(eid, 0.5 * graph.edges[eid].length))
-    rs = np.linspace(r_lo, r_hi, 5)
-    ps = [0.0, 0.5, 1.0, 5.0]
-    for x in pts:
-        for i in range(len(rs)):
-            for j in range(i + 1, len(rs)):
-                for p in ps:
-                    gap = H(x, float(rs[j]), p) - H(x, float(rs[i]), p)
-                    need = lam * (float(rs[j]) - float(rs[i]))
-                    if gap < need - tol:
-                        raise PreconditionError(
-                            "H is not %g-monotone in r: gap %g < %g at %r, p=%g"
-                            % (lam, gap, need, x, p))
-
-
 def solve_general(H: Hamiltonian, graph: MetricGraph, data: BoundaryData,
-                  lam: Optional[float] = None, n_knots: int = 65,
-                  fmin: float = 1e-6, tol: float = 1e-8,
-                  max_iter: int = 200) -> ValueFunction:
-    """Solve H(x, u, |∇u|) = 0 with Dirichlet data by iterated reduction.
+                  n_knots: int = 65, fmin: float = 1e-6) -> ValueFunction:
+    """Solve H(x, u, |∇u|) = 0 with Dirichlet data: ``solve`` of the reduced
+    field, which the result keeps as ``.field``.
 
-    r-independent H needs exactly one reduction and one solve.  Otherwise:
-    start from the reduction at the constant max(g), then re-reduce against
-    each solve until successive iterates agree to ``tol`` in sup norm over
-    vertices and knots.  The contraction comes from H growing in r (rate
-    ``lam`` when supplied, which is then spot-checked).
+    r-independent H needs one reduction.  Otherwise h depends on u, and one
+    label-setting pass finds both (Tsitsiklis, IEEE TAC 1995; on a network,
+    Schieborn–Camilli, Calc. Var. PDE 2013).  Its nodes are the vertices and
+    the interior knots, linked along each edge.  Seeded with g, it settles
+    the cheapest node, fixes h there at the settled value, and relaxes each
+    unsettled neighbour by one Heun step of u' = h(x, u) across the gap.
     """
     if not H.depends_on_r:
-        field = reduce_to_eikonal(H, 0.0, graph, n_knots=n_knots, fmin=fmin)
-        return solve(field, data)
-    gvals = [g for _vid, g in data.items()]
-    if lam is not None:
-        _probe_r_monotone(H, graph, lam, min(gvals) - 1.0, max(gvals) + 1.0)
+        return solve(reduce_to_eikonal(H, 0.0, graph, n_knots=n_knots, fmin=fmin), data)
+    grid = _probe_grid(H.pmax)
 
-    probes: List[GraphPoint] = [Vertex(vid) for vid in graph.vertices]
-    for eid in sorted(graph.edges):
-        L = graph.edges[eid].length
-        probes.extend(graph.point(eid, L * k / (n_knots - 1)) for k in range(1, n_knots - 1))
+    def slope(x: GraphPoint, r: float) -> float:
+        return max(_implicit_slope(H, x, r, grid), fmin)
 
-    u_prev = solve(reduce_to_eikonal(H, max(gvals), graph, n_knots=n_knots, fmin=fmin), data)
-    history: List[float] = []
-    for _ in range(max_iter):
-        u_next = solve(reduce_to_eikonal(H, u_prev, graph, n_knots=n_knots, fmin=fmin), data)
-        diff = max(abs(u_next.evaluate(p) - u_prev.evaluate(p)) for p in probes)
-        history.append(diff)
-        u_prev = u_next
-        if diff < tol:
-            return u_prev
-    raise DivergenceError(
-        "no fixed point after %d reductions (last change %g)" % (max_iter, history[-1]),
-        history=history)
+    nodes: List[GraphPoint] = [Vertex(vid) for vid in graph.vertices]
+    index = {vid: i for i, vid in enumerate(graph.vertices)}
+    links: Dict[int, List[Tuple[int, float]]] = defaultdict(list)
+    chains = []
+    for eid, knots in _edge_knots(graph, n_knots):
+        rec = graph.edges[eid]
+        chain = [index[rec.src], *range(len(nodes), len(nodes) + n_knots - 2), index[rec.dst]]
+        nodes += [graph.point(eid, float(s)) for s in knots[1:-1]]
+        for a, b, gap in zip(chain, chain[1:], np.diff(knots).tolist()):
+            links[a].append((b, gap))
+            links[b].append((a, gap))
+        chains.append((eid, knots, chain))
+
+    value = {index[vid]: g for vid, g in data.items()}
+    heap = sorted((g, i) for i, g in value.items())  # keyed by (value, node id)
+    h: Dict[int, float] = {}
+    while heap:
+        c, i = heapq.heappop(heap)
+        if i not in h:
+            hi = h[i] = slope(nodes[i], c)
+            for j, gap in links[i]:
+                if j not in h:
+                    cand = c + 0.5 * gap * (hi + slope(nodes[j], c + gap * hi))
+                    if cand < value.get(j, math.inf):
+                        value[j] = cand
+                        heapq.heappush(heap, (cand, j))
+    profiles = {eid: Samples(knots, [h[n] for n in chain]) for eid, knots, chain in chains}
+    return solve(CostField(graph, profiles, fmin=fmin), data)
 
 
 # ----------------------------------------------------------------------

@@ -210,16 +210,18 @@ def point_to_obj(p: GraphPoint) -> dict:
 
 
 def point_from_obj(obj, graph: MetricGraph) -> GraphPoint:
-    """The graph point a ``point_to_obj`` form names on ``graph``."""
-    if isinstance(obj, dict) and "vertex" in obj:
-        return graph.vertex_point(str(obj["vertex"]))
-    if isinstance(obj, dict) and "edge" in obj and "s" in obj:
+    """The graph point a ``point_to_obj`` form names on ``graph``.  Ids must
+    be JSON strings, as in the graph document: 1 does not name vertex "1"."""
+    if isinstance(obj, dict) and isinstance(obj.get("vertex"), str):
+        return graph.vertex_point(obj["vertex"])
+    if isinstance(obj, dict) and isinstance(obj.get("edge"), str) and "s" in obj:
         try:
             s = _number(obj["s"])
         except (TypeError, OverflowError) as exc:
             raise InputError("bad point %r: offset 's' must be a number (%s)" % (obj, exc)) from None
-        return graph.point(str(obj["edge"]), s)
-    raise InputError("bad point %r: expected {\"vertex\": id} or {\"edge\": id, \"s\": offset}" % (obj,))
+        return graph.point(obj["edge"], s)
+    raise InputError("bad point %r: expected {\"vertex\": id} or {\"edge\": id, \"s\": offset}, "
+                     "with each id a string" % (obj,))
 
 
 def dump_json(obj, indent: int = 2) -> str:

@@ -476,6 +476,69 @@ def test_cli_verify_subopt_with_explicit_curves(tmp_path, capsys):
     assert "touches boundary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("curve", [{"points": 5}, {"points": [{"vertex": "m"}]},
+                                   {"points": [{"vertex": "m"}, {"edge": "b", "s": 0.5}],
+                                    "edges": 5},
+                                   {"points": [{"vertex": "m"}, {"edge": "b", "s": 0.5}],
+                                    "edges": [7]}])
+def test_cli_verify_subopt_refuses_curve_fields_of_the_wrong_type(tmp_path, capsys, curve):
+    """A non-array 'points' or 'edges' once died with a TypeError traceback,
+    and a one-point curve with an IndexError."""
+    g, ufile = solve_path3(tmp_path)
+    curves = put(tmp_path, "curves.json", json.dumps([curve]))
+    capsys.readouterr()
+    assert entry(["verify", g, ufile, "--mode", "subopt", "--curves-file", curves,
+                  "--out-dir", str(tmp_path / "rs")]) == 1
+    assert "error: %s: " % curves in capsys.readouterr().err
+    assert not (tmp_path / "rs" / "subopt.json").exists()
+
+
+NUMBERISH_DOC = """{
+  "vertices": [
+    {"id": "L", "boundary": true, "g": 0.0},
+    {"id": "1"},
+    {"id": "R", "boundary": true, "g": 0.0}
+  ],
+  "edges": [
+    {"id": "True", "from": "L", "to": "1", "length": 1.0},
+    {"id": "b2", "from": "1", "to": "R", "length": 1.0}
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("point,named,other", [
+    ({"vertex": 1}, {"vertex": "1"}, {"edge": "b2", "s": 0.5}),
+    ({"edge": True, "s": 0.5}, {"edge": "True", "s": 0.5}, {"vertex": "1"})])
+def test_cli_verify_subopt_reads_only_strings_as_point_ids(tmp_path, capsys, point, named, other):
+    """1 and true once named vertex "1" and edge "True" through str()."""
+    g = put(tmp_path, "g.json", NUMBERISH_DOC)
+    assert entry(["solve", g, "--out-dir", str(tmp_path / "sol")]) == 0
+    ufile = str(tmp_path / "sol" / "u.json")
+    good = put(tmp_path, "good.json", json.dumps([{"points": [named, other]}]))
+    assert entry(["verify", g, ufile, "--mode", "subopt", "--curves-file", good,
+                  "--out-dir", str(tmp_path / "ok")]) == 0
+    bad = put(tmp_path, "bad.json", json.dumps([{"points": [point, other]}]))
+    capsys.readouterr()
+    assert entry(["verify", g, ufile, "--mode", "subopt", "--curves-file", bad,
+                  "--out-dir", str(tmp_path / "rs")]) == 1
+    assert "bad point" in capsys.readouterr().err
+    assert not (tmp_path / "rs" / "subopt.json").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "2.5"])
+def test_cli_verify_subopt_refuses_a_curve_count_below_one(tmp_path, capsys, count):
+    """Zero curves once printed "sub-optimality ok (0 curves, 0 pairs)"."""
+    g, ufile = solve_path3(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        entry(["verify", g, ufile, "--mode", "subopt", "--curves", count,
+               "--out-dir", str(tmp_path / "rc")])
+    assert exc.value.code == 1
+    assert "argument --curves: " in capsys.readouterr().err
+    assert not (tmp_path / "rc").exists()
+
+
 def test_cli_reduce_quadratic_reproduces_the_solve(tmp_path):
     g = put(tmp_path, "g.json", TENT_DOC)
     assert entry(["reduce", g, "--hamiltonian", "quadratic",
@@ -486,6 +549,21 @@ def test_cli_reduce_quadratic_reproduces_the_solve(tmp_path):
     u = json.loads((tmp_path / "u.json").read_text())
     assert u["vertices"] == {"L": 0.0, "R": 0.0}
     assert abs(u["edges"]["e"]["kink"] - 1.0) <= 1e-9
+
+
+def test_cli_reduce_discounted_matches_the_closed_form(tmp_path):
+    """|u'| = 1 - u with u = 0 at both ends of a path of length 4: u = 1 - e^{-2}
+    at its middle vertex.  A fixed-point iteration once exited 4 here."""
+    doc = json.loads(PATH3_DOC)
+    for e in doc["edges"]:
+        e["length"] = 2.0
+    g = put(tmp_path, "g.json", json.dumps(doc))
+    assert entry(["reduce", g, "--hamiltonian", "discounted",
+                  "--out-dir", str(tmp_path)]) == 0
+    u = json.loads((tmp_path / "u.json").read_text())
+    assert u["vertices"]["L"] == u["vertices"]["R"] == 0.0
+    assert abs(u["vertices"]["m"] - (1.0 - math.exp(-2.0))) <= 1e-3
+    assert json.loads((tmp_path / "h.json").read_text())["hamiltonian"] == "discounted"
 
 
 @pytest.mark.parametrize("name", ["nonmono-a", "nonmono-b"])
@@ -523,6 +601,11 @@ def test_cli_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         entry(["solve", "g.json", "--bogus"])
     assert exc.value.code == 1
+    for argv in (["reduce", "g.json", "--hamiltonian", "discounted", "--lam", "1"],
+                 ["verify", "g.json", "u.json", "--mode", "monge", "--slope-radii", "13"]):
+        with pytest.raises(SystemExit) as exc:
+            entry(argv)
+        assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         entry(["frobnicate"])
     assert exc.value.code == 1

@@ -601,3 +601,40 @@ def test_renaming_vertices_and_reversing_records_leaves_u_unchanged(kind):
             assert u2.kink(e["id"]) == u.kink(e["id"])
             mid = 0.5 * e["length"]
             assert u2.evaluate(u2.graph.point(e["id"], mid)) == u.evaluate(u.graph.point(e["id"], mid))
+
+
+def _split_profile(e: dict, kind: str, k: int, s: float):
+    """The spec edge's ``_profile`` restricted to [0, s] and to [s, L], the
+    second re-based to start at 0; ``k`` is the index of the knot at s."""
+    prof = _profile(e, kind, 1.0)
+    if kind == "const":
+        return prof, prof
+    if kind == "linear":
+        return prof, Linear(prof.a + prof.b * s, prof.b)
+    return (Samples(prof.knots[:k + 1], prof.values[:k + 1]),
+            Samples([t - s for t in prof.knots[k:]], prof.values[k:]))
+
+
+@pytest.mark.parametrize("kind", ["const", "linear", "samples"])
+def test_splitting_an_edge_leaves_u_unchanged(kind):
+    """A new interior vertex inside one edge, with the profile restricted to
+    each piece, changes no vertex value, and its own value is u at the split
+    point.  Only the summation order of the edge integrals moves."""
+    rng = random.Random(406)
+    for _ in range(60):
+        spec = random_graph_spec(rng, max_vertices=12, max_extra_edges=12)
+        u = _solve_spec(spec, kind)
+        cut = rng.choice(spec["edges"])
+        L, k = cut["length"], rng.randint(1, 3)
+        s = L * k / 4 if kind == "samples" else rng.uniform(0.1, 0.9) * L
+        head, tail = _split_profile(cut, kind, k, s)
+        es = [(e["id"], e["src"], e["dst"], e["length"]) for e in spec["edges"] if e is not cut]
+        es += [("head", cut["src"], "split", s), ("tail", "split", cut["dst"], L - s)]
+        graph = MetricGraph([(v, v in spec["boundary"]) for v in spec["vertices"]] + [("split", False)],
+                            es)
+        profiles = {e["id"]: _profile(e, kind, 1.0) for e in spec["edges"] if e is not cut}
+        profiles.update(head=head, tail=tail)
+        u2 = solve(CostField(graph, profiles), BoundaryData(graph, dict(spec["g"])))
+        want = dict(u.vertex_values, split=u.evaluate(u.graph.point(cut["id"], s)))
+        for v, x in want.items():
+            assert abs(u2.vertex_value(v) - x) <= 1e-12 * max(1.0, abs(x))
