@@ -498,8 +498,8 @@ class Curve:
 
     def __init__(self, graph: MetricGraph, points: Sequence[GraphPoint],
                  edges: Optional[Sequence[str]] = None):
-        if not points:
-            raise InputError("a curve needs at least one point")
+        if len(points) < 2:
+            raise InputError("a curve needs at least two points (got %d)" % len(points))
         for p in points:
             graph.validate_point(p)
         if edges is not None and len(edges) != len(points) - 1:
@@ -524,8 +524,6 @@ class Curve:
         if t < -1e-12 or t > self.length + 1e-12:
             raise InputError("curve time %r outside [0, %r]" % (t, self.length))
         t = min(max(t, 0.0), self.length)
-        if not self.segments:
-            return self.points[0]
         # walk to the segment containing t (segments may have zero length)
         for i, (eid, s0, s1) in enumerate(self.segments):
             if t <= self._cum[i + 1] or i == len(self.segments) - 1:

@@ -42,14 +42,20 @@ class Hamiltonian:
     freely.  ``fn`` is called with ``p`` either a float or a 1-D ndarray
     and must act elementwise in ``p`` (numpy ufuncs such as ``np.maximum``,
     not the builtin ``max``); a value constant in ``p`` may come back as a
-    scalar.  The reduction costs one array call per knot for the sign scan
-    over the probe grid, then about 32 scalar calls for the bisection.
+    scalar.  A slope solve makes one call of ``H`` itself, the sign scan over
+    the probe grid [0, pmax], then about 32 calls of ``fn`` directly for the
+    bisection, each with a Python float p > 0, where the zero-extension
+    cannot act.  ``pmax`` must be finite and positive.
     """
 
     fn: Callable[[GraphPoint, float, Union[float, np.ndarray]], Union[float, np.ndarray]]
     depends_on_r: bool = False
     pmax: float = 1e3
     name: str = ""
+
+    def __post_init__(self):
+        if not 0.0 < self.pmax < math.inf:
+            raise InputError("pmax must be finite and > 0 (got %r)" % (self.pmax,))
 
     def __call__(self, x: GraphPoint, r: float,
                  p: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -66,16 +72,17 @@ def _implicit_slope(H: Hamiltonian, x: GraphPoint, r: float, grid: np.ndarray) -
     """inf{p >= 0 : H(x, r, p) > 0} by sign scan over ``grid`` (one array
     call) + bisection, with the monotonicity probes that justify calling it
     a slope."""
-    positive = np.broadcast_to(H(x, r, grid), grid.shape) > 0.0
-    rise = int(np.argmax(positive))  # first positive; everything before is nonpositive
+    positive = H(x, r, grid) > 0.0
+    if not isinstance(positive, np.ndarray):  # H constant in p
+        positive = np.full(grid.shape, positive)
+    rise = int(positive.argmax())  # first positive; everything before is nonpositive
     if not positive[rise]:
         raise CoercivityProbeFailed(
             "H(x, r, .) never exceeds 0 up to pmax=%g at %r" % (H.pmax, x))
     # a positive value followed by a nonpositive one means H comes back down:
     # not increasing past its zero, so the infimum formula is meaningless
-    drops = np.flatnonzero(~positive[rise:])
-    if drops.size:
-        i = rise + int(drops[0])
+    if not positive[rise:].all():
+        i = rise + int(positive[rise:].argmin())
         raise NonmonotoneHamiltonian(
             "H(x, r, .) drops from positive at p=%g back to nonpositive at p=%g"
             % (grid[i - 1], grid[i]),
@@ -83,10 +90,13 @@ def _implicit_slope(H: Hamiltonian, x: GraphPoint, r: float, grid: np.ndarray) -
     if rise == 0:
         raise NoSubsolution(
             "H(x, r, 0) = %g > 0: constants are not subsolutions at %r" % (H(x, r, 0.0), x))
+    # every midpoint lies strictly inside (grid[rise - 1], grid[rise]), so
+    # p > 0 and H(x, r, mid) is fn(x, r, mid) bit for bit
+    fn = H.fn
     lo, hi = float(grid[rise - 1]), float(grid[rise])
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if H(x, r, mid) > 0.0:
+        if fn(x, r, mid) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -142,6 +152,14 @@ def solve_general(H: Hamiltonian, graph: MetricGraph, data: BoundaryData,
     def slope(x: GraphPoint, r: float) -> float:
         return max(_implicit_slope(H, x, r, grid), fmin)
 
+    def predicted_slope(x: GraphPoint, r: float) -> float:
+        # a predictor may overshoot to an r with H(x, r, 0) > 0, where the
+        # level-set formula gives 0; a settled node's slope still refuses it
+        try:
+            return slope(x, r)
+        except NoSubsolution:
+            return fmin
+
     nodes: List[GraphPoint] = [Vertex(vid) for vid in graph.vertices]
     index = {vid: i for i, vid in enumerate(graph.vertices)}
     links: Dict[int, List[Tuple[int, float]]] = defaultdict(list)
@@ -164,7 +182,7 @@ def solve_general(H: Hamiltonian, graph: MetricGraph, data: BoundaryData,
             hi = h[i] = slope(nodes[i], c)
             for j, gap in links[i]:
                 if j not in h:
-                    cand = c + 0.5 * gap * (hi + slope(nodes[j], c + gap * hi))
+                    cand = c + 0.5 * gap * (hi + predicted_slope(nodes[j], c + gap * hi))
                     if cand < value.get(j, math.inf):
                         value[j] = cand
                         heapq.heappush(heap, (cand, j))
@@ -203,9 +221,9 @@ def kruzkov(u, direction: str = "forward"):
 
 def _f_per_point(field: CostField) -> Callable[[GraphPoint], float]:
     """x -> f(x), computed once for a run of calls at the same point object:
-    the reduction calls H about 33 times per knot, always with that knot's
-    point.  The last point is held by reference, so an identity match cannot
-    come from a new object that reuses its id."""
+    a slope solve calls fn about 33 times, always with that knot's point.
+    The last point is held by reference, so an identity match cannot come
+    from a new object that reuses its id."""
     last_x: Optional[GraphPoint] = None
     last_f = 0.0
 

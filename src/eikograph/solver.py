@@ -16,7 +16,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cost import CostField
 from .errors import InputError
@@ -213,7 +213,7 @@ class SuboptimalityReport:
     n_pairs: int
 
 
-def verify_suboptimality(u: OpticalMap, curves: Optional[Sequence[Curve]] = None,
+def verify_suboptimality(u: OpticalMap, curves: Optional[Iterable[Curve]] = None,
                          rng: Optional[random.Random] = None, n_random: int = 12,
                          times_per_curve: int = 6, tol: Optional[float] = None) -> SuboptimalityReport:
     """Check  u(γ(t1)) - u(γ(t0)) <= ∫_{t0}^{t1} f(γ) ds  for curves γ and
@@ -232,6 +232,7 @@ def verify_suboptimality(u: OpticalMap, curves: Optional[Sequence[Curve]] = None
                 curves.append(random_curve(graph, rng, steps=rng.randrange(3, 9)))
             except InputError:
                 break
+    curves = list(curves)
     max_defect = 0.0
     n_pairs = 0
     local_rng = rng or random.Random(1)
@@ -260,7 +261,7 @@ def verify_suboptimality(u: OpticalMap, curves: Optional[Sequence[Curve]] = None
                 max_defect = max(max_defect, (uvals[j] - uvals[i]) - (fvals[j] - fvals[i]))
                 n_pairs += 1
     return SuboptimalityReport(ok=(max_defect <= tol), tol=tol, max_defect=max_defect,
-                               n_curves=len(list(curves)), n_pairs=n_pairs)
+                               n_curves=len(curves), n_pairs=n_pairs)
 
 
 # ----------------------------------------------------------------------

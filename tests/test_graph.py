@@ -333,6 +333,15 @@ def test_curve_needs_shared_edge():
         Curve(g, [Vertex("l0"), Vertex("l1")])
 
 
+@pytest.mark.parametrize("n_points", [0, 1])
+def test_curve_needs_two_points(interval, n_points):
+    """A one-point curve has no segment; verify_suboptimality indexed its
+    last one and died with an IndexError."""
+    graph, _, _ = interval
+    with pytest.raises(InputError, match="at least two points"):
+        Curve(graph, [graph.point("e", 0.7)] * n_points)
+
+
 def test_curve_hint_selects_parallel_edge():
     g = MetricGraph([("a",), ("b", True)],
                     [("e0", "a", "b", 1.0), ("e1", "a", "b", 5.0)])

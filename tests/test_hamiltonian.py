@@ -129,6 +129,14 @@ def test_coercivity_probe_failure():
         reduce_to_eikonal(out_of_reach, 0.0, graph)
 
 
+@pytest.mark.parametrize("pmax", [0.0, -1.0, math.nan, math.inf])
+def test_pmax_must_be_finite_and_positive(pmax):
+    """0 crashed in np.geomspace, inf reported a drop "at p=inf back to
+    nonpositive at p=nan", nan a ceiling of "pmax=nan"."""
+    with pytest.raises(InputError, match="pmax must be finite and > 0"):
+        Hamiltonian(lambda x, r, p: p - 1.0, pmax=pmax)
+
+
 def test_negative_p_probes_use_zero_extension():
     H = catalog("quadratic")
     x = Vertex("L")
@@ -276,6 +284,39 @@ def test_reduction_builds_the_probe_grid_once_and_scans_each_knot_in_one_call(mo
     assert array_calls == [(hamiltonian_module.PROBE_POINTS,)] * 17
 
 
+@pytest.mark.parametrize("name", ["quadratic", "discounted"])
+def test_each_slope_solve_calls_H_once_and_bisects_on_fn_with_positive_floats(monkeypatch, name):
+    """The array scan is the only Hamiltonian.__call__; the bisection hands
+    fn a Python float p > 0, where H's zero-extension cannot act."""
+    graph, _, data = make_interval()
+    base = catalog(name, CostField(graph, {"e": Linear(0.5, 0.75)}))
+    scalars = []
+
+    def fn(x, r, p):
+        if not isinstance(p, np.ndarray):
+            scalars.append(p)
+        return base.fn(x, r, p)
+
+    H = Hamiltonian(fn, depends_on_r=base.depends_on_r, name=name)
+    solves, h_calls = [], []
+    implicit_slope, h_call = hamiltonian_module._implicit_slope, Hamiltonian.__call__
+
+    def counting_slope(*args):
+        solves.append(args[1])
+        return implicit_slope(*args)
+
+    def counting_call(self, *args):
+        h_calls.append(args[0])
+        return h_call(self, *args)
+
+    monkeypatch.setattr(hamiltonian_module, "_implicit_slope", counting_slope)
+    monkeypatch.setattr(Hamiltonian, "__call__", counting_call)
+    solve_general(H, graph, data, n_knots=17)
+    assert len(solves) >= 17 and h_calls == solves
+    assert len(scalars) >= 30 * len(solves)
+    assert all(type(p) is float and p > 0.0 for p in scalars)
+
+
 @pytest.mark.parametrize("name", ["eikonal-affine", "quadratic"])
 def test_catalog_reduction_reads_f_once_per_knot(monkeypatch, name):
     spec = random_graph_spec(random.Random(3), max_vertices=6, max_extra_edges=4)
@@ -370,6 +411,20 @@ def test_discounted_on_long_intervals_matches_the_closed_form(length, n_knots):
         want = min(-math.expm1(-s), 1.0 - 0.5 * math.exp(-(length - s)))
         worst = max(worst, abs(u.evaluate(graph.point("e", s)) - want))
     assert worst <= 0.5 * (length / (n_knots - 1)) ** 2
+
+
+def test_discounted_predictor_past_the_zero_of_H_takes_slope_zero():
+    """At 3 knots on an edge of length 3 the Heun predictor at the middle
+    knot is 0 + 1.5 · 1 = 1.5, where H(x, 1.5, 0) = 0.5 > 0: the level-set
+    formula gives slope 0 there, where the slope solve once raised
+    NoSubsolution.  A settled node past that zero is still refused."""
+    graph = MetricGraph([("L", True), ("R", True)], [("e", "L", "R", 3.0)])
+    u = solve_general(catalog("discounted"), graph, BoundaryData(graph, {"L": 0.0, "R": 0.0}),
+                      n_knots=3)
+    assert abs(u.evaluate(graph.point("e", 1.5)) + math.expm1(-1.5)) <= 0.5 * 1.5 ** 2
+    with pytest.raises(NoSubsolution):
+        solve_general(catalog("discounted"), graph, BoundaryData(graph, {"L": 1.5, "R": 1.5}),
+                      n_knots=3)
 
 
 def test_discounted_on_random_graphs_matches_the_closed_form():

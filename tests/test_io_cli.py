@@ -566,6 +566,19 @@ def test_cli_reduce_discounted_matches_the_closed_form(tmp_path):
     assert json.loads((tmp_path / "h.json").read_text())["hamiltonian"] == "discounted"
 
 
+def test_cli_reduce_discounted_on_a_coarse_grid(tmp_path):
+    """One edge of length 3 at --quad-knots 3: the Heun predictor overshoots
+    u = 1 at the middle knot, and the run once exited 4 there."""
+    doc = json.loads(TENT_DOC)
+    doc["edges"][0]["length"] = 3.0
+    g = put(tmp_path, "g.json", json.dumps(doc))
+    assert entry(["reduce", g, "--hamiltonian", "discounted", "--quad-knots", "3",
+                  "--out-dir", str(tmp_path)]) == 0
+    graph, field, _ = load_graph(Path(g).read_text())
+    u = load_value_function((tmp_path / "u.json").read_text(), graph, field)
+    assert abs(u.evaluate(graph.point("e", 1.5)) + math.expm1(-1.5)) <= 0.5 * 1.5 ** 2
+
+
 @pytest.mark.parametrize("name", ["nonmono-a", "nonmono-b"])
 def test_cli_reduce_rejects_nonmonotone_hamiltonians(tmp_path, name, capsys):
     g = put(tmp_path, "g.json", TENT_DOC)

@@ -318,6 +318,19 @@ def test_suboptimality_catches_overfast_growth(interval):
     assert rep.max_defect == pytest.approx(1.6, abs=1e-9)
 
 
+def test_suboptimality_reads_a_generator_of_curves_once(interval):
+    """n_curves once read 0 for a generator, counted after the loop had
+    consumed it."""
+    graph, field, data = interval
+    u = solve(field, data)
+    rng = random.Random(4)
+    curves = [random_curve(graph, rng, steps=4) for _ in range(5)]
+    from_list = verify_suboptimality(u, curves=curves, rng=random.Random(9))
+    from_gen = verify_suboptimality(u, curves=(c for c in curves), rng=random.Random(9))
+    assert from_gen == from_list
+    assert from_list.n_curves == 5 and from_list.n_pairs > 0
+
+
 # ----------------------------------------------------------------------
 # boundary modulus
 # ----------------------------------------------------------------------
