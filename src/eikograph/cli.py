@@ -196,8 +196,10 @@ def cmd_verify(args) -> int:
         _write(args.out_dir, "monge.csv", monge_samples_csv(report))
         if not report.ok:
             loc = None if report.worst_point is None else point_to_obj(report.worst_point)
-            print("steepest-descent check failed: worst violation %.17g at %r"
-                  % (report.worst_violation, loc))
+            why = next((" (%s)" % s.reason for s in report.samples
+                        if s.reason and s.point == report.worst_point), "")
+            print("steepest-descent check failed: worst violation %.17g at %r%s"
+                  % (report.worst_violation, loc, why))
             return EXIT_VERIFICATION
         print("steepest-descent check ok (%d samples)" % len(report.samples))
         return EXIT_OK

@@ -22,8 +22,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .cost import CostField
 from .errors import InputError, PreconditionError, VerificationError
-from .graph import (DistanceField, EdgeInterior, GraphPoint, MetricGraph, Vertex,
-                    _as_evaluator, _ComposedDiff)
+from .graph import (DistanceField, EdgeInterior, Germ, GraphPoint, MetricGraph, SeedMap,
+                    Vertex, _as_evaluator, _ComposedDiff)
+from .optical import OpticalMap
 
 #: radius schedule for the sampling estimator: r0 * 2^-k for k = 0..12,
 #: with the reported value the max over the tail k >= TAIL_START.
@@ -134,6 +135,7 @@ class MongeReport:
     tol: float
     worst_violation: float
     worst_point: Optional[GraphPoint]
+    sample_set: str      # "seeded" | "dense" | "given"
     samples: List[MongeSample] = dc_field(default_factory=list)
 
 
@@ -149,6 +151,32 @@ def _monge_default_samples(graph: MetricGraph, n_per_edge: int = 5) -> List[Grap
     return pts
 
 
+def _monge_seeded_samples(u: OpticalMap) -> List[GraphPoint]:
+    """The steepest-descent samples of a seeded map: the interior vertices,
+    then per edge its interior seeds and the crossing of its two endpoint
+    branches, ascending.  Anywhere else inside an edge every branch has
+    slope ±f, so one least branch descends at exactly f and the check holds."""
+    graph = u.graph
+    pts: List[GraphPoint] = [Vertex(vid) for vid, rec in graph.vertices.items()
+                             if not rec.boundary]
+    for eid in sorted(graph.edges):
+        offsets = {s0 for s0, _val in u._interior_seeds.get(eid, ())}
+        kink = u.kink(eid)
+        if kink is not None:
+            offsets.add(kink)
+        pts.extend(EdgeInterior(eid, s) for s in sorted(offsets))
+    return pts
+
+
+def _vertex_jump(u: SeedMap, vid: str, germs: Sequence[Germ]) -> float:
+    """How far u's value at vertex ``vid`` sits above the least branch at it
+    over its incident germs (to a relative 1e-12): 0 for a map that Dijkstra
+    computed, the height of the drop where a table jumps down."""
+    m = min(min(u._branches(germ.edge, germ.base)[0]) for germ in germs)
+    jump = u.vertex_values[vid] - m
+    return jump if jump > 1e-12 * (1.0 + abs(m)) else 0.0
+
+
 def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = None,
                  tol: Optional[float] = None, method: str = "auto",
                  n_radii: int = N_RADII) -> MongeReport:
@@ -161,10 +189,22 @@ def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = N
     the interval [min, max] of the incident f-values: below it the
     supersolution half fails, above it the subsolution half fails.  Boundary
     vertices are outside the equation's jurisdiction and get skipped.
+
+    At a vertex of a seeded map (an OpticalMap, a stored table included) the
+    value must also equal the least branch there: a vertex above it jumps
+    down, which fails the subsolution half by the jump's height.  Without
+    ``points``, such a map over ``field`` checked by its exact slopes is
+    sampled where it can fail (``_monge_seeded_samples``), which makes a
+    pass an exact Bellman certificate for its vertex table; any other
+    candidate gets five points per edge besides the interior vertices.
     """
     graph = field.graph
-    if points is None:
-        points = _monge_default_samples(graph)
+    if points is not None:
+        sample_set = "given"
+    elif method != "sampled" and isinstance(u, OpticalMap) and u.field is field:
+        sample_set, points = "seeded", _monge_seeded_samples(u)
+    else:
+        sample_set, points = "dense", _monge_default_samples(graph)
     if tol is None:
         use_exact = (method == "exact") or (method == "auto" and hasattr(u, "germ_derivative"))
         tol = EXACT_TOL if use_exact else SAMPLED_TOL
@@ -179,24 +219,32 @@ def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = N
                                        math.nan, True, True, reason="boundary vertex"))
             continue
         est = slopes(u, p, graph=graph, method=method, n_radii=n_radii)
+        jump = 0.0
+        reason = ""
         if isinstance(p, Vertex):
-            fvals = [field.germ_value(germ) for germ in graph.germs(p)]
+            germs = graph.germs(p)
+            fvals = [field.germ_value(germ) for germ in germs]
             f_lo, f_hi = min(fvals), max(fvals)
             kind = "vertex"
+            if isinstance(u, SeedMap):
+                jump = _vertex_jump(u, p.id, germs)
+                if jump:
+                    reason = "jump: the vertex sits %.17g above its least incident branch" % jump
         else:
             f_lo = f_hi = field.value_at(p)
             kind = "edge" if abs(est.up - est.down) <= tol else "edge-kink"
-        s_ok = est.down <= f_hi + tol
+        s_ok = est.down <= f_hi + tol and not jump
         p_ok = est.down >= f_lo - tol
-        viol = max(est.down - f_hi, f_lo - est.down, 0.0)
+        viol = max(est.down - f_hi, f_lo - est.down, jump, 0.0)
         if viol > worst:
             worst, worst_point = viol, p
         sub_ok &= s_ok
         super_ok &= p_ok
-        samples.append(MongeSample(p, kind, est.down, f_lo, f_hi, est.down - f_lo, s_ok, p_ok))
+        samples.append(MongeSample(p, kind, est.down, f_lo, f_hi, est.down - f_lo,
+                                   s_ok, p_ok, reason))
     return MongeReport(ok=(sub_ok and super_ok), subsolution_ok=sub_ok,
                        supersolution_ok=super_ok, tol=tol, worst_violation=worst,
-                       worst_point=worst_point, samples=samples)
+                       worst_point=worst_point, sample_set=sample_set, samples=samples)
 
 
 def monge_samples_csv(report: MongeReport) -> str:

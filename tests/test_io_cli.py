@@ -336,6 +336,25 @@ def test_cli_verify_flags_a_perturbed_interior_value(tmp_path, capsys):
     assert "steepest-descent check failed" in capsys.readouterr().out
 
 
+def test_cli_verify_monge_flags_a_raised_vertex(tmp_path, capsys):
+    """A vertex raised above its least incident branch keeps a descending
+    germ at slope f, so only the jump test at the vertex can catch it."""
+    from test_golden_bytes import GRAPH
+    g = put(tmp_path, "g.json", json.dumps(GRAPH))
+    assert entry(["solve", g, "--out-dir", str(tmp_path / "sol")]) == 2
+    doc = json.loads((tmp_path / "sol" / "u.json").read_text())
+    doc["vertices"]["d"] += 0.5
+    bad = put(tmp_path, "raised.json", json.dumps(doc))
+    capsys.readouterr()
+    assert entry(["verify", g, bad, "--mode", "monge",
+                  "--out-dir", str(tmp_path / "rm")]) == 3
+    out = capsys.readouterr().out
+    assert "worst violation 0.5 at {'vertex': 'd'}" in out
+    assert "sits 0.5 above its least incident branch" in out
+    report = json.loads((tmp_path / "rm" / "monge.json").read_text())
+    assert report["sample_set"] == "seeded" and not report["subsolution_ok"]
+
+
 def test_cli_verify_flags_a_perturbed_boundary_value(tmp_path, capsys):
     g, ufile = solve_path3(tmp_path)
     doc = json.loads(Path(ufile).read_text())

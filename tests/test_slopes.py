@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eikograph import (CostField, DistanceTestFunction, EdgeInterior,
-                       InputError, MetricGraph, PreconditionError,
-                       SlopeEstimate, Vertex, VerificationError,
+                       InputError, MetricGraph, OpticalMap, PreconditionError,
+                       SlopeEstimate, StoredSolution, Vertex, VerificationError,
                        distance_test_slope, semiconcave_slope_check, slopes,
                        solve, verify_monge)
+from eikograph.slopes import _monge_default_samples
 from conftest import build_instance, interval_point, make_interval, random_graph_spec
 
 
@@ -160,8 +161,10 @@ def test_monge_accepts_the_solution(interval):
     rep = verify_monge(u, field)
     assert rep.ok and rep.subsolution_ok and rep.supersolution_ok
     assert rep.worst_violation == 0.0
-    kinds = {s.kind for s in rep.samples}
-    assert "edge" in kinds
+    # no interior vertex and no interior seed: a seeded map is sampled at its
+    # one kink, the peak
+    assert rep.sample_set == "seeded"
+    assert [s.point for s in rep.samples] == [interval_point(graph, 0.0)]
 
 
 def test_monge_classifies_the_peak_as_kink(interval):
@@ -219,6 +222,110 @@ def test_monge_vertex_band_uses_incident_f_range():
     assert s.kind == "vertex"
     assert (s.f_lo, s.f_hi) == (1.0, 2.0)
     assert s.sub_ok and s.super_ok, (s.down, s.f_lo, s.f_hi)
+
+
+def bellman_ok(spec, table):
+    """The Bellman conditions on a vertex table, from the spec alone: every
+    interior vertex's value is the least over its incident edges of the far
+    end's value plus the edge's cost, to a relative 1e-12."""
+    offers = {v: [] for v in spec["vertices"]}
+    for e in spec["edges"]:
+        L = e["length"]
+        cost = e["a"] * L + 0.5 * e["b"] * L * L
+        offers[e["src"]].append(table[e["dst"]] + cost)
+        offers[e["dst"]].append(table[e["src"]] + cost)
+    for v in spec["vertices"]:
+        if v in spec["boundary"]:
+            continue
+        m = min(offers[v])
+        if abs(table[v] - m) > 1e-12 * (1.0 + abs(m)):
+            return False
+    return True
+
+
+def doctored_tables(n):
+    """(spec, field, table, raised) for n random graphs with an interior
+    vertex: the solved table, then one interior vertex moved by 1e-3 to 10."""
+    rng = random.Random(97)
+    out = []
+    while len(out) < 2 * n:
+        spec = random_graph_spec(rng, max_vertices=15, max_extra_edges=15)
+        interior = [v for v in spec["vertices"] if v not in spec["boundary"]]
+        if not interior:
+            continue
+        _graph, field, data = build_instance(spec)
+        table = dict(solve(field, data).vertex_values)
+        out.append((spec, field, table, False))
+        moved = dict(table)
+        step = 10.0 ** rng.uniform(-3.0, 1.0)
+        raised = rng.random() < 0.5
+        moved[rng.choice(interior)] += step if raised else -step
+        out.append((spec, field, moved, raised))
+    return out
+
+
+def test_monge_on_a_table_is_the_bellman_check():
+    for spec, field, table, raised in doctored_tables(100):
+        u = StoredSolution(field, table)
+        seeded = verify_monge(u, field)
+        assert seeded.sample_set == "seeded"
+        assert seeded.ok == bellman_ok(spec, table)
+        if raised:
+            assert not seeded.ok
+        dense = verify_monge(u, field, points=_monge_default_samples(field.graph))
+        assert dense.sample_set == "given"
+        assert seeded.ok <= dense.ok
+
+
+def test_monge_rejects_a_map_with_an_extra_low_interior_seed():
+    """A seed inside an edge, below the solution there but high enough that
+    every boundary value stays attained: an almost-everywhere solution
+    whose only failure is the local minimum at the seed."""
+    rng = random.Random(60)
+    found = 0
+    while found < 60:
+        spec = random_graph_spec(rng, max_vertices=15, max_extra_edges=15)
+        graph, field, data = build_instance(spec)
+        u = solve(field, data)
+        eid = rng.choice(sorted(graph.edges))
+        p = graph.point(eid, rng.uniform(0.05, 0.95) * graph.edges[eid].length)
+        to_p = OpticalMap(field, {p: 0.0}).vertex_values
+        lo = max(u.vertex_values[b] - to_p[b] for b in spec["boundary"])
+        hi = u.evaluate(p)
+        if hi - lo < 1e-6:
+            continue
+        seeds = {Vertex(b): g for b, g in data.items()}
+        seeds[p] = 0.5 * (lo + hi)
+        dip = OpticalMap(field, seeds)
+        assert all(dip.vertex_values[b] == u.vertex_values[b] for b in spec["boundary"])
+        rep = verify_monge(dip, field)
+        assert not rep.ok and not rep.supersolution_ok
+        assert [s.point for s in rep.samples if not s.super_ok] == [p]
+        found += 1
+
+
+def test_monge_at_scale_samples_interior_vertices_and_kinks():
+    spec = random_graph_spec(random.Random(5), max_vertices=3000, max_extra_edges=6000)
+    graph, field, data = build_instance(spec)
+    u = solve(field, data)
+    rep = verify_monge(u, field)
+    interior = [v for v, rec in graph.vertices.items() if not rec.boundary]
+    kinks = sum(u.kink(eid) is not None for eid in graph.edges)
+    assert rep.ok and rep.sample_set == "seeded"
+    assert len(rep.samples) == len(interior) + kinks == 8429
+    table = dict(u.vertex_values)
+    table[interior[0]] += 1e-3
+    bad = verify_monge(StoredSolution(field, table), field)
+    assert not bad.ok
+    (at_v,) = [s for s in bad.samples if s.point == Vertex(interior[0])]
+    assert not at_v.sub_ok and "above its least incident branch" in at_v.reason
+
+
+def test_monge_sampled_method_keeps_the_dense_set(interval):
+    graph, field, data = interval
+    u = solve(field, data)
+    assert verify_monge(u, field, method="sampled").sample_set == "dense"
+    assert verify_monge(PlainFn(graph, u.evaluate), field).sample_set == "dense"
 
 
 # ----------------------------------------------------------------------
