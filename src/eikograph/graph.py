@@ -13,6 +13,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import random
@@ -386,6 +387,17 @@ class DistanceField(SeedMap):
         return float(self.germ_sign(germ))
 
 
+def _default_samples(graph: MetricGraph, n_per_edge: int = 3) -> List[GraphPoint]:
+    """The interior vertices, then ``n_per_edge`` evenly spaced points inside
+    each edge, in graph order."""
+    pts: List[GraphPoint] = [Vertex(vid) for vid, rec in graph.vertices.items()
+                             if not rec.boundary]
+    for eid, rec in graph.edges.items():
+        for k in range(1, n_per_edge + 1):
+            pts.append(EdgeInterior(eid, rec.length * k / (n_per_edge + 1)))
+    return pts
+
+
 def _as_evaluator(u: Union[float, Callable[[GraphPoint], float]]) -> Callable[[GraphPoint], float]:
     """p -> u(p) for a number (a constant function), an object with
     ``evaluate``, or a plain callable."""
@@ -519,31 +531,30 @@ class Curve:
     def length(self) -> float:
         return self._cum[-1]
 
+    def locate(self, t: float) -> Tuple[int, float]:
+        """The segment k that holds curve time t (the later one at a
+        breakpoint) and the edge offset of time t on it."""
+        k = min(max(bisect.bisect_right(self._cum, t) - 1, 0), len(self.segments) - 1)
+        _eid, s0, s1 = self.segments[k]
+        step = t - self._cum[k]
+        s = s0 + (step if s1 >= s0 else -step)
+        return k, min(max(s, min(s0, s1)), max(s0, s1))
+
     def point_at(self, t: float) -> GraphPoint:
         """Arc-length parametrization: the point at curve time t in [0, length]."""
         if t < -1e-12 or t > self.length + 1e-12:
             raise InputError("curve time %r outside [0, %r]" % (t, self.length))
-        t = min(max(t, 0.0), self.length)
-        # walk to the segment containing t (segments may have zero length)
-        for i, (eid, s0, s1) in enumerate(self.segments):
-            if t <= self._cum[i + 1] or i == len(self.segments) - 1:
-                local = t - self._cum[i]
-                seg_len = abs(s1 - s0)
-                if seg_len == 0.0:
-                    return self.points[i + 1]
-                s = s0 + math.copysign(1.0, s1 - s0) * min(local, seg_len)
-                return self.graph.point(eid, min(max(s, 0.0), self.graph.edge(eid).length))
-        return self.points[-1]
+        k, s = self.locate(t)
+        return self.graph.point(self.segments[k][0], s)
 
     def times(self) -> List[float]:
         """Curve times of the polyline breakpoints."""
         return list(self._cum)
 
 
-def random_curve(graph: MetricGraph, rng: random.Random, steps: int = 6,
-                 avoid_boundary: bool = True) -> Curve:
-    """A random wandering polyline, avoiding boundary vertices entirely when
-    ``avoid_boundary`` (so it stays inside the open domain)."""
+def random_curve(graph: MetricGraph, rng: random.Random, steps: int = 6) -> Curve:
+    """A random wandering polyline that avoids boundary vertices entirely, so
+    it stays inside the open domain."""
     eids = sorted(graph.edges)
     for _attempt in range(64):
         eid = eids[rng.randrange(len(eids))]
@@ -559,7 +570,7 @@ def random_curve(graph: MetricGraph, rng: random.Random, steps: int = 6,
                 target_vid, vertex_s = rec.dst, rec.length
             else:
                 target_vid, vertex_s = rec.src, 0.0
-            if graph.vertices[target_vid].boundary and avoid_boundary:
+            if graph.vertices[target_vid].boundary:
                 # stop short of the boundary vertex
                 ns = cur_s + (vertex_s - cur_s) * rng.uniform(0.3, 0.9)
                 if 0.0 < ns < rec.length and ns != cur_s:
@@ -587,8 +598,6 @@ def random_curve(graph: MetricGraph, rng: random.Random, steps: int = 6,
             pts.append(EdgeInterior(neid, ns))
             hints.append(neid)
             cur_eid, cur_s = neid, ns
-        if len(pts) >= 2:
-            ok = all(not graph.is_boundary(p) for p in (pts if avoid_boundary else pts[1:-1]))
-            if ok:
-                return Curve(graph, pts, hints)
+        if len(pts) >= 2 and not any(graph.is_boundary(p) for p in pts):
+            return Curve(graph, pts, hints)
     raise InputError("could not sample a curve avoiding the boundary; is every vertex a boundary vertex?")

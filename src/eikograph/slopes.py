@@ -16,14 +16,13 @@ sense when |∇⁻u| = f away from the boundary.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .cost import CostField
 from .errors import InputError, PreconditionError, VerificationError
 from .graph import (DistanceField, EdgeInterior, Germ, GraphPoint, MetricGraph, SeedMap,
-                    Vertex, _as_evaluator, _ComposedDiff)
+                    Vertex, _as_evaluator, _ComposedDiff, _default_samples)
 from .optical import OpticalMap
 
 #: radius schedule for the sampling estimator: r0 * 2^-k for k = 0..12,
@@ -64,14 +63,12 @@ def _resolve_graph(u, graph: Optional[MetricGraph]) -> MetricGraph:
 
 
 def slopes(u, x: GraphPoint, graph: Optional[MetricGraph] = None,
-           method: str = "auto", n_radii: int = N_RADII) -> SlopeEstimate:
+           method: str = "auto") -> SlopeEstimate:
     """Slope triple of ``u`` at ``x``.
 
     ``method`` is "exact" (one-sided germ derivatives; requires the function
     to expose ``germ_derivative``), "sampled" (shrinking-radius quotients
     needing only point evaluation), or "auto" to prefer exact when available.
-    ``n_radii`` sizes the sampled schedule; the reported values come from its
-    last five radii.
     """
     g = _resolve_graph(u, graph)
     g.validate_point(x)
@@ -88,16 +85,13 @@ def slopes(u, x: GraphPoint, graph: Optional[MetricGraph] = None,
         return SlopeEstimate(x, max(up, down), up, down, "exact-directional")
     if method != "sampled":
         raise InputError("unknown slope method %r" % method)
-    if n_radii < 1:
-        raise InputError("n_radii must be >= 1 (got %r)" % n_radii)
     r0 = g.half_min_incident(x)
-    radii = tuple(r0 * 2.0 ** (-k) for k in range(n_radii))
-    tail_start = max(0, n_radii - (N_RADII - TAIL_START))
+    radii = tuple(r0 * 2.0 ** (-k) for k in range(N_RADII))
     ueval = _as_evaluator(u)
     ux = ueval(x)
     germs = g.germs(x)
     up = down = 0.0
-    for k in range(tail_start, n_radii):
+    for k in range(TAIL_START, N_RADII):
         for germ in germs:
             t = min(radii[k], g.germ_available(germ))
             if t <= 0.0:
@@ -139,18 +133,6 @@ class MongeReport:
     samples: List[MongeSample] = dc_field(default_factory=list)
 
 
-def _monge_default_samples(graph: MetricGraph, n_per_edge: int = 5) -> List[GraphPoint]:
-    pts: List[GraphPoint] = []
-    for vid, rec in graph.vertices.items():
-        if not rec.boundary:
-            pts.append(Vertex(vid))
-    for eid in sorted(graph.edges):
-        L = graph.edges[eid].length
-        for k in range(1, n_per_edge + 1):
-            pts.append(EdgeInterior(eid, L * k / (n_per_edge + 1)))
-    return pts
-
-
 def _monge_seeded_samples(u: OpticalMap) -> List[GraphPoint]:
     """The steepest-descent samples of a seeded map: the interior vertices,
     then per edge its interior seeds and the crossing of its two endpoint
@@ -178,8 +160,7 @@ def _vertex_jump(u: SeedMap, vid: str, germs: Sequence[Germ]) -> float:
 
 
 def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = None,
-                 tol: Optional[float] = None, method: str = "auto",
-                 n_radii: int = N_RADII) -> MongeReport:
+                 tol: Optional[float] = None, method: str = "auto") -> MongeReport:
     """Check |∇⁻u| = f where u should solve, inequality-style where it can't.
 
     At an interior point strictly inside an edge where the two one-sided
@@ -204,7 +185,7 @@ def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = N
     elif method != "sampled" and isinstance(u, OpticalMap) and u.field is field:
         sample_set, points = "seeded", _monge_seeded_samples(u)
     else:
-        sample_set, points = "dense", _monge_default_samples(graph)
+        sample_set, points = "dense", _default_samples(graph, 5)
     if tol is None:
         use_exact = (method == "exact") or (method == "auto" and hasattr(u, "germ_derivative"))
         tol = EXACT_TOL if use_exact else SAMPLED_TOL
@@ -215,10 +196,10 @@ def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = N
     for p in points:
         graph.validate_point(p)
         if graph.is_boundary(p):
-            samples.append(MongeSample(p, "skipped", math.nan, math.nan, math.nan,
-                                       math.nan, True, True, reason="boundary vertex"))
+            samples.append(MongeSample(p, "skipped", 0.0, 0.0, 0.0, 0.0, True, True,
+                                       reason="boundary vertex"))
             continue
-        est = slopes(u, p, graph=graph, method=method, n_radii=n_radii)
+        est = slopes(u, p, graph=graph, method=method)
         jump = 0.0
         reason = ""
         if isinstance(p, Vertex):

@@ -12,7 +12,6 @@ modulus, and the compatibility condition on g that separates the two.
 """
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -20,8 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cost import CostField
 from .errors import InputError
-from .graph import (Curve, EdgeInterior, GraphPoint, MetricGraph, SeedMap, Vertex,
-                    _unit_segment, random_curve)
+from .graph import Curve, GraphPoint, MetricGraph, Vertex, _default_samples, random_curve
 from .optical import OpticalMap, optical_length
 
 
@@ -130,17 +128,6 @@ class DPPReport:
     samples: List[DPPSample] = dc_field(default_factory=list)
 
 
-def _default_samples(graph: MetricGraph, n_per_edge: int = 3) -> List[GraphPoint]:
-    pts: List[GraphPoint] = []
-    for vid, rec in graph.vertices.items():
-        if not rec.boundary:
-            pts.append(Vertex(vid))
-    for eid, rec in graph.edges.items():
-        for k in range(1, n_per_edge + 1):
-            pts.append(EdgeInterior(eid, rec.length * k / (n_per_edge + 1)))
-    return pts
-
-
 def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
                tau: Optional[float] = None, tol: Optional[float] = None) -> DPPReport:
     """Check the exact dynamic programming principle
@@ -150,8 +137,9 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
     with the minimum taken over walks of arc length min(tau_x, germ length
     available) along every germ at x.  For the optimal-control value this
     holds with equality; for a strict supersolution-side failure the residual
-    goes negative.  Interior points whose chosen radius reaches the boundary
-    region are recorded as skipped, not silently passed.
+    goes negative.  Boundary points are recorded as skipped.  A walk runs
+    along one edge, so it can stop on a boundary vertex but never pass one,
+    and every other point is checked at any radius.
     """
     graph = u.graph
     field = u.field
@@ -161,10 +149,6 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
         tol = field.default_tol()
     if points is None:
         points = _default_samples(graph)
-    # d(·, ∂), from one unit-cost map seeded at the whole boundary
-    bids = graph.boundary_ids
-    to_boundary = (SeedMap(graph, {Vertex(b): 0.0 for b in bids}, _unit_segment, graph._length)
-                   if bids else None)
     samples: List[DPPSample] = []
     max_defect = 0.0
     ok = True
@@ -174,11 +158,6 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
             samples.append(DPPSample(p, 0.0, 0.0, skipped=True, reason="boundary point"))
             continue
         tau_x = tau if tau is not None else graph.half_min_incident(p)
-        dist_b = to_boundary._value(p) if to_boundary else math.inf
-        if tau_x > dist_b:
-            samples.append(DPPSample(p, tau_x, 0.0, skipped=True,
-                                     reason="radius %g exceeds distance %g to the boundary" % (tau_x, dist_b)))
-            continue
         ux = u.evaluate(p)
         best = math.inf
         for germ in graph.germs(p):
@@ -204,6 +183,10 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
 # sub-optimality along curves
 # ----------------------------------------------------------------------
 
+#: random times drawn on each curve besides its breakpoints
+TIMES_PER_CURVE = 6
+
+
 @dataclass
 class SuboptimalityReport:
     ok: bool
@@ -215,7 +198,7 @@ class SuboptimalityReport:
 
 def verify_suboptimality(u: OpticalMap, curves: Optional[Iterable[Curve]] = None,
                          rng: Optional[random.Random] = None, n_random: int = 12,
-                         times_per_curve: int = 6, tol: Optional[float] = None) -> SuboptimalityReport:
+                         tol: Optional[float] = None) -> SuboptimalityReport:
     """Check  u(γ(t1)) - u(γ(t0)) <= ∫_{t0}^{t1} f(γ) ds  for curves γ and
     time pairs t0 <= t1.  The value function satisfies this along *every*
     curve (it is 1-Lipschitz for the optical metric), so random wandering
@@ -237,8 +220,8 @@ def verify_suboptimality(u: OpticalMap, curves: Optional[Iterable[Curve]] = None
     n_pairs = 0
     local_rng = rng or random.Random(1)
     for curve in curves:
-        ts = sorted(set(curve.times()) | {curve.length * local_rng.random() for _ in range(times_per_curve)})
-        bkpts = curve.times()
+        ts = sorted(set(curve.times()) | {curve.length * local_rng.random()
+                                          for _ in range(TIMES_PER_CURVE)})
         # Cumulative running cost at the curve's breakpoints, computed once;
         # each query time then needs a single partial-edge integral, and the
         # pair loop below is plain arithmetic on cached arrays.
@@ -247,15 +230,11 @@ def verify_suboptimality(u: OpticalMap, curves: Optional[Iterable[Curve]] = None
             csum.append(csum[-1] + field.edge_cost(eid, s0, s1))
         fvals = []
         uvals = []
-        last = len(curve.segments) - 1
         for t in ts:
-            k = min(max(bisect.bisect_right(bkpts, t) - 1, 0), last)
-            eid, s0, s1 = curve.segments[k]
-            step = t - bkpts[k]
-            s = s0 + (step if s1 >= s0 else -step)
-            s = min(max(s, min(s0, s1)), max(s0, s1))
+            k, s = curve.locate(t)
+            eid, s0, _s1 = curve.segments[k]
             fvals.append(csum[k] + field.edge_cost(eid, s0, s))
-            uvals.append(u.evaluate(curve.point_at(t)))
+            uvals.append(u.evaluate(graph.point(eid, s)))
         for i in range(len(ts)):
             for j in range(i + 1, len(ts)):
                 max_defect = max(max_defect, (uvals[j] - uvals[i]) - (fvals[j] - fvals[i]))

@@ -362,6 +362,23 @@ def test_curve_self_loop_full_traversal():
     assert c.point_at(1.0) == EdgeInterior("loop", 1.0)
 
 
+def test_point_at_a_breakpoint_is_the_polyline_point():
+    """Curve time t of breakpoint i maps back to points[i] exactly, not to a
+    point an ulp off it.  The last breakpoint is left out: its time is a sum
+    of segment lengths, which need not land on the end offset."""
+    rng = random.Random(17)
+    n = 0
+    while n < 200:
+        graph, _, _ = build_instance(random_graph_spec(rng, max_vertices=10, max_extra_edges=8))
+        try:
+            c = random_curve(graph, rng, steps=rng.randrange(3, 9))
+        except InputError:
+            continue
+        n += 1
+        for t, p in list(zip(c.times(), c.points))[:-1]:
+            assert c.point_at(t) == p
+
+
 @given(st.integers(0, 5_000))
 def test_random_curve_avoids_boundary_vertices(seed):
     rng = random.Random(seed)

@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 from eikograph import (CostField, DistanceTestFunction, EdgeInterior,
                        InputError, MetricGraph, OpticalMap, PreconditionError,
                        SlopeEstimate, StoredSolution, Vertex, VerificationError,
-                       distance_test_slope, semiconcave_slope_check, slopes,
-                       solve, verify_monge)
-from eikograph.slopes import _monge_default_samples
+                       distance_test_slope, dump_json, semiconcave_slope_check,
+                       slopes, solve, verify_monge)
+from eikograph.graph import _default_samples
 from conftest import build_instance, interval_point, make_interval, random_graph_spec
 
 
@@ -183,6 +183,7 @@ def test_monge_skips_boundary_vertices(interval):
     assert rep.samples[0].kind == "skipped"
     assert rep.samples[0].reason == "boundary vertex"
     assert rep.ok
+    assert "null" not in dump_json(rep.samples[0])
 
 
 def test_monge_convex_kink_fails_supersolution_with_unit_residual(interval):
@@ -272,7 +273,7 @@ def test_monge_on_a_table_is_the_bellman_check():
         assert seeded.ok == bellman_ok(spec, table)
         if raised:
             assert not seeded.ok
-        dense = verify_monge(u, field, points=_monge_default_samples(field.graph))
+        dense = verify_monge(u, field, points=_default_samples(field.graph, 5))
         assert dense.sample_set == "given"
         assert seeded.ok <= dense.ok
 
