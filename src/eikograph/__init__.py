@@ -1,7 +1,6 @@
 """Solver and verification toolkit for |∇u| = f on metric graphs."""
 
-from .cost import (Constant, CostField, Linear, Samples, path_integral,
-                   resample_profile)
+from .cost import Constant, CostField, Linear, Samples
 from .ekeland import EkelandRecord, ekeland_maximize, ekeland_point
 from .errors import (CoercivityProbeFailed, EikographError, GraphFormatError, HamiltonianRejection,
                      InputError, NonmonotoneHamiltonian, NoSubsolution, PreconditionError,
@@ -41,8 +40,8 @@ __all__ = [
     "ekeland_maximize", "ekeland_point", "graph_to_dict",
     "kruzkov", "limit_profile", "load_graph", "load_value_function", "logcosh",
     "monge_samples_csv", "optical_length", "parse_value_vector",
-    "path_integral", "point_from_obj", "point_to_obj", "profile_csv", "random_curve", "reduce_to_eikonal",
-    "render_svg", "resample_profile", "semiconcave_slope_check", "slopes", "solve",
+    "point_from_obj", "point_to_obj", "profile_csv", "random_curve", "reduce_to_eikonal",
+    "render_svg", "semiconcave_slope_check", "slopes", "solve",
     "solve_general", "uniform_grid", "verify_dpp", "verify_monge",
     "verify_suboptimality", "viscous_solution", "weak_solution_zoo", "zoo_zero_set",
 ]

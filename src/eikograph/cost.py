@@ -15,9 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple, Union
 
-import numpy as np
-
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .graph import EdgeInterior, GraphPoint, MetricGraph
 
 
@@ -252,22 +250,3 @@ class CostField:
         looser when sampled profiles force quadrature-grade arithmetic."""
         sampled = any(isinstance(p, Samples) for p in self.profiles.values())
         return 1e-6 if sampled else 1e-9
-
-
-def path_integral(field: CostField, curve) -> float:
-    """∫_curve f ds for a polyline curve."""
-    total = 0.0
-    for eid, s0, s1 in curve.segments:
-        total += field.edge_cost(eid, s0, s1)
-    return total
-
-
-def resample_profile(field: CostField, eid: str, n_knots: int) -> Samples:
-    """A Samples snapshot of any profile on a uniform knot grid."""
-    if n_knots < 2:
-        raise PreconditionError("need at least 2 knots")
-    rec = field.graph.edge(eid)
-    ks = np.linspace(0.0, rec.length, n_knots)
-    prof = field.profiles[eid]
-    vs = [prof.at(float(s), rec.length) for s in ks]
-    return Samples(tuple(float(s) for s in ks), tuple(vs))

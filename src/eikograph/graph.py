@@ -533,9 +533,12 @@ class Curve:
 
     def locate(self, t: float) -> Tuple[int, float]:
         """The segment k that holds curve time t (the later one at a
-        breakpoint) and the edge offset of time t on it."""
+        breakpoint) and the edge offset of time t on it: the segment's end
+        itself from its end time on, so the curve ends at its last point."""
         k = min(max(bisect.bisect_right(self._cum, t) - 1, 0), len(self.segments) - 1)
         _eid, s0, s1 = self.segments[k]
+        if t >= self._cum[k + 1]:
+            return k, s1
         step = t - self._cum[k]
         s = s0 + (step if s1 >= s0 else -step)
         return k, min(max(s, min(s0, s1)), max(s0, s1))

@@ -19,7 +19,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cost import CostField
 from .errors import InputError
-from .graph import Curve, GraphPoint, MetricGraph, Vertex, _default_samples, random_curve
+from .graph import (Curve, GraphPoint, MetricGraph, SeedMap, Vertex, _default_samples,
+                    random_curve)
 from .optical import OpticalMap, optical_length
 
 
@@ -165,10 +166,7 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
             if t <= 0.0:
                 continue
             y = graph.germ_point(germ, t)
-            if germ.sign > 0:
-                run = field.edge_cost(germ.edge, germ.base, germ.base + t)
-            else:
-                run = field.edge_cost(germ.edge, germ.base - t, germ.base)
+            run = field.edge_cost(germ.edge, germ.base, germ.base + germ.sign * t)
             best = min(best, run + u.evaluate(y))
         residual = best - ux
         defect = abs(residual)
@@ -263,12 +261,18 @@ def _lipschitz_of_g(graph: MetricGraph, data: BoundaryData) -> float:
     bids = graph.boundary_ids
     best = 0.0
     for i, a in enumerate(bids[:-1]):  # the last vertex has no later partner
-        dv = graph.shortest_from_seeds({a: 0.0}, graph._length)
         for b in bids[i + 1:]:
-            d = dv[b]
+            d = graph.distance(Vertex(a), Vertex(b))
             if d > 0:
                 best = max(best, abs(data[a] - data[b]) / d)
     return best
+
+
+def _cone(graph: MetricGraph, values: Dict[str, float], c: float) -> SeedMap:
+    """p -> min over boundary y of (values[y] + c · d(y, p))."""
+    return SeedMap(graph, {Vertex(vid): v for vid, v in values.items()},
+                   lambda eid, s0, s1: c * abs(s1 - s0),
+                   lambda eid: c * graph.edges[eid].length)
 
 
 def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = None,
@@ -282,11 +286,16 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     the violated vertices, so then only the one-sided bound is asserted.
     ``tol`` defaults to 1e-9.
 
-    Cost, in Dijkstra runs over the vertices with B boundary vertices: one
-    per boundary vertex for the pairs (the loop is boundary-major, so every
-    distance from one vertex reads the map ``graph.distance`` keeps for its
-    last source), B - 1 for Lip g, and the compatibility check's own runs.
-    The number of points does not enter.
+    The worst pair for a point x is read off a cone map: the largest
+    u(x) - g(y) - C d(x, y) over y is u(x) - min over y of (g(y) + C d(y, x)),
+    and that minimum is one map seeded with g at cost C per unit length.  The
+    two-sided bound reads two such maps at cost K = 2 sup f + 2 Lip g, seeded
+    with g and with -g.  Every pair is covered (``n_checked`` counts them) by
+    one evaluation per point and map.
+
+    Cost, in Dijkstra runs over the vertices with B boundary vertices: B - 1
+    for Lip g, one cone map (three when g is compatible), and the
+    compatibility check's own runs.  The number of points does not enter.
     """
     if tol is None:
         tol = 1e-9
@@ -296,28 +305,22 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     supf = field.sup_value()
     lipg = _lipschitz_of_g(graph, data)
     upper_c = max(supf, lipg)
+    modulus_c = 2.0 * supf + 2.0 * lipg
     comp = check_compatibility(field, data).ok
     if points is None:
         points = _default_samples(graph)
         points += [Vertex(vid) for vid in graph.boundary_ids]
-    points = list(points)
-    uvals = [u.evaluate(p) for p in points]
-    max_upper = -math.inf
-    max_abs = -math.inf
-    for vid in graph.boundary_ids:
-        y = Vertex(vid)
-        g = data[vid]
-        for p, ux in zip(points, uvals):
-            d = graph.distance(y, p)
-            max_upper = max(max_upper, (ux - g) - upper_c * d)
-            if comp:
-                bound = 2.0 * supf * d + lipg * 2.0 * d
-                max_abs = max(max_abs, abs(ux - g) - bound)
+    uvals = [(p, u.evaluate(p)) for p in points]
+    upper = _cone(graph, data.values, upper_c)
+    max_upper = max((ux - upper.evaluate(p) for p, ux in uvals), default=-math.inf)
+    max_abs = math.nan
+    if comp:
+        above = _cone(graph, data.values, modulus_c)
+        below = _cone(graph, {vid: -g for vid, g in data.items()}, modulus_c)
+        max_abs = max((max(ux - above.evaluate(p), -below.evaluate(p) - ux)
+                       for p, ux in uvals), default=-math.inf)
     ok = max_upper <= tol and (not comp or max_abs <= tol)
-    return BoundaryModulusReport(ok=ok, upper_constant=upper_c,
-                                 modulus_constant=2.0 * supf + 2.0 * lipg,
-                                 compatible=comp,
-                                 max_upper_defect=max_upper,
-                                 max_abs_defect=(max_abs if comp else math.nan),
-                                 n_checked=len(points) * len(graph.boundary_ids))
-
+    return BoundaryModulusReport(ok=ok, upper_constant=upper_c, modulus_constant=modulus_c,
+                                 compatible=comp, max_upper_defect=max_upper,
+                                 max_abs_defect=max_abs,
+                                 n_checked=len(uvals) * len(graph.boundary_ids))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import pathlib
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -24,6 +25,18 @@ settings.register_profile(
     settings(derandomize=True, deadline=None, max_examples=25,
              suppress_health_check=[HealthCheck.too_slow]))
 settings.load_profile("suite")
+
+
+def pytest_collection_modifyitems(items):
+    """A test under ``tests/`` that leaks a file handle fails: its
+    ResourceWarning is an error, and so is the unraisable-exception warning
+    it becomes when the handle is closed by the garbage collector."""
+    here = pathlib.Path(__file__).resolve().parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::pytest.PytestUnraisableExceptionWarning"))
 
 
 # ----------------------------------------------------------------------

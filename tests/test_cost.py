@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eikograph import (Constant, CostField, Curve, Germ, InputError, Linear,
-                       MetricGraph, Samples, Vertex, path_integral,
-                       resample_profile)
+from eikograph import Constant, CostField, InputError, Linear, MetricGraph, Samples, Vertex
 from conftest import make_interval
 
 
@@ -147,22 +145,6 @@ def test_field_bounds_and_tolerances(interval):
     sampled = CostField(graph, {"e": Samples((0.0, 2.0), (1.0, 2.0))})
     assert sampled.default_tol() == 1e-6
     assert sampled.sup_value() == 2.0
-
-
-def test_path_integral_on_interval(interval):
-    graph, field, _ = interval
-    c = Curve(graph, [Vertex("L"), graph.point("e", 1.2), graph.point("e", 0.4)])
-    assert path_integral(field, c) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_resample_profile_tracks_original(interval):
-    graph, _, _ = interval
-    field = CostField(graph, {"e": Linear(1.0, 0.5)})
-    snap = resample_profile(field, "e", 65)
-    rng = random.Random(0)
-    for _ in range(20):
-        s = rng.uniform(0.0, 2.0)
-        assert snap.at(s, 2.0) == pytest.approx(1.0 + 0.5 * s, abs=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -430,16 +430,16 @@ def test_cli_solve_runs_one_dijkstra_on_compatible_data(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 3, 10, 11, 20, 29])
 def test_modulus_runs_one_dijkstra_per_boundary_vertex_whatever_the_point_count(monkeypatch, seed):
-    """B boundary vertices: B runs for the pairwise distances, B - 1 for
-    Lip g (the last vertex has no later partner) and the compatibility
-    check's own runs (seeds 10 and 20 have incompatible data, so those
-    include witness searches), for a point set and one about three times
-    its size.  Each count is taken on a freshly built graph, whose distance
-    map holds no earlier source."""
+    """B boundary vertices: B - 1 runs for Lip g (the last vertex has no
+    later partner), one cone map, two more when g is compatible, and the
+    compatibility check's own runs (seeds 10 and 20 have incompatible data,
+    so those include witness searches), for a point set and one about three
+    times its size.  Each count is taken on a freshly built graph, whose
+    distance map holds no earlier source."""
     spec = random_graph_spec(random.Random(seed), max_vertices=14, max_extra_edges=12)
     runs = _count_dijkstras(monkeypatch)
     _, field, data = build_instance(spec)
-    check_compatibility(field, data)
+    compatible = check_compatibility(field, data).ok
     n_compat = len(runs)
     for scale in (1, 3):
         graph, field, data = build_instance(spec)
@@ -449,8 +449,9 @@ def test_modulus_runs_one_dijkstra_per_boundary_vertex_whatever_the_point_count(
         runs.clear()
         rep = boundary_modulus(u, points=points)
         B = len(graph.boundary_ids)
+        assert rep.compatible == compatible
         assert rep.n_checked == len(points) * B
-        assert len(runs) == B + (B - 1) + n_compat
+        assert len(runs) == (B - 1) + (3 if compatible else 1) + n_compat
 
 
 def _point_major_modulus(u, points=None, tol=1e-9):
@@ -488,19 +489,29 @@ def _report_fields(rep):
             for v in dataclasses.astuple(rep)]
 
 
+def _sampled_instance(spec: dict):
+    """The spec's instance with each linear profile sampled at 9 knots."""
+    graph, _, data = build_instance(spec)
+    profiles = {}
+    for e in spec["edges"]:
+        knots = [e["length"] * k / 8 for k in range(9)]
+        profiles[e["id"]] = Samples(knots, [e["a"] + e["b"] * s for s in knots])
+    return graph, CostField(graph, profiles), data
+
+
 def test_modulus_report_equals_the_point_major_loop_on_random_graphs():
-    """The boundary-major pair loop sums each distance from the other end,
-    and on a solver output every report field still equals the point-major
-    loop's with ``==``: both maxima sit at pairs whose distance is exact."""
+    """The cone maps sum each C·d from the boundary end, and on a solver
+    output every report field still equals the point-major loop's with
+    ``==``, for linear profiles and for their samples: both maxima sit at
+    pairs whose distance is exact."""
     rng = random.Random(20261018)
     seen = {"incompatible": 0, "self-loop": 0, "parallel": 0}
     for _ in range(48):
         spec = random_graph_spec(rng, max_vertices=24, max_extra_edges=30)
-        graph, field, data = build_instance(spec)
-        u = solve(field, data)
-        want = _point_major_modulus(u)
-        got = boundary_modulus(u)
-        assert _report_fields(got) == _report_fields(want)
+        for make in (build_instance, _sampled_instance):
+            u = solve(*make(spec)[1:])
+            got = boundary_modulus(u)
+            assert _report_fields(got) == _report_fields(_point_major_modulus(u))
         seen["incompatible"] += not got.compatible
         ends = [tuple(sorted((e["src"], e["dst"]))) for e in spec["edges"]]
         seen["self-loop"] += any(a == b for a, b in ends)
@@ -509,33 +520,41 @@ def test_modulus_report_equals_the_point_major_loop_on_random_graphs():
 
 
 def test_modulus_report_matches_the_point_major_loop_on_doctored_tables():
-    """On a table raised far above the value at one interior vertex the
-    worst pair can span several edges, and a distance summed from the other
-    end may differ in its last bits: the defects then agree to a relative
-    1e-13, every other field with ``==``."""
+    """On a table raised or lowered by 20 at one interior vertex the worst
+    pair can span several edges, and C·d summed edge by edge from the
+    boundary may differ in its last bits from C times a distance: the
+    defects then agree to a relative 1e-13, every other field with ``==``,
+    for linear profiles and for their samples.  A raised table fails the
+    upper bound, a lowered one the lower side of the two-sided bound."""
     rng = random.Random(7)
-    n_failed = 0
+    n_failed = {20.0: 0, -20.0: 0}
     for _ in range(40):
         spec = random_graph_spec(rng, max_vertices=24, max_extra_edges=30)
-        graph, field, data = build_instance(spec)
-        inner = [vid for vid, rec in graph.vertices.items() if not rec.boundary]
+        inner = [v for v in spec["vertices"] if v not in spec["boundary"]]
         if not inner:
             continue
-        table = dict(solve(field, data).vertex_values)
-        table[rng.choice(inner)] += 20.0
-        bad = StoredSolution(field, table, data=data)
-        want = _point_major_modulus(bad)
-        got = boundary_modulus(bad)
-        assert got.ok == want.ok
-        n_failed += not got.ok
-        assert (got.upper_constant, got.modulus_constant, got.compatible, got.n_checked) == \
-            (want.upper_constant, want.modulus_constant, want.compatible, want.n_checked)
-        assert got.max_upper_defect == pytest.approx(want.max_upper_defect, rel=1e-13)
-        if got.compatible:
-            assert got.max_abs_defect == pytest.approx(want.max_abs_defect, rel=1e-13, abs=1e-15)
-        else:
-            assert math.isnan(got.max_abs_defect) and math.isnan(want.max_abs_defect)
-    assert n_failed >= 20
+        doctored = rng.choice(inner)
+        for make in (build_instance, _sampled_instance):
+            _, field, data = make(spec)
+            solved = solve(field, data).vertex_values
+            for shift in n_failed:
+                table = dict(solved)
+                table[doctored] += shift
+                bad = StoredSolution(field, table, data=data)
+                want = _point_major_modulus(bad)
+                got = boundary_modulus(bad)
+                assert got.ok == want.ok
+                n_failed[shift] += not got.ok
+                assert (got.upper_constant, got.modulus_constant, got.compatible,
+                        got.n_checked) == (want.upper_constant, want.modulus_constant,
+                                           want.compatible, want.n_checked)
+                assert got.max_upper_defect == pytest.approx(want.max_upper_defect, rel=1e-13)
+                if got.compatible:
+                    assert got.max_abs_defect == pytest.approx(want.max_abs_defect,
+                                                               rel=1e-13, abs=1e-15)
+                else:
+                    assert math.isnan(got.max_abs_defect) and math.isnan(want.max_abs_defect)
+    assert n_failed[20.0] >= 40 and n_failed[-20.0] >= 25
 
 
 def _north_star_runs(monkeypatch, verifier, scale):
