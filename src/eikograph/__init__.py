@@ -3,8 +3,8 @@
 from .cost import Constant, CostField, Linear, Samples
 from .ekeland import EkelandRecord, ekeland_maximize, ekeland_point
 from .errors import (CoercivityProbeFailed, EikographError, GraphFormatError, HamiltonianRejection,
-                     InputError, NonmonotoneHamiltonian, NoSubsolution, PreconditionError,
-                     UnreachableError, VerificationError)
+                     ImproperHamiltonian, InputError, NonmonotoneHamiltonian, NoSubsolution,
+                     PreconditionError, UnreachableError, VerificationError)
 from .graph import (Curve, DistanceField, EdgeInterior, EdgeRec, Germ,
                     MetricGraph, Vertex, VertexRec, random_curve)
 from .hamiltonian import Hamiltonian, catalog, kruzkov, reduce_to_eikonal, solve_general
@@ -28,7 +28,7 @@ __all__ = [
     "BoundaryData", "CoercivityProbeFailed", "Constant", "CostField", "Curve",
     "DistanceField", "DistanceTestFunction", "EdgeInterior", "EdgeRec", "EikographError",
     "EkelandRecord", "FiniteMetricSpace", "Germ", "GraphFormatError",
-    "Hamiltonian", "HamiltonianRejection", "InputError", "Linear",
+    "Hamiltonian", "HamiltonianRejection", "ImproperHamiltonian", "InputError", "Linear",
     "MetricGraph", "MongeReport", "MonotoneReport", "NoSubsolution", "NonmonotoneHamiltonian",
     "OpticalMap",
     "PreconditionError", "Profile1D", "Samples", "SlopeEstimate",

@@ -3,10 +3,16 @@
 Exit codes: 0 success, 1 input error, 2 compatibility failure (solution still
 written), 3 verification failure, 4 Hamiltonian rejected.  Outputs are
 byte-identical for identical inputs and flags.
+
+The argument parser is built once per process, on the first ``entry`` call,
+and never mutated after: ``parse_args`` leaves it as it was and every
+default is immutable, so in-process callers that run many commands pay for
+the parse alone.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import random
@@ -119,6 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--lam", type=float, default=None, help="move budget (maximize form)")
     pe.add_argument("--out-dir", default=".")
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser (see the module docstring)."""
+    return build_parser()
 
 
 def _write(out_dir: str, name: str, content: str) -> str:
@@ -293,9 +305,8 @@ def cmd_ekeland(args) -> int:
 
 
 def entry(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "solve":
             return cmd_solve(args)
         if args.command == "verify":

@@ -52,5 +52,15 @@ class NoSubsolution(HamiltonianRejection):
     """H(x, u(x), 0) > 0 somewhere: the zero-slope function is not a subsolution."""
 
 
+class ImproperHamiltonian(HamiltonianRejection):
+    """Two slope solves at one point found h(x, r) = inf{p : H(x, r, p) > 0}
+    rising with r, so H is not nondecreasing in r there.  ``witness`` is
+    (x, r1, r2, h1, h2) with r1 < r2 and h1 < h2."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class CoercivityProbeFailed(HamiltonianRejection):
     """H(x, u(x), .) never became positive below the search ceiling pmax."""

@@ -87,28 +87,29 @@ class MetricGraph:
             self.vertices[rec.id] = rec
         if not self.vertices:
             raise InputError("graph needs at least one vertex")
-        for e in edges:
-            rec = e if isinstance(e, EdgeRec) else EdgeRec(*e)
-            if rec.id in self.edges:
-                raise InputError("duplicate edge id %r" % rec.id)
-            if rec.src not in self.vertices:
-                raise InputError("edge %r references unknown vertex %r" % (rec.id, rec.src))
-            if rec.dst not in self.vertices:
-                raise InputError("edge %r references unknown vertex %r" % (rec.id, rec.dst))
-            if not (isinstance(rec.length, (int, float)) and math.isfinite(rec.length) and rec.length > 0):
-                raise InputError("edge %r must have a positive finite length (got %r)" % (rec.id, rec.length))
-            self.edges[rec.id] = EdgeRec(rec.id, rec.src, rec.dst, float(rec.length))
-
         # adjacency: vertex id -> [(edge id, end)] with end 0 = src side, 1 = dst side.
         # _nbrs holds the same incidences as (edge id, vertex at the far end) for
         # the kernel; a self-loop leads back to its own vertex.
-        self._adj: Dict[str, List[Tuple[str, int]]] = {vid: [] for vid in self.vertices}
-        self._nbrs: Dict[str, List[Tuple[str, str]]] = {vid: [] for vid in self.vertices}
-        for rec in self.edges.values():
-            self._adj[rec.src].append((rec.id, 0))
-            self._adj[rec.dst].append((rec.id, 1))
-            self._nbrs[rec.src].append((rec.id, rec.dst))
-            self._nbrs[rec.dst].append((rec.id, rec.src))
+        adj: Dict[str, List[Tuple[str, int]]] = {vid: [] for vid in self.vertices}
+        nbrs: Dict[str, List[Tuple[str, str]]] = {vid: [] for vid in self.vertices}
+        for e in edges:
+            eid, src, dst, length = (e.id, e.src, e.dst, e.length) if isinstance(e, EdgeRec) else e
+            if eid in self.edges:
+                raise InputError("duplicate edge id %r" % eid)
+            if src not in self.vertices:
+                raise InputError("edge %r references unknown vertex %r" % (eid, src))
+            if dst not in self.vertices:
+                raise InputError("edge %r references unknown vertex %r" % (eid, dst))
+            if not (isinstance(length, (int, float)) and math.isfinite(length) and length > 0):
+                raise InputError("edge %r must have a positive finite length (got %r)" % (eid, length))
+            # the one record of the edge, its length made a float
+            self.edges[eid] = EdgeRec(eid, src, dst, float(length))
+            adj[src].append((eid, 0))
+            adj[dst].append((eid, 1))
+            nbrs[src].append((eid, dst))
+            nbrs[dst].append((eid, src))
+        self._adj = adj
+        self._nbrs = nbrs
 
         # point_cost's one-entry memo: (source, segcost, edge_weight) of the
         # last query and the map seeded there
@@ -126,11 +127,7 @@ class MetricGraph:
             if vid in seen:
                 continue
             seen.add(vid)
-            for eid, end in self._adj[vid]:
-                rec = self.edges[eid]
-                other = rec.dst if end == 0 else rec.src
-                if other not in seen:
-                    stack.append(other)
+            stack.extend(other for _eid, other in self._nbrs[vid] if other not in seen)
         if len(seen) != len(self.vertices):
             missing = sorted(set(self.vertices) - seen)
             raise InputError("graph is not connected; unreachable vertices: %s" % ", ".join(missing))
@@ -352,10 +349,23 @@ class SeedMap:
         return values, signs
 
     def _value(self, p: GraphPoint) -> float:
-        """``evaluate`` at a point the caller has already validated."""
+        """``evaluate`` at a point the caller has already validated: the
+        least of ``_branches``' values, folded as each is made (the first
+        least one wins, as with ``min``)."""
         if isinstance(p, Vertex):
             return self.vertex_values[p.id]
-        return min(self._branches(p.edge, p.s)[0])
+        eid, s = p.edge, p.s
+        rec = self.graph.edges[eid]
+        segcost = self._segcost
+        best = self.vertex_values[rec.src] + segcost(eid, 0.0, s)
+        v = self.vertex_values[rec.dst] + segcost(eid, s, rec.length)
+        if v < best:
+            best = v
+        for s0, val in self._interior_seeds.get(eid, ()):
+            v = val + segcost(eid, min(s, s0), max(s, s0))
+            if v < best:
+                best = v
+        return best
 
     def evaluate(self, p: GraphPoint) -> float:
         self.graph.validate_point(p)

@@ -24,8 +24,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .cost import CostField, Samples
-from .errors import (CoercivityProbeFailed, InputError, NonmonotoneHamiltonian,
-                     NoSubsolution)
+from .errors import (CoercivityProbeFailed, ImproperHamiltonian, InputError,
+                     NonmonotoneHamiltonian, NoSubsolution)
 from .graph import GraphPoint, MetricGraph, Vertex, _as_evaluator, _compose
 from .solver import BoundaryData, ValueFunction, solve
 
@@ -144,6 +144,12 @@ def solve_general(H: Hamiltonian, graph: MetricGraph, data: BoundaryData,
     the interior knots, linked along each edge.  Seeded with g, it settles
     the cheapest node, fixes h there at the settled value, and relaxes each
     unsettled neighbour by one Heun step of u' = h(x, u) across the gap.
+
+    H must be nondecreasing in r, so that h(x, r) is nonincreasing in r.  A
+    settled node holds two slope solves at two values of r, the predictor's
+    last and its own, and a pair in which h rises with r beyond the
+    bisection tolerance is refused with ``ImproperHamiltonian``.  That costs
+    no extra call of H, and it is a spot check, not a proof.
     """
     if not H.depends_on_r:
         return solve(reduce_to_eikonal(H, 0.0, graph, n_knots=n_knots, fmin=fmin), data)
@@ -151,14 +157,6 @@ def solve_general(H: Hamiltonian, graph: MetricGraph, data: BoundaryData,
 
     def slope(x: GraphPoint, r: float) -> float:
         return max(_implicit_slope(H, x, r, grid), fmin)
-
-    def predicted_slope(x: GraphPoint, r: float) -> float:
-        # a predictor may overshoot to an r with H(x, r, 0) > 0, where the
-        # level-set formula gives 0; a settled node's slope still refuses it
-        try:
-            return slope(x, r)
-        except NoSubsolution:
-            return fmin
 
     nodes: List[GraphPoint] = [Vertex(vid) for vid in graph.vertices]
     index = {vid: i for i, vid in enumerate(graph.vertices)}
@@ -176,18 +174,46 @@ def solve_general(H: Hamiltonian, graph: MetricGraph, data: BoundaryData,
     value = {index[vid]: g for vid, g in data.items()}
     heap = sorted((g, i) for i, g in value.items())  # keyed by (value, node id)
     h: Dict[int, float] = {}
+    predicted: Dict[int, Tuple[float, float]] = {}  # node -> its last (r, slope) prediction
     while heap:
         c, i = heapq.heappop(heap)
         if i not in h:
             hi = h[i] = slope(nodes[i], c)
+            if i in predicted:
+                _check_proper(nodes[i], predicted.pop(i), (c, hi))
             for j, gap in links[i]:
                 if j not in h:
-                    cand = c + 0.5 * gap * (hi + predicted_slope(nodes[j], c + gap * hi))
+                    r = c + gap * hi
+                    try:
+                        hj = slope(nodes[j], r)
+                        predicted[j] = (r, hj)
+                    except NoSubsolution:
+                        # a predictor may overshoot to an r with H(x, r, 0) > 0,
+                        # where the level-set formula gives 0; a settled node's
+                        # slope still refuses it
+                        hj = fmin
+                    cand = c + 0.5 * gap * (hi + hj)
                     if cand < value.get(j, math.inf):
                         value[j] = cand
                         heapq.heappush(heap, (cand, j))
     profiles = {eid: Samples(knots, [h[n] for n in chain]) for eid, knots, chain in chains}
     return solve(CostField(graph, profiles, fmin=fmin), data)
+
+
+def _check_proper(x: GraphPoint, first: Tuple[float, float], second: Tuple[float, float]):
+    """Refuse H when two (r, h) slope solves at ``x`` show h rising with r
+    by more than the bisection can account for: a proper H is nondecreasing
+    in r, so its slope h(x, r) is nonincreasing in r.  Each h is within
+    BISECT_TOL / 2 of its root, so two can differ by BISECT_TOL either way;
+    the margin is twice that, scaled for large slopes, whose last bits are
+    coarser."""
+    (r1, h1), (r2, h2) = sorted((first, second))
+    if r1 < r2 and h2 - h1 > 2.0 * BISECT_TOL * max(1.0, h2):
+        raise ImproperHamiltonian(
+            "h(x, r) = inf{p : H(x, r, p) > 0} rises with r at %r: %.17g at r = %.17g, "
+            "%.17g at r = %.17g; H must be nondecreasing in r (a spot check at the "
+            "settled knots, not a proof that H is proper elsewhere)" % (x, h1, r1, h2, r2),
+            witness=(x, r1, r2, h1, h2))
 
 
 # ----------------------------------------------------------------------

@@ -21,10 +21,11 @@ byte-identical files.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
-import math
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from math import isfinite
+from operator import attrgetter
+from typing import Dict, Optional, Tuple
 
 from .cost import Constant, CostField, Linear, Profile, Samples
 from .errors import GraphFormatError, InputError
@@ -135,14 +136,15 @@ def load_graph(text: str, filename: str = "<graph>",
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
             raise GraphFormatError("%s: every edge needs a string 'id' (got %r)" % (filename, entry))
         eid = entry["id"]
-        for key in ("from", "to"):
-            if not isinstance(entry.get(key), str):
-                _fail(filename, text, eid, "edge %r: %r must name a vertex" % (eid, key))
+        src, dst = entry.get("from"), entry.get("to")
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            key = "to" if isinstance(src, str) else "from"
+            _fail(filename, text, eid, "edge %r: %r must name a vertex" % (eid, key))
         try:
             length = _number(entry["length"])
         except (KeyError, TypeError, OverflowError):
             _fail(filename, text, eid, "edge %r: 'length' must be a number" % eid)
-        edges.append((eid, entry["from"], entry["to"], length))
+        edges.append((eid, src, dst, length))
         if "f" in entry:
             profiles[eid] = _parse_profile(entry["f"], eid, filename, text)
         else:
@@ -153,16 +155,20 @@ def load_graph(text: str, filename: str = "<graph>",
         field = CostField(graph, profiles, fmin=fmin)
     except InputError as exc:
         raise GraphFormatError("%s: %s" % (filename, exc)) from None
-    for eid, rec in graph.edges.items():
+    # The overflow checks need lengths and profiles that the graph and the
+    # field have accepted, so they come last, in file order; the graph has
+    # refused a repeated edge id, so each record here is its edge's only one.
+    for eid, _src, _dst, length in edges:
+        prof = profiles[eid]
         # every cost on the edge is at most sup f times its length
-        fmax = field.profiles[eid].bounds(rec.length)[1]
-        if not math.isfinite(fmax * rec.length):
+        fmax = prof.bounds(length)[1]
+        if not isfinite(fmax * length):
             _fail(filename, text, eid, "edge %r: cost overflows (f up to %r over length %r)"
-                  % (eid, fmax, rec.length))
+                  % (eid, fmax, length))
         # Linear.integral squares offsets along the edge
-        if isinstance(field.profiles[eid], Linear) and not math.isfinite(rec.length * rec.length):
+        if isinstance(prof, Linear) and not isfinite(length * length):
             _fail(filename, text, eid, "edge %r: linear profile over length %r overflows "
-                  "(length squared is not finite)" % (eid, rec.length))
+                  "(length squared is not finite)" % (eid, length))
     data = None
     if gvals:
         try:
@@ -228,56 +234,114 @@ def dump_json(obj, indent: int = 2) -> str:
     """JSON text with floats at 17 significant digits (non-finite → null).
 
     A dataclass becomes an object of its fields in declaration order; a
-    graph point takes its ``point_to_obj`` form."""
-    out: List[str] = []
-    _emit(obj, out, 0, indent)
-    out.append("\n")
-    return "".join(out)
+    graph point takes its ``point_to_obj`` form.  Each value is dispatched
+    on its exact type through one table, ``_EMITTERS``; a type the table
+    does not hold takes the isinstance chain of ``_emit_other``."""
+    return _text(obj, 0, indent) + "\n"
 
 
-@functools.cache
-def _field_keys(cls: type) -> Tuple[Tuple[str, str], ...]:
-    """(field name, encoded key) pairs of a dataclass, built once per class."""
+def _float_text(x: float) -> str:
+    return "%.17g" % x if isfinite(x) else "null"
+
+
+def _text(obj, depth: int, indent: int) -> str:
+    """The JSON text of ``obj`` nested ``depth`` levels deep."""
+    return _EMITTERS.get(type(obj), _emit_other)(obj, depth, indent)
+
+
+def _members(keys, values, depth: int, indent: int, opening: str, closing: str) -> str:
+    """One member per line: each encoded key (or "") with its value.  Exact
+    floats, strings and bools are formatted here, anything else through
+    the table."""
+    inner = depth + 1
+    lines = []
+    for key, v in zip(keys, values):
+        t = type(v)
+        if t is float:
+            lines.append(key + ("%.17g" % v if isfinite(v) else "null"))
+        elif t is str:
+            lines.append(key + _encode_str(v))
+        elif t is bool:
+            lines.append(key + ("true" if v else "false"))
+        else:
+            lines.append(key + _EMITTERS.get(t, _emit_other)(v, inner, indent))
+    if not lines:
+        return opening + closing
+    pad = "\n" + " " * (indent * inner)
+    return opening + pad + ("," + pad).join(lines) + "\n" + " " * (indent * depth) + closing
+
+
+def _emit_list(obj, depth: int, indent: int) -> str:
+    return _members(repeat(""), obj, depth, indent, "[", "]")
+
+
+def _emit_dict(obj, depth: int, indent: int) -> str:
+    return _members([_encode_str(str(k)) + ": " for k in obj], obj.values(),
+                    depth, indent, "{", "}")
+
+
+def _emit_vertex(p: Vertex, depth: int, indent: int) -> str:
+    pad = " " * (indent * depth)
+    inner = pad + " " * indent
+    return '{\n%s"vertex": %s\n%s}' % (inner, _text(p.id, depth + 1, indent), pad)
+
+
+def _emit_edge_interior(p: EdgeInterior, depth: int, indent: int) -> str:
+    pad = " " * (indent * depth)
+    inner = pad + " " * indent
+    return '{\n%s"edge": %s,\n%s"s": %s\n%s}' % (
+        inner, _text(p.edge, depth + 1, indent), inner, _text(p.s, depth + 1, indent), pad)
+
+
+def _dataclass_emitter(cls: type):
+    """The emitter of a dataclass: an object of its fields, in order."""
     if not dataclasses.is_dataclass(cls):
         raise InputError("cannot serialize %s objects" % cls.__name__)
-    return tuple((f.name, _encode_str(f.name) + ": ") for f in dataclasses.fields(cls))
+    names = [f.name for f in dataclasses.fields(cls)]
+    keys = tuple(_encode_str(name) + ": " for name in names)
+    # attrgetter returns a tuple only when it is given two names or more
+    values = attrgetter(*names) if len(names) > 1 else lambda obj: [getattr(obj, n) for n in names]
+
+    def emit(obj, depth: int, indent: int) -> str:
+        return _members(keys, values(obj), depth, indent, "{", "}")
+
+    return emit
 
 
-def _emit(obj, out: List[str], depth: int, indent: int):
-    if obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else ("true" if obj else "false"))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append("%.17g" % obj if math.isfinite(obj) else "null")
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif isinstance(obj, (list, tuple)):
-        _emit_block("[", "]", (("", v) for v in obj), out, depth, indent)
-    elif isinstance(obj, dict):
-        _emit_block("{", "}", ((_encode_str(str(k)) + ": ", v) for k, v in obj.items()),
-                    out, depth, indent)
-    elif isinstance(obj, (Vertex, EdgeInterior)):
-        _emit(point_to_obj(obj), out, depth, indent)
-    else:
-        _emit_block("{", "}", ((key, getattr(obj, name)) for name, key in _field_keys(type(obj))),
-                    out, depth, indent)
+def _emit_other(obj, depth: int, indent: int) -> str:
+    """A type the table does not hold goes through the isinstance chain:
+    subclasses of the scalar and container types (``numpy.float64`` is a
+    float), points of a subclass, then dataclasses, whose emitter joins the
+    table on first use."""
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        return _emit_list(obj, depth, indent)
+    if isinstance(obj, dict):
+        return _emit_dict(obj, depth, indent)
+    if isinstance(obj, (Vertex, EdgeInterior)):
+        return _emit_dict(point_to_obj(obj), depth, indent)
+    emit = _EMITTERS[type(obj)] = _dataclass_emitter(type(obj))
+    return emit(obj, depth, indent)
 
 
-def _emit_block(opening: str, closing: str, members, out: List[str], depth: int, indent: int):
-    """One member per line: ``members`` yields (encoded key or "", value)."""
-    pad = " " * (indent * (depth + 1))
-    start = len(out)
-    out.append(opening + "\n")
-    for key, v in members:
-        out.append(pad + key)
-        _emit(v, out, depth + 1, indent)
-        out.append(",\n")
-    if len(out) == start + 1:
-        out[start] = opening + closing
-    else:
-        out[-1] = "\n"
-        out.append(" " * (indent * depth) + closing)
+#: exact type -> emitter(obj, depth, indent) -> JSON text
+_EMITTERS = {
+    type(None): lambda obj, depth, indent: "null",
+    bool: lambda obj, depth, indent: "true" if obj else "false",
+    int: lambda obj, depth, indent: str(obj),
+    float: lambda obj, depth, indent: _float_text(obj),
+    str: lambda obj, depth, indent: _encode_str(obj),
+    list: _emit_list,
+    tuple: _emit_list,
+    dict: _emit_dict,
+    Vertex: _emit_vertex,
+    EdgeInterior: _emit_edge_interior,
+}
 
 
 # ----------------------------------------------------------------------

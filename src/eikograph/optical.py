@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 from .cost import CostField
 from .errors import InputError
-from .graph import Germ, GraphPoint, SeedMap
+from .graph import Germ, GraphPoint, SeedMap, Vertex
 
 
 def optical_length(field: CostField, x: GraphPoint, y: GraphPoint) -> float:
@@ -40,6 +40,26 @@ class OpticalMap(SeedMap):
     # bound here as well, because bench/tracing.py wraps the methods it finds
     # in this class's own namespace
     evaluate = __call__ = SeedMap.evaluate
+
+    def _value(self, p: GraphPoint) -> float:
+        """``SeedMap._value`` with each in-edge branch read off the edge's
+        profile: an offset inside the edge meets every range check of
+        ``field.edge_cost``, whose clamps then change nothing."""
+        if isinstance(p, Vertex):
+            return self.vertex_values[p.id]
+        eid, s = p.edge, p.s
+        rec = self.graph.edges[eid]
+        length = rec.length
+        integral = self.field.profiles[eid].integral
+        best = self.vertex_values[rec.src] + integral(0.0, s, length)
+        v = self.vertex_values[rec.dst] + integral(s, length, length)
+        if v < best:
+            best = v
+        for s0, val in self._interior_seeds.get(eid, ()):
+            v = val + integral(min(s, s0), max(s, s0), length)
+            if v < best:
+                best = v
+        return best
 
     def germ_derivative(self, p: GraphPoint, germ: Germ) -> float:
         """Exact one-sided derivative of u along ``germ`` at its base point:

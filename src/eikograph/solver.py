@@ -295,7 +295,9 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
 
     Cost, in Dijkstra runs over the vertices with B boundary vertices: B - 1
     for Lip g, one cone map (three when g is compatible), and the
-    compatibility check's own runs.  The number of points does not enter.
+    compatibility check's witness searches, plus one solve when ``u`` is
+    not a ``ValueFunction`` (a stored table is checked against the true
+    solve, not against itself).  The number of points does not enter.
     """
     if tol is None:
         tol = 1e-9
@@ -306,7 +308,9 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     lipg = _lipschitz_of_g(graph, data)
     upper_c = max(supf, lipg)
     modulus_c = 2.0 * supf + 2.0 * lipg
-    comp = check_compatibility(field, data).ok
+    # a solve's own map is the compatibility check's map; a stored table is
+    # not, for an edited one must not stand in for the true solve
+    comp = check_compatibility(field, data, u=u if isinstance(u, ValueFunction) else None).ok
     if points is None:
         points = _default_samples(graph)
         points += [Vertex(vid) for vid in graph.boundary_ids]

@@ -95,21 +95,42 @@ def _run_all(workdir: pathlib.Path, capsys):
     return results
 
 
-def test_cli_artifacts_stdout_and_exit_codes_are_pinned(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    results = _run_all(tmp_path, capsys)
-    assert results["solve"][0] == 2  # the witness case
+def _check_runs(workdir: pathlib.Path, results):
     for name, _argv in RUNS:
         code, out = results[name]
         _check("%s/exit.txt" % name, b"%d\n" % code)
         _check("%s/stdout.txt" % name, out.encode())
-        written = sorted(p.name for p in (tmp_path / name).iterdir())
+        written = sorted(p.name for p in (workdir / name).iterdir())
         pinned = sorted(p.name for p in (GOLDEN / name).iterdir()
                         if p.name not in ("exit.txt", "stdout.txt"))
         if not REGEN:
             assert written == pinned, name
         for fname in written:
-            _check("%s/%s" % (name, fname), (tmp_path / name / fname).read_bytes())
+            _check("%s/%s" % (name, fname), (workdir / name / fname).read_bytes())
+
+
+def test_cli_artifacts_stdout_and_exit_codes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    results = _run_all(tmp_path, capsys)
+    assert results["solve"][0] == 2  # the witness case
+    _check_runs(tmp_path, results)
+
+
+@pytest.mark.skipif(REGEN, reason="golden files are being regenerated")
+def test_a_parser_reused_after_a_usage_error_and_help_gives_the_pinned_runs(
+        tmp_path, monkeypatch, capsys):
+    """The parser is built once per process: a refused option and a help
+    page on it first leave every later run as pinned."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        entry(["solve", "graph.json", "--tol", "-1"])
+    assert exc.value.code == 1
+    assert "--tol: must be a nonnegative finite number" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        entry(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--mode" in capsys.readouterr().out
+    _check_runs(tmp_path, _run_all(tmp_path, capsys))
 
 
 def test_library_only_reports_are_pinned():

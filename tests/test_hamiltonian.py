@@ -1,5 +1,6 @@
 """Reduction of general Hamiltonians to eikonal form, the label-setting
 solve for r-coupled ones, and the exponential change of variables."""
+import json
 import math
 import random
 
@@ -10,9 +11,9 @@ from hypothesis import given, strategies as st
 import eikograph.hamiltonian as hamiltonian_module
 from eikograph import (BoundaryData, CoercivityProbeFailed, CostField, DistanceField,
                        DistanceTestFunction, Hamiltonian, HamiltonianRejection,
-                       InputError, Linear, MetricGraph, NoSubsolution,
+                       ImproperHamiltonian, InputError, Linear, MetricGraph, NoSubsolution,
                        NonmonotoneHamiltonian, PreconditionError, Samples, Vertex,
-                       catalog, kruzkov, reduce_to_eikonal, slopes, solve,
+                       catalog, graph_to_dict, kruzkov, reduce_to_eikonal, slopes, solve,
                        solve_general)
 from conftest import (build_instance, interval_point, make_interval, random_graph_spec,
                       tiny_dijkstra)
@@ -443,6 +444,68 @@ def test_discounted_on_random_graphs_matches_the_closed_form():
         u = solve_general(catalog("discounted"), graph, data)
         for v in spec["vertices"]:
             assert abs(u.vertex_value(v) - -math.expm1(-w[v])) <= 1e-3
+
+
+def test_an_h_decreasing_in_r_is_refused_with_a_witness():
+    """p - r - 1 gives h = 1 + r, which rises with r: H is not proper, and
+    the label-setting pass refuses it at a settled knot, naming the two
+    slope solves there."""
+    spec = random_graph_spec(random.Random(17), max_vertices=10, max_extra_edges=10)
+    graph, _, data = build_instance(spec)
+    H = Hamiltonian(lambda x, r, p: p - r - 1.0, depends_on_r=True, name="improper")
+    with pytest.raises(ImproperHamiltonian, match="not a proof") as exc:
+        solve_general(H, graph, data)
+    assert isinstance(exc.value, HamiltonianRejection)
+    x, r1, r2, h1, h2 = exc.value.witness
+    assert r1 < r2 and h1 < h2
+    assert h1 == pytest.approx(1.0 + r1, abs=1e-9) and h2 == pytest.approx(1.0 + r2, abs=1e-9)
+    graph.validate_point(x)
+
+
+def test_discounted_passes_the_properness_check_on_random_graphs():
+    """h = 1 - r falls with r: every settled knot of the discounted pass
+    passes, over data up to 0.9, and each check compares two solves."""
+    rng = random.Random(5)
+    checked = []
+    check = hamiltonian_module._check_proper
+
+    def counting(x, first, second):
+        checked.append(first[0] != second[0])
+        check(x, first, second)
+
+    for _ in range(12):
+        spec = random_graph_spec(rng, max_vertices=10, max_extra_edges=10)
+        spec["g"] = {v: 0.6 * g for v, g in spec["g"].items()}
+        graph, _, data = build_instance(spec)
+        checked.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hamiltonian_module, "_check_proper", counting)
+            solve_general(catalog("discounted"), graph, data, n_knots=17)
+        assert sum(checked) >= len(graph.edges) * 15  # about one per interior knot
+
+
+def test_a_nearly_flat_proper_h_is_not_refused_for_bisection_noise():
+    """h = 1 - 1e-13 r falls with r by far less than the bisection
+    tolerance, so the two solves at a knot may return the same slope or
+    ones a bisection step apart: nothing is refused."""
+    rng = random.Random(23)
+    H = Hamiltonian(lambda x, r, p: p - 1.0 + 1e-13 * r, depends_on_r=True, name="flat")
+    for _ in range(6):
+        spec = random_graph_spec(rng, max_vertices=8, max_extra_edges=6)
+        graph, _, data = build_instance(spec)
+        solve_general(H, graph, data, n_knots=17)
+
+
+def test_cli_maps_an_improper_hamiltonian_to_exit_four(tmp_path, capsys, monkeypatch):
+    import eikograph.cli as cli_module
+    graph, field, data = make_interval()
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_dict(graph, field, data)))
+    monkeypatch.setattr(cli_module, "catalog", lambda name, field: Hamiltonian(
+        lambda x, r, p: p - r - 1.0, depends_on_r=True, name=name))
+    assert cli_module.entry(["reduce", str(path), "--hamiltonian", "discounted",
+                             "--out-dir", str(tmp_path / "out")]) == 4
+    assert "hamiltonian rejected: " in capsys.readouterr().err
 
 
 def test_catalog_rejects_unknown_name():

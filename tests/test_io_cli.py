@@ -1,15 +1,19 @@
 """Graph/solution file formats and the command-line front end."""
+import argparse
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from eikograph import (Constant, GraphFormatError, InputError, Linear, Samples,
                        Vertex, dump_json, dump_value_function, edge_csv,
                        graph_to_dict, load_graph, load_value_function,
                        point_from_obj, point_to_obj, solve)
 from eikograph.cli import entry
+from eikograph.graph import EdgeRec
 
 TENT_DOC = """{
   "vertices": [
@@ -141,6 +145,22 @@ def test_load_graph_rejections():
     with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': cost overflows"):
         load_graph(json.dumps(doc, indent=2), filename="g.json")
 
+    # an endpoint that is not a vertex id names the first such end
+    for ends, key in (((1, "R"), "from"), (("L", None), "to"), ((1, None), "from")):
+        doc = json.loads(TENT_DOC)
+        doc["edges"][0]["from"], doc["edges"][0]["to"] = ends
+        with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': '%s' must name" % key):
+            load_graph(json.dumps(doc, indent=2), filename="g.json")
+
+    # the overflow checks run on a graph and field already accepted: a
+    # disconnected graph is refused as such, overflowing edge or not
+    doc = json.loads(TENT_DOC)
+    doc["vertices"].append({"id": "lone"})
+    doc["edges"][0]["length"] = 1e300
+    doc["edges"][0]["f"]["params"]["value"] = 1e10
+    with pytest.raises(GraphFormatError, match=r"^g\.json: graph is not connected"):
+        load_graph(json.dumps(doc, indent=2), filename="g.json")
+
     # sup f · length is finite, but the linear integral squares the length
     doc = json.loads(TENT_DOC)
     doc["edges"][0]["length"] = 1e200
@@ -164,6 +184,34 @@ def test_dump_json_is_deterministic_and_round_trip_exact():
     assert back["b"][1] == 2.5e-300 and back["b"][2] == math.pi
     assert back["inf"] is None
     assert one.endswith("\n")
+
+
+_json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.text())
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(_json_trees)
+def test_dump_json_matches_the_standard_encoder_on_float_free_trees(tree):
+    """Without floats the grammar is plain indented JSON: nesting, commas,
+    empty containers, string escapes, bools and null, tuples as arrays."""
+    assert dump_json(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_dump_json_writes_floats_at_17_digits_and_refuses_other_types():
+    values = [0.1, -0.0, 1e300, 5e-324, 2.0 / 3.0, math.inf, -math.inf, math.nan]
+    want = ["%.17g" % v if math.isfinite(v) else "null" for v in values]
+    assert dump_json(values) == "[\n" + ",\n".join("  " + w for w in want) + "\n]\n"
+    # a float subclass, numpy's included, is written as a float
+    assert dump_json({"x": np.float64(0.1)}) == '{\n  "x": 0.10000000000000001\n}\n'
+    assert dump_json(np.float64(math.inf)) == "null\n"
+    for bad in (np.int64(3), object(), {1, 2}, b"bytes", [1, {"k": object()}]):
+        with pytest.raises(InputError, match="cannot serialize"):
+            dump_json(bad)
 
 
 def test_points_round_trip_through_their_json_form(interval):
@@ -641,3 +689,40 @@ def test_cli_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         entry(["frobnicate"])
     assert exc.value.code == 1
+
+
+# ----------------------------------------------------------------------
+# what a call pays for: counts that a change cannot bring back unseen
+# ----------------------------------------------------------------------
+
+def _count_constructions(monkeypatch, cls):
+    built = []
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self))
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    g = put(tmp_path, "g.json", TENT_DOC)
+    out = str(tmp_path / "out")
+    assert entry(["solve", g, "--out-dir", out]) == 0
+    built = _count_constructions(monkeypatch, argparse.ArgumentParser)
+    for _ in range(3):
+        assert entry(["solve", g, "--out-dir", out]) == 0
+        assert entry(["verify", g, str(tmp_path / "out" / "u.json"), "--mode", "dpp",
+                      "--out-dir", out]) == 0
+    with pytest.raises(SystemExit):
+        entry(["solve", g, "--tol", "-1"])
+    assert built == []
+
+
+def test_load_graph_builds_one_edge_record_per_edge(monkeypatch):
+    doc = json.loads(PATH3_DOC)
+    built = _count_constructions(monkeypatch, EdgeRec)
+    graph, _, _ = load_graph(json.dumps(doc))
+    assert len(built) == len(graph.edges) == len(doc["edges"])

@@ -432,10 +432,11 @@ def test_cli_solve_runs_one_dijkstra_on_compatible_data(monkeypatch, tmp_path):
 def test_modulus_runs_one_dijkstra_per_boundary_vertex_whatever_the_point_count(monkeypatch, seed):
     """B boundary vertices: B - 1 runs for Lip g (the last vertex has no
     later partner), one cone map, two more when g is compatible, and the
-    compatibility check's own runs (seeds 10 and 20 have incompatible data,
-    so those include witness searches), for a point set and one about three
-    times its size.  Each count is taken on a freshly built graph, whose
-    distance map holds no earlier source."""
+    compatibility check's own runs but its solve, which the solution is
+    (seeds 10 and 20 have incompatible data, so those include witness
+    searches), for a point set and one about three times its size.  Each
+    count is taken on a freshly built graph, whose distance map holds no
+    earlier source."""
     spec = random_graph_spec(random.Random(seed), max_vertices=14, max_extra_edges=12)
     runs = _count_dijkstras(monkeypatch)
     _, field, data = build_instance(spec)
@@ -451,7 +452,22 @@ def test_modulus_runs_one_dijkstra_per_boundary_vertex_whatever_the_point_count(
         B = len(graph.boundary_ids)
         assert rep.compatible == compatible
         assert rep.n_checked == len(points) * B
-        assert len(runs) == (B - 1) + (3 if compatible else 1) + n_compat
+        assert len(runs) == (B - 1) + (3 if compatible else 1) + n_compat - 1
+
+
+def test_modulus_checks_a_stored_table_against_the_true_solve():
+    """A stored table is not taken as its own solve: with one boundary entry
+    raised, the table alone would report g as attained everywhere (each
+    boundary vertex reads its own data), but data that the true solve does
+    not attain stays incompatible and keeps only the one-sided bound."""
+    _, field, data = make_interval(g_left=0.0, g_right=3.0)
+    truth = check_compatibility(field, data)
+    assert not truth.ok
+    table = dict(solve(field, data).vertex_values)
+    table["R"] = 3.0  # the boundary entry raised to the data it does not attain
+    rep = boundary_modulus(StoredSolution(field, table, data=data))
+    assert rep.compatible == truth.ok
+    assert math.isnan(rep.max_abs_defect)
 
 
 def _point_major_modulus(u, points=None, tol=1e-9):
