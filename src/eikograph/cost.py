@@ -5,7 +5,8 @@ offset ``s`` from the edge's src endpoint.  What the rest of the package
 actually consumes is the cumulative integral ``F(s) = ∫_0^s f`` and its
 inverse, both of which every profile provides in closed form so that optical
 lengths and kink offsets stay at full float accuracy for constant and linear
-speed fields.
+speed fields.  ``Constant`` is defined in ``graph``, whose unit table is
+made of it, and is imported here with the other profiles.
 """
 from __future__ import annotations
 
@@ -16,31 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple, Union
 
 from .errors import InputError
-from .graph import EdgeInterior, GraphPoint, MetricGraph
-
-
-@dataclass(frozen=True)
-class Constant:
-    """f(s) = value on the whole edge."""
-
-    value: float
-
-    def check(self, length: float, fmin: float):
-        if not (math.isfinite(self.value) and self.value >= fmin):
-            raise InputError("constant profile value %r below floor %r" % (self.value, fmin))
-
-    def at(self, s: float, length: float) -> float:
-        return self.value
-
-    def integral(self, s0: float, s1: float, length: float) -> float:
-        return self.value * (s1 - s0)
-
-    def inverse_integral(self, s0: float, target: float, length: float) -> float:
-        """Smallest t >= 0 with ∫_{s0}^{s0+t} f = target (may exceed the edge)."""
-        return target / self.value
-
-    def bounds(self, length: float) -> Tuple[float, float]:
-        return self.value, self.value
+from .graph import Constant, EdgeInterior, GraphPoint, MetricGraph
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,9 @@ def ekeland_point(space: FiniteMetricSpace, fvals: Sequence[float], eps: float,
     decreases f, so on a finite space this stops; the stopping condition *is*
     condition (b), and the moves telescope into condition (a).
     """
-    if not (isinstance(eps, (int, float)) and eps > 0):
-        raise InputError("eps must be positive (got %r)" % (eps,))
+    # an infinite rate makes inf * d(x, x) NaN, which drops x from S(x)
+    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
+        raise InputError("eps must be positive and finite (got %r)" % (eps,))
     _validate(space, fvals, x0)
     f = [float(v) for v in fvals]
     n = len(space)
@@ -96,10 +97,10 @@ def ekeland_maximize(space: FiniteMetricSpace, fvals: Sequence[float], delta: fl
     Realized by running the descent on -f with eps = delta/lam; the three
     conclusions are re-verified on the way out.
     """
-    if not (isinstance(delta, (int, float)) and delta > 0):
-        raise InputError("delta must be positive (got %r)" % (delta,))
-    if not (isinstance(lam, (int, float)) and lam > 0):
-        raise InputError("lam must be positive (got %r)" % (lam,))
+    if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta > 0):
+        raise InputError("delta must be positive and finite (got %r)" % (delta,))
+    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
+        raise InputError("lam must be positive and finite (got %r)" % (lam,))
     for v in fvals:
         if math.isnan(v) or v == math.inf:
             raise InputError("values must be < +inf and not NaN (got %r)" % v)

@@ -69,6 +69,30 @@ class Germ:
     sign: int
 
 
+@dataclass(frozen=True)
+class Constant:
+    """f(s) = value on the whole edge."""
+
+    value: float
+
+    def check(self, length: float, fmin: float):
+        if not (math.isfinite(self.value) and self.value >= fmin):
+            raise InputError("constant profile value %r below floor %r" % (self.value, fmin))
+
+    def at(self, s: float, length: float) -> float:
+        return self.value
+
+    def integral(self, s0: float, s1: float, length: float) -> float:
+        return self.value * (s1 - s0)
+
+    def inverse_integral(self, s0: float, target: float, length: float) -> float:
+        """Smallest t >= 0 with ∫_{s0}^{s0+t} f = target (may exceed the edge)."""
+        return target / self.value
+
+    def bounds(self, length: float) -> Tuple[float, float]:
+        return self.value, self.value
+
+
 class MetricGraph:
     """A finite connected multigraph with positive edge lengths.
 
@@ -110,10 +134,12 @@ class MetricGraph:
             nbrs[dst].append((eid, src))
         self._adj = adj
         self._nbrs = nbrs
+        # the profile table of the intrinsic metric: rate 1 on every edge
+        self.unit_profiles = dict.fromkeys(self.edges, Constant(1.0))
 
-        # point_cost's one-entry memo: (source, segcost, edge_weight) of the
-        # last query and the map seeded there
-        self._last_source: Optional[tuple] = None
+        # point_cost's one-entry memo: the source of the last query and the
+        # map seeded there
+        self._last_source: Optional[GraphPoint] = None
         self._last_map: Optional[SeedMap] = None
 
         self._check_connected()
@@ -260,59 +286,47 @@ class MetricGraph:
             raise UnreachableError("vertices unreachable from seeds: %s" % ", ".join(missing))
         return done
 
-    def point_cost(self, x: GraphPoint, y: GraphPoint,
-                   segcost: Callable[[str, float, float], float],
-                   edge_weight: Callable[[str], float]) -> float:
-        """Generic shortest cost between two points for any additive edge cost.
+    def point_cost(self, x: GraphPoint, y: GraphPoint, profiles: Dict[str, "Profile"]) -> float:
+        """The least cost of a path between two points when each edge runs
+        at the rate of its profile in ``profiles``: with the unit table the
+        intrinsic metric, with a cost field's the optical length.
 
-        ``segcost(eid, s0, s1)`` must be the cost of the monotone within-edge
-        segment; ``edge_weight(eid)`` the full-edge cost.  Used with unit
-        costs this is the intrinsic metric, with cumulative-profile costs the
-        optical length.
-
-        The map of the last source is kept: a query with an equal ``x`` and
-        equal cost callables reads it instead of running Dijkstra again, so a
-        loop over targets from one source costs one run.  The graph is
-        immutable, and the callables must be too (a bound method compares
-        equal only to the same method of the same object).
+        The map of the last source is kept: a query from an equal ``x`` over
+        the same table (the same object) reads it instead of running
+        Dijkstra again, so a loop over targets from one source costs one
+        run.  The graph is immutable, and the table must be too.
         """
         self.validate_point(x)
         self.validate_point(y)
-        source = (x, segcost, edge_weight)
-        if source != self._last_source:
-            self._last_map = SeedMap(self, {x: 0.0}, segcost, edge_weight)
-            self._last_source = source
-        return self._last_map._value(y)
-
-    def _length(self, eid: str) -> float:
-        return self.edges[eid].length
+        last = self._last_map
+        if last is None or last.profiles is not profiles or x != self._last_source:
+            self._last_map = last = SeedMap(self, {x: 0.0}, profiles)
+            self._last_source = x
+        return last._value(y)
 
     def distance(self, x: GraphPoint, y: GraphPoint) -> float:
         """The intrinsic metric: length of a shortest path between x and y."""
-        return self.point_cost(x, y, _unit_segment, self._length)
-
-
-def _unit_segment(eid: str, s0: float, s1: float) -> float:
-    """Unit-cost segcost: a within-edge segment costs its arc length."""
-    return abs(s1 - s0)
+        return self.point_cost(x, y, self.unit_profiles)
 
 
 class SeedMap:
     """u(p) = min over seeds q of (seed value + c(q, p)), with c the least
-    cost of a path from q to p under an additive edge cost.
+    cost of a path from q to p when each edge runs at the rate of its
+    profile.
 
-    ``segcost(eid, s0, s1)`` is the cost of the within-edge segment between
-    offsets s0 and s1, ``edge_weight(eid)`` that of the whole edge.  A seed
-    inside an edge is projected onto the edge's two ends, and one Dijkstra
-    run gives ``vertex_values``.  On edge (a, b) of length L the map is the
-    least of its branches: u(a) + c(0, s), u(b) + c(s, L), and for each seed
-    at offset s0 inside that edge its value + c(s0, s).  Unit costs give the
-    distance to the seeds, profile integrals the optical length.
+    ``profiles`` maps every edge id to a profile (a ``cost.Profile``): the
+    cost of the within-edge segment between offsets s0 <= s1 on an edge of
+    length L is ``integral(s0, s1, L)``, and the rate at offset s is
+    ``at(s, L)``.  A seed inside an edge is projected onto the edge's two
+    ends, and one Dijkstra run gives ``vertex_values``.  On edge (a, b) of
+    length L the map is the least of its branches: u(a) + c(0, s),
+    u(b) + c(s, L), and for each seed at offset s0 inside that edge its
+    value + c(s0, s).  The graph's unit table gives the distance to the
+    seeds, a cost field's table the optical map, a constant rate C a cone.
     """
 
     def __init__(self, graph: MetricGraph, seeds: Dict[GraphPoint, float],
-                 segcost: Callable[[str, float, float], float],
-                 edge_weight: Callable[[str], float]):
+                 profiles: Dict[str, "Profile"]):
         if not seeds:
             raise InputError("an optical map needs at least one seed")
         vseeds: Dict[str, float] = {}
@@ -323,28 +337,32 @@ class SeedMap:
                 ends = ((p.id, val),)
             else:
                 rec = graph.edge(p.edge)
-                ends = ((rec.src, val + segcost(p.edge, 0.0, p.s)),
-                        (rec.dst, val + segcost(p.edge, p.s, rec.length)))
+                integral = profiles[p.edge].integral
+                ends = ((rec.src, val + integral(0.0, p.s, rec.length)),
+                        (rec.dst, val + integral(p.s, rec.length, rec.length)))
                 interior.setdefault(p.edge, []).append((p.s, val))
             for vid, c in ends:
                 if vid not in vseeds or c < vseeds[vid]:
                     vseeds[vid] = c
         self.graph = graph
-        self._segcost = segcost
+        self.profiles = profiles
         self._interior_seeds = interior
-        self.vertex_values: Dict[str, float] = graph.shortest_from_seeds(vseeds, edge_weight)
+        edges = graph.edges
+        self.vertex_values: Dict[str, float] = graph.shortest_from_seeds(
+            vseeds, lambda eid: profiles[eid].integral(0.0, edges[eid].length, edges[eid].length))
 
     def _branches(self, eid: str, s: float) -> Tuple[List[float], List[int]]:
         """The branch values at offset ``s`` on edge ``eid``, whose least is
         the map there, and the sign of each branch's slope in +s.  A seed's
         own branch has sign 0 at the seed, where both departures ascend."""
         rec = self.graph.edge(eid)
-        segcost = self._segcost
-        values = [self.vertex_values[rec.src] + segcost(eid, 0.0, s),
-                  self.vertex_values[rec.dst] + segcost(eid, s, rec.length)]
+        length = rec.length
+        integral = self.profiles[eid].integral
+        values = [self.vertex_values[rec.src] + integral(0.0, s, length),
+                  self.vertex_values[rec.dst] + integral(s, length, length)]
         signs = [1, -1]
         for s0, val in self._interior_seeds.get(eid, ()):
-            values.append(val + segcost(eid, min(s, s0), max(s, s0)))
+            values.append(val + integral(min(s, s0), max(s, s0), length))
             signs.append((s > s0) - (s < s0))
         return values, signs
 
@@ -356,13 +374,14 @@ class SeedMap:
             return self.vertex_values[p.id]
         eid, s = p.edge, p.s
         rec = self.graph.edges[eid]
-        segcost = self._segcost
-        best = self.vertex_values[rec.src] + segcost(eid, 0.0, s)
-        v = self.vertex_values[rec.dst] + segcost(eid, s, rec.length)
+        length = rec.length
+        integral = self.profiles[eid].integral
+        best = self.vertex_values[rec.src] + integral(0.0, s, length)
+        v = self.vertex_values[rec.dst] + integral(s, length, length)
         if v < best:
             best = v
         for s0, val in self._interior_seeds.get(eid, ()):
-            v = val + segcost(eid, min(s, s0), max(s, s0))
+            v = val + integral(min(s, s0), max(s, s0), length)
             if v < best:
                 best = v
         return best
@@ -385,16 +404,19 @@ class SeedMap:
                 return -1
         return 1
 
+    def germ_derivative(self, p: GraphPoint, germ: Germ) -> float:
+        """Exact one-sided derivative of u along ``germ`` at its base point:
+        the rate there, with the sign of the steepest least branch."""
+        return (self.germ_sign(germ)
+                * self.profiles[germ.edge].at(germ.base, self.graph.edges[germ.edge].length))
+
 
 class DistanceField(SeedMap):
-    """d(., x0): the unit-cost map seeded at x0, with the exact one-sided
-    germ derivatives (+1 or -1) that distance-type test functions need."""
+    """d(., x0): the map seeded at x0 over the graph's unit table, whose
+    germ derivatives are +1 or -1."""
 
     def __init__(self, graph: MetricGraph, x0: GraphPoint):
-        super().__init__(graph, {x0: 0.0}, _unit_segment, graph._length)
-
-    def germ_derivative(self, p: GraphPoint, germ: Germ) -> float:
-        return float(self.germ_sign(germ))
+        super().__init__(graph, {x0: 0.0}, graph.unit_profiles)
 
 
 def _default_samples(graph: MetricGraph, n_per_edge: int = 3) -> List[GraphPoint]:

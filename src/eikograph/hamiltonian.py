@@ -71,7 +71,9 @@ def _probe_grid(pmax: float) -> np.ndarray:
 def _implicit_slope(H: Hamiltonian, x: GraphPoint, r: float, grid: np.ndarray) -> float:
     """inf{p >= 0 : H(x, r, p) > 0} by sign scan over ``grid`` (one array
     call) + bisection, with the monotonicity probes that justify calling it
-    a slope."""
+    a slope.  The result is within max(BISECT_TOL / 2, one ulp) of the root:
+    the bisection stops when its bracket is BISECT_TOL wide or is two
+    adjacent doubles, whichever comes first."""
     positive = H(x, r, grid) > 0.0
     if not isinstance(positive, np.ndarray):  # H constant in p
         positive = np.full(grid.shape, positive)
@@ -96,6 +98,8 @@ def _implicit_slope(H: Hamiltonian, x: GraphPoint, r: float, grid: np.ndarray) -
     lo, hi = float(grid[rise - 1]), float(grid[rise])
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles: past 2**19 they sit wider than BISECT_TOL
+            break
         if fn(x, r, mid) > 0.0:
             hi = mid
         else:

@@ -17,54 +17,30 @@ from typing import Dict, Optional
 
 from .cost import CostField
 from .errors import InputError
-from .graph import Germ, GraphPoint, SeedMap, Vertex
+from .graph import GraphPoint, SeedMap
 
 
 def optical_length(field: CostField, x: GraphPoint, y: GraphPoint) -> float:
     """L_f(x, y): the least curve integral of f between x and y."""
-    return field.graph.point_cost(x, y, field.edge_cost, field.full_edge_cost)
+    return field.graph.point_cost(x, y, field.profiles)
 
 
 class OpticalMap(SeedMap):
     """u(x) = min over seeds of (seed value + optical length to the seed):
-    the SeedMap whose costs are the integrals of f.  On an edge it is
+    the SeedMap over the cost field's profile table.  On an edge it is
     min( u(src) + F(s),  u(dst) + F_total - F(s) ), with F the cumulative
     integral of f from the src end, possibly undercut by a direct branch
     when a seed sits inside that very edge.
     """
 
     def __init__(self, field: CostField, seeds: Dict[GraphPoint, float]):
-        super().__init__(field.graph, seeds, field.edge_cost, field.full_edge_cost)
+        super().__init__(field.graph, seeds, field.profiles)
         self.field = field
 
     # bound here as well, because bench/tracing.py wraps the methods it finds
     # in this class's own namespace
     evaluate = __call__ = SeedMap.evaluate
-
-    def _value(self, p: GraphPoint) -> float:
-        """``SeedMap._value`` with each in-edge branch read off the edge's
-        profile: an offset inside the edge meets every range check of
-        ``field.edge_cost``, whose clamps then change nothing."""
-        if isinstance(p, Vertex):
-            return self.vertex_values[p.id]
-        eid, s = p.edge, p.s
-        rec = self.graph.edges[eid]
-        length = rec.length
-        integral = self.field.profiles[eid].integral
-        best = self.vertex_values[rec.src] + integral(0.0, s, length)
-        v = self.vertex_values[rec.dst] + integral(s, length, length)
-        if v < best:
-            best = v
-        for s0, val in self._interior_seeds.get(eid, ()):
-            v = val + integral(min(s, s0), max(s, s0), length)
-            if v < best:
-                best = v
-        return best
-
-    def germ_derivative(self, p: GraphPoint, germ: Germ) -> float:
-        """Exact one-sided derivative of u along ``germ`` at its base point:
-        f there, with the sign of the steepest active branch."""
-        return self.germ_sign(germ) * self.field.germ_value(germ)
+    germ_derivative = SeedMap.germ_derivative
 
     def vertex_value(self, vid: str) -> float:
         try:
@@ -114,7 +90,7 @@ class StoredSolution(OpticalMap):
             raise InputError("non-finite values at vertices: %s" % ", ".join(sorted(bad)))
         self.field = field
         self.graph = graph
-        self._segcost = field.edge_cost
+        self.profiles = field.profiles
         self._interior_seeds = {}
         self.vertex_values = {vid: float(v) for vid, v in vertex_values.items()}
         self.data = data

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cost import CostField
-from .errors import InputError
-from .graph import (Curve, GraphPoint, MetricGraph, SeedMap, Vertex, _default_samples,
-                    random_curve)
+from .errors import InputError, PreconditionError
+from .graph import (Constant, Curve, GraphPoint, MetricGraph, SeedMap, Vertex,
+                    _default_samples, random_curve)
 from .optical import OpticalMap, optical_length
 
 
@@ -271,8 +271,7 @@ def _lipschitz_of_g(graph: MetricGraph, data: BoundaryData) -> float:
 def _cone(graph: MetricGraph, values: Dict[str, float], c: float) -> SeedMap:
     """p -> min over boundary y of (values[y] + c · d(y, p))."""
     return SeedMap(graph, {Vertex(vid): v for vid, v in values.items()},
-                   lambda eid, s0, s1: c * abs(s1 - s0),
-                   lambda eid: c * graph.edges[eid].length)
+                   dict.fromkeys(graph.edges, Constant(c)))
 
 
 def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = None,
@@ -293,6 +292,10 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     with g and with -g.  Every pair is covered (``n_checked`` counts them) by
     one evaluation per point and map.
 
+    u must carry its boundary data (a ``ValueFunction`` does, a
+    ``StoredSolution`` when given ``data``); without it this raises
+    ``PreconditionError`` before any Dijkstra runs.
+
     Cost, in Dijkstra runs over the vertices with B boundary vertices: B - 1
     for Lip g, one cone map (three when g is compatible), and the
     compatibility check's witness searches, plus one solve when ``u`` is
@@ -301,9 +304,12 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     """
     if tol is None:
         tol = 1e-9
+    data = getattr(u, "data", None)
+    if data is None:
+        raise PreconditionError("boundary modulus needs boundary data, and u carries none "
+                                "(give StoredSolution its data=)")
     graph = u.graph
     field = u.field
-    data = u.data
     supf = field.sup_value()
     lipg = _lipschitz_of_g(graph, data)
     upper_c = max(supf, lipg)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from eikograph import (CostField, Curve, DistanceField, EdgeInterior, Germ, InputError,
                        MetricGraph, OpticalMap, Vertex, optical_length, random_curve)
+from eikograph.graph import SeedMap
 from conftest import build_instance, random_graph_spec, tiny_dijkstra
 
 
@@ -293,10 +294,30 @@ def test_distance_field_germ_derivatives_equal_a_unit_optical_map():
         targets += [graph.point(*_interior(graph, rng)) for _ in range(6)]
         targets += [Vertex(vid) for vid in graph.vertices]
         for p in targets:
+            assert dfield.evaluate(p) == unit.evaluate(p)
             for germ in graph.germs(p):
                 assert dfield.germ_derivative(p, germ) == unit.germ_derivative(p, germ)
                 checked += 1
     assert checked > 500
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_seed_map_is_the_one_seeded_map_evaluator():
+    """No seeded map in the package gives an evaluator method a body of its
+    own: a name a subclass restates is SeedMap's own function, not a copy."""
+    maps = [cls for cls in _subclasses(SeedMap) if cls.__module__.startswith("eikograph.")]
+    assert {cls.__name__ for cls in maps} >= {"DistanceField", "OpticalMap", "StoredSolution",
+                                               "ValueFunction"}
+    for cls in maps:
+        for name in ("_value", "_branches", "germ_sign", "germ_derivative", "evaluate"):
+            assert vars(cls).get(name, vars(SeedMap)[name]) is vars(SeedMap)[name], (cls, name)
+    for name in ("evaluate", "germ_derivative"):
+        assert vars(OpticalMap)[name] is vars(SeedMap)[name]
 
 
 def test_distance_field_germ_derivatives_on_interval(interval):

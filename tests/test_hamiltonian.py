@@ -130,6 +130,16 @@ def test_coercivity_probe_failure():
         reduce_to_eikonal(out_of_reach, 0.0, graph)
 
 
+@pytest.mark.parametrize("c", [5e5, 5e6, 3e8])
+def test_bisection_ends_for_slopes_past_two_to_the_nineteenth(c):
+    """Past 2**19 adjacent doubles sit wider apart than BISECT_TOL, so the
+    bracket stops shrinking there; the bisection ends on adjacent doubles
+    and returns the root."""
+    graph = MetricGraph([("a", True), ("b",)], [("e", "a", "b", 1.0)])
+    h = reduce_to_eikonal(Hamiltonian(lambda x, r, p: p - c, pmax=1e9), 0.0, graph, n_knots=2)
+    assert h.profiles["e"].values == (c, c)
+
+
 @pytest.mark.parametrize("pmax", [0.0, -1.0, math.nan, math.inf])
 def test_pmax_must_be_finite_and_positive(pmax):
     """0 crashed in np.geomspace, inf reported a drop "at p=inf back to

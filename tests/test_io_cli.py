@@ -676,6 +676,12 @@ def test_cli_ekeland_prints_the_selected_label(tmp_path, capsys):
     assert entry(["ekeland", d, f, "--maximize", "--out-dir", str(tmp_path)]) == 1
     assert "--delta" in capsys.readouterr().err
 
+    for flags in (["--eps", "inf"], ["--maximize", "--delta", "inf", "--lam", "1"],
+                  ["--maximize", "--delta", "1", "--lam", "inf"]):
+        assert entry(["ekeland", d, f, *flags, "--out-dir", str(tmp_path / "inf")]) == 1
+        assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "inf").exists()
+
 
 def test_cli_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:

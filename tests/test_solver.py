@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eikograph import (BoundaryData, Constant, CostField, Curve, EdgeInterior, InputError,
-                       Linear, MetricGraph, OpticalMap, Samples, StoredSolution, Vertex,
-                       boundary_modulus, check_compatibility, graph_to_dict,
-                       optical_length, random_curve, solve, verify_dpp, verify_monge,
-                       verify_suboptimality)
+                       Linear, MetricGraph, OpticalMap, PreconditionError, Samples,
+                       StoredSolution, Vertex, boundary_modulus, check_compatibility,
+                       graph_to_dict, optical_length, random_curve, solve, verify_dpp,
+                       verify_monge, verify_suboptimality)
 from eikograph.cli import entry
 from eikograph.graph import _default_samples
 from eikograph.solver import BoundaryModulusReport, _lipschitz_of_g
@@ -453,6 +453,16 @@ def test_modulus_runs_one_dijkstra_per_boundary_vertex_whatever_the_point_count(
         assert rep.compatible == compatible
         assert rep.n_checked == len(points) * B
         assert len(runs) == (B - 1) + (3 if compatible else 1) + n_compat - 1
+
+
+def test_modulus_refuses_a_table_without_boundary_data(monkeypatch):
+    _, field, data = make_interval()
+    table = dict(solve(field, data).vertex_values)
+    bare = StoredSolution(field, table)
+    runs = _count_dijkstras(monkeypatch)
+    with pytest.raises(PreconditionError, match="boundary data"):
+        boundary_modulus(bare)
+    assert runs == []
 
 
 def test_modulus_checks_a_stored_table_against_the_true_solve():
