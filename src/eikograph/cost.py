@@ -16,8 +16,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple, Union
 
-from .errors import InputError
+from .errors import InputError, ProfileError
 from .graph import Constant, EdgeInterior, GraphPoint, MetricGraph
+
+#: the positivity floor: every cost field has f >= FMIN > 0
+FMIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -160,28 +163,28 @@ Profile = Union[Constant, Linear, Samples]
 class CostField:
     """The running cost f over a whole graph: one profile per edge.
 
-    Every edge must be covered.  Values are validated against a positivity
-    floor once, here, so downstream integrals can assume f >= fmin > 0.
+    Every edge must be covered.  Values are validated against the positivity
+    floor once, here, so downstream integrals can assume f >= FMIN > 0.
     """
 
-    def __init__(self, graph: MetricGraph, profiles: Dict[str, Profile], fmin: float = 1e-6):
+    def __init__(self, graph: MetricGraph, profiles: Dict[str, Profile]):
         missing = sorted(set(graph.edges) - set(profiles))
         if missing:
             raise InputError("cost field is missing profiles for edges: %s" % ", ".join(missing))
         extra = sorted(set(profiles) - set(graph.edges))
         if extra:
             raise InputError("cost field has profiles for unknown edges: %s" % ", ".join(extra))
-        if not (fmin > 0):
-            raise InputError("positivity floor must be > 0 (got %r)" % fmin)
         for eid, prof in profiles.items():
-            prof.check(graph.edges[eid].length, fmin)
+            try:
+                prof.check(graph.edges[eid].length, FMIN)
+            except InputError as exc:
+                raise ProfileError("edge %r: %s" % (eid, exc), eid) from None
         self.graph = graph
         self.profiles = dict(profiles)
-        self.fmin = fmin
 
     @classmethod
-    def constant(cls, graph: MetricGraph, value: float = 1.0, fmin: float = 1e-6) -> "CostField":
-        return cls(graph, {eid: Constant(value) for eid in graph.edges}, fmin=fmin)
+    def constant(cls, graph: MetricGraph, value: float = 1.0) -> "CostField":
+        return cls(graph, {eid: Constant(value) for eid in graph.edges})
 
     def edge_cost(self, eid: str, s0: float, s1: float) -> float:
         """∫ f over the within-edge segment [min(s0,s1), max(s0,s1)]."""

@@ -97,10 +97,13 @@ def ekeland_maximize(space: FiniteMetricSpace, fvals: Sequence[float], delta: fl
     Realized by running the descent on -f with eps = delta/lam; the three
     conclusions are re-verified on the way out.
     """
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta > 0):
-        raise InputError("delta must be positive and finite (got %r)" % (delta,))
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
-        raise InputError("lam must be positive and finite (got %r)" % (lam,))
+    for name, v in (("delta", delta), ("lam", lam)):
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            raise InputError("%s must be positive and finite (got %r)" % (name, v))
+    eps = delta / lam  # the descent's rate, which can overflow or underflow
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError("delta / lam must be positive and finite (got %r / %r = %r)"
+                         % (delta, lam, eps))
     for v in fvals:
         if math.isnan(v) or v == math.inf:
             raise InputError("values must be < +inf and not NaN (got %r)" % v)
@@ -114,7 +117,6 @@ def ekeland_maximize(space: FiniteMetricSpace, fvals: Sequence[float], delta: fl
             "f(x0) = %r is more than delta = %r below the supremum %r"
             % (fvals[x0], delta, max(finite)))
     neg = [-float(v) for v in fvals]
-    eps = delta / lam
     rec = ekeland_point(space, neg, eps, x0, full=True)
     x = rec.point
     if not (fvals[x] >= fvals[x0]):

@@ -18,6 +18,14 @@ class GraphFormatError(InputError):
     whenever the offending record could be located in the source text."""
 
 
+class ProfileError(InputError):
+    """An edge's cost profile was refused; ``edge`` names the edge."""
+
+    def __init__(self, message, edge):
+        super().__init__(message)
+        self.edge = edge
+
+
 class PreconditionError(InputError):
     """A stated precondition of an operation does not hold for the given data."""
 

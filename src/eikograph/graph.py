@@ -18,9 +18,12 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, UnreachableError
+
+#: branch values within BRANCH_TIE * (1 + |least|) of the least tie for it
+BRANCH_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,30 @@ class Constant:
         return self.value, self.value
 
 
+def _settle(seeds: Dict[Hashable, float], relax: Callable) -> Dict[Hashable, float]:
+    """The package's one label-setting loop (Dijkstra): the settled cost of
+    each node reached from ``seeds`` (node -> cost), in settling order,
+    cheapest first with ties broken by (cost, node).  ``relax(node, cost,
+    settled)`` gives a settling node's (neighbour, offered cost) pairs; an
+    offer is pushed only when it strictly lowers its node's best known cost,
+    for no other offer could settle it first."""
+    done: Dict[Hashable, float] = {}
+    best = dict(seeds)
+    heap = sorted((c, node) for node, c in seeds.items())
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        cost, node = pop(heap)
+        if node in done:
+            continue
+        done[node] = cost
+        for other, c in relax(node, cost, done):
+            known = best.get(other)
+            if known is None or c < known:
+                best[other] = c
+                push(heap, (c, other))
+    return done
+
+
 class MetricGraph:
     """A finite connected multigraph with positive edge lengths.
 
@@ -145,17 +172,9 @@ class MetricGraph:
         self._check_connected()
 
     def _check_connected(self):
-        seen = set()
-        start = next(iter(self.vertices))
-        stack = [start]
-        while stack:
-            vid = stack.pop()
-            if vid in seen:
-                continue
-            seen.add(vid)
-            stack.extend(other for _eid, other in self._nbrs[vid] if other not in seen)
+        seen = _settle({next(iter(self.vertices)): 0.0}, self._relax(lambda eid: 0.0))
         if len(seen) != len(self.vertices):
-            missing = sorted(set(self.vertices) - seen)
+            missing = sorted(set(self.vertices) - set(seen))
             raise InputError("graph is not connected; unreachable vertices: %s" % ", ".join(missing))
 
     # ------------------------------------------------------------------
@@ -250,41 +269,30 @@ class MetricGraph:
 
     def shortest_from_seeds(self, seeds: Dict[str, float],
                             edge_weight: Callable[[str], float]) -> Dict[str, float]:
-        """Multi-seed Dijkstra over vertices.
-
-        ``seeds`` maps vertex id -> initial cost; ``edge_weight`` gives the
-        (nonnegative) traversal cost of a whole edge.  Ties are broken by
-        (cost, vertex id), which makes relaxation order — and therefore any
-        downstream report — deterministic.  An offer is pushed only when it
-        strictly lowers the best cost known for its vertex; the entries that
-        are left out could never be the first to settle it.
-        """
+        """Multi-seed Dijkstra over vertices by ``_settle``: ``seeds`` maps
+        vertex id -> cost, ``edge_weight`` gives a whole edge's cost (>= 0)."""
         for vid in seeds:
             if vid not in self.vertices:
                 raise InputError("seed at unknown vertex %r" % vid)
         if not seeds:
             raise InputError("empty seed set")
-        done: Dict[str, float] = {}
-        best = dict(seeds)
-        heap = sorted((c, vid) for vid, c in seeds.items())
-        nbrs = self._nbrs
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            cost, vid = pop(heap)
-            if vid in done:
-                continue
-            done[vid] = cost
-            for eid, other in nbrs[vid]:
-                if other not in done:
-                    c = cost + edge_weight(eid)
-                    known = best.get(other)
-                    if known is None or c < known:
-                        best[other] = c
-                        push(heap, (c, other))
+        done = _settle(seeds, self._relax(edge_weight))
         if len(done) != len(self.vertices):
             missing = sorted(set(self.vertices) - set(done))
             raise UnreachableError("vertices unreachable from seeds: %s" % ", ".join(missing))
         return done
+
+    def _relax(self, edge_weight: Callable[[str], float]) -> Callable:
+        """``_settle``'s relax over vertices: a settling vertex offers each
+        unsettled neighbour its cost plus the weight of the joining edge."""
+        nbrs = self._nbrs
+
+        def relax(vid: str, cost: float, settled) -> Iterator[Tuple[str, float]]:
+            for eid, other in nbrs[vid]:
+                if other not in settled:
+                    yield other, cost + edge_weight(eid)
+
+        return relax
 
     def point_cost(self, x: GraphPoint, y: GraphPoint, profiles: Dict[str, "Profile"]) -> float:
         """The least cost of a path between two points when each edge runs
@@ -395,10 +403,10 @@ class SeedMap:
     def germ_sign(self, germ: Germ) -> int:
         """-1 if the map descends along ``germ`` and +1 if it ascends: the
         steepest of the branches that are least at the germ's base (to a
-        relative 1e-12)."""
+        relative BRANCH_TIE)."""
         values, signs = self._branches(germ.edge, germ.base)
         m = min(values)
-        tol = 1e-12 * (1.0 + abs(m))
+        tol = BRANCH_TIE * (1.0 + abs(m))
         for v, sign in zip(values, signs):
             if v <= m + tol and germ.sign * sign < 0:
                 return -1
@@ -605,17 +613,11 @@ def random_curve(graph: MetricGraph, rng: random.Random, steps: int = 6) -> Curv
                 target_vid, vertex_s = rec.dst, rec.length
             else:
                 target_vid, vertex_s = rec.src, 0.0
-            if graph.vertices[target_vid].boundary:
-                # stop short of the boundary vertex
-                ns = cur_s + (vertex_s - cur_s) * rng.uniform(0.3, 0.9)
-                if 0.0 < ns < rec.length and ns != cur_s:
-                    pts.append(EdgeInterior(cur_eid, ns))
-                    hints.append(cur_eid)
-                    cur_s = ns
-                continue
-            if rng.random() < 0.35:
-                # wander within the current edge
-                ns = cur_s + (vertex_s - cur_s) * rng.uniform(0.2, 0.8)
+            boundary = graph.vertices[target_vid].boundary
+            if boundary or rng.random() < 0.35:
+                # stop short of a boundary vertex, or wander within the edge
+                ns = cur_s + (vertex_s - cur_s) * (rng.uniform(0.3, 0.9) if boundary
+                                                   else rng.uniform(0.2, 0.8))
                 if 0.0 < ns < rec.length and ns != cur_s:
                     pts.append(EdgeInterior(cur_eid, ns))
                     hints.append(cur_eid)

@@ -15,18 +15,17 @@ increasing order.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .cost import CostField, Samples
+from .cost import FMIN, CostField, Samples
 from .errors import (CoercivityProbeFailed, ImproperHamiltonian, InputError,
                      NonmonotoneHamiltonian, NoSubsolution)
-from .graph import GraphPoint, MetricGraph, Vertex, _as_evaluator, _compose
+from .graph import GraphPoint, MetricGraph, Vertex, _as_evaluator, _compose, _settle
 from .solver import BoundaryData, ValueFunction, solve
 
 PROBE_POINTS = 64
@@ -116,13 +115,12 @@ def _edge_knots(graph: MetricGraph, n_knots: int):
 
 
 def reduce_to_eikonal(H: Hamiltonian, u: Union[float, Callable[[GraphPoint], float]],
-                      graph: MetricGraph, n_knots: int = 65,
-                      fmin: float = 1e-6) -> CostField:
+                      graph: MetricGraph, n_knots: int = 65) -> CostField:
     """Materialize h(x) = inf{p : H(x, u(x), p) > 0} as a sampled cost field.
 
     ``u`` supplies the r-argument (a constant for r-independent H, any
     evaluable function otherwise).  Each edge gets ``n_knots`` uniform knots;
-    h is clamped below at ``fmin`` so the result is a legal cost field.
+    h is clamped below at ``FMIN`` so the result is a legal cost field.
     """
     edge_knots = _edge_knots(graph, n_knots)
     ueval = _as_evaluator(u)
@@ -132,13 +130,13 @@ def reduce_to_eikonal(H: Hamiltonian, u: Union[float, Callable[[GraphPoint], flo
         values = []
         for s in knots:
             p = graph.point(eid, float(s))
-            values.append(max(_implicit_slope(H, p, ueval(p), grid), fmin))
+            values.append(max(_implicit_slope(H, p, ueval(p), grid), FMIN))
         profiles[eid] = Samples(knots, values)
-    return CostField(graph, profiles, fmin=fmin)
+    return CostField(graph, profiles)
 
 
 def solve_general(H: Hamiltonian, graph: MetricGraph, data: BoundaryData,
-                  n_knots: int = 65, fmin: float = 1e-6) -> ValueFunction:
+                  n_knots: int = 65) -> ValueFunction:
     """Solve H(x, u, |∇u|) = 0 with Dirichlet data: ``solve`` of the reduced
     field, which the result keeps as ``.field``.
 
@@ -156,11 +154,11 @@ def solve_general(H: Hamiltonian, graph: MetricGraph, data: BoundaryData,
     no extra call of H, and it is a spot check, not a proof.
     """
     if not H.depends_on_r:
-        return solve(reduce_to_eikonal(H, 0.0, graph, n_knots=n_knots, fmin=fmin), data)
+        return solve(reduce_to_eikonal(H, 0.0, graph, n_knots=n_knots), data)
     grid = _probe_grid(H.pmax)
 
     def slope(x: GraphPoint, r: float) -> float:
-        return max(_implicit_slope(H, x, r, grid), fmin)
+        return max(_implicit_slope(H, x, r, grid), FMIN)
 
     nodes: List[GraphPoint] = [Vertex(vid) for vid in graph.vertices]
     index = {vid: i for i, vid in enumerate(graph.vertices)}
@@ -175,33 +173,29 @@ def solve_general(H: Hamiltonian, graph: MetricGraph, data: BoundaryData,
             links[b].append((a, gap))
         chains.append((eid, knots, chain))
 
-    value = {index[vid]: g for vid, g in data.items()}
-    heap = sorted((g, i) for i, g in value.items())  # keyed by (value, node id)
     h: Dict[int, float] = {}
     predicted: Dict[int, Tuple[float, float]] = {}  # node -> its last (r, slope) prediction
-    while heap:
-        c, i = heapq.heappop(heap)
-        if i not in h:
-            hi = h[i] = slope(nodes[i], c)
-            if i in predicted:
-                _check_proper(nodes[i], predicted.pop(i), (c, hi))
-            for j, gap in links[i]:
-                if j not in h:
-                    r = c + gap * hi
-                    try:
-                        hj = slope(nodes[j], r)
-                        predicted[j] = (r, hj)
-                    except NoSubsolution:
-                        # a predictor may overshoot to an r with H(x, r, 0) > 0,
-                        # where the level-set formula gives 0; a settled node's
-                        # slope still refuses it
-                        hj = fmin
-                    cand = c + 0.5 * gap * (hi + hj)
-                    if cand < value.get(j, math.inf):
-                        value[j] = cand
-                        heapq.heappush(heap, (cand, j))
+
+    def relax(i: int, c: float, settled) -> Iterator[Tuple[int, float]]:
+        hi = h[i] = slope(nodes[i], c)
+        if i in predicted:
+            _check_proper(nodes[i], predicted.pop(i), (c, hi))
+        for j, gap in links[i]:
+            if j not in settled:
+                r = c + gap * hi
+                try:
+                    hj = slope(nodes[j], r)
+                    predicted[j] = (r, hj)
+                except NoSubsolution:
+                    # a predictor may overshoot to an r with H(x, r, 0) > 0,
+                    # where the level-set formula gives 0; a settled node's
+                    # slope still refuses it
+                    hj = FMIN
+                yield j, c + 0.5 * gap * (hi + hj)
+
+    _settle({index[vid]: g for vid, g in data.items()}, relax)
     profiles = {eid: Samples(knots, [h[n] for n in chain]) for eid, knots, chain in chains}
-    return solve(CostField(graph, profiles, fmin=fmin), data)
+    return solve(CostField(graph, profiles), data)
 
 
 def _check_proper(x: GraphPoint, first: Tuple[float, float], second: Tuple[float, float]):

@@ -28,30 +28,18 @@ from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
 from .cost import Constant, CostField, Linear, Profile, Samples
-from .errors import GraphFormatError, InputError
+from .errors import GraphFormatError, InputError, ProfileError
 from .graph import EdgeInterior, GraphPoint, MetricGraph, Vertex
-from .optical import OpticalMap, StoredSolution
+from .optical import OpticalMap, StoredSolution, _crossing
 from .solver import BoundaryData, ValueFunction
 
 
-def _line_of(text: str, needle: str, start: int = 0) -> Optional[int]:
-    pos = text.find(needle, start)
-    if pos < 0:
-        return None
-    return text.count("\n", 0, pos) + 1
-
-
-def _anchor(filename: str, text: str, key: Optional[str], start: int = 0) -> str:
-    """file:line of the first ``"key"`` at or after ``start`` in the text."""
-    if key is not None:
-        line = _line_of(text, '"%s"' % key, start)
-        if line is not None:
-            return "%s:%d" % (filename, line)
-    return filename
-
-
-def _fail(filename: str, text: str, key: Optional[str], message: str, start: int = 0):
-    raise GraphFormatError("%s: %s" % (_anchor(filename, text, key, start), message))
+def _fail(filename: str, text: str, key: str, message: str, start: int = 0):
+    """Refuse the document at file:line of the first ``"key"`` at or after
+    ``start`` in the text, or at the file when the text has none."""
+    pos = text.find('"%s"' % key, start)
+    where = filename if pos < 0 else "%s:%d" % (filename, text.count("\n", 0, pos) + 1)
+    raise GraphFormatError("%s: %s" % (where, message))
 
 
 def _number(x) -> float:
@@ -96,8 +84,8 @@ def _parse_profile(obj, eid: str, filename: str, text: str) -> Profile:
           "edge %r: unknown f kind %r (expected const, linear, or samples)" % (eid, kind))
 
 
-def load_graph(text: str, filename: str = "<graph>",
-               fmin: float = 1e-6) -> Tuple[MetricGraph, CostField, Optional[BoundaryData]]:
+def load_graph(text: str,
+               filename: str = "<graph>") -> Tuple[MetricGraph, CostField, Optional[BoundaryData]]:
     """Parse and validate a graph document.
 
     Returns the graph, its cost field, and the boundary data (None when the
@@ -152,7 +140,9 @@ def load_graph(text: str, filename: str = "<graph>",
 
     try:
         graph = MetricGraph(vertices, edges)
-        field = CostField(graph, profiles, fmin=fmin)
+        field = CostField(graph, profiles)
+    except ProfileError as exc:
+        _fail(filename, text, exc.edge, str(exc))
     except InputError as exc:
         raise GraphFormatError("%s: %s" % (filename, exc)) from None
     # The overflow checks need lengths and profiles that the graph and the
@@ -206,6 +196,7 @@ def graph_to_dict(graph: MetricGraph, field: CostField,
 # ----------------------------------------------------------------------
 
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps(str) minus its call layers
+_INDENT = "  "  # one nesting level
 
 
 def point_to_obj(p: GraphPoint) -> dict:
@@ -230,26 +221,27 @@ def point_from_obj(obj, graph: MetricGraph) -> GraphPoint:
                      "with each id a string" % (obj,))
 
 
-def dump_json(obj, indent: int = 2) -> str:
-    """JSON text with floats at 17 significant digits (non-finite → null).
+def dump_json(obj) -> str:
+    """JSON text, indented two spaces a level, with floats at 17 significant
+    digits (non-finite → null).
 
     A dataclass becomes an object of its fields in declaration order; a
     graph point takes its ``point_to_obj`` form.  Each value is dispatched
     on its exact type through one table, ``_EMITTERS``; a type the table
     does not hold takes the isinstance chain of ``_emit_other``."""
-    return _text(obj, 0, indent) + "\n"
+    return _text(obj, 0) + "\n"
 
 
 def _float_text(x: float) -> str:
     return "%.17g" % x if isfinite(x) else "null"
 
 
-def _text(obj, depth: int, indent: int) -> str:
+def _text(obj, depth: int) -> str:
     """The JSON text of ``obj`` nested ``depth`` levels deep."""
-    return _EMITTERS.get(type(obj), _emit_other)(obj, depth, indent)
+    return _EMITTERS.get(type(obj), _emit_other)(obj, depth)
 
 
-def _members(keys, values, depth: int, indent: int, opening: str, closing: str) -> str:
+def _members(keys, values, depth: int, opening: str, closing: str) -> str:
     """One member per line: each encoded key (or "") with its value.  Exact
     floats, strings and bools are formatted here, anything else through
     the table."""
@@ -264,33 +256,33 @@ def _members(keys, values, depth: int, indent: int, opening: str, closing: str) 
         elif t is bool:
             lines.append(key + ("true" if v else "false"))
         else:
-            lines.append(key + _EMITTERS.get(t, _emit_other)(v, inner, indent))
+            lines.append(key + _EMITTERS.get(t, _emit_other)(v, inner))
     if not lines:
         return opening + closing
-    pad = "\n" + " " * (indent * inner)
-    return opening + pad + ("," + pad).join(lines) + "\n" + " " * (indent * depth) + closing
+    pad = "\n" + _INDENT * inner
+    return opening + pad + ("," + pad).join(lines) + "\n" + _INDENT * depth + closing
 
 
-def _emit_list(obj, depth: int, indent: int) -> str:
-    return _members(repeat(""), obj, depth, indent, "[", "]")
+def _emit_list(obj, depth: int) -> str:
+    return _members(repeat(""), obj, depth, "[", "]")
 
 
-def _emit_dict(obj, depth: int, indent: int) -> str:
+def _emit_dict(obj, depth: int) -> str:
     return _members([_encode_str(str(k)) + ": " for k in obj], obj.values(),
-                    depth, indent, "{", "}")
+                    depth, "{", "}")
 
 
-def _emit_vertex(p: Vertex, depth: int, indent: int) -> str:
-    pad = " " * (indent * depth)
-    inner = pad + " " * indent
-    return '{\n%s"vertex": %s\n%s}' % (inner, _text(p.id, depth + 1, indent), pad)
+def _emit_vertex(p: Vertex, depth: int) -> str:
+    pad = _INDENT * depth
+    inner = pad + _INDENT
+    return '{\n%s"vertex": %s\n%s}' % (inner, _text(p.id, depth + 1), pad)
 
 
-def _emit_edge_interior(p: EdgeInterior, depth: int, indent: int) -> str:
-    pad = " " * (indent * depth)
-    inner = pad + " " * indent
+def _emit_edge_interior(p: EdgeInterior, depth: int) -> str:
+    pad = _INDENT * depth
+    inner = pad + _INDENT
     return '{\n%s"edge": %s,\n%s"s": %s\n%s}' % (
-        inner, _text(p.edge, depth + 1, indent), inner, _text(p.s, depth + 1, indent), pad)
+        inner, _text(p.edge, depth + 1), inner, _text(p.s, depth + 1), pad)
 
 
 def _dataclass_emitter(cls: type):
@@ -302,13 +294,13 @@ def _dataclass_emitter(cls: type):
     # attrgetter returns a tuple only when it is given two names or more
     values = attrgetter(*names) if len(names) > 1 else lambda obj: [getattr(obj, n) for n in names]
 
-    def emit(obj, depth: int, indent: int) -> str:
-        return _members(keys, values(obj), depth, indent, "{", "}")
+    def emit(obj, depth: int) -> str:
+        return _members(keys, values(obj), depth, "{", "}")
 
     return emit
 
 
-def _emit_other(obj, depth: int, indent: int) -> str:
+def _emit_other(obj, depth: int) -> str:
     """A type the table does not hold goes through the isinstance chain:
     subclasses of the scalar and container types (``numpy.float64`` is a
     float), points of a subclass, then dataclasses, whose emitter joins the
@@ -320,22 +312,22 @@ def _emit_other(obj, depth: int, indent: int) -> str:
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, (list, tuple)):
-        return _emit_list(obj, depth, indent)
+        return _emit_list(obj, depth)
     if isinstance(obj, dict):
-        return _emit_dict(obj, depth, indent)
+        return _emit_dict(obj, depth)
     if isinstance(obj, (Vertex, EdgeInterior)):
-        return _emit_dict(point_to_obj(obj), depth, indent)
+        return _emit_dict(point_to_obj(obj), depth)
     emit = _EMITTERS[type(obj)] = _dataclass_emitter(type(obj))
-    return emit(obj, depth, indent)
+    return emit(obj, depth)
 
 
-#: exact type -> emitter(obj, depth, indent) -> JSON text
+#: exact type -> emitter(obj, depth) -> JSON text
 _EMITTERS = {
-    type(None): lambda obj, depth, indent: "null",
-    bool: lambda obj, depth, indent: "true" if obj else "false",
-    int: lambda obj, depth, indent: str(obj),
-    float: lambda obj, depth, indent: _float_text(obj),
-    str: lambda obj, depth, indent: _encode_str(obj),
+    type(None): lambda obj, depth: "null",
+    bool: lambda obj, depth: "true" if obj else "false",
+    int: lambda obj, depth: str(obj),
+    float: lambda obj, depth: _float_text(obj),
+    str: lambda obj, depth: _encode_str(obj),
     list: _emit_list,
     tuple: _emit_list,
     dict: _emit_dict,
@@ -355,12 +347,10 @@ def value_function_to_dict(u: ValueFunction) -> dict:
     edges = {}
     for eid in sorted(u.graph.edges):
         rec = u.graph.edges[eid]
-        edges[eid] = {
-            "u_src": u.vertex_values[rec.src],
-            "u_dst": u.vertex_values[rec.dst],
-            "cost": u.field.full_edge_cost(eid),
-            "kink": u.kink(eid),
-        }
+        u_src, u_dst = u.vertex_values[rec.src], u.vertex_values[rec.dst]
+        cost = u.field.full_edge_cost(eid)
+        edges[eid] = {"u_src": u_src, "u_dst": u_dst, "cost": cost,
+                      "kink": _crossing(u.profiles[eid], rec.length, u_src, u_dst, cost)}
     return {
         "kind": "value-function",
         "boundary": {vid: u.data[vid] for vid in sorted(u.data.values)},

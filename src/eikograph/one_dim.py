@@ -57,7 +57,7 @@ def logcosh(t: float) -> float:
     return a - math.log(2.0) + math.log1p(math.exp(-2.0 * a))
 
 
-def viscous_solution(eps: float, grid: Sequence[float], label: Optional[str] = None) -> Profile1D:
+def viscous_solution(eps: float, grid: Sequence[float]) -> Profile1D:
     """The solution of  -eps u'' + |u'| = 1,  u(±1) = 0:
 
         u_eps(x) = eps [ logcosh(1/eps) - logcosh(x/eps) ].
@@ -70,7 +70,7 @@ def viscous_solution(eps: float, grid: Sequence[float], label: Optional[str] = N
     xs = np.asarray(grid, dtype=float)
     ref = logcosh(1.0 / eps)
     ys = [eps * (ref - logcosh(x / eps)) for x in xs]
-    return Profile1D(xs, ys, label=("eps=%g" % eps) if label is None else label)
+    return Profile1D(xs, ys, label="eps=%g" % eps)
 
 
 def limit_profile(grid: Sequence[float], label: str = "1-|x|") -> Profile1D:
@@ -96,17 +96,17 @@ def _cumtrapz(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nonincreasing(xs: np.ndarray, vals: np.ndarray, tol: float) -> MonotoneReport:
+def _nonincreasing(xs: np.ndarray, vals: np.ndarray) -> MonotoneReport:
+    """Whether ``vals`` never rises by more than MONOTONE_TOL along ``xs``."""
     rises = np.diff(vals)
     worst = float(rises.max()) if len(rises) else 0.0
-    if worst > tol:
+    if worst > MONOTONE_TOL:
         i = int(np.argmax(rises))
-        return MonotoneReport(False, worst, float(xs[i + 1]), tol)
-    return MonotoneReport(True, max(worst, 0.0), None, tol)
+        return MonotoneReport(False, worst, float(xs[i + 1]))
+    return MonotoneReport(True, max(worst, 0.0), None)
 
 
-def check_subsolution_monotone(u: Profile1D, f: Profile1D,
-                               tol: float = MONOTONE_TOL) -> MonotoneReport:
+def check_subsolution_monotone(u: Profile1D, f: Profile1D) -> MonotoneReport:
     """u' <= f in the weak sense  ⟺  x ↦ u(x) - ∫_{-1}^x f  is nonincreasing.
 
     The integral is trapezoid on the shared grid, exact for the piecewise-
@@ -114,21 +114,20 @@ def check_subsolution_monotone(u: Profile1D, f: Profile1D,
     """
     if not u.same_grid(f):
         raise InputError("u and f must share a grid")
-    return _nonincreasing(u.xs, u.ys - _cumtrapz(u.xs, f.ys), tol)
+    return _nonincreasing(u.xs, u.ys - _cumtrapz(u.xs, f.ys))
 
 
-def check_supersolution_monotone(u: Profile1D, f: Profile1D,
-                                 tol: float = MONOTONE_TOL) -> MonotoneReport:
+def check_supersolution_monotone(u: Profile1D, f: Profile1D) -> MonotoneReport:
     """For nonincreasing u:  |u'| >= f  ⟺  x ↦ u(x) + ∫_{-1}^x f  is
     nonincreasing.  The monotonicity of u itself is a precondition of this
     characterization, not part of the verdict."""
     if not u.same_grid(f):
         raise InputError("u and f must share a grid")
-    pre = _nonincreasing(u.xs, u.ys, tol)
+    pre = _nonincreasing(u.xs, u.ys)
     if not pre.ok:
         raise PreconditionError(
             "u must be nonincreasing; it rises by %g at x=%g" % (pre.max_rise, pre.at_x))
-    return _nonincreasing(u.xs, u.ys + _cumtrapz(u.xs, f.ys), tol)
+    return _nonincreasing(u.xs, u.ys + _cumtrapz(u.xs, f.ys))
 
 
 # ----------------------------------------------------------------------

@@ -54,17 +54,18 @@ class OpticalMap(SeedMap):
         throughout.  (Interior seeds add further kinks at their own offsets;
         those are already known exactly.)"""
         rec = self.graph.edge(eid)
-        uA = self.vertex_values[rec.src]
-        uB = self.vertex_values[rec.dst]
-        Ftot = self.field.full_edge_cost(eid)
-        # crossing: uA + F(s) = uB + Ftot - F(s)  =>  F(s) = (uB - uA + Ftot)/2
-        target = 0.5 * (uB - uA + Ftot)
-        if target <= 0.0 or target >= Ftot:
-            return None
-        prof = self.field.profiles[eid]
-        t = prof.inverse_integral(0.0, target, rec.length)
-        s = min(max(t, 0.0), rec.length)
-        return s if 0.0 < s < rec.length else None
+        return _crossing(self.profiles[eid], rec.length, self.vertex_values[rec.src],
+                         self.vertex_values[rec.dst], self.field.full_edge_cost(eid))
+
+
+def _crossing(prof, length: float, u_src: float, u_dst: float, cost: float) -> Optional[float]:
+    """The offset strictly inside an edge where u_src + F(s) meets u_dst +
+    cost - F(s), F the integral of ``prof`` from the src end, or None."""
+    target = 0.5 * (u_dst - u_src + cost)  # F at the crossing
+    if target <= 0.0 or target >= cost:
+        return None
+    s = min(max(prof.inverse_integral(0.0, target, length), 0.0), length)
+    return s if 0.0 < s < length else None
 
 
 class StoredSolution(OpticalMap):

@@ -21,8 +21,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .cost import CostField
 from .errors import InputError, PreconditionError, VerificationError
-from .graph import (DistanceField, EdgeInterior, Germ, GraphPoint, MetricGraph, SeedMap,
-                    Vertex, _as_evaluator, _ComposedDiff, _default_samples)
+from .graph import (BRANCH_TIE, DistanceField, EdgeInterior, Germ, GraphPoint, MetricGraph,
+                    SeedMap, Vertex, _as_evaluator, _ComposedDiff, _default_samples)
 from .optical import OpticalMap
 
 #: radius schedule for the sampling estimator: r0 * 2^-k for k = 0..12,
@@ -32,6 +32,8 @@ TAIL_START = 8
 
 EXACT_TOL = 1e-8
 SAMPLED_TOL = 1e-4
+#: how far a second difference of u - K x² may rise and still read as concave
+CONCAVITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,13 +57,6 @@ class SlopeEstimate:
         return EXACT_TOL if self.method == "exact-directional" else SAMPLED_TOL
 
 
-def _resolve_graph(u, graph: Optional[MetricGraph]) -> MetricGraph:
-    g = getattr(u, "graph", None) or graph
-    if g is None:
-        raise PreconditionError("no graph: pass graph= or use a graph-aware function")
-    return g
-
-
 def slopes(u, x: GraphPoint, graph: Optional[MetricGraph] = None,
            method: str = "auto") -> SlopeEstimate:
     """Slope triple of ``u`` at ``x``.
@@ -70,7 +65,9 @@ def slopes(u, x: GraphPoint, graph: Optional[MetricGraph] = None,
     to expose ``germ_derivative``), "sampled" (shrinking-radius quotients
     needing only point evaluation), or "auto" to prefer exact when available.
     """
-    g = _resolve_graph(u, graph)
+    g = getattr(u, "graph", None) or graph
+    if g is None:
+        raise PreconditionError("no graph: pass graph= or use a graph-aware function")
     g.validate_point(x)
     if method == "auto":
         method = "exact" if hasattr(u, "germ_derivative") else "sampled"
@@ -152,15 +149,15 @@ def _monge_seeded_samples(u: OpticalMap) -> List[GraphPoint]:
 
 def _vertex_jump(u: SeedMap, vid: str, germs: Sequence[Germ]) -> float:
     """How far u's value at vertex ``vid`` sits above the least branch at it
-    over its incident germs (to a relative 1e-12): 0 for a map that Dijkstra
-    computed, the height of the drop where a table jumps down."""
+    over its incident germs (to a relative BRANCH_TIE): 0 for a map that
+    Dijkstra computed, the height of the drop where a table jumps down."""
     m = min(min(u._branches(germ.edge, germ.base)[0]) for germ in germs)
     jump = u.vertex_values[vid] - m
-    return jump if jump > 1e-12 * (1.0 + abs(m)) else 0.0
+    return jump if jump > BRANCH_TIE * (1.0 + abs(m)) else 0.0
 
 
 def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = None,
-                 tol: Optional[float] = None, method: str = "auto") -> MongeReport:
+                 tol: Optional[float] = None) -> MongeReport:
     """Check |∇⁻u| = f where u should solve, inequality-style where it can't.
 
     At an interior point strictly inside an edge where the two one-sided
@@ -174,21 +171,21 @@ def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = N
     At a vertex of a seeded map (an OpticalMap, a stored table included) the
     value must also equal the least branch there: a vertex above it jumps
     down, which fails the subsolution half by the jump's height.  Without
-    ``points``, such a map over ``field`` checked by its exact slopes is
-    sampled where it can fail (``_monge_seeded_samples``), which makes a
-    pass an exact Bellman certificate for its vertex table; any other
-    candidate gets five points per edge besides the interior vertices.
+    ``points``, such a map over ``field`` is sampled where it can fail
+    (``_monge_seeded_samples``), which makes a pass an exact Bellman
+    certificate for its vertex table; any other candidate gets five points
+    per edge besides the interior vertices.  Slopes are exact (``tol``
+    EXACT_TOL) when u has ``germ_derivative``, else sampled (SAMPLED_TOL).
     """
     graph = field.graph
     if points is not None:
         sample_set = "given"
-    elif method != "sampled" and isinstance(u, OpticalMap) and u.field is field:
+    elif isinstance(u, OpticalMap) and u.field is field:
         sample_set, points = "seeded", _monge_seeded_samples(u)
     else:
         sample_set, points = "dense", _default_samples(graph, 5)
     if tol is None:
-        use_exact = (method == "exact") or (method == "auto" and hasattr(u, "germ_derivative"))
-        tol = EXACT_TOL if use_exact else SAMPLED_TOL
+        tol = EXACT_TOL if hasattr(u, "germ_derivative") else SAMPLED_TOL
     samples: List[MongeSample] = []
     sub_ok = super_ok = True
     worst = 0.0
@@ -199,7 +196,7 @@ def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = N
             samples.append(MongeSample(p, "skipped", 0.0, 0.0, 0.0, 0.0, True, True,
                                        reason="boundary vertex"))
             continue
-        est = slopes(u, p, graph=graph, method=method)
+        est = slopes(u, p, graph=graph)
         jump = 0.0
         reason = ""
         if isinstance(p, Vertex):
@@ -266,14 +263,13 @@ class DistanceTestFunction(_ComposedDiff):
 
 
 def distance_test_slope(graph: MetricGraph, x0: GraphPoint,
-                        hprime: Callable[[float], float], x: GraphPoint,
-                        tol: float = EXACT_TOL) -> float:
+                        hprime: Callable[[float], float], x: GraphPoint) -> float:
     """Slope of φ = h(d(·, x₀)) at x, which for nondecreasing h with
     h'(0) = 0 is h'(d(x, x₀)) — both the full slope and the descending part.
 
     Returns that value after checking it against the slope engine run on the
     composed function; a disagreement is a genuine defect in the slope
-    machinery and raises.
+    machinery and raises.  Agreement is to EXACT_TOL.
     """
     h0 = hprime(0.0)
     if h0 != 0.0:
@@ -285,9 +281,9 @@ def distance_test_slope(graph: MetricGraph, x0: GraphPoint,
         raise PreconditionError("h' must be nonnegative; h'(%r) = %r" % (r, value))
     est = slopes(phi, x, graph=graph, method="exact")
     if r == 0.0:
-        agreed = est.total <= tol
+        agreed = est.total <= EXACT_TOL
     else:
-        agreed = abs(est.total - value) <= tol and abs(est.down - value) <= tol
+        agreed = abs(est.total - value) <= EXACT_TOL and abs(est.down - value) <= EXACT_TOL
     if not agreed:
         raise VerificationError(
             "slope engine disagrees with h'(d): expected %r, got %r" % (value, est))
@@ -307,8 +303,8 @@ class SemiconcaveReport:
     points: List[Tuple[float, float, float]] = dc_field(default_factory=list)  # (x, total, down)
 
 
-def semiconcave_slope_check(xs: Sequence[float], ys: Sequence[float], K: float,
-                            tol: float = 1e-12) -> SemiconcaveReport:
+def semiconcave_slope_check(xs: Sequence[float], ys: Sequence[float],
+                            K: float) -> SemiconcaveReport:
     """For K-semiconcave u (u - Kx² concave), the slope has no ascending
     excess: |∇u| = |∇⁻u|.  Checked on the piecewise-linear interpolant of the
     samples, whose one-sided derivatives at grid points are the chord slopes.
@@ -325,7 +321,7 @@ def semiconcave_slope_check(xs: Sequence[float], ys: Sequence[float], K: float,
         hl = xs[i] - xs[i - 1]
         hr = xs[i + 1] - xs[i]
         bend = (zs[i + 1] - zs[i]) / hr - (zs[i] - zs[i - 1]) / hl
-        if bend > tol:
+        if bend > CONCAVITY_TOL:
             raise PreconditionError(
                 "u - K x² is not concave across x = (%r, %r, %r): chord slope rises by %r"
                 % (xs[i - 1], xs[i], xs[i + 1], bend))
@@ -340,5 +336,5 @@ def semiconcave_slope_check(xs: Sequence[float], ys: Sequence[float], K: float,
         down = max(ml, -mr, 0.0)
         max_gap = max(max_gap, total - down)
         pts.append((xs[i], total, down))
-    return SemiconcaveReport(ok=(max_gap <= bound + tol), K=K, max_gap=max_gap,
+    return SemiconcaveReport(ok=(max_gap <= bound + CONCAVITY_TOL), K=K, max_gap=max_gap,
                              gap_bound=bound, points=pts)

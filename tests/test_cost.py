@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eikograph import Constant, CostField, InputError, Linear, MetricGraph, Samples, Vertex
+from eikograph import (Constant, CostField, InputError, Linear, MetricGraph, ProfileError,
+                       Samples, Vertex)
+from eikograph.cost import FMIN
 from conftest import make_interval
 
 
@@ -60,6 +62,16 @@ def test_linear_check_rejects_dip_below_floor():
     with pytest.raises(InputError, match="dips"):
         Linear(1.0, -0.6).check(2.0, 1e-6)
     Linear(1.0, -0.49).check(2.0, 1e-6)   # stays positive: fine
+
+
+def test_the_floor_is_fmin_exactly():
+    """A cost field takes a rate of exactly FMIN and refuses one ulp less,
+    naming the edge."""
+    graph = MetricGraph([("a",), ("b",)], [("e", "a", "b", 1.0)])
+    assert CostField(graph, {"e": Constant(FMIN)}).inf_value() == FMIN
+    with pytest.raises(ProfileError, match=r"^edge 'e': constant profile value .* below floor") as exc:
+        CostField(graph, {"e": Constant(math.nextafter(FMIN, 0.0))})
+    assert exc.value.edge == "e"
 
 
 def test_samples_validation():

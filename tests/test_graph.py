@@ -223,6 +223,42 @@ def test_pruned_kernel_equals_the_unpruned_one(seed):
         assert list(got.items()) == list(want.items())
 
 
+def _heapq_settle(spec):
+    """The vertex values of the map seeded at the boundary with g, by a
+    bare heapq loop: keyed (cost, vertex id), pushing only an offer that
+    strictly lowers the best cost known.  Edge costs are the closed-form
+    integrals of the spec's linear profiles."""
+    adj = {vid: [] for vid in spec["vertices"]}
+    for e in spec["edges"]:
+        L = e["length"]
+        w = e["a"] * L + 0.5 * e["b"] * (L * L)
+        adj[e["src"]].append((e["dst"], w))
+        adj[e["dst"]].append((e["src"], w))
+    seeds = {vid: spec["g"][vid] for vid in spec["boundary"]}
+    done, best = {}, dict(seeds)
+    heap = sorted((c, vid) for vid, c in seeds.items())
+    while heap:
+        cost, vid = heapq.heappop(heap)
+        if vid in done:
+            continue
+        done[vid] = cost
+        for other, w in adj[vid]:
+            c = cost + w
+            if other not in done and (other not in best or c < best[other]):
+                best[other] = c
+                heapq.heappush(heap, (c, other))
+    return done
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_seed_map_settles_like_a_bare_heapq_loop(seed):
+    """Equal values in equal (settling) order."""
+    spec = random_graph_spec(random.Random(seed))
+    graph, field, data = build_instance(spec)
+    u = SeedMap(graph, {Vertex(vid): g for vid, g in data.items()}, field.profiles)
+    assert list(u.vertex_values.items()) == list(_heapq_settle(spec).items())
+
+
 def _memo_instance(seed):
     spec = random_graph_spec(random.Random(seed), max_vertices=10, max_extra_edges=8)
     return spec, build_instance(spec)[0]

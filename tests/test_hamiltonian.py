@@ -15,6 +15,7 @@ from eikograph import (BoundaryData, CoercivityProbeFailed, CostField, DistanceF
                        NonmonotoneHamiltonian, PreconditionError, Samples, Vertex,
                        catalog, graph_to_dict, kruzkov, reduce_to_eikonal, slopes, solve,
                        solve_general)
+from eikograph.cost import FMIN
 from conftest import (build_instance, interval_point, make_interval, random_graph_spec,
                       tiny_dijkstra)
 
@@ -190,7 +191,7 @@ def _scalar_slope(H, x, r):
     return 0.5 * (lo + hi)
 
 
-def _scalar_reduction(H, u, graph, n_knots, fmin=1e-6):
+def _scalar_reduction(H, u, graph, n_knots):
     ueval = u.evaluate if hasattr(u, "evaluate") else (lambda p: float(u))
     profiles = {}
     for eid in sorted(graph.edges):
@@ -198,9 +199,9 @@ def _scalar_reduction(H, u, graph, n_knots, fmin=1e-6):
         values = []
         for s in knots:
             p = graph.point(eid, float(s))
-            values.append(max(_scalar_slope(H, p, ueval(p)), fmin))
+            values.append(max(_scalar_slope(H, p, ueval(p)), FMIN))
         profiles[eid] = Samples(tuple(float(s) for s in knots), tuple(values))
-    return CostField(graph, profiles, fmin=fmin)
+    return CostField(graph, profiles)
 
 
 def _outcome(reduce, H, u, graph, n_knots):
@@ -393,6 +394,28 @@ def test_discounted_fixed_point_matches_ode():
         worst = max(worst, abs(u.evaluate(interval_point(graph, x)) - want))
     assert worst <= 1e-3
     assert u.vertex_value("L") == 0.0 and u.vertex_value("R") == 0.0
+
+
+def test_discounted_with_a_self_loop_at_two_knots_is_pinned():
+    """At two knots per edge a self-loop links a vertex to itself, and the
+    knot pass skips it as settled; h and u are pinned bit for bit."""
+    graph = MetricGraph([("a", True), ("b",), ("c",)],
+                        [("ab", "a", "b", 1.0), ("loop", "b", "b", 0.5),
+                         ("bc", "b", "c", 0.75), ("ca", "c", "a", 2.0)])
+    u = solve_general(catalog("discounted"), graph, BoundaryData(graph, {"a": 0.25}), n_knots=2)
+    assert {eid: prof.values for eid, prof in u.field.profiles.items()} == {
+        "ab": (0.7499999999724462, 0.37499950000132204),
+        "bc": (0.37499950000132204, 0.19921848437342315),
+        "ca": (0.19921848437342315, 0.7499999999724462),
+        "loop": (0.37499950000132204, 0.37499950000132204)}
+    assert u.vertex_values == {"a": 0.25, "b": 0.8124997499868841, "c": 1.0278314941274136}
+
+
+def test_reduction_floors_h_at_exactly_fmin():
+    """H = p has h = 0, which the reduction lifts to the positivity floor."""
+    graph, _, _ = make_interval()
+    h = reduce_to_eikonal(Hamiltonian(lambda x, r, p: p, name="flat"), 0.0, graph, n_knots=5)
+    assert all(v == FMIN for prof in h.profiles.values() for v in prof.values)
 
 
 def test_discounted_residual_at_knots():

@@ -1,6 +1,7 @@
 """Source hygiene that a linter would otherwise check: no module imports a
 name it never uses, and every name in ``eikograph.__all__`` exists."""
 import ast
+import math
 import pathlib
 
 import pytest
@@ -67,3 +68,140 @@ def test_every_private_helper_is_referenced():
                for line, helper in _private_definitions(tree)
                if helper not in referenced]
     assert orphans == []
+
+
+
+# ----------------------------------------------------------------------
+# settings census: a defaulted parameter is a setting some caller turns
+# ----------------------------------------------------------------------
+
+#: defaulted parameters that no call in the package passes, and why each
+#: stays a parameter
+UNTURNED_BY_THE_PACKAGE = {
+    "cli.entry(argv)": "None reads sys.argv; a program embedding the CLI passes its own",
+    "cost.CostField.constant(value)": "the rate is the input; the default is the unit field",
+    "graph._Composed.__init__(check)": "passed by _compose through the class it picks at run time",
+    "hamiltonian.kruzkov(direction)": "the direction of the transform is the input",
+    "io.edge_csv(n)": "presentation: how many samples a plot gets",
+    "io.graph_to_dict(data)": "the boundary data to write is the input",
+    "one_dim.limit_profile(label)": "presentation: the legend of a plot",
+    "slopes.DistanceTestFunction.__init__(h)": "h is the input, needed only to evaluate",
+    "slopes.verify_monge(points)": "the points to check are the input",
+    "solver.boundary_modulus(points)": "the points to check are the input",
+    "solver.verify_dpp(points)": "the points to check are the input",
+    "spaces.FiniteMetricSpace.__init__(labels)": "presentation: the names of the points",
+}
+
+
+def _settings_and_calls(trees):
+    """Every defaulted parameter of a package function or method, as
+    (label, callee name, positional index or None, parameter), and every
+    call, as (callee names, positional count, per position and per keyword
+    the setting the argument forwards or None).
+
+    A callee name is a function's own name, or for ``__init__`` its class's
+    name; ``super().__init__`` calls the bases by name.  An argument that is
+    the bare name of a defaulted parameter of an enclosing function
+    forwards that setting rather than turning it."""
+    settings, calls = [], []
+
+    def source(expr, scopes):
+        if isinstance(expr, ast.Name):
+            for names, own in reversed(scopes):
+                if expr.id in names:
+                    return own.get(expr.id)
+        return None
+
+    def function(node, module, cls, bases, scopes):
+        a = node.args
+        positional = a.posonlyargs + a.args
+        method = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        qual = ".".join(filter(None, (module, cls if method else None, node.name)))
+        name = cls if method and node.name == "__init__" else node.name
+        own = {}
+        first = len(positional) - len(a.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            own[arg.arg] = "%s(%s)" % (qual, arg.arg)
+            settings.append((own[arg.arg], name, i - method, arg.arg))
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                own[arg.arg] = "%s(%s)" % (qual, arg.arg)
+                settings.append((own[arg.arg], name, None, arg.arg))
+        names = {arg.arg for arg in positional + a.kwonlyargs}
+        body(node, module, None, bases, scopes + [(names, own)])
+
+    def call(node, bases, scopes):
+        f = node.func
+        if isinstance(f, ast.Name):
+            callee = {f.id}
+        elif (isinstance(f, ast.Attribute) and f.attr == "__init__" and isinstance(f.value, ast.Call)
+              and isinstance(f.value.func, ast.Name) and f.value.func.id == "super"):
+            callee = set(bases)
+        else:
+            callee = {f.attr} if isinstance(f, ast.Attribute) else set()
+        npos, forwards = len(node.args), {}
+        for i, arg in enumerate(node.args):
+            if isinstance(arg, ast.Starred):
+                npos = math.inf
+                break
+            forwards[i] = source(arg, scopes)
+        for kw in node.keywords:
+            if kw.arg is None:
+                npos = math.inf
+            else:
+                forwards[kw.arg] = source(kw.value, scopes)
+        calls.append((callee, npos, forwards))
+
+    def body(node, module, cls, bases, scopes):
+        """Walk ``node``'s children; ``cls`` names the class whose body
+        this is, if any."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                body(child, module, child.name,
+                     [b.id for b in child.bases if isinstance(b, ast.Name)], scopes)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function(child, module, cls, bases, scopes)
+            else:
+                if isinstance(child, ast.Call):
+                    call(child, bases, scopes)
+                body(child, module, None, bases, scopes)
+
+    for module, tree in trees.items():
+        body(tree, module, None, [], [])
+    return settings, calls
+
+
+def _unturned_settings(trees):
+    """(labels no call in the package turns, all labels).  A forwarded
+    setting turns the parameter it reaches only once it is turned itself."""
+    settings, calls = _settings_and_calls(trees)
+    turned = set()
+    grew = True
+    while grew:
+        grew = False
+        for label, name, index, param in settings:
+            if label in turned:
+                continue
+            for callee, npos, forwards in calls:
+                if name in callee and (param in forwards or (index is not None and index < npos)):
+                    src = forwards.get(param if param in forwards else index)
+                    if src is None or src in turned:
+                        turned.add(label)
+                        grew = True
+                        break
+    labels = {label for label, *_ in settings}
+    return labels - turned, labels
+
+
+def test_every_setting_is_turned_by_the_package_or_allowlisted():
+    """A default that no caller in the package changes is a constant in
+    disguise: each defaulted parameter is passed, by keyword or by
+    position, by some call in the package, or it is allowlisted with its
+    reason.  An allowlisted entry that the package now passes, or that is
+    no longer defaulted, leaves the list."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    unturned, defaulted = _unturned_settings(trees)
+    assert sorted(unturned - set(UNTURNED_BY_THE_PACKAGE)) == []
+    assert sorted(set(UNTURNED_BY_THE_PACKAGE) - defaulted) == []
+    assert sorted(set(UNTURNED_BY_THE_PACKAGE) - unturned) == []

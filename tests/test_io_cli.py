@@ -2,18 +2,20 @@
 import argparse
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eikograph import (Constant, GraphFormatError, InputError, Linear, Samples,
+from eikograph import (Constant, CostField, GraphFormatError, InputError, Linear, Samples,
                        Vertex, dump_json, dump_value_function, edge_csv,
                        graph_to_dict, load_graph, load_value_function,
                        point_from_obj, point_to_obj, solve)
 from eikograph.cli import entry
 from eikograph.graph import EdgeRec
+from conftest import build_instance, random_graph_spec
 
 TENT_DOC = """{
   "vertices": [
@@ -170,6 +172,34 @@ def test_load_graph_rejections():
         load_graph(json.dumps(doc, indent=2), filename="g.json")
 
 
+@pytest.mark.parametrize("f, refusal", [
+    ({"kind": "const", "params": {"value": 5e-7}},
+     "constant profile value 5e-07 below floor 1e-06"),
+    ({"kind": "linear", "params": {"a": 1.0, "b": -1.0}},
+     "linear profile dips to -1.0, below floor 1e-06"),
+    ({"kind": "samples", "params": {"knots": [0.0, 1.0, 1.5], "values": [1.0, 1.0, 1.0]}},
+     "sampled profile ends at 1.5 but the edge has length 2.0"),
+    ({"kind": "samples", "params": {"knots": [0.0, 2.0], "values": [1.0, 0.0]}},
+     "sampled profile values [0.0] below floor 1e-06"),
+], ids=["const-floor", "linear-dip", "samples-end", "samples-floor"])
+def test_profile_refusals_name_their_edge_and_line(f, refusal, tmp_path, capsys):
+    doc = json.loads(PATH3_DOC)
+    doc["edges"][1].update({"length": 2.0, "f": f})
+    text = json.dumps(doc, indent=2)
+    line = text[:text.index('"b2"')].count("\n") + 1
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(text, filename="g.json")
+    assert str(exc.value) == "g.json:%d: edge 'b2': %s" % (line, refusal)
+    g = put(tmp_path, "g.json", text)
+    assert entry(["solve", g, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: %s:%d: edge 'b2': %s\n" % (g, line, refusal)
+
+    # a disconnected graph is refused as such, bad profile or not
+    doc["vertices"].append({"id": "lone"})
+    with pytest.raises(GraphFormatError, match=r"^g\.json: graph is not connected"):
+        load_graph(json.dumps(doc, indent=2), filename="g.json")
+
+
 # ----------------------------------------------------------------------
 # emission
 # ----------------------------------------------------------------------
@@ -248,6 +278,23 @@ def test_value_function_document_round_trips():
     assert doc["kind"] == "value-function"
     assert doc["edges"]["b"]["kink"] is None  # peak sits at the vertex m
     assert doc["vertices"]["m"] == 1.0
+
+
+def test_value_function_document_integrates_each_edge_once(monkeypatch):
+    """Each edge's cost is integrated once and serves both its "cost" and
+    its "kink"; the kinks equal OpticalMap.kink's."""
+    graph, field, data = build_instance(random_graph_spec(random.Random(3), 20, 20))
+    u = solve(field, data)
+    calls = []
+    full_edge_cost = CostField.full_edge_cost
+    monkeypatch.setattr(CostField, "full_edge_cost",
+                        lambda self, eid: calls.append(eid) or full_edge_cost(self, eid))
+    doc = json.loads(dump_value_function(u))
+    assert sorted(calls) == sorted(graph.edges)
+    monkeypatch.undo()
+    assert {eid: e["kink"] for eid, e in doc["edges"].items()} == {
+        eid: u.kink(eid) for eid in graph.edges}
+    assert any(e["kink"] is not None for e in doc["edges"].values())
 
 
 def test_value_function_document_structural_checks():
@@ -681,6 +728,13 @@ def test_cli_ekeland_prints_the_selected_label(tmp_path, capsys):
         assert entry(["ekeland", d, f, *flags, "--out-dir", str(tmp_path / "inf")]) == 1
         assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "inf").exists()
+
+    # delta and lam finite, their ratio not: refused naming both
+    for delta, lam in (("1e308", "1e-308"), ("1e-308", "1e308")):
+        assert entry(["ekeland", d, f, "--maximize", "--delta", delta, "--lam", lam,
+                      "--start", "1", "--out-dir", str(tmp_path / "ratio")]) == 1
+        assert "delta / lam must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "ratio").exists()
 
 
 def test_cli_usage_errors_exit_one():

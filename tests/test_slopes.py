@@ -325,7 +325,6 @@ def test_monge_at_scale_samples_interior_vertices_and_kinks():
 def test_monge_sampled_method_keeps_the_dense_set(interval):
     graph, field, data = interval
     u = solve(field, data)
-    assert verify_monge(u, field, method="sampled").sample_set == "dense"
     assert verify_monge(PlainFn(graph, u.evaluate), field).sample_set == "dense"
 
 

@@ -155,6 +155,14 @@ def test_descent_output_survives_the_exhaustive_scan(seed, n, eps):
 # the near-maximizer refinement
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("delta, lam, ratio", [(1e308, 1e-308, "inf"), (1e-308, 1e308, "0.0")])
+def test_maximize_refuses_a_ratio_past_the_floats_naming_delta_and_lam(delta, lam, ratio):
+    with pytest.raises(InputError) as exc:
+        ekeland_maximize(collinear3(), [1.0, 2.0, 3.0], delta, lam, 2)
+    assert str(exc.value) == ("delta / lam must be positive and finite (got %r / %r = %s)"
+                              % (delta, lam, ratio))
+
+
 def test_maximize_on_constant_values_stays_put():
     space = collinear3()
     assert ekeland_maximize(space, [2.0, 2.0, 2.0], 0.25, 0.5, 1) == 1
