@@ -1,5 +1,6 @@
 """Source hygiene that a linter would otherwise check: no module imports a
-name it never uses, and every name in ``eikograph.__all__`` exists."""
+name it never uses, every name in ``eikograph.__all__`` exists, and each
+file format and kernel is imported by one module only."""
 import ast
 import math
 import pathlib
@@ -33,6 +34,27 @@ def test_star_import_resolves_every_exported_name():
     exec("from eikograph import *", namespace)
     import eikograph
     assert set(eikograph.__all__) <= set(namespace)
+
+
+def _imported_modules(tree: ast.Module):
+    """The top-level names of every module ``tree`` imports, at any depth
+    (``json.encoder`` counts as ``json``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("module,home", [("json", "io.py"), ("heapq", "graph.py")])
+def test_each_format_and_kernel_has_one_home(module, home):
+    """JSON is read and written only in ``io``; a heap is used only by the
+    one label-setting kernel in ``graph``."""
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if module in _imported_modules(ast.parse(p.read_text()))]
+    assert importers == [home]
 
 
 def _private_definitions(tree: ast.Module):

@@ -1,5 +1,8 @@
 """Graph/solution file formats and the command-line front end."""
 import argparse
+import collections
+import dataclasses
+import enum
 import json
 import math
 import random
@@ -14,7 +17,7 @@ from eikograph import (Constant, CostField, GraphFormatError, InputError, Linear
                        graph_to_dict, load_graph, load_value_function,
                        point_from_obj, point_to_obj, solve)
 from eikograph.cli import entry
-from eikograph.graph import EdgeRec
+from eikograph.graph import EdgeInterior, EdgeRec
 from conftest import build_instance, random_graph_spec
 
 TENT_DOC = """{
@@ -239,6 +242,30 @@ def test_dump_json_writes_floats_at_17_digits_and_refuses_other_types():
     # a float subclass, numpy's included, is written as a float
     assert dump_json({"x": np.float64(0.1)}) == '{\n  "x": 0.10000000000000001\n}\n'
     assert dump_json(np.float64(math.inf)) == "null\n"
+    # so is a subclass of any other written type, and a dataclass anywhere
+    # is an object of its own fields, in order
+
+    class C(enum.IntEnum):
+        A = 1
+
+    class S(str):
+        pass
+
+    @dataclasses.dataclass
+    class D:
+        n: int
+        s: S
+
+    @dataclasses.dataclass
+    class D2(D):
+        m: bool = True
+
+    P = collections.namedtuple("P", "x y")
+    assert dump_json([C.A, P(1, 2.5), collections.OrderedDict(a=1), S("q")]) == (
+        '[\n  1,\n  [\n    1,\n    2.5\n  ],\n  {\n    "a": 1\n  },\n  "q"\n]\n')
+    assert dump_json((D(2, S("q")),)) == '[\n  {\n    "n": 2,\n    "s": "q"\n  }\n]\n'
+    assert json.loads(dump_json((D(1, "a"), D2(3, "b")))) == [
+        {"n": 1, "s": "a"}, {"n": 3, "s": "b", "m": True}]
     for bad in (np.int64(3), object(), {1, 2}, b"bytes", [1, {"k": object()}]):
         with pytest.raises(InputError, match="cannot serialize"):
             dump_json(bad)
@@ -246,10 +273,19 @@ def test_dump_json_writes_floats_at_17_digits_and_refuses_other_types():
 
 def test_points_round_trip_through_their_json_form(interval):
     graph, _, _ = interval
-    for p in (Vertex("L"), graph.point("e", 0.75)):
+
+    class V(Vertex):
+        pass
+
+    class E(EdgeInterior):
+        pass
+
+    for p, sub in ((Vertex("L"), V("L")), (graph.point("e", 0.75), E("e", 0.75))):
         obj = point_to_obj(p)
         assert point_from_obj(json.loads(dump_json(obj)), graph) == p
-        assert dump_json([p]) == dump_json([obj])
+        # a point of a subclass takes the same form
+        assert dump_json([p]) == dump_json([obj]) == dump_json([sub])
+        assert point_to_obj(sub) == obj
     with pytest.raises(InputError, match="bad point"):
         point_from_obj({"edge": "e"}, graph)
     with pytest.raises(InputError, match="cannot serialize"):
