@@ -202,18 +202,13 @@ class CostField:
 
     def value_at(self, p: GraphPoint) -> float:
         """Pointwise f.  At a vertex where incident profiles disagree this
-        takes the min over incident germ endpoint values — the convention the
+        takes the least ``germ_value`` over its germs — the convention the
         steepest-descent slope at a vertex is checked against."""
-        self.graph.validate_point(p)
         if isinstance(p, EdgeInterior):
+            self.graph.validate_point(p)
             rec = self.graph.edge(p.edge)
             return self.profiles[p.edge].at(p.s, rec.length)
-        vals = []
-        for eid, end in self.graph.adjacency(p.id):
-            rec = self.graph.edges[eid]
-            s = 0.0 if end == 0 else rec.length
-            vals.append(self.profiles[eid].at(s, rec.length))
-        return min(vals)
+        return min(map(self.germ_value, self.graph.germs(p)))
 
     def germ_value(self, germ) -> float:
         rec = self.graph.edge(germ.edge)
@@ -221,9 +216,6 @@ class CostField:
 
     def sup_value(self) -> float:
         return max(self.profiles[eid].bounds(self.graph.edges[eid].length)[1] for eid in self.profiles)
-
-    def inf_value(self) -> float:
-        return min(self.profiles[eid].bounds(self.graph.edges[eid].length)[0] for eid in self.profiles)
 
     def default_tol(self) -> float:
         """Verification tolerance: tight when all profiles are closed-form,

@@ -159,6 +159,8 @@ class MetricGraph:
             adj[dst].append((eid, 1))
             nbrs[src].append((eid, dst))
             nbrs[dst].append((eid, src))
+        if not self.edges:
+            raise InputError("graph needs at least one edge")
         self._adj = adj
         self._nbrs = nbrs
         # the profile table of the intrinsic metric: rate 1 on every edge
@@ -243,8 +245,6 @@ class MetricGraph:
                 out.append(Germ(eid, 0.0, +1))
             else:
                 out.append(Germ(eid, rec.length, -1))
-        if not out:
-            raise InputError("vertex %r is isolated; no direction to move in" % p.id)
         return out
 
     def germ_available(self, germ: Germ) -> float:

@@ -14,9 +14,11 @@ vertices; ``f`` defaults to the constant 1.  Profile kinds: ``const``
 Rejections carry a file:line anchor pointing at the first occurrence of the
 offending record's id in the source text.
 
-All emission goes through a single JSON writer that prints floats with 17
-significant digits (round-trip exact for doubles) so identical inputs give
-byte-identical files.
+All emission goes through one JSON writer, ``dump_json``, which prints
+floats with 17 significant digits (round-trip exact for doubles) so
+identical inputs give byte-identical files.  It writes each value by one
+table keyed by type: the exact type, then its nearest base class there,
+then a dataclass's fields.  The form of a graph point is one table too.
 """
 from __future__ import annotations
 
@@ -198,12 +200,19 @@ def graph_to_dict(graph: MetricGraph, field: CostField,
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps(str) minus its call layers
 _INDENT = "  "  # one nesting level
 
+#: the JSON form of a graph point: point class -> its (JSON key, attribute) members
+_POINT_FORM = {
+    Vertex: (("vertex", "id"),),
+    EdgeInterior: (("edge", "edge"), ("s", "s")),
+}
+
 
 def point_to_obj(p: GraphPoint) -> dict:
     """The JSON form of a graph point: {"vertex": id} or {"edge": id, "s": offset}."""
-    if isinstance(p, Vertex):
-        return {"vertex": p.id}
-    return {"edge": p.edge, "s": p.s}
+    for cls, form in _POINT_FORM.items():
+        if isinstance(p, cls):
+            return {key: getattr(p, attr) for key, attr in form}
+    raise InputError("not a graph point: %r" % (p,))
 
 
 def point_from_obj(obj, graph: MetricGraph) -> GraphPoint:
@@ -225,115 +234,89 @@ def dump_json(obj) -> str:
     """JSON text, indented two spaces a level, with floats at 17 significant
     digits (non-finite → null).
 
-    A dataclass becomes an object of its fields in declaration order; a
-    graph point takes its ``point_to_obj`` form.  Each value is dispatched
-    on its exact type through one table, ``_EMITTERS``; a type the table
-    does not hold takes the isinstance chain of ``_emit_other``."""
-    return _text(obj, 0) + "\n"
+    Each value is written by its type's entry in one table, ``_EMITTERS``.
+    A type the table does not hold yet takes the entry of its nearest base
+    class there (``numpy.float64`` is a float, a namedtuple a list), else,
+    if it is a dataclass, an object of its fields in declaration order.  A
+    graph point takes its ``point_to_obj`` form, read from ``_POINT_FORM``."""
+    return _EMITTERS[type(obj)](obj, 0) + "\n"
 
 
-def _float_text(x: float) -> str:
+def _emit_float(x: float, depth: int) -> str:
+    """The one float rule: 17 significant digits, round-trip exact for a
+    double; a non-finite float is null."""
     return "%.17g" % x if isfinite(x) else "null"
 
 
-def _text(obj, depth: int) -> str:
-    """The JSON text of ``obj`` nested ``depth`` levels deep."""
-    return _EMITTERS.get(type(obj), _emit_other)(obj, depth)
-
-
 def _members(keys, values, depth: int, opening: str, closing: str) -> str:
-    """One member per line: each encoded key (or "") with its value.  Exact
-    floats, strings and bools are formatted here, anything else through
-    the table."""
+    """A list or dict, one member per line: each encoded key (or "") with
+    its value.  Exact floats and strings are written here, anything else
+    through the table."""
     inner = depth + 1
     lines = []
     for key, v in zip(keys, values):
         t = type(v)
         if t is float:
-            lines.append(key + ("%.17g" % v if isfinite(v) else "null"))
+            lines.append(key + _emit_float(v, inner))
         elif t is str:
             lines.append(key + _encode_str(v))
-        elif t is bool:
-            lines.append(key + ("true" if v else "false"))
         else:
-            lines.append(key + _EMITTERS.get(t, _emit_other)(v, inner))
+            lines.append(key + _EMITTERS[t](v, inner))
     if not lines:
         return opening + closing
     pad = "\n" + _INDENT * inner
     return opening + pad + ("," + pad).join(lines) + "\n" + _INDENT * depth + closing
 
 
-def _emit_list(obj, depth: int) -> str:
-    return _members(repeat(""), obj, depth, "[", "]")
-
-
-def _emit_dict(obj, depth: int) -> str:
-    return _members([_encode_str(str(k)) + ": " for k in obj], obj.values(),
-                    depth, "{", "}")
-
-
-def _emit_vertex(p: Vertex, depth: int) -> str:
-    pad = _INDENT * depth
-    inner = pad + _INDENT
-    return '{\n%s"vertex": %s\n%s}' % (inner, _text(p.id, depth + 1), pad)
-
-
-def _emit_edge_interior(p: EdgeInterior, depth: int) -> str:
-    pad = _INDENT * depth
-    inner = pad + _INDENT
-    return '{\n%s"edge": %s,\n%s"s": %s\n%s}' % (
-        inner, _text(p.edge, depth + 1), inner, _text(p.s, depth + 1), pad)
-
-
-def _dataclass_emitter(cls: type):
-    """The emitter of a dataclass: an object of its fields, in order."""
-    if not dataclasses.is_dataclass(cls):
-        raise InputError("cannot serialize %s objects" % cls.__name__)
-    names = [f.name for f in dataclasses.fields(cls)]
-    keys = tuple(_encode_str(name) + ": " for name in names)
+def _object_emitter(members):
+    """The emitter of an object written as its (JSON key, attribute)
+    ``members``, in order: one template per depth, with a slot for each
+    member's value."""
+    names = [attr for _, attr in members]
+    get = attrgetter(*names) if names else lambda obj: ()
     # attrgetter returns a tuple only when it is given two names or more
-    values = attrgetter(*names) if len(names) > 1 else lambda obj: [getattr(obj, n) for n in names]
+    values = (lambda obj: (get(obj),)) if len(names) == 1 else get
+    layouts = {}
 
     def emit(obj, depth: int) -> str:
-        return _members(keys, values(obj), depth, "{", "}")
+        layout = layouts.get(depth)
+        if layout is None:
+            pad = "\n" + _INDENT * (depth + 1)
+            slots = ",".join(pad + _encode_str(key) + ": %s" for key, _ in members)
+            layout = layouts[depth] = "{%s\n%s}" % (slots, _INDENT * depth) if slots else "{}"
+        return layout % tuple([_EMITTERS[type(v)](v, depth + 1) for v in values(obj)])
 
     return emit
 
 
-def _emit_other(obj, depth: int) -> str:
-    """A type the table does not hold goes through the isinstance chain:
-    subclasses of the scalar and container types (``numpy.float64`` is a
-    float), points of a subclass, then dataclasses, whose emitter joins the
-    table on first use."""
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, (list, tuple)):
-        return _emit_list(obj, depth)
-    if isinstance(obj, dict):
-        return _emit_dict(obj, depth)
-    if isinstance(obj, (Vertex, EdgeInterior)):
-        return _emit_dict(point_to_obj(obj), depth)
-    emit = _EMITTERS[type(obj)] = _dataclass_emitter(type(obj))
-    return emit(obj, depth)
+class _Emitters(dict):
+    """Type -> emitter(obj, depth) -> JSON text.  A type met for the first
+    time takes the entry of its nearest base class here, else, if it is a
+    dataclass, the emitter of its fields; the table keeps it either way.  A
+    dataclass base other than a graph point is passed over, since a subclass
+    may declare more fields."""
+
+    def __missing__(self, cls: type):
+        base = next((b for b in cls.__mro__ if b in self
+                     and (b in _POINT_FORM or not dataclasses.is_dataclass(b))), None)
+        if base is None and not dataclasses.is_dataclass(cls):
+            raise InputError("cannot serialize %s objects" % cls.__name__)
+        emit = self[cls] = self[base] if base is not None else _object_emitter(
+            [(f.name, f.name) for f in dataclasses.fields(cls)])
+        return emit
 
 
-#: exact type -> emitter(obj, depth) -> JSON text
-_EMITTERS = {
+_EMITTERS = _Emitters({
     type(None): lambda obj, depth: "null",
     bool: lambda obj, depth: "true" if obj else "false",
     int: lambda obj, depth: str(obj),
-    float: lambda obj, depth: _float_text(obj),
+    float: _emit_float,
     str: lambda obj, depth: _encode_str(obj),
-    list: _emit_list,
-    tuple: _emit_list,
-    dict: _emit_dict,
-    Vertex: _emit_vertex,
-    EdgeInterior: _emit_edge_interior,
-}
+    **dict.fromkeys((list, tuple), lambda obj, depth: _members(repeat(""), obj, depth, "[", "]")),
+    dict: lambda obj, depth: _members([_encode_str(str(k)) + ": " for k in obj], obj.values(),
+                                      depth, "{", "}"),
+    **{cls: _object_emitter(form) for cls, form in _POINT_FORM.items()},
+})
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_the_floor_is_fmin_exactly():
     """A cost field takes a rate of exactly FMIN and refuses one ulp less,
     naming the edge."""
     graph = MetricGraph([("a",), ("b",)], [("e", "a", "b", 1.0)])
-    assert CostField(graph, {"e": Constant(FMIN)}).inf_value() == FMIN
+    assert CostField(graph, {"e": Constant(FMIN)}).value_at(Vertex("a")) == FMIN
     with pytest.raises(ProfileError, match=r"^edge 'e': constant profile value .* below floor") as exc:
         CostField(graph, {"e": Constant(math.nextafter(FMIN, 0.0))})
     assert exc.value.edge == "e"
@@ -152,7 +152,7 @@ def test_field_edge_cost_is_orientation_free(interval):
 
 def test_field_bounds_and_tolerances(interval):
     graph, field, _ = interval
-    assert field.sup_value() == 1.0 and field.inf_value() == 1.0
+    assert field.sup_value() == 1.0 and field.profiles["e"].bounds(2.0) == (1.0, 1.0)
     assert field.default_tol() == 1e-9
     sampled = CostField(graph, {"e": Samples((0.0, 2.0), (1.0, 2.0))})
     assert sampled.default_tol() == 1e-6

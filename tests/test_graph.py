@@ -28,6 +28,12 @@ def test_duplicate_vertex_rejected():
         MetricGraph([("a",), ("a",)], [])
 
 
+def test_edgeless_graph_rejected():
+    """A graph needs an edge: a lone vertex has no direction to move in."""
+    with pytest.raises(InputError, match="^graph needs at least one edge$"):
+        MetricGraph([("a", True)], [])
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(InputError, match="duplicate edge"):
         MetricGraph([("a",), ("b",)],

@@ -410,6 +410,25 @@ def test_cli_solve_input_errors(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_cli_refuses_an_edgeless_graph(tmp_path, capsys):
+    g = put(tmp_path, "g.json", json.dumps(
+        {"vertices": [{"id": "a", "boundary": True, "g": 0.0}], "edges": []}))
+    assert entry(["solve", g, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: %s: graph needs at least one edge\n" % g
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["monge", "dpp", "subopt", "modulus"])
+def test_cli_solves_and_verifies_a_one_vertex_self_loop(tmp_path, mode):
+    g = put(tmp_path, "g.json", json.dumps(
+        {"vertices": [{"id": "a", "boundary": True, "g": 0.0}],
+         "edges": [{"id": "e", "from": "a", "to": "a", "length": 2.0}]}))
+    out = tmp_path / "sol"
+    assert entry(["solve", g, "--out-dir", str(out)]) == 0
+    assert entry(["verify", g, str(out / "u.json"), "--mode", mode,
+                  "--out-dir", str(tmp_path / "rep")]) == 0
+
+
 def test_cli_solve_rejects_an_overflowing_edge_cost(tmp_path, capsys):
     doc = json.loads(TENT_DOC)
     doc["edges"][0]["length"] = 1e300

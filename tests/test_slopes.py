@@ -106,13 +106,6 @@ def test_slope_requires_some_method_support(interval):
         slopes(u, interval_point(graph, 0.0), method="bogus")
 
 
-def test_isolated_point_is_an_error():
-    g = MetricGraph([("a",)], [])
-    u = PlainFn(g, lambda p: 0.0)
-    with pytest.raises(InputError, match="isolated"):
-        slopes(u, Vertex("a"))
-
-
 @given(st.integers(0, 10_000))
 def test_symmetry_swap_and_lipschitz_bound(seed):
     rng = random.Random(seed)
