@@ -289,6 +289,21 @@ def _object_emitter(members):
     return emit
 
 
+def _key(k) -> str:
+    """A dict key as ``json.dumps`` writes it: a string as itself, true,
+    false and null as those words, an int or a finite float by its repr.
+    Any other key is refused, as an unserializable value is."""
+    if isinstance(k, str):
+        return _encode_str(k)
+    if k is None or isinstance(k, bool):
+        return '"%s"' % _EMITTERS[type(k)](k, 0)
+    if isinstance(k, float) and isfinite(k):
+        return '"%s"' % float.__repr__(k)
+    if isinstance(k, int):
+        return '"%s"' % int.__repr__(k)
+    raise InputError("cannot serialize %r as a dict key" % (k,))
+
+
 class _Emitters(dict):
     """Type -> emitter(obj, depth) -> JSON text.  A type met for the first
     time takes the entry of its nearest base class here, else, if it is a
@@ -313,8 +328,9 @@ _EMITTERS = _Emitters({
     float: _emit_float,
     str: lambda obj, depth: _encode_str(obj),
     **dict.fromkeys((list, tuple), lambda obj, depth: _members(repeat(""), obj, depth, "[", "]")),
-    dict: lambda obj, depth: _members([_encode_str(str(k)) + ": " for k in obj], obj.values(),
-                                      depth, "{", "}"),
+    dict: lambda obj, depth: _members(
+        [(_encode_str(k) if type(k) is str else _key(k)) + ": " for k in obj], obj.values(),
+        depth, "{", "}"),
     **{cls: _object_emitter(form) for cls, form in _POINT_FORM.items()},
 })
 

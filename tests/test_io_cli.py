@@ -18,6 +18,7 @@ from eikograph import (Constant, CostField, GraphFormatError, InputError, Linear
                        point_from_obj, point_to_obj, solve)
 from eikograph.cli import entry
 from eikograph.graph import EdgeInterior, EdgeRec
+from eikograph.hamiltonian import BISECT_TOL
 from conftest import build_instance, random_graph_spec
 
 TENT_DOC = """{
@@ -269,6 +270,35 @@ def test_dump_json_writes_floats_at_17_digits_and_refuses_other_types():
     for bad in (np.int64(3), object(), {1, 2}, b"bytes", [1, {"k": object()}]):
         with pytest.raises(InputError, match="cannot serialize"):
             dump_json(bad)
+
+
+_json_keys = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.dictionaries(_json_keys, st.integers(), max_size=6))
+def test_dump_json_writes_dict_keys_as_the_standard_encoder_does(obj):
+    """A key is written as json.dumps writes it: true, false and null, not
+    the Python names, and an int or float by its repr."""
+    assert dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_dump_json_writes_key_subclasses_as_their_base_and_refuses_other_keys():
+    class C(enum.IntEnum):
+        A = 1
+
+    class S(str):
+        def __str__(self):
+            return "not the key"
+
+    obj = {C.A: 1, S("q"): 2, np.float64(0.1): 3}
+    assert dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+    assert json.loads(dump_json(obj)) == {"1": 1, "q": 2, "0.1": 3}
+    for key in ((1, 2), math.inf, -math.inf, math.nan, np.int64(3), b"k", frozenset()):
+        with pytest.raises(InputError, match="cannot serialize .* as a dict key"):
+            dump_json({key: 1})
+        with pytest.raises(InputError, match="cannot serialize .* as a dict key"):
+            dump_json([{"fine": {key: 1}}])
 
 
 def test_points_round_trip_through_their_json_form(interval):
@@ -718,6 +748,35 @@ def test_cli_reduce_quadratic_reproduces_the_solve(tmp_path):
     u = json.loads((tmp_path / "u.json").read_text())
     assert u["vertices"] == {"L": 0.0, "R": 0.0}
     assert abs(u["edges"]["e"]["kink"] - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["eikonal-affine", "quadratic"])
+def test_cli_reduce_round_trips_f_and_the_solve_on_random_graphs(tmp_path, name):
+    """Both Hamiltonians have h = f.  With f linear on each edge and equal
+    at every end meeting a vertex, h.json holds f at each knot within the
+    root step's BISECT_TOL / 2, and u.json's vertex table is the plain
+    solve's within 1e-9."""
+    rng = random.Random(29)
+    for k in range(8):
+        spec = random_graph_spec(rng, max_vertices=8, max_extra_edges=6)
+        phi = {v: rng.uniform(0.1, 5.0) for v in spec["vertices"]}
+        for e in spec["edges"]:
+            e["a"], e["b"] = phi[e["src"]], (phi[e["dst"]] - phi[e["src"]]) / e["length"]
+        graph, field, data = build_instance(spec)
+        g = put(tmp_path, "g%d.json" % k, json.dumps(graph_to_dict(graph, field, data)))
+        out = tmp_path / ("out%d" % k)
+        assert entry(["reduce", g, "--hamiltonian", name, "--out-dir", str(out)]) == 0
+        h = json.loads((out / "h.json").read_text())["edges"]
+        assert sorted(h) == sorted(e["id"] for e in spec["edges"])
+        for e in spec["edges"]:
+            knots, values = h[e["id"]]["knots"], h[e["id"]]["values"]
+            assert len(knots) == 65 and knots[0] == 0.0 and knots[-1] == e["length"]
+            for s, v in zip(knots, values):
+                assert abs(v - (e["a"] + e["b"] * s)) <= BISECT_TOL / 2
+        want = solve(field, data).vertex_values
+        got = json.loads((out / "u.json").read_text())["vertices"]
+        assert got.keys() == want.keys()
+        assert all(abs(got[v] - want[v]) <= 1e-9 for v in want)
 
 
 def test_cli_reduce_discounted_matches_the_closed_form(tmp_path):
