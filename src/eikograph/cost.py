@@ -16,8 +16,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import InputError, ProfileError
-from .graph import Constant, EdgeInterior, GraphPoint, MetricGraph
+from .graph import Constant, EdgeInterior, GraphPoint, KnotBatch, MetricGraph, Vertex
 
 #: the positivity floor: every cost field has f >= FMIN > 0
 FMIN = 1e-6
@@ -36,6 +38,9 @@ class Linear:
             raise InputError("linear profile dips to %r, below floor %r" % (lo, fmin))
 
     def at(self, s: float, length: float) -> float:
+        return self.a + self.b * s
+
+    def at_array(self, s: np.ndarray, length: float) -> np.ndarray:
         return self.a + self.b * s
 
     def integral(self, s0: float, s1: float, length: float) -> float:
@@ -102,6 +107,14 @@ class Samples:
         k, v = self.knots, self.values
         s = min(max(s, k[0]), k[-1])
         i = self._segment(s)
+        w = (s - k[i]) / (k[i + 1] - k[i])
+        return v[i] * (1.0 - w) + v[i + 1] * w
+
+    def at_array(self, s: np.ndarray, length: float) -> np.ndarray:
+        """``at`` at every offset of ``s``, bit for bit."""
+        k, v = np.array(self.knots), np.array(self.values)
+        s = np.minimum(np.maximum(s, k[0]), k[-1])
+        i = np.clip(np.searchsorted(k, s, side="right") - 1, 0, len(k) - 2)
         w = (s - k[i]) / (k[i + 1] - k[i])
         return v[i] * (1.0 - w) + v[i + 1] * w
 
@@ -200,15 +213,35 @@ class CostField:
         rec = self.graph.edge(eid)
         return self.profiles[eid].integral(0.0, rec.length, rec.length)
 
-    def value_at(self, p: GraphPoint) -> float:
+    def value_at(self, p: Union[GraphPoint, KnotBatch]) -> Union[float, np.ndarray]:
         """Pointwise f.  At a vertex where incident profiles disagree this
         takes the least ``germ_value`` over its germs — the convention the
-        steepest-descent slope at a vertex is checked against."""
+        steepest-descent slope at a vertex is checked against.
+
+        A ``KnotBatch`` gets the same values as an (n, 1) column, computed
+        once per batch: interior knots through each profile's ``at_array``,
+        vertex knots as above."""
         if isinstance(p, EdgeInterior):
             self.graph.validate_point(p)
             rec = self.graph.edge(p.edge)
             return self.profiles[p.edge].at(p.s, rec.length)
+        if isinstance(p, KnotBatch):
+            return p.column(self, self._knot_values)
         return min(map(self.germ_value, self.graph.germs(p)))
+
+    def _knot_values(self, runs) -> np.ndarray:
+        """f at the knots of ``runs`` (see ``KnotBatch``) as a column, each
+        vertex's least germ value computed once for the batch."""
+        at_vertex: Dict[str, float] = {}
+        parts = []
+        for eid, s in runs:
+            rec = self.graph.edges[eid]
+            for vid in (rec.src, rec.dst):
+                if vid not in at_vertex:
+                    at_vertex[vid] = min(map(self.germ_value, self.graph.germs(Vertex(vid))))
+            parts += ([at_vertex[rec.src]], self.profiles[eid].at_array(s[1:-1], rec.length),
+                      [at_vertex[rec.dst]])
+        return np.concatenate(parts)[:, None]
 
     def germ_value(self, germ) -> float:
         rec = self.graph.edge(germ.edge)

@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import InputError, UnreachableError
 
 #: branch values within BRANCH_TIE * (1 + |least|) of the least tie for it
@@ -62,6 +64,52 @@ class EdgeInterior:
 GraphPoint = Union[Vertex, EdgeInterior]
 
 
+class KnotBatch:
+    """Knots on consecutive whole edges of ``graph``, taken together as one
+    column: a Hamiltonian's ``fn`` broadcasts over it as it does over ``p``.
+
+    ``runs`` holds one (edge id, offsets) pair per edge, each offsets array
+    increasing from 0 to the edge's length, so that an edge's first and last
+    knots are its two vertices.  ``batch[rows]`` is the sub-batch of the
+    given rows of the whole batch (an integer array).  A column computed
+    through ``column`` is computed once for the whole batch and shared with
+    every sub-batch."""
+
+    def __init__(self, graph: MetricGraph, runs: Sequence[Tuple[str, np.ndarray]],
+                 rows: Optional[np.ndarray] = None, memo: Optional[dict] = None):
+        self.graph = graph
+        self.runs = runs
+        self.rows = rows
+        self._memo = {} if memo is None else memo
+
+    def __len__(self) -> int:
+        return sum(len(s) for _, s in self.runs) if self.rows is None else len(self.rows)
+
+    def __getitem__(self, rows: np.ndarray) -> KnotBatch:
+        return KnotBatch(self.graph, self.runs, rows, self._memo)
+
+    def column(self, key: Hashable,
+               compute: Callable[[Sequence[Tuple[str, np.ndarray]]], np.ndarray]) -> np.ndarray:
+        """``compute(runs)``, an (n, 1) column over the whole batch, kept
+        under ``key``: this batch's rows of it."""
+        col = self._memo.get(key)
+        if col is None:
+            col = self._memo[key] = compute(self.runs)
+        return col if self.rows is None else col[self.rows]
+
+    def points(self) -> List[GraphPoint]:
+        """Every knot of the whole batch as a graph point, in order."""
+        return [self.graph.point(eid, t) for eid, s in self.runs for t in s.tolist()]
+
+    def point(self, i: int) -> GraphPoint:
+        """Knot ``i`` of the whole batch as a graph point."""
+        for eid, s in self.runs:
+            if i < len(s):
+                return self.graph.point(eid, float(s[i]))
+            i -= len(s)
+        raise IndexError("knot %d is past the batch" % i)
+
+
 @dataclass(frozen=True)
 class Germ:
     """A departure direction: from offset ``base`` on ``edge``, offsets move in
@@ -84,6 +132,9 @@ class Constant:
 
     def at(self, s: float, length: float) -> float:
         return self.value
+
+    def at_array(self, s: np.ndarray, length: float) -> np.ndarray:
+        return np.full(s.shape, self.value, dtype=float)
 
     def integral(self, s0: float, s1: float, length: float) -> float:
         return self.value * (s1 - s0)

@@ -25,11 +25,13 @@ import numpy as np
 from .cost import FMIN, CostField, Samples
 from .errors import (CoercivityProbeFailed, ImproperHamiltonian, InputError,
                      NonmonotoneHamiltonian, NoSubsolution)
-from .graph import GraphPoint, MetricGraph, Vertex, _as_evaluator, _compose, _settle
+from .graph import GraphPoint, KnotBatch, MetricGraph, Vertex, _as_evaluator, _compose, _settle
 from .solver import BoundaryData, ValueFunction, solve
 
 PROBE_POINTS = 64
 BISECT_TOL = 1e-10
+#: knots a reduction solves together: whole edges, up to this many knots
+BATCH_KNOTS = 4096
 
 
 @dataclass(frozen=True)
@@ -38,17 +40,30 @@ class Hamiltonian:
 
     ``fn`` must be total on graph points x, reals r, and p >= 0; for p < 0
     the package extends by H(x, r, p) = H(x, r, 0), so callers may probe
-    freely.  ``fn`` is called with ``p`` either a float or a 1-D ndarray
-    and must act elementwise in ``p`` (numpy ufuncs such as ``np.maximum``,
-    not the builtin ``max``); a value constant in ``p`` may come back as a
-    scalar.  A slope solve makes one call of ``H`` itself, the sign scan over
-    the probe grid [0, pmax], then calls ``fn`` directly for the root step
-    (about 9 times on the catalog, never more than bisection's count plus
-    one), each with a Python float p > 0, where the zero-extension cannot
-    act.  ``pmax`` must be finite and positive.
+    freely.  ``fn`` is called with ``p`` either a float or an ndarray and
+    must act elementwise in ``p`` (numpy ufuncs such as ``np.maximum``, not
+    the builtin ``max``); a value constant in ``p`` may come back as a
+    scalar.  ``pmax`` must be finite and positive.
+
+    ``x`` is a graph point or a ``KnotBatch``, which ``fn`` must broadcast
+    over as it does over ``p``: the batch acts as an (n, 1) column, and
+    ``CostField.value_at`` gives its f as one.  An ``fn`` that ignores ``x``
+    needs nothing more.  With a batch, ``r`` is a float, or an (n, 1) column
+    when u varies.
+
+    ``reduce_to_eikonal`` makes one call of ``H`` per batch of knots, the
+    sign scan over the probe grid [0, pmax] (``p`` the grid, the answer an
+    (n, PROBE_POINTS) table).  It then calls ``fn`` directly for the root
+    step, with ``p`` an (m, 1) column of probes for the m knots still
+    bracketing: about 9 probes per knot on the catalog, never more than
+    bisection's count plus one.  The r-dependent pass of ``solve_general``
+    solves one knot at a time the same way, with a graph point and a Python
+    float p.  Every root-step probe is > 0, where the zero-extension cannot
+    act.
     """
 
-    fn: Callable[[GraphPoint, float, Union[float, np.ndarray]], Union[float, np.ndarray]]
+    fn: Callable[[Union[GraphPoint, KnotBatch], Union[float, np.ndarray], Union[float, np.ndarray]],
+                 Union[float, np.ndarray]]
     depends_on_r: bool = False
     pmax: float = 1e3
     name: str = ""
@@ -57,7 +72,7 @@ class Hamiltonian:
         if not 0.0 < self.pmax < math.inf:
             raise InputError("pmax must be finite and > 0 (got %r)" % (self.pmax,))
 
-    def __call__(self, x: GraphPoint, r: float,
+    def __call__(self, x: Union[GraphPoint, KnotBatch], r: Union[float, np.ndarray],
                  p: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         if isinstance(p, np.ndarray):
             # np.where(p > 0.0, p, 0.0) bit for bit, and cheaper: fmax takes the
@@ -80,6 +95,17 @@ def _implicit_slope(H: Hamiltonian, x: GraphPoint, r: float, grid: np.ndarray) -
     if not isinstance(positive, np.ndarray):  # H constant in p
         positive = np.full(grid.shape, positive)
     rise = int(positive.argmax())  # first positive; everything before is nonpositive
+    if rise == 0 or np.count_nonzero(positive) != len(positive) - rise:
+        _refuse(H, x, r, grid, positive)
+    return _itp_root(H.fn, x, r, grid.item(rise - 1), grid.item(rise),
+                     values.item(rise - 1), values.item(rise))
+
+
+def _refuse(H: Hamiltonian, x: GraphPoint, r: float, grid: np.ndarray, positive: np.ndarray):
+    """Raise the refusal of a knot whose sign scan ``positive`` (H > 0 on
+    ``grid``) brackets no slope: it never turns positive, or it turns
+    positive and back, or it is positive from p = 0 on."""
+    rise = int(positive.argmax())
     if not positive[rise]:
         raise CoercivityProbeFailed(
             "H(x, r, .) never exceeds 0 up to pmax=%g at %r" % (H.pmax, x))
@@ -91,11 +117,8 @@ def _implicit_slope(H: Hamiltonian, x: GraphPoint, r: float, grid: np.ndarray) -
             "H(x, r, .) drops from positive at p=%g back to nonpositive at p=%g"
             % (grid[i - 1], grid[i]),
             point=x, p_pair=(float(grid[i - 1]), float(grid[i])))
-    if rise == 0:
-        raise NoSubsolution(
-            "H(x, r, 0) = %g > 0: constants are not subsolutions at %r" % (H(x, r, 0.0), x))
-    return _itp_root(H.fn, x, r, grid.item(rise - 1), grid.item(rise),
-                     values.item(rise - 1), values.item(rise))
+    raise NoSubsolution(
+        "H(x, r, 0) = %g > 0: constants are not subsolutions at %r" % (H(x, r, 0.0), x))
 
 
 def _itp_root(fn, x: GraphPoint, r: float, lo: float, hi: float,
@@ -147,6 +170,68 @@ def _itp_root(fn, x: GraphPoint, r: float, lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
+def _batch_slopes(H: Hamiltonian, u, X: KnotBatch, grid: np.ndarray) -> np.ndarray:
+    """``_implicit_slope`` at every knot of ``X``, with r = u(knot), bit for
+    bit: one array call of H scans every knot's grid, and the ITP root step
+    runs on all of them in lockstep.  A knot without a slope raises its
+    refusal as the scalar solve would, the first such knot in batch order."""
+    n = len(X)
+    ueval = _as_evaluator(u)
+    r = float(u) if isinstance(u, (int, float)) else (
+        np.array([ueval(x) for x in X.points()], dtype=float)[:, None])
+    values = np.broadcast_to(H(X, r, grid), (n, len(grid)))
+    positive = values > 0.0
+    rise = positive.argmax(axis=1)  # first positive; everything before is nonpositive
+    solvable = (rise > 0) & (np.count_nonzero(positive, axis=1) == len(grid) - rise)
+    if not solvable.all():
+        i = int(solvable.argmin())
+        x = X.point(i)
+        _refuse(H, x, ueval(x), grid, positive[i])
+    rows = np.arange(n)
+    return _itp_lockstep(H.fn, X, r, grid[rise - 1], grid[rise],
+                         values[rows, rise - 1], values[rows, rise])
+
+
+def _itp_lockstep(fn, X: KnotBatch, r, lo: np.ndarray, hi: np.ndarray,
+                  flo: np.ndarray, fhi: np.ndarray) -> np.ndarray:
+    """``_itp_root`` on every row of the brackets at once, bit for bit: the
+    same steps as array operations over the rows still bracketing, each row
+    leaving under the scalar stopping rule.  ``fn`` gets those rows as the
+    sub-batch ``X[rows]`` with ``p`` an (m, 1) column.  Overflow and invalid
+    operations are silent, as they are on Python floats."""
+    out = np.empty(len(lo))
+    rows = np.arange(len(lo))
+    width = bound = hi - lo
+    k1 = 0.2 / width
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            go = (width > BISECT_TOL) & (lo < mid) & (mid < hi)
+            if not go.all():
+                out[rows[~go]] = mid[~go]
+                if not go.any():
+                    return out
+                rows, lo, hi, flo, fhi, width, bound, k1, mid = (
+                    a[go] for a in (rows, lo, hi, flo, fhi, width, bound, k1, mid))
+            falsi = (fhi * lo - flo * hi) / (fhi - flo)
+            delta = k1 * width * width
+            # the scalar step's clamps; a NaN falsi goes right, stays NaN, and
+            # the bracket test below takes the midpoint, as the scalar step does
+            p = np.where(falsi < mid,
+                         np.minimum(np.maximum(falsi + delta, hi - bound), mid),
+                         np.maximum(np.minimum(falsi - delta, lo + bound), mid))
+            p = np.where((lo < p) & (p < hi), p, mid)[:, None]
+            fp = fn(X[rows], r[rows] if isinstance(r, np.ndarray) else r, p)
+            if np.shape(fp) != p.shape:
+                fp = np.broadcast_to(fp, p.shape)
+            p, fp = p[:, 0], fp[:, 0]
+            up = fp > 0.0
+            hi, fhi = np.where(up, p, hi), np.where(up, fp, fhi)
+            lo, flo = np.where(up, lo, p), np.where(up, flo, fp)
+            width = hi - lo
+            bound = bound * 0.5
+
+
 def _edge_knots(graph: MetricGraph, n_knots: int):
     """(edge id, the ``n_knots`` uniform offsets where h is sampled), sorted."""
     if n_knots < 2:
@@ -160,19 +245,29 @@ def reduce_to_eikonal(H: Hamiltonian, u: Union[float, Callable[[GraphPoint], flo
     """Materialize h(x) = inf{p : H(x, u(x), p) > 0} as a sampled cost field.
 
     ``u`` supplies the r-argument (a constant for r-independent H, any
-    evaluable function otherwise).  Each edge gets ``n_knots`` uniform knots;
-    h is clamped below at ``FMIN`` so the result is a legal cost field.
+    evaluable function otherwise, evaluated at every knot of a batch before
+    any of them is solved).  Each edge gets ``n_knots`` uniform knots; h is
+    clamped below at ``FMIN`` so the result is a legal cost field.
+
+    The knots are solved in batches of whole edges, up to ``BATCH_KNOTS``
+    knots: one call of ``H`` per batch scans every knot's probe grid as one
+    (n, PROBE_POINTS) table, then the ITP root step runs on all the knots
+    of the batch in lockstep, one call of ``fn`` per step on the knots
+    still bracketing.  A knot takes about 9 steps on the catalog and never
+    more than bisection's count plus one; a batch takes as many as its
+    slowest knot.  Each h equals the scalar slope solve's bit for bit, and a
+    knot without a slope is refused with its own witness, the first such
+    knot in edge and knot order.
     """
     edge_knots = _edge_knots(graph, n_knots)
-    ueval = _as_evaluator(u)
     grid = _probe_grid(H.pmax)
+    per_batch = max(1, BATCH_KNOTS // n_knots)
     profiles: Dict[str, Samples] = {}
-    for eid, knots in edge_knots:
-        values = []
-        for s in knots:
-            p = graph.point(eid, float(s))
-            values.append(max(_implicit_slope(H, p, ueval(p), grid), FMIN))
-        profiles[eid] = Samples(knots, values)
+    for b in range(0, len(edge_knots), per_batch):
+        X = KnotBatch(graph, edge_knots[b:b + per_batch])
+        h = np.maximum(_batch_slopes(H, u, X, grid), FMIN).tolist()
+        for j, (eid, knots) in enumerate(X.runs):
+            profiles[eid] = Samples(knots.tolist(), h[j * n_knots:(j + 1) * n_knots])
     return CostField(graph, profiles)
 
 
@@ -284,36 +379,26 @@ def kruzkov(u, direction: str = "forward"):
 # built-in catalog
 # ----------------------------------------------------------------------
 
-def _f_per_point(field: CostField) -> Callable[[GraphPoint], float]:
-    """x -> f(x), computed once for a run of calls at the same point object:
-    a slope solve calls fn about 10 times, always with that knot's point.
-    The last point is held by reference, so an identity match cannot come
-    from a new object that reuses its id."""
-    last_x: Optional[GraphPoint] = None
-    last_f = 0.0
-
-    def fval(x: GraphPoint) -> float:
-        nonlocal last_x, last_f
-        if x is not last_x:
-            last_x, last_f = x, field.value_at(x)
-        return last_f
-
-    return fval
-
-
 def catalog(name: str, field: Optional[CostField] = None) -> Hamiltonian:
     """Named Hamiltonians for the CLI and the test batteries.
 
-    ``eikonal-affine`` and ``quadratic`` use the supplied cost field as f
-    (f ≡ 1 when none is given); the two ``nonmono-*`` entries are the
-    canonical rejects whose graphs dip back below zero; ``discounted`` is
-    the r-coupled p + r - 1.
+    ``eikonal-affine`` (p - f) and ``quadratic`` (p² - f²) read f from the
+    supplied cost field through ``value_at``, a float at a point and a
+    column for a knot batch (f ≡ 1 when no field is given).  ``quadratic``
+    writes f² as ``f * f``, one correctly rounded product on floats and
+    arrays alike (``f ** 2`` on a float goes through ``pow``, which rounds
+    differently at some f).  The two ``nonmono-*`` entries are the canonical
+    rejects whose graphs dip back below zero; ``discounted`` is the
+    r-coupled p + r - 1.
     """
-    fval = _f_per_point(field) if field is not None else (lambda x: 1.0)
+    fval = field.value_at if field is not None else (lambda x: 1.0)
     if name == "eikonal-affine":
         return Hamiltonian(lambda x, r, p: p - fval(x), name=name)
     if name == "quadratic":
-        return Hamiltonian(lambda x, r, p: p * p - fval(x) ** 2, name=name)
+        def quadratic(x, r, p):
+            f = fval(x)
+            return p * p - f * f
+        return Hamiltonian(quadratic, name=name)
     if name == "nonmono-a":
         return Hamiltonian(
             lambda x, r, p: 1.0 - abs(p - 2.0) + np.square(np.maximum(p - 3.0, 0.0)),

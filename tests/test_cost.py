@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from eikograph import (Constant, CostField, InputError, Linear, MetricGraph, ProfileError,
                        Samples, Vertex)
 from eikograph.cost import FMIN
-from conftest import make_interval
+from eikograph.graph import KnotBatch
+from conftest import build_instance, make_interval, random_graph_spec
 
 
 def midpoint_quad(fn, s0, s1, n=200_000):
@@ -287,3 +288,43 @@ def test_samples_build_their_table_once_for_many_integrals(monkeypatch):
         p.integral(s0, s1, 2.0)
         p.inverse_integral(s0, 0.1, 2.0)
     assert len(builds) == 1
+
+
+def _offsets(length, knots):
+    """0, the length, the knots, one ulp either side of each, and uniform draws."""
+    base = [0.0, length, *knots]
+    near = [math.nextafter(s, d) for s in base for d in (-math.inf, math.inf)]
+    return np.array(base + near + [length * k / 7.0 for k in range(1, 7)])
+
+
+@given(st.integers(0, 10_000))
+def test_array_at_is_scalar_at_bit_for_bit(seed):
+    rng = random.Random(seed)
+    length = rng.uniform(0.05, 4.0)
+    knots, values = _random_samples(rng, rng.choice((2, 3, 9, 65)), length)
+    for prof in (Constant(rng.uniform(0.1, 5.0)), Linear(rng.uniform(0.1, 5.0), rng.uniform(-0.02, 1.0)),
+                 Samples(knots, values)):
+        prof.check(length, 1e-6)
+        s = _offsets(length, knots)
+        got = prof.at_array(s, length)
+        assert got.dtype == np.float64 and got.shape == s.shape
+        assert [x.hex() for x in got.tolist()] == [float(prof.at(x, length)).hex() for x in s.tolist()]
+
+
+@given(st.integers(0, 10_000))
+def test_a_knot_batch_reads_f_as_value_at_does_at_every_knot(seed):
+    """Interior knots through the array ``at``, vertex knots through the
+    least germ value: the column equals ``value_at`` knot by knot, on linear
+    and on sampled profiles, and a sub-batch takes its rows of it."""
+    rng = random.Random(seed)
+    graph, field, _ = build_instance(random_graph_spec(rng, max_vertices=7, max_extra_edges=5))
+    sampled = CostField(graph, {eid: Samples(*_random_samples(rng, 9, rec.length))
+                                for eid, rec in graph.edges.items()})
+    runs = [(eid, np.linspace(0.0, graph.edges[eid].length, 5)) for eid in sorted(graph.edges)]
+    X = KnotBatch(graph, runs)
+    rows = np.array(sorted(rng.sample(range(len(X)), len(X) // 2)))
+    for f in (field, sampled):
+        want = [f.value_at(x) for x in X.points()]
+        col = f.value_at(X)
+        assert col.shape == (len(X), 1) and col[:, 0].tolist() == want
+        assert f.value_at(X[rows])[:, 0].tolist() == [want[i] for i in rows]

@@ -18,6 +18,7 @@ from eikograph import (BoundaryData, CoercivityProbeFailed, CostField, DistanceF
                        catalog, graph_to_dict, kruzkov, reduce_to_eikonal, slopes, solve,
                        solve_general)
 from eikograph.cost import FMIN
+from eikograph.graph import KnotBatch
 from conftest import (build_instance, interval_point, make_interval, random_graph_spec,
                       tiny_dijkstra)
 
@@ -272,6 +273,52 @@ def test_array_scan_reproduces_the_scalar_scan_on_random_graphs(seed):
             _assert_reduction_matches_reference(H, r, graph, n_knots=9)
 
 
+_BAD_SCANS = {
+    "coercivity": lambda p: -1.0 + 0.0 * p,
+    "nonmonotone": lambda p: 1.0 - abs(p - 2.0) + np.square(np.maximum(p - 3.0, 0.0)),
+    "no-subsolution": lambda p: p + 1.0}
+
+
+def _marked_hamiltonian(graph, n_knots, marks, kind):
+    """p - 1 at every knot but the marked ones, (edge id, knot index) pairs,
+    where H has the defect ``kind``.  Marks are read through a sampled cost
+    field, 2 at a marked knot and 1 elsewhere, so H takes a graph point or a
+    knot batch as the catalog does."""
+    values = {eid: [1.0] * n_knots for eid in graph.edges}
+    for eid, k in marks:
+        values[eid][k] = 2.0
+    marker = CostField(graph, {eid: Samples(np.linspace(0.0, graph.edges[eid].length, n_knots), v)
+                               for eid, v in values.items()})
+    bad = _BAD_SCANS[kind]
+    return Hamiltonian(lambda x, r, p: np.where(marker.value_at(x) > 1.5, bad(p), p - 1.0),
+                       name="marked")
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_SCANS))
+@pytest.mark.parametrize("marks,batch_knots", [
+    pytest.param([("e0", 3)], 4096, id="first-edge"),
+    pytest.param([("e3", 2)], 4096, id="later-edge"),
+    pytest.param([("e3", 1), ("e1", 3)], 4096, id="earlier-of-two"),
+    pytest.param([("e2", 1), ("e3", 2)], 10, id="just-past-a-batch-boundary"),
+    pytest.param([("e1", 3), ("e2", 1)], 10, id="before-a-batch-boundary")])
+def test_a_refusal_names_the_first_failing_knot_in_edge_and_knot_order(monkeypatch, kind, marks,
+                                                                      batch_knots):
+    """The batched reduction refuses at the knot, and with the class,
+    message, point and p_pair, that the per-knot reference does, wherever
+    the failing knot sits among the edges and batches."""
+    monkeypatch.setattr(hamiltonian_module, "BATCH_KNOTS", batch_knots)  # 10: 2 edges a batch
+    graph = MetricGraph([("a", True), ("b",), ("c",), ("d",), ("z",)],
+                        [("e0", "a", "b", 1.0), ("e1", "b", "c", 0.5), ("e2", "c", "d", 2.0),
+                         ("e3", "d", "z", 1.5)])
+    H = _marked_hamiltonian(graph, 5, marks, kind)
+    got = _assert_reduction_matches_reference(H, 0.0, graph, n_knots=5)
+    eid, k = min(marks)
+    knot = graph.point(eid, float(np.linspace(0.0, graph.edges[eid].length, 5)[k]))
+    assert got[0] is {"coercivity": CoercivityProbeFailed, "nonmonotone": NonmonotoneHamiltonian,
+                      "no-subsolution": NoSubsolution}[kind]
+    assert repr(knot) in got[1] or got[2] == knot
+
+
 def test_reduction_builds_the_probe_grid_once_and_scans_each_knot_in_one_call(monkeypatch):
     grids = []
     build = hamiltonian_module._probe_grid
@@ -285,13 +332,19 @@ def test_reduction_builds_the_probe_grid_once_and_scans_each_knot_in_one_call(mo
 
     def fn(x, r, p):
         if isinstance(p, np.ndarray):
-            array_calls.append(p.shape)
+            array_calls.append((len(x), p.shape))
         return p - 1.0
 
     graph, _, _ = make_interval()
     reduce_to_eikonal(Hamiltonian(fn, name="unit"), 0.0, graph, n_knots=17)
     assert grids == [1e3]
-    assert array_calls == [(hamiltonian_module.PROBE_POINTS,)] * 17
+    # one scan of all 17 knots over the grid, then root steps on columns of
+    # the knots still bracketing, never more of them than the step before
+    scan, *steps = array_calls
+    assert scan == (17, (hamiltonian_module.PROBE_POINTS,))
+    assert steps and all(shape == (m, 1) for m, shape in steps)
+    active = [m for m, _ in steps]
+    assert active[0] == 17 and active == sorted(active, reverse=True)
 
 
 def _bisection_steps(H, x, r):
@@ -299,14 +352,18 @@ def _bisection_steps(H, x, r):
     doubles) makes on the bracket the package's sign scan finds."""
     grid = hamiltonian_module._probe_grid(H.pmax)
     rise = int((H(x, r, grid) > 0.0).argmax())
-    lo, hi = float(grid[rise - 1]), float(grid[rise])
+    return _bisection_count(H.fn, x, r, float(grid[rise - 1]), float(grid[rise]))
+
+
+def _bisection_count(fn, x, r, lo, hi):
+    """How many fn calls the plain bisection makes on (lo, hi]."""
     steps = 0
     while hi - lo > hamiltonian_module.BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
         steps += 1
-        if H.fn(x, r, mid) > 0.0:
+        if fn(x, r, mid) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -315,45 +372,60 @@ def _bisection_steps(H, x, r):
 
 @pytest.mark.parametrize("name", ["quadratic", "discounted"])
 def test_each_slope_solve_calls_H_once_and_bisects_on_fn_with_positive_floats(monkeypatch, name):
-    """The array scan is the only Hamiltonian.__call__; the root step hands
-    fn a Python float p > 0, where H's zero-extension cannot act, at most
-    one time more than bisection would, and at most 10 times a solve on
-    average (bisection takes about 30)."""
+    """The array scan is the only Hamiltonian.__call__: once per slope solve
+    in the r-dependent pass (discounted), once per batch of knots in the
+    reduction of an r-independent H (quadratic).  The root step hands fn
+    probes p > 0, where H's zero-extension cannot act: a Python float in a
+    scalar solve, a float64 column over the knots still bracketing in a
+    batch.  Each solve takes at most one probe more than bisection would,
+    and at most 10 on average (bisection takes about 30)."""
     graph, _, data = make_interval()
     base = catalog(name, CostField(graph, {"e": Linear(0.5, 0.75)}))
-    scalars = []
+    solves = {}  # solve -> [its point, its r, its root step's probes]
+    h_calls = []
 
     def fn(x, r, p):
-        if not isinstance(p, np.ndarray):
-            scalars.append(p)
+        if isinstance(x, KnotBatch) and p.ndim == 2:  # a lockstep root step
+            assert p.dtype == np.float64 and p.shape == (len(x), 1)
+            for row, q in zip(x.rows.tolist(), p[:, 0].tolist()):
+                solves[len(h_calls), row][2].append(q)
+        elif not isinstance(p, np.ndarray):
+            solves[len(h_calls), None][2].append(p)
         return base.fn(x, r, p)
 
     H = Hamiltonian(fn, depends_on_r=base.depends_on_r, name=name)
-    solves, h_calls, steps = [], [], []
-    implicit_slope, h_call = hamiltonian_module._implicit_slope, Hamiltonian.__call__
+    scalar_solves = []
+    h_call, implicit_slope = Hamiltonian.__call__, hamiltonian_module._implicit_slope
 
     def counting_slope(*args):
-        solves.append(args[1])
-        before = len(scalars)
-        try:
-            return implicit_slope(*args)
-        finally:
-            steps.append((len(scalars) - before, args[1], args[2]))
+        scalar_solves.append(args[1])
+        return implicit_slope(*args)
 
-    def counting_call(self, *args):
-        h_calls.append(args[0])
-        return h_call(self, *args)
+    def counting_call(self, x, r, p):
+        h_calls.append(x)
+        if isinstance(x, KnotBatch):
+            for row, knot in enumerate(x.points()):
+                solves[len(h_calls), row] = [knot, r, []]
+        else:
+            solves[len(h_calls), None] = [x, r, []]
+        return h_call(self, x, r, p)
 
-    monkeypatch.setattr(hamiltonian_module, "_implicit_slope", counting_slope)
     monkeypatch.setattr(Hamiltonian, "__call__", counting_call)
+    monkeypatch.setattr(hamiltonian_module, "_implicit_slope", counting_slope)
     solve_general(H, graph, data, n_knots=17)
-    assert len(solves) >= 17 and h_calls == solves
-    assert len(scalars) <= 10 * len(solves)
-    assert all(type(p) is float and p > 0.0 for p in scalars)
     monkeypatch.undo()
-    for n, x, r in steps:
-        if n:  # a solve refused for NoSubsolution makes no scalar call
-            assert n <= _bisection_steps(base, x, r) + 1
+    batched = [x for x in h_calls if isinstance(x, KnotBatch)]
+    if base.depends_on_r:
+        assert len(scalar_solves) >= 17 and h_calls == scalar_solves
+    else:  # 17 knots make one batch, and each is one solve
+        assert not scalar_solves and h_calls == batched
+        assert [len(x) for x in batched] == [17] == [len(solves)]
+    probes = [q for _, _, qs in solves.values() for q in qs]
+    assert len(probes) <= 10 * len(solves)
+    assert all(type(q) is float and q > 0.0 for q in probes)
+    for x, r, qs in solves.values():
+        if qs:  # a solve refused for NoSubsolution makes no root-step call
+            assert len(qs) <= _bisection_steps(base, x, r) + 1
 
 
 def _step(c, below, above):
@@ -374,10 +446,13 @@ def _adversarial(c):
     return [pytest.param(*case, id="%s-%g" % (name, c)) for name, case in cases.items()]
 
 
-@pytest.mark.parametrize("f,pmax,root", [
+ROOT_STEP_CASES = [
     *(case for c in (0.00123, 0.3, 1.0, 2.5, 7.77, 30.0) for case in _adversarial(c)),
     *(pytest.param(lambda x, r, p, c=c: p - c, 1e9, c, id="linear-%r" % c)
-      for c in (2.0 ** 19 - 0.3, 2.0 ** 19 + 0.3, 5e5, 5e6, 3e8))])
+      for c in (2.0 ** 19 - 0.3, 2.0 ** 19 + 0.3, 5e5, 5e6, 3e8))]
+
+
+@pytest.mark.parametrize("f,pmax,root", ROOT_STEP_CASES)
 def test_the_root_step_takes_at_most_one_step_more_than_bisection(f, pmax, root):
     """The ITP root step's worst case is bisection's count plus one, on a
     step, a flat stretch, and roots at which regula falsi crawls; its answer
@@ -395,6 +470,74 @@ def test_the_root_step_takes_at_most_one_step_more_than_bisection(f, pmax, root)
                                            hamiltonian_module._probe_grid(pmax))
     assert len(calls) <= _bisection_steps(Hamiltonian(f, pmax=pmax), x, 0.0) + 1
     assert abs(h - root) <= max(hamiltonian_module.BISECT_TOL / 2, math.ulp(root))
+
+
+def _assert_lockstep_is_the_scalar_step(fn, scalar_fn, X, r, lo, hi, flo, fhi):
+    """The lockstep root step over the rows (lo, hi] against ``_itp_root``
+    on each row alone: equal bit for bit, with every probe > 0 and strictly
+    inside its row's bracket at that step, and no row taking more probes
+    than bisection's count plus one.  ``scalar_fn`` is fn at one knot."""
+    brackets = list(zip(lo.tolist(), hi.tolist()))
+    probes = [0] * len(lo)
+
+    def watched(x, r_rows, p):
+        fp = fn(x, r_rows, p)
+        for row, q, v in zip(x.rows.tolist(), p[:, 0].tolist(),
+                             np.broadcast_to(fp, p.shape)[:, 0].tolist()):
+            a, b = brackets[row]
+            assert 0.0 < q and a < q < b
+            brackets[row] = (a, q) if v > 0.0 else (q, b)
+            probes[row] += 1
+        return fp
+
+    got = hamiltonian_module._itp_lockstep(watched, X, r, lo, hi, flo, fhi)
+    for row in range(len(lo)):
+        x, r_row = X.point(row), (r[row, 0] if isinstance(r, np.ndarray) else r)
+        args = (x, float(r_row), float(lo[row]), float(hi[row]))
+        want = hamiltonian_module._itp_root(scalar_fn, *args, flo[row], fhi[row])
+        assert got[row].hex() == want.hex()
+        assert probes[row] <= _bisection_count(scalar_fn, *args) + 1
+
+
+@pytest.mark.parametrize("f,pmax,root", ROOT_STEP_CASES)
+def test_the_lockstep_root_step_is_the_scalar_step_row_for_row(f, pmax, root):
+    """On the hard root steps, three brackets a row: the scan's, one a few
+    grid points wider and the whole grid.  The scalar reference evaluates
+    f's array form on a one-element column, as numpy's array power rounds
+    differently from Python's float power."""
+    grid = hamiltonian_module._probe_grid(pmax)
+    values = np.broadcast_to(f(None, 0.0, grid), grid.shape)
+    rise = int((values > 0.0).argmax())
+    ends = np.array([(rise - 1, rise), (max(rise - 3, 0), min(rise + 2, len(grid) - 1)),
+                     (0, len(grid) - 1)])
+    lo, hi = grid[ends[:, 0]], grid[ends[:, 1]]
+    flo, fhi = values[ends[:, 0]], values[ends[:, 1]]
+    assert (flo <= 0.0).all() and (fhi > 0.0).all()
+    graph = MetricGraph([("a", True), ("b",)], [("e", "a", "b", 1.0)])
+    X = KnotBatch(graph, [("e", np.array([0.0, 0.5, 1.0]))])
+    _assert_lockstep_is_the_scalar_step(
+        f, lambda x, r, p: f(x, r, np.array([[p]]))[0, 0], X, 0.0, lo, hi, flo, fhi)
+
+
+@given(st.integers(0, 10_000))
+def test_the_lockstep_root_step_is_the_scalar_step_at_random_catalog_knots(seed):
+    """Every knot of a random graph, with r = exp(-u) <= 1 for discounted,
+    so that each knot has a slope."""
+    spec = random_graph_spec(random.Random(seed), max_vertices=6, max_extra_edges=4)
+    graph, field, data = build_instance(spec)
+    X = KnotBatch(graph, hamiltonian_module._edge_knots(graph, 9))
+    damped = _Damped(solve(field, data))
+    rows = np.arange(len(X))
+    for name in ("eikonal-affine", "quadratic", "discounted"):
+        H = catalog(name, field)
+        r = np.array([[damped.evaluate(x)] for x in X.points()]) if H.depends_on_r else 0.0
+        grid = hamiltonian_module._probe_grid(H.pmax)
+        values = np.broadcast_to(H(X, r, grid), (len(X), len(grid)))
+        rise = (values > 0.0).argmax(axis=1)
+        assert (rise > 0).all()
+        _assert_lockstep_is_the_scalar_step(
+            H.fn, H.fn, X, r, grid[rise - 1], grid[rise],
+            values[rows, rise - 1], values[rows, rise])
 
 
 _clamp_dtypes = st.sampled_from([np.float64, np.float32, np.float16, np.int64, np.int8,
@@ -424,18 +567,34 @@ def test_the_array_clamp_is_the_where_clamp_bit_for_bit(p):
 
 @pytest.mark.parametrize("name", ["eikonal-affine", "quadratic"])
 def test_catalog_reduction_reads_f_once_per_knot(monkeypatch, name):
+    """f is computed once per knot in a whole reduction: one column per batch
+    of knots, its interior knots through each profile's array ``at``; the
+    scan and every root step take rows of that column."""
     spec = random_graph_spec(random.Random(3), max_vertices=6, max_extra_edges=4)
     graph, field, _ = build_instance(spec)
-    calls = []
-    value_at = CostField.value_at
+    columns, interior, reads = [], [], []
+    knot_values, at_array, value_at = CostField._knot_values, Linear.at_array, CostField.value_at
 
-    def counting(self, p):
-        calls.append(p)
+    def counting_column(self, runs):
+        col = knot_values(self, runs)
+        columns.append(col.shape)
+        return col
+
+    def counting_at(self, s, length):
+        interior.append(len(s))
+        return at_array(self, s, length)
+
+    def counting_read(self, p):
+        reads.append(p)
         return value_at(self, p)
 
-    monkeypatch.setattr(CostField, "value_at", counting)
+    monkeypatch.setattr(CostField, "_knot_values", counting_column)
+    monkeypatch.setattr(Linear, "at_array", counting_at)
+    monkeypatch.setattr(CostField, "value_at", counting_read)
     reduce_to_eikonal(catalog(name, field), 0.0, graph, n_knots=9)
-    assert len(calls) == 9 * len(graph.edges)
+    assert columns == [(9 * len(graph.edges), 1)]  # 81 knots at most: one batch
+    assert interior == [7] * len(graph.edges)
+    assert reads and all(isinstance(p, KnotBatch) for p in reads)
 
 
 @pytest.mark.parametrize("name", CATALOG)
