@@ -7,6 +7,10 @@ inverse, both of which every profile provides in closed form so that optical
 lengths and kink offsets stay at full float accuracy for constant and linear
 speed fields.  ``Constant`` is defined in ``graph``, whose unit table is
 made of it, and is imported here with the other profiles.
+
+The profile protocol: ``at(s)``, ``at_array(s)`` (``at`` at each offset, bit
+for bit), ``integral(s0, s1)`` and ``inverse_integral(s0, target)``.  Only
+``check(length, fmin)`` and ``bounds(length)`` take the edge's length.
 """
 from __future__ import annotations
 
@@ -25,6 +29,15 @@ from .graph import Constant, EdgeInterior, GraphPoint, KnotBatch, MetricGraph, V
 FMIN = 1e-6
 
 
+def _advance(a0: float, b: float, target: float) -> float:
+    """The t >= 0 with a0 t + (b/2) t² = target, a0 > 0: the conjugate form,
+    which does not cancel when b t << a0."""
+    disc = a0 * a0 + 2.0 * b * target
+    if disc < 0.0:
+        disc = 0.0
+    return 2.0 * target / (a0 + math.sqrt(disc))
+
+
 @dataclass(frozen=True)
 class Linear:
     """f(s) = a + b s; must stay positive over the edge."""
@@ -33,29 +46,28 @@ class Linear:
     b: float
 
     def check(self, length: float, fmin: float):
-        lo = min(self.a, self.a + self.b * length)
+        # far end first: min(nan, a) is nan, but min(a, nan) is a
+        lo = min(self.a + self.b * length, self.a)
         if not (math.isfinite(lo) and lo >= fmin):
             raise InputError("linear profile dips to %r, below floor %r" % (lo, fmin))
+        # integral squares offsets along the edge
+        if not math.isfinite(length * length):
+            raise InputError("linear profile over length %r overflows "
+                             "(length squared is not finite)" % (length,))
 
-    def at(self, s: float, length: float) -> float:
+    def at(self, s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         return self.a + self.b * s
 
-    def at_array(self, s: np.ndarray, length: float) -> np.ndarray:
-        return self.a + self.b * s
+    # one expression on a float or an array
+    at_array = at
 
-    def integral(self, s0: float, s1: float, length: float) -> float:
+    def integral(self, s0: float, s1: float) -> float:
         return self.a * (s1 - s0) + 0.5 * self.b * (s1 * s1 - s0 * s0)
 
-    def inverse_integral(self, s0: float, target: float, length: float) -> float:
+    def inverse_integral(self, s0: float, target: float) -> float:
         if target == 0.0:
             return 0.0
-        # solve a0 t + (b/2) t^2 = target with a0 = f(s0) > 0; the conjugate
-        # form avoids cancellation when b t << a0.
-        a0 = self.a + self.b * s0
-        disc = a0 * a0 + 2.0 * self.b * target
-        if disc < 0.0:
-            disc = 0.0
-        return 2.0 * target / (a0 + math.sqrt(disc))
+        return _advance(self.a + self.b * s0, self.b, target)
 
     def bounds(self, length: float) -> Tuple[float, float]:
         v0, v1 = self.a, self.a + self.b * length
@@ -86,10 +98,14 @@ class Samples:
             raise InputError("sampled profile needs >= 2 matching knots and values")
         if k[0] != 0.0:
             raise InputError("sampled profile must start at offset 0 (got %r)" % (k[0],))
+        increasing = "sampled profile knots must be strictly increasing"
         if not all(map(operator.lt, k, k[1:])):
-            raise InputError("sampled profile knots must be strictly increasing")
+            raise InputError(increasing)
         if abs(k[-1] - length) > 1e-12 * max(1.0, length):
             raise InputError("sampled profile ends at %r but the edge has length %r" % (k[-1], length))
+        # the snap below must keep the knots increasing
+        if not k[-2] < length:
+            raise InputError(increasing)
         if k[-1] != length:
             object.__setattr__(self, "knots", k[:-1] + (length,))
             object.__setattr__(self, "_pre", None)
@@ -103,14 +119,14 @@ class Samples:
         last = len(self.knots) - 2
         return 0 if i < 0 else (last if i > last else i)
 
-    def at(self, s: float, length: float) -> float:
+    def at(self, s: float) -> float:
         k, v = self.knots, self.values
         s = min(max(s, k[0]), k[-1])
         i = self._segment(s)
         w = (s - k[i]) / (k[i + 1] - k[i])
         return v[i] * (1.0 - w) + v[i + 1] * w
 
-    def at_array(self, s: np.ndarray, length: float) -> np.ndarray:
+    def at_array(self, s: np.ndarray) -> np.ndarray:
         """``at`` at every offset of ``s``, bit for bit."""
         k, v = np.array(self.knots), np.array(self.values)
         s = np.minimum(np.maximum(s, k[0]), k[-1])
@@ -139,32 +155,23 @@ class Samples:
         fi = v[i] * (1.0 - w) + v[i + 1] * w
         return pre[i] + 0.5 * (v[i] + fi) * t
 
-    def integral(self, s0: float, s1: float, length: float) -> float:
+    def integral(self, s0: float, s1: float) -> float:
         pre = self._pre or self._prefix()
         return self._F(pre, s1) - self._F(pre, s0)
 
-    def inverse_integral(self, s0: float, target: float, length: float) -> float:
+    def inverse_integral(self, s0: float, target: float) -> float:
         if target == 0.0:
             return 0.0
         pre = self._pre or self._prefix()
-        i = self._segment(min(max(s0, 0.0), self.knots[-1]))
-        remaining = target + self.integral(self.knots[i], s0, length)
-        # march knot segments; on each, f is linear with slope b.
-        while i < len(self.knots) - 1:
-            k0, k1 = self.knots[i], self.knots[i + 1]
-            seg = pre[i + 1] - pre[i]
-            if remaining > seg and i < len(self.knots) - 2:
-                remaining -= seg
-                i += 1
-                continue
-            v0, v1 = self.values[i], self.values[i + 1]
-            b = (v1 - v0) / (k1 - k0)
-            disc = v0 * v0 + 2.0 * b * remaining
-            if disc < 0.0:
-                disc = 0.0
-            t = 2.0 * remaining / (v0 + math.sqrt(disc)) if (v0 + math.sqrt(disc)) > 0 else remaining / max(v0, 1e-300)
-            return (k0 + t) - s0
-        return self.knots[-1] - s0
+        k, v = self.knots, self.values
+        i = self._segment(min(max(s0, 0.0), k[-1]))
+        remaining = target + self.integral(k[i], s0)
+        # march knot segments (f linear on each); the last takes what remains
+        last = len(k) - 2
+        while i < last and remaining > pre[i + 1] - pre[i]:
+            remaining -= pre[i + 1] - pre[i]
+            i += 1
+        return (k[i] + _advance(v[i], (v[i + 1] - v[i]) / (k[i + 1] - k[i]), remaining)) - s0
 
     def bounds(self, length: float) -> Tuple[float, float]:
         return min(self.values), max(self.values)
@@ -176,8 +183,9 @@ Profile = Union[Constant, Linear, Samples]
 class CostField:
     """The running cost f over a whole graph: one profile per edge.
 
-    Every edge must be covered.  Values are validated against the positivity
-    floor once, here, so downstream integrals can assume f >= FMIN > 0.
+    Every edge must be covered.  Each profile is validated against its edge
+    once, here, in the order of ``profiles``: structure, the floor, then cost
+    overflow, so downstream integrals can assume FMIN <= f and finite costs.
     """
 
     def __init__(self, graph: MetricGraph, profiles: Dict[str, Profile]):
@@ -188,8 +196,13 @@ class CostField:
         if extra:
             raise InputError("cost field has profiles for unknown edges: %s" % ", ".join(extra))
         for eid, prof in profiles.items():
+            length = graph.edges[eid].length
             try:
-                prof.check(graph.edges[eid].length, FMIN)
+                prof.check(length, FMIN)
+                # every cost on the edge is at most sup f times its length
+                fmax = prof.bounds(length)[1]
+                if not math.isfinite(fmax * length):
+                    raise InputError("cost overflows (f up to %r over length %r)" % (fmax, length))
             except InputError as exc:
                 raise ProfileError("edge %r: %s" % (eid, exc), eid) from None
         self.graph = graph
@@ -207,11 +220,10 @@ class CostField:
             raise InputError("segment [%r, %r] outside edge %r" % (s0, s1, eid))
         lo = max(lo, 0.0)
         hi = min(hi, rec.length)
-        return self.profiles[eid].integral(lo, hi, rec.length)
+        return self.profiles[eid].integral(lo, hi)
 
     def full_edge_cost(self, eid: str) -> float:
-        rec = self.graph.edge(eid)
-        return self.profiles[eid].integral(0.0, rec.length, rec.length)
+        return self.profiles[eid].integral(0.0, self.graph.edge(eid).length)
 
     def value_at(self, p: Union[GraphPoint, KnotBatch]) -> Union[float, np.ndarray]:
         """Pointwise f.  At a vertex where incident profiles disagree this
@@ -223,8 +235,7 @@ class CostField:
         vertex knots as above."""
         if isinstance(p, EdgeInterior):
             self.graph.validate_point(p)
-            rec = self.graph.edge(p.edge)
-            return self.profiles[p.edge].at(p.s, rec.length)
+            return self.profiles[p.edge].at(p.s)
         if isinstance(p, KnotBatch):
             return p.column(self, self._knot_values)
         return min(map(self.germ_value, self.graph.germs(p)))
@@ -239,13 +250,13 @@ class CostField:
             for vid in (rec.src, rec.dst):
                 if vid not in at_vertex:
                     at_vertex[vid] = min(map(self.germ_value, self.graph.germs(Vertex(vid))))
-            parts += ([at_vertex[rec.src]], self.profiles[eid].at_array(s[1:-1], rec.length),
+            parts += ([at_vertex[rec.src]], self.profiles[eid].at_array(s[1:-1]),
                       [at_vertex[rec.dst]])
         return np.concatenate(parts)[:, None]
 
     def germ_value(self, germ) -> float:
-        rec = self.graph.edge(germ.edge)
-        return self.profiles[germ.edge].at(germ.base, rec.length)
+        self.graph.edge(germ.edge)  # refuses an unknown edge
+        return self.profiles[germ.edge].at(germ.base)
 
     def sup_value(self) -> float:
         return max(self.profiles[eid].bounds(self.graph.edges[eid].length)[1] for eid in self.profiles)

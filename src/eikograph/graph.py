@@ -130,16 +130,16 @@ class Constant:
         if not (math.isfinite(self.value) and self.value >= fmin):
             raise InputError("constant profile value %r below floor %r" % (self.value, fmin))
 
-    def at(self, s: float, length: float) -> float:
+    def at(self, s: float) -> float:
         return self.value
 
-    def at_array(self, s: np.ndarray, length: float) -> np.ndarray:
+    def at_array(self, s: np.ndarray) -> np.ndarray:
         return np.full(s.shape, self.value, dtype=float)
 
-    def integral(self, s0: float, s1: float, length: float) -> float:
+    def integral(self, s0: float, s1: float) -> float:
         return self.value * (s1 - s0)
 
-    def inverse_integral(self, s0: float, target: float, length: float) -> float:
+    def inverse_integral(self, s0: float, target: float) -> float:
         """Smallest t >= 0 with ∫_{s0}^{s0+t} f = target (may exceed the edge)."""
         return target / self.value
 
@@ -374,13 +374,12 @@ class SeedMap:
     profile.
 
     ``profiles`` maps every edge id to a profile (a ``cost.Profile``): the
-    cost of the within-edge segment between offsets s0 <= s1 on an edge of
-    length L is ``integral(s0, s1, L)``, and the rate at offset s is
-    ``at(s, L)``.  A seed inside an edge is projected onto the edge's two
-    ends, and one Dijkstra run gives ``vertex_values``.  On edge (a, b) of
-    length L the map is the least of its branches: u(a) + c(0, s),
-    u(b) + c(s, L), and for each seed at offset s0 inside that edge its
-    value + c(s0, s).  The graph's unit table gives the distance to the
+    cost of the within-edge segment between offsets s0 <= s1 on an edge is
+    ``integral(s0, s1)``, and the rate at offset s is ``at(s)``.  A seed
+    inside an edge is projected onto the edge's two ends, and one Dijkstra
+    run gives ``vertex_values``.  On edge (a, b) of length L the map is the
+    least of its branches: u(a) + c(0, s), u(b) + c(s, L), and for each
+    seed at offset s0 inside that edge its value + c(s0, s).  The graph's unit table gives the distance to the
     seeds, a cost field's table the optical map, a constant rate C a cone.
     """
 
@@ -397,8 +396,8 @@ class SeedMap:
             else:
                 rec = graph.edge(p.edge)
                 integral = profiles[p.edge].integral
-                ends = ((rec.src, val + integral(0.0, p.s, rec.length)),
-                        (rec.dst, val + integral(p.s, rec.length, rec.length)))
+                ends = ((rec.src, val + integral(0.0, p.s)),
+                        (rec.dst, val + integral(p.s, rec.length)))
                 interior.setdefault(p.edge, []).append((p.s, val))
             for vid, c in ends:
                 if vid not in vseeds or c < vseeds[vid]:
@@ -408,20 +407,19 @@ class SeedMap:
         self._interior_seeds = interior
         edges = graph.edges
         self.vertex_values: Dict[str, float] = graph.shortest_from_seeds(
-            vseeds, lambda eid: profiles[eid].integral(0.0, edges[eid].length, edges[eid].length))
+            vseeds, lambda eid: profiles[eid].integral(0.0, edges[eid].length))
 
     def _branches(self, eid: str, s: float) -> Tuple[List[float], List[int]]:
         """The branch values at offset ``s`` on edge ``eid``, whose least is
         the map there, and the sign of each branch's slope in +s.  A seed's
         own branch has sign 0 at the seed, where both departures ascend."""
         rec = self.graph.edge(eid)
-        length = rec.length
         integral = self.profiles[eid].integral
-        values = [self.vertex_values[rec.src] + integral(0.0, s, length),
-                  self.vertex_values[rec.dst] + integral(s, length, length)]
+        values = [self.vertex_values[rec.src] + integral(0.0, s),
+                  self.vertex_values[rec.dst] + integral(s, rec.length)]
         signs = [1, -1]
         for s0, val in self._interior_seeds.get(eid, ()):
-            values.append(val + integral(min(s, s0), max(s, s0), length))
+            values.append(val + integral(min(s, s0), max(s, s0)))
             signs.append((s > s0) - (s < s0))
         return values, signs
 
@@ -433,14 +431,13 @@ class SeedMap:
             return self.vertex_values[p.id]
         eid, s = p.edge, p.s
         rec = self.graph.edges[eid]
-        length = rec.length
         integral = self.profiles[eid].integral
-        best = self.vertex_values[rec.src] + integral(0.0, s, length)
-        v = self.vertex_values[rec.dst] + integral(s, length, length)
+        best = self.vertex_values[rec.src] + integral(0.0, s)
+        v = self.vertex_values[rec.dst] + integral(s, rec.length)
         if v < best:
             best = v
         for s0, val in self._interior_seeds.get(eid, ()):
-            v = val + integral(min(s, s0), max(s, s0), length)
+            v = val + integral(min(s, s0), max(s, s0))
             if v < best:
                 best = v
         return best
@@ -466,8 +463,7 @@ class SeedMap:
     def germ_derivative(self, p: GraphPoint, germ: Germ) -> float:
         """Exact one-sided derivative of u along ``germ`` at its base point:
         the rate there, with the sign of the steepest least branch."""
-        return (self.germ_sign(germ)
-                * self.profiles[germ.edge].at(germ.base, self.graph.edges[germ.edge].length))
+        return self.germ_sign(germ) * self.profiles[germ.edge].at(germ.base)
 
 
 class DistanceField(SeedMap):

@@ -93,6 +93,9 @@ def load_graph(text: str,
     Returns the graph, its cost field, and the boundary data (None when the
     graph declares no boundary vertices — solving then needs different input,
     but slope/verification work does not).
+
+    The graph is validated first; the cost field then refuses a bad or
+    overflowing profile, edge by edge in file order, at its edge's line.
     """
     doc = _decode_json(text, filename)
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
@@ -147,20 +150,6 @@ def load_graph(text: str,
         _fail(filename, text, exc.edge, str(exc))
     except InputError as exc:
         raise GraphFormatError("%s: %s" % (filename, exc)) from None
-    # The overflow checks need lengths and profiles that the graph and the
-    # field have accepted, so they come last, in file order; the graph has
-    # refused a repeated edge id, so each record here is its edge's only one.
-    for eid, _src, _dst, length in edges:
-        prof = profiles[eid]
-        # every cost on the edge is at most sup f times its length
-        fmax = prof.bounds(length)[1]
-        if not isfinite(fmax * length):
-            _fail(filename, text, eid, "edge %r: cost overflows (f up to %r over length %r)"
-                  % (eid, fmax, length))
-        # Linear.integral squares offsets along the edge
-        if isinstance(prof, Linear) and not isfinite(length * length):
-            _fail(filename, text, eid, "edge %r: linear profile over length %r overflows "
-                  "(length squared is not finite)" % (eid, length))
     data = None
     if gvals:
         try:

@@ -1,5 +1,6 @@
 """Cost profiles: closed-form integrals against midpoint-rule quadrature,
 inversion round trips, and field-level validation."""
+import json
 import math
 import random
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eikograph import (Constant, CostField, InputError, Linear, MetricGraph, ProfileError,
-                       Samples, Vertex)
+from eikograph import (Constant, CostField, Germ, GraphFormatError, InputError, Linear,
+                       MetricGraph, ProfileError, Samples, Vertex, load_graph)
 from eikograph.cost import FMIN
 from eikograph.graph import KnotBatch
 from conftest import build_instance, make_interval, random_graph_spec
@@ -27,8 +28,8 @@ def midpoint_quad(fn, s0, s1, n=200_000):
 
 def test_constant_profile_integral_exact():
     p = Constant(2.5)
-    assert p.integral(0.25, 1.75, 2.0) == 2.5 * 1.5
-    assert p.at(0.123, 2.0) == 2.5
+    assert p.integral(0.25, 1.75) == 2.5 * 1.5
+    assert p.at(0.123) == 2.5
     assert p.bounds(2.0) == (2.5, 2.5)
 
 
@@ -38,7 +39,7 @@ def test_linear_profile_integral_matches_quadrature(a, b, s0, s1):
         return   # keep the profile positive on [0, 2]
     s0, s1 = min(s0, s1), max(s0, s1)
     p = Linear(a, b)
-    got = p.integral(s0, s1, 2.0)
+    got = p.integral(s0, s1)
     want = midpoint_quad(lambda x: a + b * x, s0, s1, n=4_000)
     assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
@@ -46,16 +47,16 @@ def test_linear_profile_integral_matches_quadrature(a, b, s0, s1):
 @given(st.floats(0.2, 5.0), st.floats(-0.08, 1.0), st.floats(0.0, 1.9), st.floats(1e-6, 1.0))
 def test_linear_inverse_integral_round_trip(a, b, s0, target):
     p = Linear(a, b)
-    t = p.inverse_integral(s0, target, 2.0)
+    t = p.inverse_integral(s0, target)
     assert t >= 0.0
-    assert p.integral(s0, s0 + t, 2.0) == pytest.approx(target, rel=1e-12, abs=1e-12)
+    assert p.integral(s0, s0 + t) == pytest.approx(target, rel=1e-12, abs=1e-12)
 
 
 def test_linear_inverse_stable_for_tiny_targets():
     """The conjugate quadratic form must not cancel when b·t is tiny
     relative to a: the answer is then target/a to first order."""
     p = Linear(1.0, 1e-8)
-    t = p.inverse_integral(0.0, 1e-12, 2.0)
+    t = p.inverse_integral(0.0, 1e-12)
     assert t == pytest.approx(1e-12, rel=1e-9)
 
 
@@ -73,6 +74,25 @@ def test_the_floor_is_fmin_exactly():
     with pytest.raises(ProfileError, match=r"^edge 'e': constant profile value .* below floor") as exc:
         CostField(graph, {"e": Constant(math.nextafter(FMIN, 0.0))})
     assert exc.value.edge == "e"
+
+
+@pytest.mark.parametrize("length, prof, f", [
+    (1e10, Constant(1e300), {"kind": "const", "params": {"value": 1e300}}),
+    (1e200, Linear(1.0, 0.0), {"kind": "linear", "params": {"a": 1.0, "b": 0.0}}),
+], ids=["cost", "linear-length-squared"])
+def test_a_field_built_in_code_refuses_an_overflowing_profile(length, prof, f):
+    """The overflow refusals belong to the field, not to the file reader:
+    a field built in code refuses what a loaded file is refused, in the
+    same words, naming the edge."""
+    graph = MetricGraph([("a",), ("b",)], [("e", "a", "b", length)])
+    with pytest.raises(ProfileError, match="overflows") as built:
+        CostField(graph, {"e": prof})
+    assert built.value.edge == "e"
+    doc = {"vertices": [{"id": "a"}, {"id": "b"}],
+           "edges": [{"id": "e", "from": "a", "to": "b", "length": length, "f": f}]}
+    with pytest.raises(GraphFormatError) as loaded:
+        load_graph(json.dumps(doc), filename="g.json")
+    assert str(loaded.value) == "g.json:1: %s" % built.value
 
 
 def test_samples_validation():
@@ -103,12 +123,12 @@ def test_samples_integral_matches_trapezoid():
     vals = (1.0, 3.0, 0.5, 2.0)
     p = Samples(knots, vals)
     p.check(2.0, 1e-6)
-    whole = p.integral(0.0, 2.0, 2.0)
+    whole = p.integral(0.0, 2.0)
     fine = np.linspace(0, 2, 100_001)
     want = np.trapezoid(np.interp(fine, knots, vals), fine)
     assert whole == pytest.approx(float(want), rel=1e-7)
     # additivity across an interior split point
-    assert (p.integral(0.0, 0.8, 2.0) + p.integral(0.8, 2.0, 2.0)
+    assert (p.integral(0.0, 0.8) + p.integral(0.8, 2.0)
             == pytest.approx(whole, abs=1e-14))
 
 
@@ -116,11 +136,11 @@ def test_samples_integral_matches_trapezoid():
 def test_samples_inverse_integral_round_trip(s0, target):
     p = Samples((0.0, 0.5, 1.25, 2.0), (1.0, 3.0, 0.5, 2.0))
     p.check(2.0, 1e-6)
-    avail = p.integral(s0, 2.0, 2.0)
+    avail = p.integral(s0, 2.0)
     if target >= avail:
         return
-    t = p.inverse_integral(s0, target, 2.0)
-    assert p.integral(s0, s0 + t, 2.0) == pytest.approx(target, rel=1e-10, abs=1e-12)
+    t = p.inverse_integral(s0, target)
+    assert p.integral(s0, s0 + t) == pytest.approx(target, rel=1e-10, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -142,6 +162,9 @@ def test_field_vertex_value_is_min_over_incident_germs():
     assert field.value_at(Vertex("a")) == 0.5
     assert field.value_at(Vertex("b")) == 0.5
     assert field.value_at(g.point("e0", 0.5)) == 2.5
+    assert field.germ_value(Germ("e0", 1.0, -1)) == 3.0
+    with pytest.raises(InputError, match="unknown edge id 'zzz'"):
+        field.germ_value(Germ("zzz", 0.0, 1))
 
 
 def test_field_edge_cost_is_orientation_free(interval):
@@ -245,17 +268,17 @@ def test_samples_cached_table_is_bit_identical_to_per_call_formulas(n_knots):
         for _ in range(80):
             s0, s1 = sorted(rng.sample(offsets, 2))
             want = _ref_integral(k, v, s0, s1)
-            assert p.integral(s0, s1, length) == want
+            assert p.integral(s0, s1) == want
             assert field.edge_cost("e", s1, s0) == want
             target = rng.uniform(0.0, 1.2 * _ref_integral(k, v, s0, length))
-            assert p.inverse_integral(s0, target, length) == _ref_inverse(k, v, s0, target)
+            assert p.inverse_integral(s0, target) == _ref_inverse(k, v, s0, target)
 
 
 def test_samples_table_follows_the_last_knot_snap():
     knots = (0.0, 0.5, 1.25, 2.0 + 1e-13)
     values = (1.0, 3.0, 0.5, 2.0)
     p = Samples(knots, values)
-    before = p.integral(0.0, 2.0, 2.0)        # builds a table on the unsnapped knots
+    before = p.integral(0.0, 2.0)  # builds a table on the unsnapped knots
     assert before == _ref_integral(knots, values, 0.0, 2.0)
     p.check(2.0, 1e-6)
     snapped = knots[:-1] + (2.0,)
@@ -263,11 +286,11 @@ def test_samples_table_follows_the_last_knot_snap():
     # F at the last knot is the one entry the snap moves; no query reads it,
     # so the table itself is compared
     assert _ref_prefix(snapped, values) != _ref_prefix(knots, values)
-    p.integral(0.0, 1.0, 2.0)
+    p.integral(0.0, 1.0)
     assert p._pre == _ref_prefix(snapped, values)
-    assert p.integral(0.0, 2.0, 2.0) == _ref_integral(snapped, values, 0.0, 2.0)
-    assert p.integral(0.3, 1.9, 2.0) == _ref_integral(snapped, values, 0.3, 1.9)
-    assert p.inverse_integral(0.3, 1.0, 2.0) == _ref_inverse(snapped, values, 0.3, 1.0)
+    assert p.integral(0.0, 2.0) == _ref_integral(snapped, values, 0.0, 2.0)
+    assert p.integral(0.3, 1.9) == _ref_integral(snapped, values, 0.3, 1.9)
+    assert p.inverse_integral(0.3, 1.0) == _ref_inverse(snapped, values, 0.3, 1.0)
 
 
 def test_samples_build_their_table_once_for_many_integrals(monkeypatch):
@@ -285,8 +308,8 @@ def test_samples_build_their_table_once_for_many_integrals(monkeypatch):
     p.check(2.0, 1e-6)
     for _ in range(200):
         s0, s1 = sorted((rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)))
-        p.integral(s0, s1, 2.0)
-        p.inverse_integral(s0, 0.1, 2.0)
+        p.integral(s0, s1)
+        p.inverse_integral(s0, 0.1)
     assert len(builds) == 1
 
 
@@ -306,9 +329,9 @@ def test_array_at_is_scalar_at_bit_for_bit(seed):
                  Samples(knots, values)):
         prof.check(length, 1e-6)
         s = _offsets(length, knots)
-        got = prof.at_array(s, length)
+        got = prof.at_array(s)
         assert got.dtype == np.float64 and got.shape == s.shape
-        assert [x.hex() for x in got.tolist()] == [float(prof.at(x, length)).hex() for x in s.tolist()]
+        assert [x.hex() for x in got.tolist()] == [float(prof.at(x)).hex() for x in s.tolist()]
 
 
 @given(st.integers(0, 10_000))

@@ -580,9 +580,9 @@ def test_catalog_reduction_reads_f_once_per_knot(monkeypatch, name):
         columns.append(col.shape)
         return col
 
-    def counting_at(self, s, length):
+    def counting_at(self, s):
         interior.append(len(s))
-        return at_array(self, s, length)
+        return at_array(self, s)
 
     def counting_read(self, p):
         reads.append(p)

@@ -227,3 +227,64 @@ def test_every_setting_is_turned_by_the_package_or_allowlisted():
     assert sorted(unturned - set(UNTURNED_BY_THE_PACKAGE)) == []
     assert sorted(set(UNTURNED_BY_THE_PACKAGE) - defaulted) == []
     assert sorted(set(UNTURNED_BY_THE_PACKAGE) - unturned) == []
+
+
+# ----------------------------------------------------------------------
+# parameter census: a parameter its body never reads is an argument that
+# every caller passes for nothing
+# ----------------------------------------------------------------------
+
+#: parameters that their function's body does not read, and why each stays
+UNREAD_BY_THE_BODY = {
+    "graph.Constant.at(s)": "profile protocol: the rate at an offset, the same at every one",
+    "graph.Constant.inverse_integral(s0)": "profile protocol: a constant rate buys the same "
+                                           "length from every offset",
+    "graph.Constant.check(length)": "profile protocol: a constant's floor holds on any edge",
+    "graph.Constant.bounds(length)": "profile protocol: a constant is its own bounds",
+    "cost.Samples.bounds(length)": "profile protocol: the knots already span the edge",
+    "graph.SeedMap.germ_derivative(p)": "the test functions' germ_derivative(p, germ), which "
+                                        "the verifiers call alike",
+    "hamiltonian.catalog.quadratic(r)": "a Hamiltonian's fn takes (x, r, p); this one is "
+                                        "r-independent",
+    "io._emit_float(depth)": "every emitter takes (obj, depth); a float reads alike at any depth",
+    "slopes._no_h(r)": "stands in for h(r) where no h is given",
+}
+
+
+def _unread_parameters(tree: ast.Module, module: str):
+    """Every parameter of a ``def`` in ``tree`` that its body never reads,
+    as a "module.qualified.name(param)" label; a method's own first
+    parameter is left out, and so are lambdas."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+                if isinstance(node, ast.ClassDef) and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list):
+                    params = params[1:]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                qual = prefix + child.name
+                out.update("%s(%s)" % (qual, arg.arg) for arg in params if arg.arg not in read)
+                visit(child, qual + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, module + ".")
+    return out
+
+
+def test_every_parameter_is_read_or_allowlisted():
+    """A parameter that its function's body never reads is passed for
+    nothing: each one is read, or allowlisted with its reason.  An
+    allowlisted entry that its body now reads, or that is gone, leaves the
+    list."""
+    unread = set().union(*(_unread_parameters(ast.parse(p.read_text()), p.stem)
+                           for p in sorted(PACKAGE.glob("*.py"))))
+    assert sorted(unread - set(UNREAD_BY_THE_BODY)) == []
+    assert sorted(set(UNREAD_BY_THE_BODY) - unread) == []

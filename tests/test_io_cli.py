@@ -158,8 +158,8 @@ def test_load_graph_rejections():
         with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': '%s' must name" % key):
             load_graph(json.dumps(doc, indent=2), filename="g.json")
 
-    # the overflow checks run on a graph and field already accepted: a
-    # disconnected graph is refused as such, overflowing edge or not
+    # the overflow checks run on a graph already accepted: a disconnected
+    # graph is refused as such, overflowing edge or not
     doc = json.loads(TENT_DOC)
     doc["vertices"].append({"id": "lone"})
     doc["edges"][0]["length"] = 1e300
@@ -185,7 +185,23 @@ def test_load_graph_rejections():
      "sampled profile ends at 1.5 but the edge has length 2.0"),
     ({"kind": "samples", "params": {"knots": [0.0, 2.0], "values": [1.0, 0.0]}},
      "sampled profile values [0.0] below floor 1e-06"),
-], ids=["const-floor", "linear-dip", "samples-end", "samples-floor"])
+    # json reads NaN and Infinity; a NaN slope must not pass as a profile
+    ({"kind": "linear", "params": {"a": 1.0, "b": math.nan}},
+     "linear profile dips to nan, below floor 1e-06"),
+    ({"kind": "linear", "params": {"a": 1.0, "b": -math.inf}},
+     "linear profile dips to -inf, below floor 1e-06"),
+    ({"kind": "linear", "params": {"a": 1.0, "b": math.inf}},
+     "cost overflows (f up to inf over length 2.0)"),
+    # the last knot is within float dust of the length, but snapping it
+    # there would land on, or below, the knot before it
+    ({"kind": "samples",
+      "params": {"knots": [0.0, 2.0, 2.0000000000004], "values": [1.0, 1.0, 50.0]}},
+     "sampled profile knots must be strictly increasing"),
+    ({"kind": "samples",
+      "params": {"knots": [0.0, 2.0000000000002, 2.0000000000004], "values": [1.0, 1.0, 50.0]}},
+     "sampled profile knots must be strictly increasing"),
+], ids=["const-floor", "linear-dip", "samples-end", "samples-floor", "linear-nan-slope",
+        "linear-minus-inf-slope", "linear-inf-slope", "samples-snap-onto", "samples-snap-below"])
 def test_profile_refusals_name_their_edge_and_line(f, refusal, tmp_path, capsys):
     doc = json.loads(PATH3_DOC)
     doc["edges"][1].update({"length": 2.0, "f": f})
