@@ -4,7 +4,7 @@ from .cost import Constant, CostField, Linear, Samples
 from .ekeland import EkelandRecord, ekeland_maximize, ekeland_point
 from .errors import (CoercivityProbeFailed, EikographError, GraphFormatError, HamiltonianRejection,
                      ImproperHamiltonian, InputError, NonmonotoneHamiltonian, NoSubsolution,
-                     PreconditionError, ProfileError, UnreachableError, VerificationError)
+                     PreconditionError, ProfileError, RecordError, UnreachableError, VerificationError)
 from .graph import (Curve, DistanceField, EdgeInterior, EdgeRec, Germ,
                     MetricGraph, Vertex, VertexRec, random_curve)
 from .hamiltonian import Hamiltonian, catalog, kruzkov, reduce_to_eikonal, solve_general
@@ -31,7 +31,7 @@ __all__ = [
     "Hamiltonian", "HamiltonianRejection", "ImproperHamiltonian", "InputError", "Linear",
     "MetricGraph", "MongeReport", "MonotoneReport", "NoSubsolution", "NonmonotoneHamiltonian",
     "OpticalMap",
-    "PreconditionError", "Profile1D", "ProfileError", "Samples", "SlopeEstimate",
+    "PreconditionError", "Profile1D", "ProfileError", "RecordError", "Samples", "SlopeEstimate",
     "StoredSolution", "UnreachableError", "ValueFunction", "VerificationError",
     "Vertex", "VertexRec", "boundary_modulus", "catalog",
     "check_compatibility", "check_subsolution_monotone",

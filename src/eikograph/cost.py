@@ -9,7 +9,7 @@ speed fields.  ``Constant`` is defined in ``graph``, whose unit table is
 made of it, and is imported here with the other profiles.
 
 The profile protocol: ``at(s)``, ``at_array(s)`` (``at`` at each offset, bit
-for bit), ``integral(s0, s1)`` and ``inverse_integral(s0, target)``.  Only
+for bit), ``integral(s0, s1)`` and ``inverse_integral(target)`` (from 0).  Only
 ``check(length, fmin)`` and ``bounds(length)`` take the edge's length.
 """
 from __future__ import annotations
@@ -48,7 +48,9 @@ class Linear:
     def check(self, length: float, fmin: float):
         # far end first: min(nan, a) is nan, but min(a, nan) is a
         lo = min(self.a + self.b * length, self.a)
-        if not (math.isfinite(lo) and lo >= fmin):
+        if not lo < math.inf:
+            raise InputError("linear profile value %r is not finite" % (lo,))
+        if lo < fmin:
             raise InputError("linear profile dips to %r, below floor %r" % (lo, fmin))
         # integral squares offsets along the edge
         if not math.isfinite(length * length):
@@ -64,10 +66,8 @@ class Linear:
     def integral(self, s0: float, s1: float) -> float:
         return self.a * (s1 - s0) + 0.5 * self.b * (s1 * s1 - s0 * s0)
 
-    def inverse_integral(self, s0: float, target: float) -> float:
-        if target == 0.0:
-            return 0.0
-        return _advance(self.a + self.b * s0, self.b, target)
+    def inverse_integral(self, target: float) -> float:
+        return _advance(self.a, self.b, target)
 
     def bounds(self, length: float) -> Tuple[float, float]:
         v0, v1 = self.a, self.a + self.b * length
@@ -109,9 +109,12 @@ class Samples:
         if k[-1] != length:
             object.__setattr__(self, "knots", k[:-1] + (length,))
             object.__setattr__(self, "_pre", None)
-        if not (all(map(math.isfinite, v)) and min(v) >= fmin):
-            bad = [x for x in v if not (math.isfinite(x) and x >= fmin)]
-            raise InputError("sampled profile values %r below floor %r" % (bad, fmin))
+        if not all(map(math.isfinite, v)) or min(v) < fmin:
+            unbounded = [x for x in v if not x < math.inf]
+            if unbounded:
+                raise InputError("sampled profile values %r are not finite" % (unbounded,))
+            raise InputError("sampled profile values %r below floor %r"
+                             % ([x for x in v if x < fmin], fmin))
 
     def _segment(self, s: float) -> int:
         """The knot segment [k[i], k[i+1]] holding s, i clamped to [0, K-2]."""
@@ -159,19 +162,15 @@ class Samples:
         pre = self._pre or self._prefix()
         return self._F(pre, s1) - self._F(pre, s0)
 
-    def inverse_integral(self, s0: float, target: float) -> float:
-        if target == 0.0:
-            return 0.0
+    def inverse_integral(self, target: float) -> float:
         pre = self._pre or self._prefix()
         k, v = self.knots, self.values
-        i = self._segment(min(max(s0, 0.0), k[-1]))
-        remaining = target + self.integral(k[i], s0)
         # march knot segments (f linear on each); the last takes what remains
-        last = len(k) - 2
+        i, last, remaining = 0, len(k) - 2, target
         while i < last and remaining > pre[i + 1] - pre[i]:
             remaining -= pre[i + 1] - pre[i]
             i += 1
-        return (k[i] + _advance(v[i], (v[i + 1] - v[i]) / (k[i + 1] - k[i]), remaining)) - s0
+        return k[i] + _advance(v[i], (v[i + 1] - v[i]) / (k[i + 1] - k[i]), remaining)
 
     def bounds(self, length: float) -> Tuple[float, float]:
         return min(self.values), max(self.values)

@@ -18,11 +18,21 @@ class GraphFormatError(InputError):
     whenever the offending record could be located in the source text."""
 
 
-class ProfileError(InputError):
+class RecordError(InputError):
+    """One record of a graph was refused: ``kind`` ("vertex" or "edge") and
+    ``id`` name it, so a loader can point at the record in its source."""
+
+    def __init__(self, message, kind, id):
+        super().__init__(message)
+        self.kind = kind
+        self.id = id
+
+
+class ProfileError(RecordError):
     """An edge's cost profile was refused; ``edge`` names the edge."""
 
     def __init__(self, message, edge):
-        super().__init__(message)
+        super().__init__(message, "edge", edge)
         self.edge = edge
 
 

@@ -17,12 +17,13 @@ import bisect
 import heapq
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InputError, UnreachableError
+from .errors import InputError, RecordError, UnreachableError
 
 #: branch values within BRANCH_TIE * (1 + |least|) of the least tie for it
 BRANCH_TIE = 1e-12
@@ -127,7 +128,9 @@ class Constant:
     value: float
 
     def check(self, length: float, fmin: float):
-        if not (math.isfinite(self.value) and self.value >= fmin):
+        if not self.value < math.inf:
+            raise InputError("constant profile value %r is not finite" % (self.value,))
+        if self.value < fmin:
             raise InputError("constant profile value %r below floor %r" % (self.value, fmin))
 
     def at(self, s: float) -> float:
@@ -139,12 +142,17 @@ class Constant:
     def integral(self, s0: float, s1: float) -> float:
         return self.value * (s1 - s0)
 
-    def inverse_integral(self, s0: float, target: float) -> float:
-        """Smallest t >= 0 with ∫_{s0}^{s0+t} f = target (may exceed the edge)."""
+    def inverse_integral(self, target: float) -> float:
+        """Smallest t >= 0 with ∫_0^t f = target (may exceed the edge)."""
         return target / self.value
 
     def bounds(self, length: float) -> Tuple[float, float]:
         return self.value, self.value
+
+
+def _finite(x) -> bool:
+    """Whether ``x`` is a finite real number, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _settle(seeds: Dict[Hashable, float], relax: Callable) -> Dict[Hashable, float]:
@@ -175,8 +183,9 @@ class MetricGraph:
     """A finite connected multigraph with positive edge lengths.
 
     Self-loops and parallel edges are permitted.  Immutable after
-    construction; all validation (positive finite lengths, endpoint ids,
-    connectivity) happens here so queries can assume a well-formed space.
+    construction; all validation (unique ids, bool boundary flags, known
+    ends, finite real lengths > 0, connectivity) happens here.  A refusal of
+    one record is a ``RecordError``, which ``io.load_graph`` puts at its line.
     """
 
     def __init__(self, vertices: Iterable, edges: Iterable):
@@ -185,7 +194,9 @@ class MetricGraph:
         for v in vertices:
             rec = v if isinstance(v, VertexRec) else VertexRec(*v)
             if rec.id in self.vertices:
-                raise InputError("duplicate vertex id %r" % rec.id)
+                raise RecordError("duplicate vertex id %r" % rec.id, "vertex", rec.id)
+            if not isinstance(rec.boundary, bool):
+                raise RecordError("vertex %r: 'boundary' must be true/false" % rec.id, "vertex", rec.id)
             self.vertices[rec.id] = rec
         if not self.vertices:
             raise InputError("graph needs at least one vertex")
@@ -197,13 +208,13 @@ class MetricGraph:
         for e in edges:
             eid, src, dst, length = (e.id, e.src, e.dst, e.length) if isinstance(e, EdgeRec) else e
             if eid in self.edges:
-                raise InputError("duplicate edge id %r" % eid)
-            if src not in self.vertices:
-                raise InputError("edge %r references unknown vertex %r" % (eid, src))
-            if dst not in self.vertices:
-                raise InputError("edge %r references unknown vertex %r" % (eid, dst))
-            if not (isinstance(length, (int, float)) and math.isfinite(length) and length > 0):
-                raise InputError("edge %r must have a positive finite length (got %r)" % (eid, length))
+                raise RecordError("duplicate edge id %r" % eid, "edge", eid)
+            for end in (src, dst):
+                if end not in self.vertices:
+                    raise RecordError("edge %r references unknown vertex %r" % (eid, end), "edge", eid)
+            if not (_finite(length) and length > 0):
+                raise RecordError("edge %r must have a positive finite length (got %r)" % (eid, length),
+                                  "edge", eid)
             # the one record of the edge, its length made a float
             self.edges[eid] = EdgeRec(eid, src, dst, float(length))
             adj[src].append((eid, 0))

@@ -11,8 +11,10 @@ vertices; ``f`` defaults to the constant 1.  Profile kinds: ``const``
 (params ``value``), ``linear`` (params ``a``, ``b``: f = a + b s from the
 ``from`` end), ``samples`` (params ``knots``, ``values``).
 
-Rejections carry a file:line anchor pointing at the first occurrence of the
-offending record's id in the source text.
+The loader checks the document's shape; the classes that hold the records
+check their values, as they do for a graph built in code.  A refusal of one
+record is prefixed with the ``file:line`` of the record's own ``"id"``
+member in its array, a refusal of the whole document with the file alone.
 
 All emission goes through one JSON writer, ``dump_json``, which prints
 floats with 17 significant digits (round-trip exact for doubles) so
@@ -24,24 +26,26 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from itertools import repeat
 from math import isfinite
 from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
 from .cost import Constant, CostField, Linear, Profile, Samples
-from .errors import GraphFormatError, InputError, ProfileError
+from .errors import GraphFormatError, InputError, ProfileError, RecordError
 from .graph import EdgeInterior, GraphPoint, MetricGraph, Vertex
 from .optical import OpticalMap, StoredSolution, _crossing
 from .solver import BoundaryData, ValueFunction
 
 
-def _fail(filename: str, text: str, key: str, message: str, start: int = 0):
-    """Refuse the document at file:line of the first ``"key"`` at or after
-    ``start`` in the text, or at the file when the text has none."""
-    pos = text.find('"%s"' % key, start)
-    where = filename if pos < 0 else "%s:%d" % (filename, text.count("\n", 0, pos) + 1)
-    raise GraphFormatError("%s: %s" % (where, message))
+def _anchor(filename: str, text: str, member: str, pattern: str, name: str) -> str:
+    """``file:line`` of the first match of ``pattern`` % the JSON string ``name``
+    after the first ``"member":`` in the text, or the file name alone."""
+    key = re.compile(pattern % re.escape(json.dumps(name, ensure_ascii=False)))
+    head = re.search(r'"%s"\s*:' % re.escape(member), text)
+    hit = head and key.search(text, head.end())
+    return "%s:%d" % (filename, text.count("\n", 0, hit.start()) + 1) if hit else filename
 
 
 def _number(x) -> float:
@@ -62,13 +66,13 @@ def _decode_json(text: str, filename: str):
         raise GraphFormatError("%s: unreadable number: %s" % (filename, exc)) from None
 
 
-def _parse_profile(obj, eid: str, filename: str, text: str) -> Profile:
+def _parse_profile(obj, eid: str) -> Profile:
     if not isinstance(obj, dict) or "kind" not in obj:
-        _fail(filename, text, eid, "edge %r: f must be an object with a 'kind'" % eid)
+        raise ProfileError("edge %r: f must be an object with a 'kind'" % eid, eid)
     kind = obj["kind"]
     params = obj.get("params", {})
     if not isinstance(params, dict):
-        _fail(filename, text, eid, "edge %r: f params must be an object" % eid)
+        raise ProfileError("edge %r: f params must be an object" % eid, eid)
     try:
         if kind == "const":
             return Constant(_number(params["value"]))
@@ -81,9 +85,9 @@ def _parse_profile(obj, eid: str, filename: str, text: str) -> Profile:
                 raise TypeError("knots and values must be numbers")
             return Samples(knots, values)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        _fail(filename, text, eid, "edge %r: bad f params for kind %r (%s)" % (eid, kind, exc))
-    _fail(filename, text, eid,
-          "edge %r: unknown f kind %r (expected const, linear, or samples)" % (eid, kind))
+        raise ProfileError("edge %r: bad f params for kind %r (%s)" % (eid, kind, exc), eid) from None
+    raise ProfileError("edge %r: unknown f kind %r (expected const, linear, or samples)" % (eid, kind),
+                       eid)
 
 
 def load_graph(text: str,
@@ -91,72 +95,44 @@ def load_graph(text: str,
     """Parse and validate a graph document.
 
     Returns the graph, its cost field, and the boundary data (None when the
-    graph declares no boundary vertices — solving then needs different input,
-    but slope/verification work does not).
+    graph declares no boundary vertices and no vertex has ``g`` — solving
+    then needs different input, but slope/verification work does not).
 
-    The graph is validated first; the cost field then refuses a bad or
-    overflowing profile, edge by edge in file order, at its edge's line.
+    After the document's shape, ``MetricGraph``, ``CostField`` and
+    ``BoundaryData`` check their records in that order, with the refusals
+    they give in code; each refusal of one record names the record's line.
     """
     doc = _decode_json(text, filename)
-    if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
-        raise GraphFormatError("%s: document must be an object with 'vertices' and 'edges'" % filename)
-    if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
-        raise GraphFormatError("%s: 'vertices' and 'edges' must be arrays" % filename)
-
-    vertices = []
-    gvals: Dict[str, float] = {}
-    for entry in doc["vertices"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-            raise GraphFormatError("%s: every vertex needs a string 'id' (got %r)" % (filename, entry))
-        vid = entry["id"]
-        boundary = entry.get("boundary", False)
-        if not isinstance(boundary, bool):
-            _fail(filename, text, vid, "vertex %r: 'boundary' must be true/false" % vid)
-        if boundary:
-            if "g" not in entry:
-                _fail(filename, text, vid, "boundary vertex %r is missing its value 'g'" % vid)
-            try:
-                gvals[vid] = _number(entry["g"])
-            except (TypeError, OverflowError):
-                _fail(filename, text, vid, "vertex %r: 'g' must be a number" % vid)
-        elif "g" in entry:
-            _fail(filename, text, vid, "vertex %r has 'g' but is not a boundary vertex" % vid)
-        vertices.append((vid, boundary))
-
-    edges = []
-    profiles: Dict[str, Profile] = {}
-    for entry in doc["edges"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-            raise GraphFormatError("%s: every edge needs a string 'id' (got %r)" % (filename, entry))
-        eid = entry["id"]
-        src, dst = entry.get("from"), entry.get("to")
-        if not (isinstance(src, str) and isinstance(dst, str)):
-            key = "to" if isinstance(src, str) else "from"
-            _fail(filename, text, eid, "edge %r: %r must name a vertex" % (eid, key))
-        try:
-            length = _number(entry["length"])
-        except (KeyError, TypeError, OverflowError):
-            _fail(filename, text, eid, "edge %r: 'length' must be a number" % eid)
-        edges.append((eid, src, dst, length))
-        if "f" in entry:
-            profiles[eid] = _parse_profile(entry["f"], eid, filename, text)
-        else:
-            profiles[eid] = Constant(1.0)
-
     try:
-        graph = MetricGraph(vertices, edges)
+        if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
+            raise InputError("document must be an object with 'vertices' and 'edges'")
+        if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
+            raise InputError("'vertices' and 'edges' must be arrays")
+        for entry in doc["vertices"]:
+            if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+                raise InputError("every vertex needs a string 'id' (got %r)" % (entry,))
+        edges = []
+        profiles: Dict[str, Profile] = {}
+        for entry in doc["edges"]:
+            if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+                raise InputError("every edge needs a string 'id' (got %r)" % (entry,))
+            eid = entry["id"]
+            src, dst = entry.get("from"), entry.get("to")
+            if not (isinstance(src, str) and isinstance(dst, str)):
+                key = "to" if isinstance(src, str) else "from"
+                raise RecordError("edge %r: %r must name a vertex" % (eid, key), "edge", eid)
+            edges.append((eid, src, dst, entry.get("length")))
+            profiles[eid] = _parse_profile(entry["f"], eid) if "f" in entry else Constant(1.0)
+        graph = MetricGraph([(v["id"], v.get("boundary", False)) for v in doc["vertices"]], edges)
         field = CostField(graph, profiles)
-    except ProfileError as exc:
-        _fail(filename, text, exc.edge, str(exc))
+        gvals = {v["id"]: v["g"] for v in doc["vertices"] if "g" in v}
+        return graph, field, BoundaryData(graph, gvals) if gvals or graph.boundary_ids else None
+    except RecordError as exc:
+        array = {"vertex": "vertices", "edge": "edges"}[exc.kind]
+        where = _anchor(filename, text, array, r'"id"\s*:\s*%s', exc.id)
+        raise GraphFormatError("%s: %s" % (where, exc)) from None
     except InputError as exc:
         raise GraphFormatError("%s: %s" % (filename, exc)) from None
-    data = None
-    if gvals:
-        try:
-            data = BoundaryData(graph, gvals)
-        except InputError as exc:
-            raise GraphFormatError("%s: %s" % (filename, exc)) from None
-    return graph, field, data
 
 
 def _profile_to_obj(prof: Profile) -> dict:
@@ -374,8 +350,9 @@ def load_value_function(text: str, graph: MetricGraph, field: CostField,
                 values[vid] = _number(v)
             except (TypeError, OverflowError):
                 # anchored inside this table: a boundary id also keys the other one
-                _fail(filename, text, vid, "%s table: value at %r must be a number (got %s)"
-                      % (name, vid, json.dumps(v)), start=max(text.find('"%s"' % name), 0))
+                where = _anchor(filename, text, name, r"%s\s*:", vid)
+                raise GraphFormatError("%s: %s table: value at %r must be a number (got %s)"
+                                       % (where, name, vid, json.dumps(v))) from None
         tables.append(values)
     gvals, stored = tables
     try:

@@ -64,7 +64,7 @@ def _crossing(prof, length: float, u_src: float, u_dst: float, cost: float) -> O
     target = 0.5 * (u_dst - u_src + cost)  # F at the crossing
     if target <= 0.0 or target >= cost:
         return None
-    s = min(max(prof.inverse_integral(0.0, target), 0.0), length)
+    s = min(max(prof.inverse_integral(target), 0.0), length)
     return s if 0.0 < s < length else None
 
 

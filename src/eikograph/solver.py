@@ -18,32 +18,31 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cost import CostField
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, RecordError
 from .graph import (Constant, Curve, GraphPoint, MetricGraph, SeedMap, Vertex,
-                    _default_samples, random_curve)
+                    _default_samples, _finite, random_curve)
 from .optical import OpticalMap, optical_length
 
 
 class BoundaryData:
-    """Dirichlet data: finite values on exactly the boundary vertices."""
+    """Dirichlet data: a finite real number on each boundary vertex and on
+    no other, checked in graph order.  Each refusal of one vertex is a
+    ``RecordError`` naming it, which ``io.load_graph`` anchors at its line."""
 
     def __init__(self, graph: MetricGraph, values: Dict[str, float]):
-        bids = set(graph.boundary_ids)
-        if not bids:
+        for vid in [*graph.vertices, *(vid for vid in values if vid not in graph.vertices)]:
+            rec = graph.vertices.get(vid)
+            if rec is None or not rec.boundary:
+                if vid in values:
+                    raise RecordError("vertex %r has 'g' but is not a boundary vertex" % vid,
+                                      "vertex", vid)
+            elif vid not in values:
+                raise RecordError("boundary vertex %r is missing its value 'g'" % vid, "vertex", vid)
+            elif not _finite(values[vid]):
+                raise RecordError("vertex %r: 'g' must be a finite number (got %r)" % (vid, values[vid]),
+                                  "vertex", vid)
+        if not values:
             raise InputError("graph has no boundary vertices")
-        given = set(values)
-        if given != bids:
-            missing = sorted(bids - given)
-            extra = sorted(given - bids)
-            parts = []
-            if missing:
-                parts.append("missing data at boundary vertices: %s" % ", ".join(missing))
-            if extra:
-                parts.append("data given at non-boundary vertices: %s" % ", ".join(extra))
-            raise InputError("; ".join(parts))
-        for vid, g in values.items():
-            if not (isinstance(g, (int, float)) and math.isfinite(g)):
-                raise InputError("boundary value at %r must be finite (got %r)" % (vid, g))
         self.graph = graph
         self.values = {vid: float(g) for vid, g in values.items()}
 

@@ -3,11 +3,12 @@ import heapq
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from eikograph import (CostField, Curve, DistanceField, EdgeInterior, Germ, InputError,
-                       MetricGraph, OpticalMap, Vertex, optical_length, random_curve)
+                       MetricGraph, OpticalMap, RecordError, Vertex, optical_length, random_curve)
 from eikograph.graph import SeedMap
 from conftest import build_instance, random_graph_spec, tiny_dijkstra
 
@@ -49,6 +50,61 @@ def test_dangling_endpoint_rejected():
 def test_nonpositive_length_rejected(bad_len):
     with pytest.raises(InputError, match="positive finite length"):
         MetricGraph([("a",), ("b",)], [("e", "a", "b", bad_len)])
+
+
+@pytest.mark.parametrize("bad_len", [True, "1.0", None, 10 ** 400])
+def test_a_length_that_is_not_a_real_number_is_refused(bad_len):
+    with pytest.raises(RecordError, match="positive finite length") as exc:
+        MetricGraph([("a",), ("b",)], [("e", "a", "b", bad_len)])
+    assert (exc.value.kind, exc.value.id) == ("edge", "e")
+
+
+def test_a_numpy_float_length_is_a_float():
+    g = MetricGraph([("a",), ("b",)], [("e", "a", "b", np.float64(2.5))])
+    assert type(g.edge("e").length) is float and g.edge("e").length == 2.5
+
+
+@pytest.mark.parametrize("flag", ["no", 1, None])
+def test_a_boundary_flag_is_a_bool(flag):
+    with pytest.raises(RecordError, match="'boundary' must be true/false") as exc:
+        MetricGraph([("a", True), ("b", flag)], [("e", "a", "b", 1.0)])
+    assert (exc.value.kind, exc.value.id) == ("vertex", "b")
+
+
+def test_a_graph_needs_a_vertex():
+    with pytest.raises(InputError, match="^graph needs at least one vertex$"):
+        MetricGraph([], [("e", "a", "b", 1.0)])
+
+
+def test_point_queries_refuse_what_the_graph_lacks():
+    g = star3()
+    with pytest.raises(InputError, match="unknown vertex id 'zz'"):
+        g.vertex_point("zz")
+    with pytest.raises(InputError, match="unknown vertex id 'zz'"):
+        g.validate_point(Vertex("zz"))
+    for s in (0.0, 1.0, -0.5):
+        with pytest.raises(InputError, match=r"interior offset %r outside \(0, 1.0\) on edge 'a0'" % s):
+            g.validate_point(EdgeInterior("a0", s))
+    with pytest.raises(InputError, match="not a graph point: 'c'"):
+        g.validate_point("c")
+
+
+def test_shortest_from_seeds_refuses_an_unknown_or_empty_seed_set():
+    g = star3()
+    with pytest.raises(InputError, match="seed at unknown vertex 'zz'"):
+        g.shortest_from_seeds({"c": 0.0, "zz": 0.0}, lambda eid: 1.0)
+    with pytest.raises(InputError, match="empty seed set"):
+        g.shortest_from_seeds({}, lambda eid: 1.0)
+
+
+def test_curve_refuses_a_wrong_annotation_count_and_times_off_the_curve():
+    g = star3()
+    with pytest.raises(InputError, match="one entry per step"):
+        Curve(g, [Vertex("l0"), Vertex("c"), Vertex("l1")], edges=["a0"])
+    curve = Curve(g, [Vertex("l0"), Vertex("c"), Vertex("l1")], edges=["a0", "a1"])
+    for t in (-0.5, 2.5):
+        with pytest.raises(InputError, match=r"curve time %r outside \[0, 2.0\]" % t):
+            curve.point_at(t)
 
 
 def test_disconnected_rejected():

@@ -134,6 +134,18 @@ def test_coercivity_probe_failure():
         reduce_to_eikonal(out_of_reach, 0.0, graph)
 
 
+@pytest.mark.parametrize("fn, refusal", [
+    (lambda x, r, p: r - 2.0, CoercivityProbeFailed),
+    (lambda x, r, p: 1.0 + 0.0 * r, NoSubsolution),
+], ids=["never-positive", "positive-at-zero"])
+def test_the_r_dependent_pass_refuses_an_h_constant_in_p(fn, refusal):
+    """An H that ignores p comes back from the scan as one scalar, which
+    the pass widens over the probe grid before it refuses the knot."""
+    graph, _, data = make_interval()
+    with pytest.raises(refusal):
+        solve_general(Hamiltonian(fn, depends_on_r=True), graph, data)
+
+
 @pytest.mark.parametrize("c", [5e5, 5e6, 3e8])
 def test_bisection_ends_for_slopes_past_two_to_the_nineteenth(c):
     """Past 2**19 adjacent doubles sit wider apart than BISECT_TOL, so the

@@ -116,16 +116,17 @@ UNTURNED_BY_THE_PACKAGE = {
 
 
 def _settings_and_calls(trees):
-    """Every defaulted parameter of a package function or method, as
-    (label, callee name, positional index or None, parameter), and every
-    call, as (callee names, positional count, per position and per keyword
-    the setting the argument forwards or None).
+    """Every parameter of a package function or method, as (label, callee
+    name, positional index or None, parameter, default expression or None),
+    and every call, as (callee names, positional count, per position and
+    per keyword the setting the argument forwards or None, and per position
+    and per keyword the argument expression).
 
     A callee name is a function's own name, or for ``__init__`` its class's
     name; ``super().__init__`` calls the bases by name.  An argument that is
     the bare name of a defaulted parameter of an enclosing function
     forwards that setting rather than turning it."""
-    settings, calls = [], []
+    params, calls = [], []
 
     def source(expr, scopes):
         if isinstance(expr, ast.Name):
@@ -142,14 +143,15 @@ def _settings_and_calls(trees):
         qual = ".".join(filter(None, (module, cls if method else None, node.name)))
         name = cls if method and node.name == "__init__" else node.name
         own = {}
-        first = len(positional) - len(a.defaults)
-        for i, arg in enumerate(positional[first:], first):
-            own[arg.arg] = "%s(%s)" % (qual, arg.arg)
-            settings.append((own[arg.arg], name, i - method, arg.arg))
-        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+        indexed = [(i - method, arg, d) for i, (arg, d) in enumerate(zip(positional, defaults))
+                   if i >= method]
+        keyword = [(None, arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults)]
+        for index, arg, default in indexed + keyword:
+            label = "%s(%s)" % (qual, arg.arg)
+            params.append((label, name, index, arg.arg, default))
             if default is not None:
-                own[arg.arg] = "%s(%s)" % (qual, arg.arg)
-                settings.append((own[arg.arg], name, None, arg.arg))
+                own[arg.arg] = label
         names = {arg.arg for arg in positional + a.kwonlyargs}
         body(node, module, None, bases, scopes + [(names, own)])
 
@@ -162,18 +164,18 @@ def _settings_and_calls(trees):
             callee = set(bases)
         else:
             callee = {f.attr} if isinstance(f, ast.Attribute) else set()
-        npos, forwards = len(node.args), {}
+        npos, forwards, args = len(node.args), {}, {}
         for i, arg in enumerate(node.args):
             if isinstance(arg, ast.Starred):
                 npos = math.inf
                 break
-            forwards[i] = source(arg, scopes)
+            forwards[i], args[i] = source(arg, scopes), arg
         for kw in node.keywords:
             if kw.arg is None:
                 npos = math.inf
             else:
-                forwards[kw.arg] = source(kw.value, scopes)
-        calls.append((callee, npos, forwards))
+                forwards[kw.arg], args[kw.arg] = source(kw.value, scopes), kw.value
+        calls.append((callee, npos, forwards, args))
 
     def body(node, module, cls, bases, scopes):
         """Walk ``node``'s children; ``cls`` names the class whose body
@@ -191,13 +193,15 @@ def _settings_and_calls(trees):
 
     for module, tree in trees.items():
         body(tree, module, None, [], [])
-    return settings, calls
+    return params, calls
 
 
 def _unturned_settings(trees):
     """(labels no call in the package turns, all labels).  A forwarded
     setting turns the parameter it reaches only once it is turned itself."""
-    settings, calls = _settings_and_calls(trees)
+    params, calls = _settings_and_calls(trees)
+    settings = [(label, name, index, param) for label, name, index, param, default in params
+                if default is not None]
     turned = set()
     grew = True
     while grew:
@@ -205,7 +209,7 @@ def _unturned_settings(trees):
         for label, name, index, param in settings:
             if label in turned:
                 continue
-            for callee, npos, forwards in calls:
+            for callee, npos, forwards, _ in calls:
                 if name in callee and (param in forwards or (index is not None and index < npos)):
                     src = forwards.get(param if param in forwards else index)
                     if src is None or src in turned:
@@ -229,6 +233,44 @@ def test_every_setting_is_turned_by_the_package_or_allowlisted():
     assert sorted(set(UNTURNED_BY_THE_PACKAGE) - unturned) == []
 
 
+#: parameters that every call in the package passes the same literal, and
+#: why each stays a parameter
+ONE_LITERAL_IN_THE_PACKAGE = {
+    "hamiltonian.reduce_to_eikonal(u)": "the r-argument is library input; the package reduces "
+                                        "only r-independent Hamiltonians, at r = 0",
+}
+
+
+def _one_literal_parameters(trees):
+    """Labels of the parameters without a default that some call in the
+    package reaches and that every such call passes one literal.  Calls are
+    matched by callee name, as in the settings census; an argument behind a
+    starred one passes no known value.  A defaulted parameter is a setting,
+    which the settings census keeps."""
+    params, calls = _settings_and_calls(trees)
+    out = set()
+    for label, name, index, param, default in params:
+        if default is not None:
+            continue
+        passed = set()
+        for callee, _, _, args in calls:
+            if name in callee:
+                arg = args.get(param if param in args else index)
+                passed.add(repr(arg.value) if isinstance(arg, ast.Constant) else None)
+        if len(passed) == 1 and None not in passed:
+            out.add(label)
+    return out
+
+
+def test_no_parameter_is_passed_one_literal_by_every_call():
+    """A parameter that every call in the package passes the same literal
+    is a constant in disguise: each one takes what its callers pass, or it
+    is allowlisted with its reason.  An allowlisted entry that some call
+    now varies, or that is gone, leaves the list."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(_one_literal_parameters(trees) ^ set(ONE_LITERAL_IN_THE_PACKAGE)) == []
+
+
 # ----------------------------------------------------------------------
 # parameter census: a parameter its body never reads is an argument that
 # every caller passes for nothing
@@ -237,8 +279,6 @@ def test_every_setting_is_turned_by_the_package_or_allowlisted():
 #: parameters that their function's body does not read, and why each stays
 UNREAD_BY_THE_BODY = {
     "graph.Constant.at(s)": "profile protocol: the rate at an offset, the same at every one",
-    "graph.Constant.inverse_integral(s0)": "profile protocol: a constant rate buys the same "
-                                           "length from every offset",
     "graph.Constant.check(length)": "profile protocol: a constant's floor holds on any edge",
     "graph.Constant.bounds(length)": "profile protocol: a constant is its own bounds",
     "cost.Samples.bounds(length)": "profile protocol: the knots already span the edge",

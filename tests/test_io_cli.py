@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eikograph import (Constant, CostField, GraphFormatError, InputError, Linear, Samples,
-                       Vertex, dump_json, dump_value_function, edge_csv,
-                       graph_to_dict, load_graph, load_value_function,
+from eikograph import (BoundaryData, Constant, CostField, GraphFormatError, InputError, Linear,
+                       MetricGraph, RecordError, Samples, Vertex, dump_json,
+                       dump_value_function, edge_csv, graph_to_dict, load_graph, load_value_function,
                        point_from_obj, point_to_obj, solve)
 from eikograph.cli import entry
 from eikograph.graph import EdgeInterior, EdgeRec
@@ -110,7 +110,7 @@ def test_load_graph_rejections():
 
     doc = json.loads(TENT_DOC)
     del doc["edges"][0]["length"]
-    with pytest.raises(GraphFormatError, match="'length' must be a number"):
+    with pytest.raises(GraphFormatError, match="must have a positive finite length"):
         load_graph(json.dumps(doc))
 
     doc = json.loads(TENT_DOC)
@@ -125,12 +125,14 @@ def test_load_graph_rejections():
     # only JSON numbers count as numbers: true/false and strings are refused
     doc = json.loads(TENT_DOC)
     doc["edges"][0]["length"] = True
-    with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': 'length' must be a number"):
+    with pytest.raises(GraphFormatError,
+                       match=r"g\.json:\d+: edge 'e' must have a positive finite length \(got True\)"):
         load_graph(json.dumps(doc, indent=2), filename="g.json")
 
     doc = json.loads(TENT_DOC)
     doc["vertices"][0]["g"] = True
-    with pytest.raises(GraphFormatError, match=r"g\.json:\d+: vertex 'L': 'g' must be a number"):
+    with pytest.raises(GraphFormatError,
+                       match=r"g\.json:\d+: vertex 'L': 'g' must be a finite number \(got True\)"):
         load_graph(json.dumps(doc, indent=2), filename="g.json")
 
     doc = json.loads(TENT_DOC)
@@ -176,6 +178,29 @@ def test_load_graph_rejections():
         load_graph(json.dumps(doc, indent=2), filename="g.json")
 
 
+
+@pytest.mark.parametrize("edit, refusal", [
+    (lambda doc: doc["edges"][0].update(f=3), "g.json:16: edge 'e': f must be an object with a 'kind'"),
+    (lambda doc: doc["edges"][0]["f"].update(params=[1.0]),
+     "g.json:16: edge 'e': f params must be an object"),
+    (lambda doc: doc.update(vertices={}), "g.json: 'vertices' and 'edges' must be arrays"),
+    (lambda doc: doc.update(edges="e"), "g.json: 'vertices' and 'edges' must be arrays"),
+    (lambda doc: doc["vertices"].__setitem__(0, {"id": 1}),
+     "g.json: every vertex needs a string 'id' (got {'id': 1})"),
+    (lambda doc: doc["edges"].__setitem__(0, ["e"]), "g.json: every edge needs a string 'id' (got ['e'])"),
+    (lambda doc: doc.update(vertices=[]), "g.json: graph needs at least one vertex"),
+], ids=["f-not-object", "params-not-object", "vertices-not-array", "edges-not-array",
+        "vertex-id-not-string", "edge-not-object", "no-vertex"])
+def test_load_graph_refuses_a_malformed_document(edit, refusal):
+    """A shape refusal of one edge is anchored at it; one of the document,
+    or of a record without an id, names the file alone."""
+    doc = json.loads(TENT_DOC)
+    edit(doc)
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(json.dumps(doc, indent=2), filename="g.json")
+    assert str(exc.value) == refusal
+
+
 @pytest.mark.parametrize("f, refusal", [
     ({"kind": "const", "params": {"value": 5e-7}},
      "constant profile value 5e-07 below floor 1e-06"),
@@ -187,7 +212,14 @@ def test_load_graph_rejections():
      "sampled profile values [0.0] below floor 1e-06"),
     # json reads NaN and Infinity; a NaN slope must not pass as a profile
     ({"kind": "linear", "params": {"a": 1.0, "b": math.nan}},
-     "linear profile dips to nan, below floor 1e-06"),
+     "linear profile value nan is not finite"),
+    # and an infinite rate is not finite, not below the floor
+    ({"kind": "const", "params": {"value": math.inf}},
+     "constant profile value inf is not finite"),
+    ({"kind": "linear", "params": {"a": math.inf, "b": 0.0}},
+     "linear profile value inf is not finite"),
+    ({"kind": "samples", "params": {"knots": [0.0, 2.0], "values": [1.0, math.inf]}},
+     "sampled profile values [inf] are not finite"),
     ({"kind": "linear", "params": {"a": 1.0, "b": -math.inf}},
      "linear profile dips to -inf, below floor 1e-06"),
     ({"kind": "linear", "params": {"a": 1.0, "b": math.inf}},
@@ -201,7 +233,8 @@ def test_load_graph_rejections():
       "params": {"knots": [0.0, 2.0000000000002, 2.0000000000004], "values": [1.0, 1.0, 50.0]}},
      "sampled profile knots must be strictly increasing"),
 ], ids=["const-floor", "linear-dip", "samples-end", "samples-floor", "linear-nan-slope",
-        "linear-minus-inf-slope", "linear-inf-slope", "samples-snap-onto", "samples-snap-below"])
+        "const-inf", "linear-inf", "samples-inf", "linear-minus-inf-slope", "linear-inf-slope",
+        "samples-snap-onto", "samples-snap-below"])
 def test_profile_refusals_name_their_edge_and_line(f, refusal, tmp_path, capsys):
     doc = json.loads(PATH3_DOC)
     doc["edges"][1].update({"length": 2.0, "f": f})
@@ -218,6 +251,75 @@ def test_profile_refusals_name_their_edge_and_line(f, refusal, tmp_path, capsys)
     doc["vertices"].append({"id": "lone"})
     with pytest.raises(GraphFormatError, match=r"^g\.json: graph is not connected"):
         load_graph(json.dumps(doc, indent=2), filename="g.json")
+
+
+def _build_in_code(doc):
+    """What ``load_graph`` builds from ``doc``, built by the constructors
+    alone: the same records, with const profiles."""
+    graph = MetricGraph([(v["id"], v.get("boundary", False)) for v in doc["vertices"]],
+                        [(e["id"], e["from"], e["to"], e.get("length")) for e in doc["edges"]])
+    CostField(graph, {e["id"]: Constant(e["f"]["params"]["value"]) if "f" in e else Constant(1.0)
+                      for e in doc["edges"]})
+    BoundaryData(graph, {v["id"]: v["g"] for v in doc["vertices"] if "g" in v})
+
+
+def _bad_records():
+    """(case, edit of PATH3_DOC, kind and id of the refused record).  Edge
+    "m" shares its id with vertex "m", so an anchor must search its own
+    array."""
+    def vertex(i, **kw):
+        return lambda doc: doc["vertices"][i].update(kw)
+
+    def edge(i, **kw):
+        return lambda doc: doc["edges"][i].update(kw)
+
+    def drop(array, i, key):
+        return lambda doc: doc[array][i].pop(key)
+
+    def append(array, record):
+        return lambda doc: doc[array].append(record)
+
+    return [
+        ("boundary-no", vertex(1, boundary="no"), "vertex", "m"),
+        ("length-true", edge(0, length=True), "edge", "m"),
+        ("length-zero", edge(1, length=0), "edge", "b2"),
+        ("length-infinity", edge(1, length=math.inf), "edge", "b2"),
+        ("length-missing", drop("edges", 1, "length"), "edge", "b2"),
+        ("g-true", vertex(0, g=True), "vertex", "L"),
+        ("g-infinity", vertex(2, g=math.inf), "vertex", "R"),
+        ("g-missing", drop("vertices", 2, "g"), "vertex", "R"),
+        ("g-interior", vertex(1, g=1.0), "vertex", "m"),
+        ("duplicate-vertex", append("vertices", {"id": "m"}), "vertex", "m"),
+        ("duplicate-edge", append("edges", {"id": "b2", "from": "m", "to": "R", "length": 1.0}),
+         "edge", "b2"),
+        ("unknown-end", edge(1, to="zz"), "edge", "b2"),
+        ("profile-on-shared-id", edge(0, f={"kind": "const", "params": {"value": 5e-7}}), "edge", "m"),
+    ]
+
+
+@pytest.mark.parametrize("edit, kind, rid", [case[1:] for case in _bad_records()],
+                         ids=[case[0] for case in _bad_records()])
+def test_a_record_is_refused_alike_in_code_and_by_file_at_its_own_line(edit, kind, rid):
+    doc = json.loads(PATH3_DOC)
+    doc["edges"][0]["id"] = "m"
+    edit(doc)
+    with pytest.raises(RecordError) as in_code:
+        _build_in_code(doc)
+    assert (in_code.value.kind, in_code.value.id) == (kind, rid)
+    text = json.dumps(doc, indent=2)
+    own = text.index('"id": "%s"' % rid, text.index('"%s": [' % {"vertex": "vertices",
+                                                                  "edge": "edges"}[kind]))
+    with pytest.raises(GraphFormatError) as by_file:
+        load_graph(text, filename="g.json")
+    assert str(by_file.value) == "g.json:%d: %s" % (text.count("\n", 0, own) + 1, in_code.value)
+
+
+def test_a_record_refusal_names_the_file_alone_where_its_id_is_not_in_the_text():
+    text = PATH3_DOC.replace('"m", "to": "R", "length": 1.0', '"m", "to": "R", "length": 0.0')
+    text = text.replace('{"id": "b2"', '{"\\u0069d": "b2"')
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(text, filename="g.json")
+    assert str(exc.value) == "g.json: edge 'b2' must have a positive finite length (got 0.0)"
 
 
 # ----------------------------------------------------------------------

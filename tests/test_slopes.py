@@ -427,3 +427,8 @@ def test_semiconcave_input_validation():
         semiconcave_slope_check([0.0, 1.0], [0.0, 1.0], K=0.0)
     with pytest.raises(InputError, match="strictly increasing"):
         semiconcave_slope_check([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], K=0.0)
+
+
+def test_slopes_of_a_function_without_a_graph_need_one_passed():
+    with pytest.raises(PreconditionError, match="no graph: pass graph="):
+        slopes(lambda p: 0.0, Vertex("L"))

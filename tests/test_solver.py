@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,15 +62,32 @@ def test_incompatible_data_is_not_an_error():
 
 def test_boundary_data_validation(interval):
     graph, _, _ = interval
-    with pytest.raises(InputError, match="missing data"):
+    with pytest.raises(InputError, match="missing its value"):
         BoundaryData(graph, {"L": 0.0})
-    with pytest.raises(InputError, match="non-boundary"):
+    with pytest.raises(InputError, match="not a boundary vertex"):
         BoundaryData(graph, {"L": 0.0, "R": 0.0, "ghost": 1.0})
     with pytest.raises(InputError, match="finite"):
         BoundaryData(graph, {"L": 0.0, "R": math.inf})
     interior_only = MetricGraph([("a",), ("b",)], [("e", "a", "b", 1.0)])
     with pytest.raises(InputError, match="no boundary"):
         BoundaryData(interior_only, {})
+
+
+@pytest.mark.parametrize("g", [True, "0.0", None, math.nan, -math.inf, 10 ** 400])
+def test_a_boundary_value_is_a_finite_real_number(interval, g):
+    graph, _, _ = interval
+    with pytest.raises(InputError, match=r"vertex 'R': 'g' must be a finite number") as exc:
+        BoundaryData(graph, {"L": 0.0, "R": g})
+    assert (exc.value.kind, exc.value.id) == ("vertex", "R")
+    data = BoundaryData(graph, {"L": 0, "R": np.float64(0.5)})
+    assert type(data["L"]) is type(data["R"]) is float
+
+
+def test_a_value_function_refuses_data_on_another_graph():
+    _, field, _ = make_interval()
+    _, _, other = make_interval()
+    with pytest.raises(InputError, match="boundary data and cost field refer to different graphs"):
+        solve(field, other)
 
 
 @given(st.integers(0, 10_000))
