@@ -10,20 +10,21 @@ made of it, and is imported here with the other profiles.
 
 The profile protocol: ``at(s)``, ``at_array(s)`` (``at`` at each offset, bit
 for bit), ``integral(s0, s1)`` and ``inverse_integral(target)`` (from 0).  Only
-``check(length, fmin)`` and ``bounds(length)`` take the edge's length.
+``bounds(length)`` and ``check(length, fmin)`` take the edge's length; ``check``
+returns the profile a ``CostField`` keeps, its params floats, and changes none.
 """
 from __future__ import annotations
 
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import InputError, ProfileError
-from .graph import Constant, EdgeInterior, GraphPoint, KnotBatch, MetricGraph, Vertex
+from .graph import Constant, EdgeInterior, GraphPoint, KnotBatch, MetricGraph, Vertex, _reals
 
 #: the positivity floor: every cost field has f >= FMIN > 0
 FMIN = 1e-6
@@ -45,9 +46,11 @@ class Linear:
     a: float
     b: float
 
-    def check(self, length: float, fmin: float):
+    def check(self, length: float, fmin: float) -> "Linear":
+        prof = self if type(self.a) is type(self.b) is float else Linear(
+            *_reals((self.a, self.b), "linear profile coefficient"))
         # far end first: min(nan, a) is nan, but min(a, nan) is a
-        lo = min(self.a + self.b * length, self.a)
+        lo = min(prof.a + prof.b * length, prof.a)
         if not lo < math.inf:
             raise InputError("linear profile value %r is not finite" % (lo,))
         if lo < fmin:
@@ -56,6 +59,7 @@ class Linear:
         if not math.isfinite(length * length):
             raise InputError("linear profile over length %r overflows "
                              "(length squared is not finite)" % (length,))
+        return prof
 
     def at(self, s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         return self.a + self.b * s
@@ -78,22 +82,17 @@ class Linear:
 class Samples:
     """f given by values at increasing knots along the edge, linearly
     interpolated between them.  Knots must start at 0 and end at the edge
-    length (the last knot may be off by float dust; it gets snapped).
+    length (the last knot may be off by float dust; ``check`` snaps it).
 
     The cumulative table ``F(knot)`` is built once, on first use, and kept on
-    the instance (``check()`` drops it when it snaps the last knot), so a
-    profile costs O(K) once and O(log K) per integral."""
+    the instance, so a profile costs O(K) once and O(log K) per integral."""
 
-    knots: Tuple[float, ...]
-    values: Tuple[float, ...]
+    knots: Sequence[float]
+    values: Sequence[float]
+    _pre: Optional[Tuple[float, ...]] = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, knots: Sequence[float], values: Sequence[float]):
-        object.__setattr__(self, "knots", tuple(map(float, knots)))
-        object.__setattr__(self, "values", tuple(map(float, values)))
-        object.__setattr__(self, "_pre", None)
-
-    def check(self, length: float, fmin: float):
-        k, v = self.knots, self.values
+    def check(self, length: float, fmin: float) -> "Samples":
+        k, v = _reals(self.knots, "sampled profile knot"), _reals(self.values, "sampled profile value")
         if len(k) < 2 or len(k) != len(v):
             raise InputError("sampled profile needs >= 2 matching knots and values")
         if k[0] != 0.0:
@@ -103,18 +102,16 @@ class Samples:
             raise InputError(increasing)
         if abs(k[-1] - length) > 1e-12 * max(1.0, length):
             raise InputError("sampled profile ends at %r but the edge has length %r" % (k[-1], length))
-        # the snap below must keep the knots increasing
+        # snapping the last knot to the length must keep the knots increasing
         if not k[-2] < length:
             raise InputError(increasing)
-        if k[-1] != length:
-            object.__setattr__(self, "knots", k[:-1] + (length,))
-            object.__setattr__(self, "_pre", None)
         if not all(map(math.isfinite, v)) or min(v) < fmin:
             unbounded = [x for x in v if not x < math.inf]
             if unbounded:
                 raise InputError("sampled profile values %r are not finite" % (unbounded,))
             raise InputError("sampled profile values %r below floor %r"
                              % ([x for x in v if x < fmin], fmin))
+        return Samples(k[:-1] + (length,), v)
 
     def _segment(self, s: float) -> int:
         """The knot segment [k[i], k[i+1]] holding s, i clamped to [0, K-2]."""
@@ -182,9 +179,9 @@ Profile = Union[Constant, Linear, Samples]
 class CostField:
     """The running cost f over a whole graph: one profile per edge.
 
-    Every edge must be covered.  Each profile is validated against its edge
-    once, here, in the order of ``profiles``: structure, the floor, then cost
-    overflow, so downstream integrals can assume FMIN <= f and finite costs.
+    Every edge must be covered.  A profile that fails its ``check`` (number
+    params, structure, the floor) or whose cost overflows is refused with a
+    ``ProfileError`` naming the edge, so integrals can assume FMIN <= f.
     """
 
     def __init__(self, graph: MetricGraph, profiles: Dict[str, Profile]):
@@ -194,10 +191,11 @@ class CostField:
         extra = sorted(set(profiles) - set(graph.edges))
         if extra:
             raise InputError("cost field has profiles for unknown edges: %s" % ", ".join(extra))
+        self.profiles: Dict[str, Profile] = {}
         for eid, prof in profiles.items():
             length = graph.edges[eid].length
             try:
-                prof.check(length, FMIN)
+                prof = self.profiles[eid] = prof.check(length, FMIN)
                 # every cost on the edge is at most sup f times its length
                 fmax = prof.bounds(length)[1]
                 if not math.isfinite(fmax * length):
@@ -205,7 +203,6 @@ class CostField:
             except InputError as exc:
                 raise ProfileError("edge %r: %s" % (eid, exc), eid) from None
         self.graph = graph
-        self.profiles = dict(profiles)
 
     @classmethod
     def constant(cls, graph: MetricGraph, value: float = 1.0) -> "CostField":

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 from .errors import InputError, PreconditionError, VerificationError
+from .graph import _finite
 from .spaces import FiniteMetricSpace
 
 
@@ -61,7 +62,7 @@ def ekeland_point(space: FiniteMetricSpace, fvals: Sequence[float], eps: float,
     condition (b), and the moves telescope into condition (a).
     """
     # an infinite rate makes inf * d(x, x) NaN, which drops x from S(x)
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
+    if not (_finite(eps) and eps > 0):
         raise InputError("eps must be positive and finite (got %r)" % (eps,))
     _validate(space, fvals, x0)
     f = [float(v) for v in fvals]
@@ -98,7 +99,7 @@ def ekeland_maximize(space: FiniteMetricSpace, fvals: Sequence[float], delta: fl
     conclusions are re-verified on the way out.
     """
     for name, v in (("delta", delta), ("lam", lam)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+        if not (_finite(v) and v > 0):
             raise InputError("%s must be positive and finite (got %r)" % (name, v))
     eps = delta / lam  # the descent's rate, which can overflow or underflow
     if not (math.isfinite(eps) and eps > 0):

@@ -127,11 +127,14 @@ class Constant:
 
     value: float
 
-    def check(self, length: float, fmin: float):
-        if not self.value < math.inf:
-            raise InputError("constant profile value %r is not finite" % (self.value,))
-        if self.value < fmin:
-            raise InputError("constant profile value %r below floor %r" % (self.value, fmin))
+    def check(self, length: float, fmin: float) -> "Constant":
+        prof = self if type(self.value) is float else Constant(
+            *_reals((self.value,), "constant profile value"))
+        if not prof.value < math.inf:
+            raise InputError("constant profile value %r is not finite" % (prof.value,))
+        if prof.value < fmin:
+            raise InputError("constant profile value %r below floor %r" % (prof.value, fmin))
+        return prof
 
     def at(self, s: float) -> float:
         return self.value
@@ -153,6 +156,29 @@ class Constant:
 def _finite(x) -> bool:
     """Whether ``x`` is a finite real number, not a bool."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _reals(xs, what: str) -> Tuple[float, ...]:
+    """``xs`` as floats, each finite by ``_finite``'s rule or a float, else InputError naming
+    ``what``; one pass over the types suffices when all are exact ints and floats."""
+    try:
+        if set(map(type, xs)) <= {int, float}:
+            return tuple(map(float, xs))
+    except TypeError:
+        raise InputError("%ss must be an array of numbers (got %r)" % (what, xs)) from None
+    except OverflowError:
+        pass  # an int past the float range, which the per-entry test names
+    for x in xs:
+        if not (_finite(x) or isinstance(x, float)):
+            raise InputError("%s %r is not a number" % (what, x))
+    return tuple(map(float, xs))
+
+
+def _tolerance(tol) -> float:
+    """``tol`` as a float if finite and >= 0: a NaN or negative one fails every check, inf passes all."""
+    if not (_finite(tol) and tol >= 0):
+        raise InputError("tolerance must be a nonnegative finite number (got %r)" % (tol,))
+    return float(tol)
 
 
 def _settle(seeds: Dict[Hashable, float], relax: Callable) -> Dict[Hashable, float]:
@@ -183,16 +209,26 @@ class MetricGraph:
     """A finite connected multigraph with positive edge lengths.
 
     Self-loops and parallel edges are permitted.  Immutable after
-    construction; all validation (unique ids, bool boundary flags, known
-    ends, finite real lengths > 0, connectivity) happens here.  A refusal of
-    one record is a ``RecordError``, which ``io.load_graph`` puts at its line.
+    construction; all validation (record shapes, unique string ids, bool
+    boundary flags, known ends, finite real lengths > 0, connectivity)
+    happens here.  A vertex is a ``VertexRec`` or an (id,) or (id, boundary)
+    tuple, an edge an ``EdgeRec`` or an (id, src, dst, length) tuple.  A
+    refusal of one record is a ``RecordError``, which ``io.load_graph`` puts
+    at its line; a record of the wrong shape, or with an id that is not a
+    string, has no line to put it at and is an ``InputError``.
     """
 
     def __init__(self, vertices: Iterable, edges: Iterable):
         self.vertices: Dict[str, VertexRec] = {}
         self.edges: Dict[str, EdgeRec] = {}
         for v in vertices:
-            rec = v if isinstance(v, VertexRec) else VertexRec(*v)
+            try:
+                rec = v if isinstance(v, VertexRec) else VertexRec(*v)
+            except TypeError:
+                raise InputError("a vertex must be an (id, boundary) pair or a VertexRec (got %r)"
+                                 % (v,)) from None
+            if not isinstance(rec.id, str):
+                raise InputError("vertex id %r is not a string" % (rec.id,))
             if rec.id in self.vertices:
                 raise RecordError("duplicate vertex id %r" % rec.id, "vertex", rec.id)
             if not isinstance(rec.boundary, bool):
@@ -206,11 +242,17 @@ class MetricGraph:
         adj: Dict[str, List[Tuple[str, int]]] = {vid: [] for vid in self.vertices}
         nbrs: Dict[str, List[Tuple[str, str]]] = {vid: [] for vid in self.vertices}
         for e in edges:
-            eid, src, dst, length = (e.id, e.src, e.dst, e.length) if isinstance(e, EdgeRec) else e
+            try:
+                eid, src, dst, length = (e.id, e.src, e.dst, e.length) if isinstance(e, EdgeRec) else e
+            except (TypeError, ValueError):
+                raise InputError("an edge must be an (id, src, dst, length) tuple or an EdgeRec "
+                                 "(got %r)" % (e,)) from None
+            if not isinstance(eid, str):
+                raise InputError("edge id %r is not a string" % (eid,))
             if eid in self.edges:
                 raise RecordError("duplicate edge id %r" % eid, "edge", eid)
             for end in (src, dst):
-                if end not in self.vertices:
+                if not isinstance(end, str) or end not in self.vertices:
                     raise RecordError("edge %r references unknown vertex %r" % (eid, end), "edge", eid)
             if not (_finite(length) and length > 0):
                 raise RecordError("edge %r must have a positive finite length (got %r)" % (eid, length),

@@ -25,7 +25,7 @@ import numpy as np
 from .cost import FMIN, CostField, Samples
 from .errors import (CoercivityProbeFailed, ImproperHamiltonian, InputError,
                      NonmonotoneHamiltonian, NoSubsolution)
-from .graph import GraphPoint, KnotBatch, MetricGraph, Vertex, _as_evaluator, _compose, _settle
+from .graph import GraphPoint, KnotBatch, MetricGraph, Vertex, _as_evaluator, _compose, _finite, _settle
 from .solver import BoundaryData, ValueFunction, solve
 
 PROBE_POINTS = 64
@@ -43,7 +43,7 @@ class Hamiltonian:
     freely.  ``fn`` is called with ``p`` either a float or an ndarray and
     must act elementwise in ``p`` (numpy ufuncs such as ``np.maximum``, not
     the builtin ``max``); a value constant in ``p`` may come back as a
-    scalar.  ``pmax`` must be finite and positive.
+    scalar.  ``pmax`` must be a finite real number > 0, not a bool.
 
     ``x`` is a graph point or a ``KnotBatch``, which ``fn`` must broadcast
     over as it does over ``p``: the batch acts as an (n, 1) column, and
@@ -69,7 +69,7 @@ class Hamiltonian:
     name: str = ""
 
     def __post_init__(self):
-        if not 0.0 < self.pmax < math.inf:
+        if not (_finite(self.pmax) and self.pmax > 0):
             raise InputError("pmax must be finite and > 0 (got %r)" % (self.pmax,))
 
     def __call__(self, x: Union[GraphPoint, KnotBatch], r: Union[float, np.ndarray],
@@ -330,7 +330,7 @@ def solve_general(H: Hamiltonian, graph: MetricGraph, data: BoundaryData,
                 yield j, c + 0.5 * gap * (hi + hj)
 
     _settle({index[vid]: g for vid, g in data.items()}, relax)
-    profiles = {eid: Samples(knots, [h[n] for n in chain]) for eid, knots, chain in chains}
+    profiles = {eid: Samples(knots.tolist(), [h[n] for n in chain]) for eid, knots, chain in chains}
     return solve(CostField(graph, profiles), data)
 
 

@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple
 from .cost import Constant, CostField, Linear, Profile, Samples
 from .errors import GraphFormatError, InputError, ProfileError, RecordError
 from .graph import EdgeInterior, GraphPoint, MetricGraph, Vertex
-from .optical import OpticalMap, StoredSolution, _crossing
+from .optical import OpticalMap, StoredSolution
 from .solver import BoundaryData, ValueFunction
 
 
@@ -66,28 +66,27 @@ def _decode_json(text: str, filename: str):
         raise GraphFormatError("%s: unreadable number: %s" % (filename, exc)) from None
 
 
+#: the JSON form of a profile: kind -> (profile class, its params in order)
+_PROFILE_FORM = {"const": (Constant, ("value",)), "linear": (Linear, ("a", "b")),
+                 "samples": (Samples, ("knots", "values"))}
+
+
 def _parse_profile(obj, eid: str) -> Profile:
+    """The profile an edge's ``f`` object names; ``CostField`` checks its params."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ProfileError("edge %r: f must be an object with a 'kind'" % eid, eid)
     kind = obj["kind"]
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ProfileError("edge %r: f params must be an object" % eid, eid)
+    if not (isinstance(kind, str) and kind in _PROFILE_FORM):
+        raise ProfileError("edge %r: unknown f kind %r (expected const, linear, or samples)"
+                           % (eid, kind), eid)
+    cls, names = _PROFILE_FORM[kind]
     try:
-        if kind == "const":
-            return Constant(_number(params["value"]))
-        if kind == "linear":
-            return Linear(_number(params["a"]), _number(params["b"]))
-        if kind == "samples":
-            knots, values = params["knots"], params["values"]
-            # one pass over the types keeps large sampled profiles cheap
-            if not set(map(type, knots)) | set(map(type, values)) <= {int, float}:
-                raise TypeError("knots and values must be numbers")
-            return Samples(knots, values)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return cls(*[params[name] for name in names])
+    except KeyError as exc:
         raise ProfileError("edge %r: bad f params for kind %r (%s)" % (eid, kind, exc), eid) from None
-    raise ProfileError("edge %r: unknown f kind %r (expected const, linear, or samples)" % (eid, kind),
-                       eid)
 
 
 def load_graph(text: str,
@@ -98,34 +97,27 @@ def load_graph(text: str,
     graph declares no boundary vertices and no vertex has ``g`` — solving
     then needs different input, but slope/verification work does not).
 
-    After the document's shape, ``MetricGraph``, ``CostField`` and
-    ``BoundaryData`` check their records in that order, with the refusals
-    they give in code; each refusal of one record names the record's line.
+    After the document's shape, ``MetricGraph``, the shape of each edge's
+    ``f``, ``CostField`` and ``BoundaryData`` check their records in that
+    order, with the refusals they give in code; each refusal of one record
+    names the record's line.
     """
     doc = _decode_json(text, filename)
     try:
         if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
             raise InputError("document must be an object with 'vertices' and 'edges'")
-        if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
+        vertices, edges = doc["vertices"], doc["edges"]
+        if not isinstance(vertices, list) or not isinstance(edges, list):
             raise InputError("'vertices' and 'edges' must be arrays")
-        for entry in doc["vertices"]:
-            if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-                raise InputError("every vertex needs a string 'id' (got %r)" % (entry,))
-        edges = []
-        profiles: Dict[str, Profile] = {}
-        for entry in doc["edges"]:
-            if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-                raise InputError("every edge needs a string 'id' (got %r)" % (entry,))
-            eid = entry["id"]
-            src, dst = entry.get("from"), entry.get("to")
-            if not (isinstance(src, str) and isinstance(dst, str)):
-                key = "to" if isinstance(src, str) else "from"
-                raise RecordError("edge %r: %r must name a vertex" % (eid, key), "edge", eid)
-            edges.append((eid, src, dst, entry.get("length")))
-            profiles[eid] = _parse_profile(entry["f"], eid) if "f" in entry else Constant(1.0)
-        graph = MetricGraph([(v["id"], v.get("boundary", False)) for v in doc["vertices"]], edges)
-        field = CostField(graph, profiles)
-        gvals = {v["id"]: v["g"] for v in doc["vertices"] if "g" in v}
+        for kind, entries in (("vertex", vertices), ("edge", edges)):
+            for entry in entries:
+                if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+                    raise InputError("every %s needs a string 'id' (got %r)" % (kind, entry))
+        graph = MetricGraph([(v["id"], v.get("boundary", False)) for v in vertices],
+                            [(e["id"], e.get("from"), e.get("to"), e.get("length")) for e in edges])
+        field = CostField(graph, {e["id"]: _parse_profile(e["f"], e["id"]) if "f" in e else Constant(1.0)
+                                  for e in edges})
+        gvals = {v["id"]: v["g"] for v in vertices if "g" in v}
         return graph, field, BoundaryData(graph, gvals) if gvals or graph.boundary_ids else None
     except RecordError as exc:
         array = {"vertex": "vertices", "edge": "edges"}[exc.kind]
@@ -136,11 +128,10 @@ def load_graph(text: str,
 
 
 def _profile_to_obj(prof: Profile) -> dict:
-    if isinstance(prof, Constant):
-        return {"kind": "const", "params": {"value": prof.value}}
-    if isinstance(prof, Linear):
-        return {"kind": "linear", "params": {"a": prof.a, "b": prof.b}}
-    return {"kind": "samples", "params": {"knots": list(prof.knots), "values": list(prof.values)}}
+    for kind, (cls, names) in _PROFILE_FORM.items():
+        if isinstance(prof, cls):
+            return {"kind": kind, "params": {name: getattr(prof, name) for name in names}}
+    raise InputError("cannot write profile %r" % (prof,))
 
 
 def graph_to_dict(graph: MetricGraph, field: CostField,
@@ -311,10 +302,9 @@ def value_function_to_dict(u: ValueFunction) -> dict:
     edges = {}
     for eid in sorted(u.graph.edges):
         rec = u.graph.edges[eid]
-        u_src, u_dst = u.vertex_values[rec.src], u.vertex_values[rec.dst]
         cost = u.field.full_edge_cost(eid)
-        edges[eid] = {"u_src": u_src, "u_dst": u_dst, "cost": cost,
-                      "kink": _crossing(u.profiles[eid], rec.length, u_src, u_dst, cost)}
+        edges[eid] = {"u_src": u.vertex_values[rec.src], "u_dst": u.vertex_values[rec.dst],
+                      "cost": cost, "kink": u.kink(eid, cost)}
     return {
         "kind": "value-function",
         "boundary": {vid: u.data[vid] for vid in sorted(u.data.values)},
@@ -327,15 +317,20 @@ def dump_value_function(u: ValueFunction) -> str:
     return dump_json(value_function_to_dict(u))
 
 
-def load_value_function(text: str, graph: MetricGraph, field: CostField,
+def load_value_function(text: str, field: CostField, data: BoundaryData,
                         filename: str = "<u>") -> StoredSolution:
-    """Rebuild a solution evaluator from its document against the given graph.
+    """Rebuild a solution evaluator, carrying ``data``, from its document.
 
-    Structural fit is enforced (the tables must name exactly this graph's
-    vertices, with a legal boundary set); the stored values themselves are
-    honored as-is, so a hand-perturbed table loads fine and then *fails* the
-    verifiers, which is the point of having them.
+    The boundary table must hold exactly ``data``'s vertices, each within
+    1e-12 · max(1, |g|) of its g, and the vertex table the graph's; the
+    stored values themselves are honored as-is, so a hand-perturbed table
+    loads fine and then *fails* the verifiers, which is the point of them.
     """
+    def refuse(table: str, vid: str, fault: str) -> GraphFormatError:
+        # anchored inside its table: a boundary id also keys the other one
+        where = _anchor(filename, text, table, r"%s\s*:", vid)
+        return GraphFormatError("%s: %s table: %s" % (where, table, fault))
+
     doc = _decode_json(text, filename)
     if not isinstance(doc, dict) or doc.get("kind") != "value-function":
         raise GraphFormatError("%s: not a value-function document" % filename)
@@ -349,14 +344,21 @@ def load_value_function(text: str, graph: MetricGraph, field: CostField,
             try:
                 values[vid] = _number(v)
             except (TypeError, OverflowError):
-                # anchored inside this table: a boundary id also keys the other one
-                where = _anchor(filename, text, name, r"%s\s*:", vid)
-                raise GraphFormatError("%s: %s table: value at %r must be a number (got %s)"
-                                       % (where, name, vid, json.dumps(v))) from None
+                raise refuse(name, vid, "value at %r must be a number (got %s)"
+                             % (vid, json.dumps(v))) from None
         tables.append(values)
     gvals, stored = tables
+    for vid, v in gvals.items():
+        g = data.values.get(vid)
+        if g is None:
+            raise refuse("boundary", vid, "%r is not a boundary vertex" % vid)
+        if not abs(v - g) <= 1e-12 * max(1.0, abs(g)):
+            raise refuse("boundary", vid, "value at %r is %.17g but the graph's boundary data "
+                         "says %.17g; the solution belongs to different input" % (vid, v, g))
+    missing = [vid for vid in data.values if vid not in gvals]
+    if missing:
+        raise GraphFormatError("%s: boundary table: no entry for %r" % (filename, missing[0]))
     try:
-        data = BoundaryData(graph, gvals)
         return StoredSolution(field, stored, data=data)
     except InputError as exc:
         raise InputError("%s: %s" % (filename, exc)) from None

@@ -12,6 +12,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, PreconditionError
+from .graph import _finite
 
 MONOTONE_TOL = 1e-12
 
@@ -65,8 +66,8 @@ def viscous_solution(eps: float, grid: Sequence[float]) -> Profile1D:
     Even in x, zero at the endpoints exactly, and converging uniformly to
     1 - |x| at rate eps log 2 as eps → 0.
     """
-    if not (isinstance(eps, (int, float)) and eps > 0):
-        raise InputError("eps must be positive (got %r)" % (eps,))
+    if not (_finite(eps) and eps > 0):
+        raise InputError("eps must be positive and finite (got %r)" % (eps,))
     xs = np.asarray(grid, dtype=float)
     ref = logcosh(1.0 / eps)
     ys = [eps * (ref - logcosh(x / eps)) for x in xs]

@@ -48,24 +48,18 @@ class OpticalMap(SeedMap):
         except KeyError:
             raise InputError("unknown vertex id %r" % vid) from None
 
-    def kink(self, eid: str) -> Optional[float]:
+    def kink(self, eid: str, cost: Optional[float] = None) -> Optional[float]:
         """Offset where the two endpoint branches cross on edge ``eid``,
         if the crossing lies strictly inside; None when one branch wins
-        throughout.  (Interior seeds add further kinks at their own offsets;
-        those are already known exactly.)"""
+        throughout (interior seeds add kinks at their own, known, offsets).
+        ``cost``, the edge's full cost, spares its integral when given."""
         rec = self.graph.edge(eid)
-        return _crossing(self.profiles[eid], rec.length, self.vertex_values[rec.src],
-                         self.vertex_values[rec.dst], self.field.full_edge_cost(eid))
-
-
-def _crossing(prof, length: float, u_src: float, u_dst: float, cost: float) -> Optional[float]:
-    """The offset strictly inside an edge where u_src + F(s) meets u_dst +
-    cost - F(s), F the integral of ``prof`` from the src end, or None."""
-    target = 0.5 * (u_dst - u_src + cost)  # F at the crossing
-    if target <= 0.0 or target >= cost:
-        return None
-    s = min(max(prof.inverse_integral(target), 0.0), length)
-    return s if 0.0 < s < length else None
+        cost = self.field.full_edge_cost(eid) if cost is None else cost
+        target = 0.5 * (self.vertex_values[rec.dst] - self.vertex_values[rec.src] + cost)
+        if target <= 0.0 or target >= cost:
+            return None
+        s = min(max(self.profiles[eid].inverse_integral(target), 0.0), rec.length)
+        return s if 0.0 < s < rec.length else None
 
 
 class StoredSolution(OpticalMap):

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .cost import CostField
 from .errors import InputError, PreconditionError, VerificationError
 from .graph import (BRANCH_TIE, DistanceField, EdgeInterior, Germ, GraphPoint, MetricGraph,
-                    SeedMap, Vertex, _as_evaluator, _ComposedDiff, _default_samples)
+                    SeedMap, Vertex, _as_evaluator, _ComposedDiff, _default_samples, _tolerance)
 from .optical import OpticalMap
 
 #: radius schedule for the sampling estimator: r0 * 2^-k for k = 0..12,
@@ -175,17 +175,18 @@ def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = N
     (``_monge_seeded_samples``), which makes a pass an exact Bellman
     certificate for its vertex table; any other candidate gets five points
     per edge besides the interior vertices.  Slopes are exact (``tol``
-    EXACT_TOL) when u has ``germ_derivative``, else sampled (SAMPLED_TOL).
+    EXACT_TOL) when u has ``germ_derivative``, else sampled (SAMPLED_TOL);
+    a given ``tol`` must be a finite number >= 0.
     """
     graph = field.graph
+    tol = _tolerance((EXACT_TOL if hasattr(u, "germ_derivative") else SAMPLED_TOL)
+                     if tol is None else tol)
     if points is not None:
         sample_set = "given"
     elif isinstance(u, OpticalMap) and u.field is field:
         sample_set, points = "seeded", _monge_seeded_samples(u)
     else:
         sample_set, points = "dense", _default_samples(graph, 5)
-    if tol is None:
-        tol = EXACT_TOL if hasattr(u, "germ_derivative") else SAMPLED_TOL
     samples: List[MongeSample] = []
     sub_ok = super_ok = True
     worst = 0.0

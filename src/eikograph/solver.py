@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .cost import CostField
 from .errors import InputError, PreconditionError, RecordError
 from .graph import (Constant, Curve, GraphPoint, MetricGraph, SeedMap, Vertex,
-                    _default_samples, _finite, random_curve)
+                    _default_samples, _finite, _tolerance, random_curve)
 from .optical import OpticalMap, optical_length
 
 
@@ -86,7 +86,8 @@ def check_compatibility(field: CostField, data: BoundaryData, tol: float = 1e-12
     Equivalent statement: the value formula reproduces g at every boundary
     vertex, which is what is checked (the map already holds every pairwise
     minimum).  ``u``, when given, must be ``solve(field, data)``; it spares
-    the check its own solve."""
+    the check its own solve.  ``tol`` must be a finite number >= 0."""
+    tol = _tolerance(tol)
     if u is None:
         u = ValueFunction(field, data)
     worst = 0.0
@@ -139,14 +140,14 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
     holds with equality; for a strict supersolution-side failure the residual
     goes negative.  Boundary points are recorded as skipped.  A walk runs
     along one edge, so it can stop on a boundary vertex but never pass one,
-    and every other point is checked at any radius.
+    and every other point is checked at any radius.  ``tau`` must be a
+    finite real number > 0, and ``tol`` must be a finite number >= 0.
     """
     graph = u.graph
     field = u.field
-    if tau is not None and not (math.isfinite(tau) and tau > 0.0):
-        raise InputError("walk radius tau must be a positive finite number (got %r)" % tau)
-    if tol is None:
-        tol = field.default_tol()
+    if tau is not None and not (_finite(tau) and tau > 0.0):
+        raise InputError("walk radius tau must be a positive finite number (got %r)" % (tau,))
+    tol = field.default_tol() if tol is None else _tolerance(tol)
     if points is None:
         points = _default_samples(graph)
     samples: List[DPPSample] = []
@@ -199,11 +200,13 @@ def verify_suboptimality(u: OpticalMap, curves: Optional[Iterable[Curve]] = None
     """Check  u(γ(t1)) - u(γ(t0)) <= ∫_{t0}^{t1} f(γ) ds  for curves γ and
     time pairs t0 <= t1.  The value function satisfies this along *every*
     curve (it is 1-Lipschitz for the optical metric), so random wandering
-    curves are a fair test set."""
+    curves are a fair test set.  ``n_random`` must be an int >= 1, and
+    ``tol`` must be a finite number >= 0."""
     field = u.field
     graph = u.graph
-    if tol is None:
-        tol = field.default_tol()
+    if type(n_random) is not int or n_random < 1:
+        raise InputError("curve count n_random must be an int >= 1 (got %r)" % (n_random,))
+    tol = field.default_tol() if tol is None else _tolerance(tol)
     if curves is None:
         rng = rng or random.Random(0)
         curves = []
@@ -282,7 +285,7 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     |u(x) - g(y)| <= (2 sup f) d(x, y) + ω_g(2 d(x, y))  holds with
     ω_g(r) = (Lip g) r; incompatible data genuinely loses the lower side at
     the violated vertices, so then only the one-sided bound is asserted.
-    ``tol`` defaults to 1e-9.
+    ``tol`` defaults to 1e-9 and must be a finite number >= 0.
 
     The worst pair for a point x is read off a cone map: the largest
     u(x) - g(y) - C d(x, y) over y is u(x) - min over y of (g(y) + C d(y, x)),
@@ -301,8 +304,7 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     not a ``ValueFunction`` (a stored table is checked against the true
     solve, not against itself).  The number of points does not enter.
     """
-    if tol is None:
-        tol = 1e-9
+    tol = 1e-9 if tol is None else _tolerance(tol)
     data = getattr(u, "data", None)
     if data is None:
         raise PreconditionError("boundary modulus needs boundary data, and u carries none "

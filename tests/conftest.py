@@ -12,6 +12,7 @@ import heapq
 import math
 import pathlib
 import random
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -148,6 +149,19 @@ def oracle_vertex_values(spec: dict, n_seg: int = 10_000) -> Dict[str, float]:
     seeds = {vid: spec["g"][vid] for vid in spec["boundary"]}
     dist = tiny_dijkstra(adj, seeds)
     return {vid: dist[vid] for vid in spec["vertices"]}
+
+
+def exact_vertex_values(spec: dict) -> Dict[str, Fraction]:
+    """The exact solve of a linear-profile spec: each edge costs
+    a L + b L²/2 as a ``Fraction`` of the input floats, with no rounding,
+    and ``tiny_dijkstra`` runs from the boundary seeded with g."""
+    adj: Dict = {vid: [] for vid in spec["vertices"]}
+    for e in spec["edges"]:
+        L, a, b = Fraction(e["length"]), Fraction(e["a"]), Fraction(e["b"])
+        w = a * L + b * L * L / 2
+        adj[e["src"]].append((e["dst"], w))
+        adj[e["dst"]].append((e["src"], w))
+    return tiny_dijkstra(adj, {vid: Fraction(spec["g"][vid]) for vid in spec["boundary"]})
 
 
 # ----------------------------------------------------------------------

@@ -116,8 +116,20 @@ def test_samples_validation():
 
 def test_samples_last_knot_snaps_float_dust():
     p = Samples((0.0, 1.0, 2.0 + 1e-14), (1.0, 2.0, 1.0))
-    p.check(2.0, 1e-6)
-    assert p.knots[-1] == 2.0
+    assert p.check(2.0, 1e-6).knots[-1] == 2.0
+    assert p.knots[-1] == 2.0 + 1e-14  # the checked profile is a new one
+
+
+def test_a_shared_sampled_profile_is_snapped_per_field_and_never_changed():
+    """One profile on an edge of its own length and then on one 4e-13
+    longer: each field keeps its own snap, and the profile is unchanged."""
+    p = Samples((0.0, 0.5, 1.0), (1.0, 2.0, 3.0))
+    before = hash(p)
+    fields = [CostField(MetricGraph([("a", True), ("b",)], [("e", "a", "b", length)]), {"e": p})
+              for length in (1.0, 1.0 + 4e-13)]
+    assert [f.profiles["e"].knots[-1] for f in fields] == [1.0, 1.0 + 4e-13]
+    assert fields[0].full_edge_cost("e") == _ref_integral(p.knots, p.values, 0.0, 1.0)
+    assert p.knots == (0.0, 0.5, 1.0) and hash(p) == before
 
 
 def test_samples_integral_matches_trapezoid():
@@ -277,12 +289,13 @@ def test_samples_cached_table_is_bit_identical_to_per_call_formulas(n_knots):
 def test_samples_table_follows_the_last_knot_snap():
     knots = (0.0, 0.5, 1.25, 2.0 + 1e-13)
     values = (1.0, 3.0, 0.5, 2.0)
-    p = Samples(knots, values)
-    before = p.integral(0.0, 2.0)  # builds a table on the unsnapped knots
+    unsnapped = Samples(knots, values)
+    before = unsnapped.integral(0.0, 2.0)  # builds a table on the unsnapped knots
     assert before == _ref_integral(knots, values, 0.0, 2.0)
-    p.check(2.0, 1e-6)
+    p = unsnapped.check(2.0, 1e-6)
     snapped = knots[:-1] + (2.0,)
-    assert p.knots == snapped
+    assert p.knots == snapped and unsnapped.knots == knots
+    assert unsnapped._pre == _ref_prefix(knots, values)
     # F at the last knot is the one entry the snap moves; no query reads it,
     # so the table itself is compared
     assert _ref_prefix(snapped, values) != _ref_prefix(knots, values)

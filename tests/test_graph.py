@@ -71,6 +71,33 @@ def test_a_boundary_flag_is_a_bool(flag):
     assert (exc.value.kind, exc.value.id) == ("vertex", "b")
 
 
+@pytest.mark.parametrize("vertices, edges, refusal", [
+    ([("a", True, "x"), ("b",)], [("e", "a", "b", 1.0)],
+     "a vertex must be an (id, boundary) pair or a VertexRec (got ('a', True, 'x'))"),
+    ([("a",), 5], [("e", "a", "b", 1.0)],
+     "a vertex must be an (id, boundary) pair or a VertexRec (got 5)"),
+    ([("a",), ("b",)], [("e", "a", "b")],
+     "an edge must be an (id, src, dst, length) tuple or an EdgeRec (got ('e', 'a', 'b'))"),
+    ([("a",), ("b",)], [5], "an edge must be an (id, src, dst, length) tuple or an EdgeRec (got 5)"),
+    ([(["a"], True), ("b",)], [("e", "a", "b", 1.0)], "vertex id ['a'] is not a string"),
+    ([(1,), ("b",)], [("e", 1, "b", 1.0)], "vertex id 1 is not a string"),
+    ([("a",), ("b",)], [(["e"], "a", "b", 1.0)], "edge id ['e'] is not a string"),
+    ([("a",), ("b",)], [(1, "a", "b", 1.0)], "edge id 1 is not a string"),
+], ids=["vertex-3-tuple", "vertex-int", "edge-3-tuple", "edge-int", "vertex-id-list",
+        "vertex-id-int", "edge-id-list", "edge-id-int"])
+def test_a_record_of_the_wrong_shape_is_refused(vertices, edges, refusal):
+    """These died with a bare TypeError or ValueError; an int id was kept,
+    and then written out as a number the loader refuses."""
+    with pytest.raises(InputError) as exc:
+        MetricGraph(vertices, edges)
+    assert str(exc.value) == refusal
+
+
+def test_an_edge_end_that_is_not_a_string_is_an_unknown_vertex():
+    with pytest.raises(RecordError, match=r"edge 'e' references unknown vertex \['b'\]"):
+        MetricGraph([("a",), ("b",)], [("e", "a", ["b"], 1.0)])
+
+
 def test_a_graph_needs_a_vertex():
     with pytest.raises(InputError, match="^graph needs at least one vertex$"):
         MetricGraph([], [("e", "a", "b", 1.0)])

@@ -156,10 +156,11 @@ def test_bisection_ends_for_slopes_past_two_to_the_nineteenth(c):
     assert h.profiles["e"].values == (c, c)
 
 
-@pytest.mark.parametrize("pmax", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("pmax", [0.0, -1.0, math.nan, math.inf, True, "5"])
 def test_pmax_must_be_finite_and_positive(pmax):
     """0 crashed in np.geomspace, inf reported a drop "at p=inf back to
-    nonpositive at p=nan", nan a ceiling of "pmax=nan"."""
+    nonpositive at p=nan", nan a ceiling of "pmax=nan"; True passed as a
+    ceiling of 1 and "5" raised a bare TypeError."""
     with pytest.raises(InputError, match="pmax must be finite and > 0"):
         Hamiltonian(lambda x, r, p: p - 1.0, pmax=pmax)
 

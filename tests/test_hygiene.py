@@ -328,3 +328,45 @@ def test_every_parameter_is_read_or_allowlisted():
                            for p in sorted(PACKAGE.glob("*.py"))))
     assert sorted(unread - set(UNREAD_BY_THE_BODY)) == []
     assert sorted(set(UNREAD_BY_THE_BODY) - unread) == []
+
+
+# ----------------------------------------------------------------------
+# number census: one rule says what a real number is
+# ----------------------------------------------------------------------
+
+#: functions that test for an int or a float outside ``graph._finite``, and
+#: why each stays
+NUMBER_TESTS_OUTSIDE_THE_RULE = {
+    "graph._as_evaluator": "a number there stands for a constant function, not an input to check",
+    "hamiltonian._batch_slopes": "a number u stands for a constant function, as in _as_evaluator",
+}
+
+
+def _number_tests(tree: ast.Module, module: str):
+    """"module.function" of the function around each ``isinstance`` or
+    ``issubclass`` call whose class tuple names both int and float."""
+    out = []
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, qual + "." + child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("isinstance", "issubclass") and len(child.args) == 2
+                    and isinstance(child.args[1], ast.Tuple)
+                    and {"int", "float"} <= {e.id for e in child.args[1].elts
+                                             if isinstance(e, ast.Name)}):
+                out.append(qual)
+            visit(child, qual)
+
+    visit(tree, module)
+    return out
+
+
+def test_only_the_number_rule_tests_for_int_or_float():
+    """``isinstance(x, (int, float))`` admits True as 1: ``graph._finite``
+    is the one rule that says what a real number is, and any other such
+    test is allowlisted with its reason."""
+    found = [q for p in MODULES for q in _number_tests(ast.parse(p.read_text()), p.stem)]
+    assert sorted(found) == sorted(["graph._finite", *NUMBER_TESTS_OUTSIDE_THE_RULE])

@@ -138,12 +138,14 @@ def test_load_graph_rejections():
     doc = json.loads(TENT_DOC)
     doc["edges"][0]["f"] = {"kind": "samples",
                             "params": {"knots": [0.0, True, 2.0], "values": [1.0, 1.0, 1.0]}}
-    with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': bad f params"):
+    with pytest.raises(GraphFormatError,
+                       match=r"g\.json:\d+: edge 'e': sampled profile knot True is not a number"):
         load_graph(json.dumps(doc, indent=2), filename="g.json")
 
     doc = json.loads(TENT_DOC)
     doc["edges"][0]["f"]["params"]["value"] = "1.0"
-    with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': bad f params"):
+    with pytest.raises(GraphFormatError,
+                       match=r"g\.json:\d+: edge 'e': constant profile value '1\.0' is not a number"):
         load_graph(json.dumps(doc, indent=2), filename="g.json")
 
     # a finite length and a finite f whose product overflows
@@ -154,10 +156,12 @@ def test_load_graph_rejections():
         load_graph(json.dumps(doc, indent=2), filename="g.json")
 
     # an endpoint that is not a vertex id names the first such end
-    for ends, key in (((1, "R"), "from"), (("L", None), "to"), ((1, None), "from")):
+    for ends, end in (((1, "R"), "1"), (("L", None), "None"), ((1, None), "1"),
+                      ((["L"], "R"), r"\['L'\]")):
         doc = json.loads(TENT_DOC)
         doc["edges"][0]["from"], doc["edges"][0]["to"] = ends
-        with pytest.raises(GraphFormatError, match=r"g\.json:\d+: edge 'e': '%s' must name" % key):
+        with pytest.raises(GraphFormatError,
+                           match=r"g\.json:\d+: edge 'e' references unknown vertex %s$" % end):
             load_graph(json.dumps(doc, indent=2), filename="g.json")
 
     # the overflow checks run on a graph already accepted: a disconnected
@@ -253,13 +257,16 @@ def test_profile_refusals_name_their_edge_and_line(f, refusal, tmp_path, capsys)
         load_graph(json.dumps(doc, indent=2), filename="g.json")
 
 
+_PROFILE_CLASSES = {"const": Constant, "linear": Linear, "samples": Samples}
+
+
 def _build_in_code(doc):
     """What ``load_graph`` builds from ``doc``, built by the constructors
-    alone: the same records, with const profiles."""
+    alone: the same records, each profile given its params as they are."""
     graph = MetricGraph([(v["id"], v.get("boundary", False)) for v in doc["vertices"]],
                         [(e["id"], e["from"], e["to"], e.get("length")) for e in doc["edges"]])
-    CostField(graph, {e["id"]: Constant(e["f"]["params"]["value"]) if "f" in e else Constant(1.0)
-                      for e in doc["edges"]})
+    CostField(graph, {e["id"]: _PROFILE_CLASSES[e["f"]["kind"]](*e["f"]["params"].values())
+                      if "f" in e else Constant(1.0) for e in doc["edges"]})
     BoundaryData(graph, {v["id"]: v["g"] for v in doc["vertices"] if "g" in v})
 
 
@@ -279,6 +286,9 @@ def _bad_records():
     def append(array, record):
         return lambda doc: doc[array].append(record)
 
+    def profile(i, kind, **params):
+        return edge(i, f={"kind": kind, "params": params})
+
     return [
         ("boundary-no", vertex(1, boundary="no"), "vertex", "m"),
         ("length-true", edge(0, length=True), "edge", "m"),
@@ -294,6 +304,17 @@ def _bad_records():
          "edge", "b2"),
         ("unknown-end", edge(1, to="zz"), "edge", "b2"),
         ("profile-on-shared-id", edge(0, f={"kind": "const", "params": {"value": 5e-7}}), "edge", "m"),
+        # a profile param that is not a number is refused by the profile, in
+        # code as by file, not passed on nor crashed on
+        ("const-true", profile(0, "const", value=True), "edge", "m"),
+        ("const-string", profile(1, "const", value="2"), "edge", "b2"),
+        ("const-null", profile(1, "const", value=None), "edge", "b2"),
+        ("const-int-past-floats", profile(1, "const", value=10 ** 400), "edge", "b2"),
+        ("linear-true", profile(1, "linear", a=True, b=0), "edge", "b2"),
+        ("linear-string", profile(1, "linear", a="1", b=0), "edge", "b2"),
+        ("samples-strings", profile(1, "samples", knots=["0", "1"], values=["1", "2"]), "edge", "b2"),
+        ("samples-true", profile(1, "samples", knots=[0, 1], values=[True, 2]), "edge", "b2"),
+        ("samples-not-arrays", profile(1, "samples", knots=5, values=[1, 2]), "edge", "b2"),
     ]
 
 
@@ -452,7 +473,7 @@ def test_value_function_document_round_trips():
     graph, field, data = load_graph(PATH3_DOC)
     u = solve(field, data)
     text = dump_value_function(u)
-    stored = load_value_function(text, graph, field)
+    stored = load_value_function(text, field, data)
     for vid in graph.vertices:
         assert stored.evaluate(graph.vertex_point(vid)) == u.evaluate(graph.vertex_point(vid))
     for s in (0.25, 0.5, 0.875):
@@ -484,13 +505,60 @@ def test_value_function_document_integrates_each_edge_once(monkeypatch):
 def test_value_function_document_structural_checks():
     graph, field, data = load_graph(TENT_DOC)
     text = dump_value_function(solve(field, data))
-    other_graph, other_field, _ = load_graph(PATH3_DOC)
+    _, other_field, other_data = load_graph(PATH3_DOC)
     with pytest.raises(InputError):
-        load_value_function(text, other_graph, other_field)
+        load_value_function(text, other_field, other_data)
     with pytest.raises(GraphFormatError, match="not a value-function"):
-        load_value_function('{"kind": "shopping-list"}', graph, field)
+        load_value_function('{"kind": "shopping-list"}', field, data)
     with pytest.raises(GraphFormatError, match="malformed"):
-        load_value_function('{"kind": "value-function", "boundary": 7}', graph, field)
+        load_value_function('{"kind": "value-function", "boundary": 7}', field, data)
+
+
+@pytest.mark.parametrize("edit, vid, refusal", [
+    (lambda table: table.update(m=1.0), "m", "'m' is not a boundary vertex"),
+    (lambda table: table.update(R=0.25), "R",
+     "value at 'R' is 0.25 but the graph's boundary data says 0; "
+     "the solution belongs to different input"),
+    (lambda table: table.update(R=math.nan), "R",
+     "value at 'R' is nan but the graph's boundary data says 0; "
+     "the solution belongs to different input"),
+    (lambda table: table.pop("R"), None, "no entry for 'R'"),
+], ids=["not-boundary", "different-g", "nan-g", "missing"])
+def test_a_solution_document_is_checked_against_the_graphs_boundary_data(edit, vid, refusal):
+    """Each entry of the boundary table is refused in the table's words, at
+    its own line; a missing one has no line, and names the file."""
+    _, field, data = load_graph(PATH3_DOC)
+    doc = json.loads(dump_value_function(solve(field, data)))
+    edit(doc["boundary"])
+    text = json.dumps(doc, indent=2)
+    where = "u.json"
+    if vid is not None:
+        where += ":%d" % (text.count("\n", 0, text.index('"%s"' % vid, text.index('"boundary"'))) + 1)
+    with pytest.raises(GraphFormatError) as exc:
+        load_value_function(text, field, data, filename="u.json")
+    assert str(exc.value) == "%s: boundary table: %s" % (where, refusal)
+
+
+def test_a_loaded_solution_carries_the_graphs_boundary_data():
+    _, field, data = load_graph(PATH3_DOC)
+    doc = json.loads(dump_value_function(solve(field, data)))
+    doc["boundary"]["R"] = 1e-13  # within 1e-12 of g = 0
+    assert load_value_function(json.dumps(doc), field, data).data is data
+
+
+@pytest.mark.parametrize("prof", [Constant(2), Linear(1, 0), Samples([0, 1, 2], [1, 2, 1]),
+                                  Samples(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0]))],
+                         ids=["const-int", "linear-ints", "samples-ints", "samples-numpy"])
+def test_a_profile_built_in_code_is_kept_as_the_loader_keeps_it(prof):
+    """The field keeps float params, which its graph document writes and
+    reads back as the same profile."""
+    graph = MetricGraph([("a",), ("b",)], [("e", "a", "b", 2)])
+    kept = CostField(graph, {"e": prof}).profiles["e"]
+    params = (kept.knots + kept.values if isinstance(kept, Samples)
+              else (kept.value,) if isinstance(kept, Constant) else (kept.a, kept.b))
+    assert {type(x) for x in params} == {float}
+    _, loaded, _ = load_graph(dump_json(graph_to_dict(graph, CostField(graph, {"e": prof}))))
+    assert loaded.profiles["e"] == kept
 
 
 def test_edge_csv_layout():
@@ -755,16 +823,15 @@ def test_cli_verify_dpp_refuses_a_degenerate_radius(tmp_path, capsys, tau):
                                          ("solve", "-1e-9"), ("monge", "-inf")])
 def test_cli_refuses_a_degenerate_tolerance(tmp_path, capsys, command, tol):
     """Both spellings, "--tol=X" and "--tol X": a negative number in exponent
-    form is a value, not an option."""
+    form is a value, not an option.  The library's refusal is printed."""
     g, ufile = solve_path3(tmp_path)
     capsys.readouterr()
     argv = (["solve", g] if command == "solve"
             else ["verify", g, ufile, "--mode", command])
     for flag in (["--tol=" + tol], ["--tol", tol]):
-        with pytest.raises(SystemExit) as exc:
-            entry(argv + flag + ["--out-dir", str(tmp_path / "rt")])
-        assert exc.value.code == 1
-        assert "argument --tol: must be a nonnegative finite number" in capsys.readouterr().err
+        assert entry(argv + flag + ["--out-dir", str(tmp_path / "rt")]) == 1
+        assert ("error: tolerance must be a nonnegative finite number (got %r)" % float(tol)
+                in capsys.readouterr().err)
         assert not (tmp_path / "rt").exists()
 
 
@@ -843,16 +910,23 @@ def test_cli_verify_subopt_reads_only_strings_as_point_ids(tmp_path, capsys, poi
     assert not (tmp_path / "rs" / "subopt.json").exists()
 
 
-@pytest.mark.parametrize("count", ["0", "-3", "2.5"])
-def test_cli_verify_subopt_refuses_a_curve_count_below_one(tmp_path, capsys, count):
-    """Zero curves once printed "sub-optimality ok (0 curves, 0 pairs)"."""
+@pytest.mark.parametrize("count,refusal", [
+    ("0", "error: curve count n_random must be an int >= 1 (got 0)"),
+    ("-3", "error: curve count n_random must be an int >= 1 (got -3)"),
+    ("2.5", "argument --curves: invalid int value: '2.5'")], ids=["0", "-3", "2.5"])
+def test_cli_verify_subopt_refuses_a_curve_count_below_one(tmp_path, capsys, count, refusal):
+    """Zero curves once printed "sub-optimality ok (0 curves, 0 pairs)".
+    The library's refusal of a count below one is printed; text that is not
+    an int is a usage error, which exits through argparse."""
     g, ufile = solve_path3(tmp_path)
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        entry(["verify", g, ufile, "--mode", "subopt", "--curves", count,
-               "--out-dir", str(tmp_path / "rc")])
-    assert exc.value.code == 1
-    assert "argument --curves: " in capsys.readouterr().err
+    try:
+        code = entry(["verify", g, ufile, "--mode", "subopt", "--curves", count,
+                      "--out-dir", str(tmp_path / "rc")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert refusal in capsys.readouterr().err
     assert not (tmp_path / "rc").exists()
 
 
@@ -920,8 +994,8 @@ def test_cli_reduce_discounted_on_a_coarse_grid(tmp_path):
     g = put(tmp_path, "g.json", json.dumps(doc))
     assert entry(["reduce", g, "--hamiltonian", "discounted", "--quad-knots", "3",
                   "--out-dir", str(tmp_path)]) == 0
-    graph, field, _ = load_graph(Path(g).read_text())
-    u = load_value_function((tmp_path / "u.json").read_text(), graph, field)
+    graph, field, data = load_graph(Path(g).read_text())
+    u = load_value_function((tmp_path / "u.json").read_text(), field, data)
     assert abs(u.evaluate(graph.point("e", 1.5)) + math.expm1(-1.5)) <= 0.5 * 1.5 ** 2
 
 
@@ -1009,7 +1083,7 @@ def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch):
         assert entry(["verify", g, str(tmp_path / "out" / "u.json"), "--mode", "dpp",
                       "--out-dir", out]) == 0
     with pytest.raises(SystemExit):
-        entry(["solve", g, "--tol", "-1"])
+        entry(["solve", g, "--tol", "x"])
     assert built == []
 
 

@@ -71,6 +71,10 @@ def test_viscous_rejects_bad_eps():
         viscous_solution(0.0, uniform_grid(9))
     with pytest.raises(InputError, match="positive"):
         viscous_solution(-0.5, uniform_grid(9))
+    # True once passed as eps = 1, and inf wrote a profile of NaNs
+    for eps in (True, math.inf, math.nan, "0.5"):
+        with pytest.raises(InputError, match="eps must be positive and finite"):
+            viscous_solution(eps, uniform_grid(9))
 
 
 def test_uniform_grid():

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from eikograph import (BoundaryData, Constant, CostField, Curve, EdgeInterior, I
 from eikograph.cli import entry
 from eikograph.graph import _default_samples
 from eikograph.solver import BoundaryModulusReport, _lipschitz_of_g
-from conftest import build_instance, interval_point, make_interval, random_graph_spec
+from conftest import (build_instance, exact_vertex_values, interval_point, make_interval,
+                      random_graph_spec)
 
 
 class _Wrapped:
@@ -302,13 +304,75 @@ def test_dpp_runs_no_dijkstra_whatever_the_sample_count(monkeypatch, n_points):
     assert runs == []
 
 
-@pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan, True, "x"])
 def test_dpp_refuses_a_radius_that_is_not_positive_and_finite(interval, tau):
     """tau <= 0 would make every residual inf; an infinite tau would be
-    written into the report as JSON null."""
+    written into the report as JSON null; True passed as a radius of 1 and
+    "x" raised a bare TypeError."""
     _, field, data = interval
     with pytest.raises(InputError, match="positive finite"):
         verify_dpp(solve(field, data), tau=tau)
+
+
+def test_solve_is_within_8_ulps_of_the_exact_rational_solve():
+    """Every vertex value of ``solve`` on 20 random linear-profile graphs
+    (up to 60 vertices and about 140 edges) lies within 8 ulps of
+    max(1, |exact|), the exact value from ``exact_vertex_values``.  The
+    float arithmetic is deterministic, so a failure means the solve
+    changed, not noise; 200 such instances showed at most 2.23 ulps."""
+    for seed in range(20):
+        spec = random_graph_spec(random.Random(seed), max_vertices=60, max_extra_edges=80)
+        _, field, data = build_instance(spec)
+        got = solve(field, data).vertex_values
+        for vid, want in exact_vertex_values(spec).items():
+            ulp = Fraction(math.ulp(max(1.0, abs(float(want)))))
+            assert abs(Fraction(got[vid]) - want) <= 8 * ulp, (seed, vid)
+
+
+def _lowered_stored_solution():
+    """The solution on L - m - R (unit edges, f = 1, g = 0) as a stored
+    table, with its interior vertex lowered from 1 to 0.5."""
+    graph = MetricGraph([("L", True), ("m",), ("R", True)],
+                        [("a", "L", "m", 1.0), ("b", "m", "R", 1.0)])
+    field = CostField.constant(graph)
+    data = BoundaryData(graph, {"L": 0.0, "R": 0.0})
+    return StoredSolution(field, {"L": 0.0, "m": 0.5, "R": 0.0}, data=data), field, data
+
+
+_BAD_SETTINGS = [
+    ("dpp-tol-nan", lambda u, f, d: verify_dpp(u, tol=math.nan), "tolerance"),
+    ("dpp-tol-inf", lambda u, f, d: verify_dpp(u, tol=math.inf), "tolerance"),
+    ("dpp-tol-true", lambda u, f, d: verify_dpp(u, tol=True), "tolerance"),
+    ("dpp-tol-string", lambda u, f, d: verify_dpp(u, tol="x"), "tolerance"),
+    ("monge-tol-inf", lambda u, f, d: verify_monge(u, f, tol=math.inf), "tolerance"),
+    ("monge-tol-negative", lambda u, f, d: verify_monge(u, f, tol=-1e-9), "tolerance"),
+    ("subopt-tol-inf", lambda u, f, d: verify_suboptimality(u, tol=math.inf), "tolerance"),
+    ("modulus-tol-inf", lambda u, f, d: boundary_modulus(u, tol=math.inf), "tolerance"),
+    ("compat-tol-nan", lambda u, f, d: check_compatibility(f, d, tol=math.nan), "tolerance"),
+    ("compat-tol-negative", lambda u, f, d: check_compatibility(f, d, tol=-1.0), "tolerance"),
+    ("subopt-zero-curves", lambda u, f, d: verify_suboptimality(u, n_random=0), "n_random"),
+    ("subopt-negative-curves", lambda u, f, d: verify_suboptimality(u, n_random=-3), "n_random"),
+    ("subopt-true-curves", lambda u, f, d: verify_suboptimality(u, n_random=True), "n_random"),
+    ("subopt-float-curves", lambda u, f, d: verify_suboptimality(u, n_random=2.0), "n_random"),
+]
+
+
+def test_the_lowered_table_fails_dpp_and_monge_at_their_own_tolerance():
+    u, field, _ = _lowered_stored_solution()
+    dpp = verify_dpp(u)
+    assert not dpp.ok and dpp.max_defect == 0.5
+    assert not verify_monge(u, field).ok
+
+
+@pytest.mark.parametrize("call, setting", [case[1:] for case in _BAD_SETTINGS],
+                         ids=[case[0] for case in _BAD_SETTINGS])
+def test_a_verifier_refuses_a_setting_that_would_check_nothing(call, setting):
+    """Each of these gave a report: an infinite tolerance passed the
+    lowered table, a NaN one failed or passed it whatever it held, zero
+    curves passed it unchecked; a string raised a bare TypeError."""
+    u, field, data = _lowered_stored_solution()
+    with pytest.raises(InputError, match=setting):
+        call(u, field, data)
 
 
 # ----------------------------------------------------------------------

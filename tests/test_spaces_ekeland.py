@@ -123,7 +123,8 @@ def test_ekeland_point_argument_errors():
     with pytest.raises(InputError, match="positive"):
         ekeland_point(space, [1.0, 2.0, 3.0], 0.0, 0)
     # inf * d(x, x) is NaN, which would drop x from its own sublevel set
-    for eps in (math.inf, math.nan):
+    # and True is not a rate
+    for eps in (math.inf, math.nan, True):
         with pytest.raises(InputError, match="eps must be positive and finite"):
             ekeland_point(space, [1.0, 2.0, 3.0], eps, 0)
     with pytest.raises(InputError, match="all values are infinite"):
@@ -203,7 +204,8 @@ def test_maximize_precondition_and_input_errors():
     with pytest.raises(InputError, match="lam must be positive"):
         ekeland_maximize(space, [0.0, 1.0, 0.0], 0.5, -1.0, 1)
     for delta, lam, name in ((math.inf, 1.0, "delta"), (0.5, math.inf, "lam"),
-                             (math.nan, 1.0, "delta"), (0.5, math.nan, "lam")):
+                             (math.nan, 1.0, "delta"), (0.5, math.nan, "lam"),
+                             (True, 1.0, "delta"), (0.5, True, "lam")):
         with pytest.raises(InputError, match="%s must be positive and finite" % name):
             ekeland_maximize(space, [0.0, 1.0, 0.0], delta, lam, 1)
 
