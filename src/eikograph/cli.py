@@ -22,7 +22,7 @@ from typing import List, Optional
 from . import one_dim
 from .ekeland import ekeland_maximize, ekeland_point
 from .errors import EikographError, HamiltonianRejection, InputError, VerificationError
-from .graph import Curve, MetricGraph
+from .graph import Curve, MetricGraph, _tolerance
 from .hamiltonian import catalog, reduce_to_eikonal, solve_general
 from .io import (_decode_json, dump_json, dump_value_function, edge_csv, load_graph,
                  load_value_function, point_from_obj, point_to_obj)
@@ -132,8 +132,9 @@ def cmd_solve(args) -> int:
     graph, field, data = load_graph(text, filename=args.graph)
     if data is None:
         raise InputError("%s declares no boundary vertices; nothing to solve" % args.graph)
+    tol = _tolerance(args.tol)  # refused before the solve, not after it
     u = solve(field, data)
-    compat = check_compatibility(field, data, tol=args.tol, u=u)
+    compat = check_compatibility(field, data, tol=tol, u=u)
     print("u.json ->", _write(args.out_dir, "u.json", dump_value_function(u)))
     print("compat.json ->", _write(args.out_dir, "compat.json", dump_json(compat)))
     if args.edge_csv is not None:

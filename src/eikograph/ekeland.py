@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 from .errors import InputError, PreconditionError, VerificationError
-from .graph import _finite
+from .graph import _count, _finite, _reals
 from .spaces import FiniteMetricSpace
 
 
@@ -59,13 +59,15 @@ def ekeland_point(space: FiniteMetricSpace, fvals: Sequence[float], eps: float,
     (which always contains x), move to the f-minimizer of S(x) — ties broken
     by smallest index — and stop when S(x) = {x}.  Every proper move strictly
     decreases f, so on a finite space this stops; the stopping condition *is*
-    condition (b), and the moves telescope into condition (a).
+    condition (b), and the moves telescope into condition (a).  ``fvals``
+    must be real numbers by ``_reals``' rule and ``x0`` an int >= 0.
     """
     # an infinite rate makes inf * d(x, x) NaN, which drops x from S(x)
     if not (_finite(eps) and eps > 0):
         raise InputError("eps must be positive and finite (got %r)" % (eps,))
-    _validate(space, fvals, x0)
-    f = [float(v) for v in fvals]
+    x0 = _count(x0, 0, "start index x0")
+    f = _reals(fvals, "value")
+    _validate(space, f, x0)
     n = len(space)
     x = x0
     path = [x0]
@@ -96,7 +98,8 @@ def ekeland_maximize(space: FiniteMetricSpace, fvals: Sequence[float], delta: fl
     f(y) < f(x_lam) + (delta/lam) d(x_lam, y) for y != x_lam.
 
     Realized by running the descent on -f with eps = delta/lam; the three
-    conclusions are re-verified on the way out.
+    conclusions are re-verified on the way out.  ``fvals`` must be real
+    numbers by ``_reals``' rule and ``x0`` an int >= 0.
     """
     for name, v in (("delta", delta), ("lam", lam)):
         if not (_finite(v) and v > 0):
@@ -105,6 +108,8 @@ def ekeland_maximize(space: FiniteMetricSpace, fvals: Sequence[float], delta: fl
     if not (math.isfinite(eps) and eps > 0):
         raise InputError("delta / lam must be positive and finite (got %r / %r = %r)"
                          % (delta, lam, eps))
+    x0 = _count(x0, 0, "start index x0")
+    fvals = _reals(fvals, "value")
     for v in fvals:
         if math.isnan(v) or v == math.inf:
             raise InputError("values must be < +inf and not NaN (got %r)" % v)
@@ -117,7 +122,7 @@ def ekeland_maximize(space: FiniteMetricSpace, fvals: Sequence[float], delta: fl
         raise PreconditionError(
             "f(x0) = %r is more than delta = %r below the supremum %r"
             % (fvals[x0], delta, max(finite)))
-    neg = [-float(v) for v in fvals]
+    neg = [-v for v in fvals]
     rec = ekeland_point(space, neg, eps, x0, full=True)
     x = rec.point
     if not (fvals[x] >= fvals[x0]):

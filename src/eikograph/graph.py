@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass
@@ -170,8 +171,23 @@ def _reals(xs, what: str) -> Tuple[float, ...]:
         pass  # an int past the float range, which the per-entry test names
     for x in xs:
         if not (_finite(x) or isinstance(x, float)):
-            raise InputError("%s %r is not a number" % (what, x))
+            if type(x) is not int:
+                raise InputError("%s %r is not a number" % (what, x))
+            # an int past the float range is named by its length, not by its digits
+            digits = int(abs(x).bit_length() * math.log10(2)) + 1  # exact, or one more
+            raise InputError("%s (an int of %d digits) is not a number"
+                             % (what, digits - (abs(x) < 10 ** (digits - 1))))
     return tuple(map(float, xs))
+
+
+def _count(n, least: int, what: str) -> int:
+    """``n`` as an int if it is one, Python or numpy but not a bool, >= ``least``; else InputError."""
+    try:
+        if not isinstance(n, bool) and operator.index(n) >= least:
+            return operator.index(n)
+    except TypeError:
+        pass
+    raise InputError("%s must be an int >= %d (got %r)" % (what, least, n))
 
 
 def _tolerance(tol) -> float:
@@ -304,15 +320,17 @@ class MetricGraph:
             raise InputError("unknown vertex id %r" % vid) from None
 
     def point(self, edge_id: str, s: float) -> GraphPoint:
-        """Canonical point at offset ``s`` on ``edge_id`` (endpoints become Vertex)."""
+        """Canonical point at real offset ``s`` in [0, L] on ``edge_id`` (endpoints become Vertex)."""
         rec = self.edge(edge_id)
+        if type(s) is not float:  # one test on the hot path, where s is a float
+            (s,) = _reals((s,), "edge %r: offset" % (edge_id,))
         if not (0.0 <= s <= rec.length):
             raise InputError("offset %r outside [0, %r] on edge %r" % (s, rec.length, edge_id))
         if s == 0.0:
             return Vertex(rec.src)
         if s == rec.length:
             return Vertex(rec.dst)
-        return EdgeInterior(edge_id, float(s))
+        return EdgeInterior(edge_id, s)
 
     def vertex_point(self, vid: str) -> Vertex:
         if vid not in self.vertices:
@@ -697,7 +715,11 @@ class Curve:
 
 def random_curve(graph: MetricGraph, rng: random.Random, steps: int = 6) -> Curve:
     """A random wandering polyline that avoids boundary vertices entirely, so
-    it stays inside the open domain."""
+    it stays inside the open domain; ``rng`` must be a ``random.Random`` and
+    ``steps`` an int >= 1."""
+    if not isinstance(rng, random.Random):
+        raise InputError("rng must be a random.Random (got %r)" % (rng,))
+    steps = _count(steps, 1, "step count steps")
     eids = sorted(graph.edges)
     for _attempt in range(64):
         eid = eids[rng.randrange(len(eids))]

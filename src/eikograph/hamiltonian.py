@@ -25,7 +25,8 @@ import numpy as np
 from .cost import FMIN, CostField, Samples
 from .errors import (CoercivityProbeFailed, ImproperHamiltonian, InputError,
                      NonmonotoneHamiltonian, NoSubsolution)
-from .graph import GraphPoint, KnotBatch, MetricGraph, Vertex, _as_evaluator, _compose, _finite, _settle
+from .graph import (GraphPoint, KnotBatch, MetricGraph, Vertex, _as_evaluator, _compose, _count,
+                    _finite, _settle)
 from .solver import BoundaryData, ValueFunction, solve
 
 PROBE_POINTS = 64
@@ -233,9 +234,8 @@ def _itp_lockstep(fn, X: KnotBatch, r, lo: np.ndarray, hi: np.ndarray,
 
 
 def _edge_knots(graph: MetricGraph, n_knots: int):
-    """(edge id, the ``n_knots`` uniform offsets where h is sampled), sorted."""
-    if n_knots < 2:
-        raise InputError("need at least 2 knots per edge (got %r)" % n_knots)
+    """(edge id, the ``n_knots`` >= 2 uniform offsets where h is sampled), sorted."""
+    n_knots = _count(n_knots, 2, "knot count n_knots")
     return [(eid, np.linspace(0.0, graph.edges[eid].length, n_knots))
             for eid in sorted(graph.edges)]
 

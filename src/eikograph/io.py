@@ -30,11 +30,11 @@ import re
 from itertools import repeat
 from math import isfinite
 from operator import attrgetter
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .cost import Constant, CostField, Linear, Profile, Samples
 from .errors import GraphFormatError, InputError, ProfileError, RecordError
-from .graph import EdgeInterior, GraphPoint, MetricGraph, Vertex
+from .graph import EdgeInterior, GraphPoint, MetricGraph, Vertex, _count, _finite
 from .optical import OpticalMap, StoredSolution
 from .solver import BoundaryData, ValueFunction
 
@@ -46,13 +46,6 @@ def _anchor(filename: str, text: str, member: str, pattern: str, name: str) -> s
     head = re.search(r'"%s"\s*:' % re.escape(member), text)
     hit = head and key.search(text, head.end())
     return "%s:%d" % (filename, text.count("\n", 0, hit.start()) + 1) if hit else filename
-
-
-def _number(x) -> float:
-    """A JSON number as a float; true/false, strings and null are refused."""
-    if type(x) not in (int, float):
-        raise TypeError("%r is not a number" % (x,))
-    return float(x)
 
 
 def _decode_json(text: str, filename: str):
@@ -173,15 +166,12 @@ def point_to_obj(p: GraphPoint) -> dict:
 
 def point_from_obj(obj, graph: MetricGraph) -> GraphPoint:
     """The graph point a ``point_to_obj`` form names on ``graph``.  Ids must
-    be JSON strings, as in the graph document: 1 does not name vertex "1"."""
+    be JSON strings, as in the graph document: 1 does not name vertex "1";
+    ``graph.point`` checks the offset."""
     if isinstance(obj, dict) and isinstance(obj.get("vertex"), str):
         return graph.vertex_point(obj["vertex"])
     if isinstance(obj, dict) and isinstance(obj.get("edge"), str) and "s" in obj:
-        try:
-            s = _number(obj["s"])
-        except (TypeError, OverflowError) as exc:
-            raise InputError("bad point %r: offset 's' must be a number (%s)" % (obj, exc)) from None
-        return graph.point(obj["edge"], s)
+        return graph.point(obj["edge"], obj["s"])
     raise InputError("bad point %r: expected {\"vertex\": id} or {\"edge\": id, \"s\": offset}, "
                      "with each id a string" % (obj,))
 
@@ -321,53 +311,44 @@ def load_value_function(text: str, field: CostField, data: BoundaryData,
                         filename: str = "<u>") -> StoredSolution:
     """Rebuild a solution evaluator, carrying ``data``, from its document.
 
-    The boundary table must hold exactly ``data``'s vertices, each within
-    1e-12 · max(1, |g|) of its g, and the vertex table the graph's; the
-    stored values themselves are honored as-is, so a hand-perturbed table
-    loads fine and then *fails* the verifiers, which is the point of them.
+    The boundary table must hold exactly ``data``'s vertices, each a finite
+    number within 1e-12 · max(1, |g|) of its g, and ``StoredSolution``
+    checks the vertex table; a refused entry is put at its line.  The values
+    are honored as-is: a hand-perturbed table loads, then fails the verifiers.
     """
     def refuse(table: str, vid: str, fault: str) -> GraphFormatError:
         # anchored inside its table: a boundary id also keys the other one
         where = _anchor(filename, text, table, r"%s\s*:", vid)
-        return GraphFormatError("%s: %s table: %s" % (where, table, fault))
+        return GraphFormatError("%s: %s" % (where, fault))
 
     doc = _decode_json(text, filename)
     if not isinstance(doc, dict) or doc.get("kind") != "value-function":
         raise GraphFormatError("%s: not a value-function document" % filename)
-    tables = []
-    for name in ("boundary", "vertices"):
-        table = doc.get(name)
-        if not isinstance(table, dict):
-            raise GraphFormatError("%s: malformed boundary/vertex tables" % filename)
-        values: Dict[str, float] = {}
-        for vid, v in table.items():
-            try:
-                values[vid] = _number(v)
-            except (TypeError, OverflowError):
-                raise refuse(name, vid, "value at %r must be a number (got %s)"
-                             % (vid, json.dumps(v))) from None
-        tables.append(values)
-    gvals, stored = tables
+    gvals, stored = doc.get("boundary"), doc.get("vertices")
+    if not (isinstance(gvals, dict) and isinstance(stored, dict)):
+        raise GraphFormatError("%s: malformed boundary/vertex tables" % filename)
     for vid, v in gvals.items():
         g = data.values.get(vid)
         if g is None:
-            raise refuse("boundary", vid, "%r is not a boundary vertex" % vid)
-        if not abs(v - g) <= 1e-12 * max(1.0, abs(g)):
-            raise refuse("boundary", vid, "value at %r is %.17g but the graph's boundary data "
-                         "says %.17g; the solution belongs to different input" % (vid, v, g))
+            raise refuse("boundary", vid, "boundary table: %r is not a boundary vertex" % vid)
+        if not (_finite(v) and abs(v - g) <= 1e-12 * max(1.0, abs(g))):
+            raise refuse("boundary", vid, "boundary table: value at %r is %s but the graph's "
+                         "boundary data says %.17g; the solution belongs to different input"
+                         % (vid, "%.17g" % v if _finite(v) else repr(v), g))
     missing = [vid for vid in data.values if vid not in gvals]
     if missing:
         raise GraphFormatError("%s: boundary table: no entry for %r" % (filename, missing[0]))
     try:
         return StoredSolution(field, stored, data=data)
+    except RecordError as exc:
+        raise refuse("vertices", exc.id, str(exc)) from None
     except InputError as exc:
-        raise InputError("%s: %s" % (filename, exc)) from None
+        raise GraphFormatError("%s: %s" % (filename, exc)) from None
 
 
 def edge_csv(u: OpticalMap, eid: str, n: int = 101) -> str:
-    """(offset, u) samples along one edge, for plotting."""
-    if n < 2:
-        raise InputError("need at least 2 samples")
+    """(offset, u) samples along one edge, for plotting; ``n`` is an int >= 2."""
+    n = _count(n, 2, "sample count n")
     rec = u.graph.edge(eid)
     lines = ["s,u"]
     for k in range(n):

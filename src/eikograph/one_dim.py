@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .graph import _finite
+from .graph import _count, _finite
 
 MONOTONE_TOL = 1e-12
 
@@ -47,9 +47,8 @@ class Profile1D:
 
 
 def uniform_grid(n: int) -> np.ndarray:
-    if n < 3:
-        raise InputError("grid needs n >= 3 points")
-    return np.linspace(-1.0, 1.0, n)
+    """``n`` evenly spaced points on [-1, 1]; ``n`` must be an int >= 3."""
+    return np.linspace(-1.0, 1.0, _count(n, 3, "grid size n"))
 
 
 def logcosh(t: float) -> float:
@@ -136,15 +135,14 @@ def check_supersolution_monotone(u: Profile1D, f: Profile1D) -> MonotoneReport:
 # ----------------------------------------------------------------------
 
 def weak_solution_zoo(k: int, grid: Sequence[float]) -> List[Profile1D]:
-    """k sawtooth profiles vanishing at ±1 with |slope| = 1 off the kinks.
+    """k sawtooth profiles, k an int >= 1, vanishing at ±1 with |slope| = 1 off the kinks.
 
     Member j has zeros at -1 + 2m/j (m = 0..j) and 2j teeth of height 1/j;
     member 1 is 1 - |x|.  Every member satisfies u' <= 1 weakly, but the
     interior zeros of members j >= 2 are local minima where the descending
     slope vanishes — the steepest-descent test singles out member 1.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise InputError("k must be a positive integer (got %r)" % (k,))
+    k = _count(k, 1, "zoo size k")
     xs = np.asarray(grid, dtype=float)
     out = []
     for j in range(1, k + 1):

@@ -12,12 +12,11 @@ derivatives are available in closed form.
 """
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional
 
 from .cost import CostField
-from .errors import InputError
-from .graph import GraphPoint, SeedMap
+from .errors import InputError, RecordError
+from .graph import GraphPoint, SeedMap, _finite
 
 
 def optical_length(field: CostField, x: GraphPoint, y: GraphPoint) -> float:
@@ -69,20 +68,21 @@ class StoredSolution(OpticalMap):
     Used when re-reading solution files: the stored table is taken at face
     value (even if someone edited it into something inconsistent), so the
     verifiers can genuinely fail on it instead of being handed a silently
-    re-derived correct answer.
+    re-derived correct answer.  Each entry must name a vertex and be
+    ``_finite``, else it is refused naming its vertex; each vertex needs one.
     """
 
     def __init__(self, field: CostField, vertex_values: Dict[str, float], data=None):
         graph = field.graph
-        if set(vertex_values) != set(graph.vertices):
-            missing = sorted(set(graph.vertices) - set(vertex_values))
-            extra = sorted(set(vertex_values) - set(graph.vertices))
-            raise InputError("vertex table does not match the graph"
-                             + ("; missing: %s" % ", ".join(missing) if missing else "")
-                             + ("; unknown: %s" % ", ".join(extra) if extra else ""))
-        bad = [vid for vid, v in vertex_values.items() if not math.isfinite(v)]
-        if bad:
-            raise InputError("non-finite values at vertices: %s" % ", ".join(sorted(bad)))
+        for vid, v in vertex_values.items():
+            if vid not in graph.vertices:
+                raise RecordError("vertex table: %r is not a vertex" % (vid,), "vertex", vid)
+            if not _finite(v):
+                raise RecordError("vertex table: value at %r must be a finite number (got %r)"
+                                  % (vid, v), "vertex", vid)
+        missing = [vid for vid in graph.vertices if vid not in vertex_values]
+        if missing:
+            raise InputError("vertex table: no entry for %r" % (missing[0],))
         self.field = field
         self.graph = graph
         self.profiles = field.profiles

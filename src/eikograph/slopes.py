@@ -22,7 +22,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .cost import CostField
 from .errors import InputError, PreconditionError, VerificationError
 from .graph import (BRANCH_TIE, DistanceField, EdgeInterior, Germ, GraphPoint, MetricGraph,
-                    SeedMap, Vertex, _as_evaluator, _ComposedDiff, _default_samples, _tolerance)
+                    SeedMap, Vertex, _as_evaluator, _ComposedDiff, _default_samples, _finite,
+                    _reals, _tolerance)
 from .optical import OpticalMap
 
 #: radius schedule for the sampling estimator: r0 * 2^-k for k = 0..12,
@@ -311,8 +312,12 @@ def semiconcave_slope_check(xs: Sequence[float], ys: Sequence[float],
     samples, whose one-sided derivatives at grid points are the chord slopes.
 
     The concavity precondition is verified first from second differences of
-    u - Kx² and a violation names the offending triple.
+    u - Kx² and a violation names the offending triple.  ``xs`` and ``ys``
+    must be real numbers by ``_reals``' rule and ``K`` a finite number.
     """
+    xs, ys = _reals(xs, "sample abscissa"), _reals(ys, "sample value")
+    if not _finite(K):
+        raise InputError("K must be a finite number (got %r)" % (K,))
     if len(xs) != len(ys) or len(xs) < 3:
         raise InputError("need matching xs/ys with at least 3 samples")
     if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):

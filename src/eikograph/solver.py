@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .cost import CostField
 from .errors import InputError, PreconditionError, RecordError
 from .graph import (Constant, Curve, GraphPoint, MetricGraph, SeedMap, Vertex,
-                    _default_samples, _finite, _tolerance, random_curve)
+                    _count, _default_samples, _finite, _tolerance, random_curve)
 from .optical import OpticalMap, optical_length
 
 
@@ -200,12 +200,13 @@ def verify_suboptimality(u: OpticalMap, curves: Optional[Iterable[Curve]] = None
     """Check  u(γ(t1)) - u(γ(t0)) <= ∫_{t0}^{t1} f(γ) ds  for curves γ and
     time pairs t0 <= t1.  The value function satisfies this along *every*
     curve (it is 1-Lipschitz for the optical metric), so random wandering
-    curves are a fair test set.  ``n_random`` must be an int >= 1, and
-    ``tol`` must be a finite number >= 0."""
+    curves are a fair test set.  ``n_random`` must be an int >= 1, ``rng``
+    a ``random.Random`` or None, and ``tol`` a finite number >= 0."""
     field = u.field
     graph = u.graph
-    if type(n_random) is not int or n_random < 1:
-        raise InputError("curve count n_random must be an int >= 1 (got %r)" % (n_random,))
+    n_random = _count(n_random, 1, "curve count n_random")
+    if rng is not None and not isinstance(rng, random.Random):
+        raise InputError("rng must be a random.Random or None (got %r)" % (rng,))
     tol = field.default_tol() if tol is None else _tolerance(tol)
     if curves is None:
         rng = rng or random.Random(0)

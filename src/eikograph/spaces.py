@@ -5,6 +5,7 @@ import math
 from typing import List, Optional, Sequence
 
 from .errors import InputError
+from .graph import _reals
 
 
 class FiniteMetricSpace:
@@ -13,11 +14,12 @@ class FiniteMetricSpace:
     Validation covers the metric axioms exactly as stated: zero diagonal,
     symmetry, strict positivity off the diagonal, and the triangle
     inequality (with a relative tolerance scaled to the largest entry, so
-    honest float matrices are not rejected for dust).
+    honest float matrices are not rejected for dust).  Each entry must be a
+    real number by ``_reals``' rule.
     """
 
     def __init__(self, matrix: Sequence[Sequence[float]], labels: Optional[Sequence[str]] = None):
-        rows = [list(map(float, row)) for row in matrix]
+        rows = [list(_reals(row, "distance")) for row in matrix]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise InputError("distance matrix must be square and nonempty")

@@ -334,17 +334,45 @@ def test_every_parameter_is_read_or_allowlisted():
 # number census: one rule says what a real number is
 # ----------------------------------------------------------------------
 
-#: functions that test for an int or a float outside ``graph._finite``, and
-#: why each stays
+#: the rules that say what a real number and a count are
+NUMBER_RULES = {"graph._finite", "graph._reals", "graph._count"}
+
+#: functions that test a value for an int outside the rules, and why each
+#: stays
 NUMBER_TESTS_OUTSIDE_THE_RULE = {
     "graph._as_evaluator": "a number there stands for a constant function, not an input to check",
     "hamiltonian._batch_slopes": "a number u stands for a constant function, as in _as_evaluator",
+    "io._key": "a dict key is written the way json.dumps writes it, an int key by its repr",
 }
 
 
+def _names_int(node) -> bool:
+    """Whether a class expression is ``int`` or a tuple, list or set naming it."""
+    elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return any(isinstance(e, ast.Name) and e.id == "int" for e in elts)
+
+
+def _is_number_test(node) -> bool:
+    """Whether ``node`` tests a type against int: ``isinstance`` or
+    ``issubclass`` with int alone or in a tuple, ``type(x) in`` or ``not
+    in`` a tuple naming int, or ``type(x) is``, ``is not``, ``==`` or ``!=``
+    int."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return (node.func.id in ("isinstance", "issubclass") and len(node.args) == 2
+                and _names_int(node.args[1]))
+    if not (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"):
+        return False
+    return any(_names_int(c) and (isinstance(op, (ast.In, ast.NotIn))
+                                  and isinstance(c, (ast.Tuple, ast.List, ast.Set))
+                                  or isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                                  and isinstance(c, ast.Name))
+               for op, c in zip(node.ops, node.comparators))
+
+
 def _number_tests(tree: ast.Module, module: str):
-    """"module.function" of the function around each ``isinstance`` or
-    ``issubclass`` call whose class tuple names both int and float."""
+    """"module.function" of the function around each type test against
+    int, by ``_is_number_test``."""
     out = []
 
     def visit(node, qual):
@@ -352,11 +380,7 @@ def _number_tests(tree: ast.Module, module: str):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, qual + "." + child.name)
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id in ("isinstance", "issubclass") and len(child.args) == 2
-                    and isinstance(child.args[1], ast.Tuple)
-                    and {"int", "float"} <= {e.id for e in child.args[1].elts
-                                             if isinstance(e, ast.Name)}):
+            if _is_number_test(child):
                 out.append(qual)
             visit(child, qual)
 
@@ -365,8 +389,9 @@ def _number_tests(tree: ast.Module, module: str):
 
 
 def test_only_the_number_rule_tests_for_int_or_float():
-    """``isinstance(x, (int, float))`` admits True as 1: ``graph._finite``
-    is the one rule that says what a real number is, and any other such
-    test is allowlisted with its reason."""
-    found = [q for p in MODULES for q in _number_tests(ast.parse(p.read_text()), p.stem)]
-    assert sorted(found) == sorted(["graph._finite", *NUMBER_TESTS_OUTSIDE_THE_RULE])
+    """``isinstance(x, (int, float))`` admits True as 1, and ``type(n) is
+    int`` refuses numpy's ints: ``graph._finite``, ``_reals`` and
+    ``_count`` are the rules that say what a real number and a count are,
+    and any other such test is allowlisted with its reason."""
+    found = {q for p in MODULES for q in _number_tests(ast.parse(p.read_text()), p.stem)}
+    assert sorted(found - NUMBER_RULES) == sorted(NUMBER_TESTS_OUTSIDE_THE_RULE)

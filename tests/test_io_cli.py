@@ -327,6 +327,7 @@ def test_a_record_is_refused_alike_in_code_and_by_file_at_its_own_line(edit, kin
     with pytest.raises(RecordError) as in_code:
         _build_in_code(doc)
     assert (in_code.value.kind, in_code.value.id) == (kind, rid)
+    assert len(str(in_code.value)) < 200  # an int of 401 digits is named by its length
     text = json.dumps(doc, indent=2)
     own = text.index('"id": "%s"' % rid, text.index('"%s": [' % {"vertex": "vertices",
                                                                   "edge": "edges"}[kind]))
@@ -570,7 +571,7 @@ def test_edge_csv_layout():
     assert len(lines) == 6
     assert lines[1] == "0,0"
     assert lines[3] == "1,1"
-    with pytest.raises(InputError, match="at least 2"):
+    with pytest.raises(InputError, match="sample count n must be an int >= 2"):
         edge_csv(u, "e", n=1)
 
 
@@ -759,7 +760,9 @@ def test_cli_verify_refuses_a_solution_entry_that_is_not_a_number(tmp_path, caps
     text = Path(bad).read_text()
     line = text[:text.index('"L"', text.index('"%s"' % table))].count("\n") + 1
     err = capsys.readouterr().err
-    assert "bad_u.json:%d: %s table: value at 'L' must be a number" % (line, table) in err
+    words = {"boundary": "boundary table: value at 'L' is %r but the graph's" % (value,),
+             "vertices": "vertex table: value at 'L' must be a finite number (got %r)" % (value,)}
+    assert "bad_u.json:%d: %s" % (line, words[table]) in err
     assert not (tmp_path / "rn" / "modulus.json").exists()
 
 
@@ -804,7 +807,8 @@ def test_cli_verify_subopt_refuses_a_curve_offset_that_is_not_a_number(tmp_path,
     capsys.readouterr()
     assert entry(["verify", g, ufile, "--mode", "subopt", "--curves-file", curves,
                   "--out-dir", str(tmp_path / "rs")]) == 1
-    assert "offset 's' must be a number" in capsys.readouterr().err
+    shown = "(an int of 401 digits)" if s == 10 ** 400 else repr(s)
+    assert "error: edge 'b': offset %s is not a number" % shown in capsys.readouterr().err
     assert not (tmp_path / "rs" / "subopt.json").exists()
 
 
@@ -833,6 +837,19 @@ def test_cli_refuses_a_degenerate_tolerance(tmp_path, capsys, command, tol):
         assert ("error: tolerance must be a nonnegative finite number (got %r)" % float(tol)
                 in capsys.readouterr().err)
         assert not (tmp_path / "rt").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_cli_solve_refuses_a_degenerate_tolerance_before_it_solves(tmp_path, capsys, monkeypatch, tol):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the tolerance was checked")
+
+    g = put(tmp_path, "g.json", PATH3_DOC)
+    monkeypatch.setattr("eikograph.cli.solve", solve)
+    assert entry(["solve", g, "--tol", tol, "--out-dir", str(tmp_path / "rt")]) == 1
+    assert capsys.readouterr().err == ("error: tolerance must be a nonnegative finite number "
+                                       "(got %r)\n" % float(tol))
+    assert not (tmp_path / "rt").exists()
 
 
 def test_cli_verify_rejects_solution_from_different_input(tmp_path, capsys):

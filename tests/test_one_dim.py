@@ -80,7 +80,7 @@ def test_viscous_rejects_bad_eps():
 def test_uniform_grid():
     grid = uniform_grid(5)
     assert list(grid) == [-1.0, -0.5, 0.0, 0.5, 1.0]
-    with pytest.raises(InputError, match="n >= 3"):
+    with pytest.raises(InputError, match="grid size n must be an int >= 3"):
         uniform_grid(2)
 
 
@@ -222,9 +222,9 @@ def test_zoo_interior_minimum_breaks_steepest_descent(interval):
 
 def test_zoo_rejects_bad_k():
     grid = uniform_grid(9)
-    with pytest.raises(InputError, match="positive integer"):
+    with pytest.raises(InputError, match="zoo size k must be an int >= 1"):
         weak_solution_zoo(0, grid)
-    with pytest.raises(InputError, match="positive integer"):
+    with pytest.raises(InputError, match="zoo size k must be an int >= 1"):
         weak_solution_zoo(2.5, grid)
 
 

@@ -1,0 +1,195 @@
+"""Counts, offsets and numbers are refused alike: each library entry that
+takes one refuses a value of the wrong type with an ``InputError`` in the
+words of the one rule it calls (``graph._count``, ``_reals`` or
+``_finite``), never with a bare TypeError or AttributeError nor by
+returning a result, and the command line prints those same words with
+exit 1."""
+import json
+import math
+import random
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from eikograph import (BoundaryData, CostField, FiniteMetricSpace, Hamiltonian, InputError,
+                       MetricGraph, RecordError, StoredSolution, catalog, dump_value_function,
+                       edge_csv, ekeland_maximize, ekeland_point, load_graph, load_value_function,
+                       random_curve, reduce_to_eikonal, semiconcave_slope_check, solve,
+                       solve_general, uniform_grid, verify_suboptimality, weak_solution_zoo)
+from eikograph.cli import entry
+
+UNIT = Hamiltonian(lambda x, r, p: p - 1.0, name="unit")
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    """A path a - b - c of unit edges "e" and "f", boundary at both ends."""
+    graph = MetricGraph([("a", True), ("b",), ("c", True)],
+                        [("e", "a", "b", 1.0), ("f", "b", "c", 1.0)])
+    field = CostField.constant(graph, 1.0)
+    data = BoundaryData(graph, {"a": 0.0, "c": 0.0})
+    return SimpleNamespace(graph=graph, field=field, data=data, u=solve(field, data),
+                           space=FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]]),
+                           grid=uniform_grid(9))
+
+
+#: (case, call on the fixture, the refusal's words)
+REFUSALS = [
+    # counts, by graph._count
+    ("reduce-knots-float", lambda c: reduce_to_eikonal(UNIT, 0.0, c.graph, n_knots=2.5),
+     "knot count n_knots must be an int >= 2 (got 2.5)"),
+    ("reduce-knots-string", lambda c: reduce_to_eikonal(UNIT, 0.0, c.graph, n_knots="5"),
+     "knot count n_knots must be an int >= 2 (got '5')"),
+    ("solve-general-knots-float",
+     lambda c: solve_general(catalog("discounted"), c.graph, c.data, n_knots=3.0),
+     "knot count n_knots must be an int >= 2 (got 3.0)"),
+    ("edge-csv-float", lambda c: edge_csv(c.u, "e", 2.5),
+     "sample count n must be an int >= 2 (got 2.5)"),
+    ("uniform-grid-float", lambda c: uniform_grid(3.5), "grid size n must be an int >= 3 (got 3.5)"),
+    ("random-curve-steps-float", lambda c: random_curve(c.graph, random.Random(0), steps=2.5),
+     "step count steps must be an int >= 1 (got 2.5)"),
+    ("random-curve-steps-zero", lambda c: random_curve(c.graph, random.Random(0), steps=0),
+     "step count steps must be an int >= 1 (got 0)"),
+    ("zoo-true", lambda c: weak_solution_zoo(True, c.grid), "zoo size k must be an int >= 1 (got True)"),
+    ("ekeland-start-true", lambda c: ekeland_point(c.space, [0.0, 1.0], 0.5, True),
+     "start index x0 must be an int >= 0 (got True)"),
+    ("ekeland-start-float", lambda c: ekeland_point(c.space, [0.0, 1.0], 0.5, 0.0),
+     "start index x0 must be an int >= 0 (got 0.0)"),
+    ("maximize-start-negative", lambda c: ekeland_maximize(c.space, [0.0, 1.0], 0.5, 1.0, -1),
+     "start index x0 must be an int >= 0 (got -1)"),
+    # numbers, by graph._reals and _finite
+    ("space-strings", lambda c: FiniteMetricSpace([["0", "1"], ["1", "0"]]),
+     "distance '0' is not a number"),
+    ("space-bools", lambda c: FiniteMetricSpace([[False, True], [True, False]]),
+     "distance False is not a number"),
+    ("ekeland-value-true", lambda c: ekeland_point(c.space, [True, 0.0], 0.5, 0),
+     "value True is not a number"),
+    ("ekeland-value-string", lambda c: ekeland_point(c.space, ["1", 0.0], 0.5, 0),
+     "value '1' is not a number"),
+    ("semiconcave-k-nan", lambda c: semiconcave_slope_check([0, 1, 2], [0, 1, 0], math.nan),
+     "K must be a finite number (got nan)"),
+    ("semiconcave-k-true", lambda c: semiconcave_slope_check([0, 1, 2], [0, 1, 0], True),
+     "K must be a finite number (got True)"),
+    ("point-true", lambda c: c.graph.point("e", True), "edge 'e': offset True is not a number"),
+    ("point-string", lambda c: c.graph.point("e", "0.5"), "edge 'e': offset '0.5' is not a number"),
+    # the stored vertex table, by StoredSolution
+    ("stored-true", lambda c: StoredSolution(c.field, {"a": True, "b": 1.0, "c": 0.0}),
+     "vertex table: value at 'a' must be a finite number (got True)"),
+    ("stored-string", lambda c: StoredSolution(c.field, {"a": "0", "b": 1.0, "c": 0.0}),
+     "vertex table: value at 'a' must be a finite number (got '0')"),
+    # random sources
+    ("subopt-rng-int", lambda c: verify_suboptimality(c.u, rng=5),
+     "rng must be a random.Random or None (got 5)"),
+    ("random-curve-rng-int", lambda c: random_curve(c.graph, 5),
+     "rng must be a random.Random (got 5)"),
+]
+
+
+@pytest.mark.parametrize("call, words", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_a_library_entry_refuses_in_its_rules_words(ctx, call, words):
+    with pytest.raises(InputError) as exc:
+        call(ctx)
+    assert str(exc.value) == words
+
+
+def test_a_stored_entry_refusal_names_its_vertex(ctx):
+    with pytest.raises(RecordError) as exc:
+        StoredSolution(ctx.field, {"a": 0.0, "b": math.nan, "c": 0.0})
+    assert (exc.value.kind, exc.value.id) == ("vertex", "b")
+    with pytest.raises(InputError, match="^vertex table: no entry for 'c'$"):
+        StoredSolution(ctx.field, {"a": 0.0, "b": 1.0})
+
+
+def test_counts_accept_numpy_ints(ctx):
+    """A count is an int by ``operator.index``: numpy's ints pass, as
+    Python's do."""
+    two, three = np.int64(2), np.int64(3)
+    assert len(uniform_grid(three)) == 3
+    assert len(weak_solution_zoo(two, ctx.grid)) == 2
+    assert edge_csv(ctx.u, "e", three) == edge_csv(ctx.u, "e", 3)
+    assert verify_suboptimality(ctx.u, rng=random.Random(1), n_random=two).n_curves == 2
+    assert ekeland_point(ctx.space, [0.0, 1.0], 0.5, np.int64(1)) == 0
+    assert (reduce_to_eikonal(UNIT, 0.0, ctx.graph, n_knots=three).profiles
+            == reduce_to_eikonal(UNIT, 0.0, ctx.graph, n_knots=3).profiles)
+
+
+# ----------------------------------------------------------------------
+# the command line prints the library's words
+# ----------------------------------------------------------------------
+
+PATH3 = {"vertices": [{"id": "a", "boundary": True, "g": 0.0}, {"id": "b"},
+                      {"id": "c", "boundary": True, "g": 0.0}],
+         "edges": [{"id": "e", "from": "a", "to": "b", "length": 1.0},
+                   {"id": "f", "from": "b", "to": "c", "length": 1.0}]}
+
+
+def _put(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _reduce_one_knot(tmp_path):
+    g = _put(tmp_path, "g.json", json.dumps(PATH3))
+    graph, _, data = load_graph(json.dumps(PATH3))
+    return (["reduce", g, "--hamiltonian", "discounted", "--quad-knots", "1"],
+            lambda: solve_general(catalog("discounted"), graph, data, n_knots=1), {})
+
+
+def _viscous_two_points(tmp_path):
+    return ["viscous", "--eps", "0.1", "--grid-n", "2"], lambda: uniform_grid(2), {}
+
+
+def _ekeland_start_past_the_space(tmp_path):
+    d = _put(tmp_path, "d.csv", "0,1\n1,0\n")
+    f = _put(tmp_path, "f.csv", "0,1\n")
+    space = FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]])
+    return (["ekeland", d, f, "--eps", "0.5", "--start", "2"],
+            lambda: ekeland_point(space, [0.0, 1.0], 0.5, 2), {})
+
+
+def _stored_entry(vid, value):
+    def setup(tmp_path):
+        _, field, data = load_graph(json.dumps(PATH3))
+        g = _put(tmp_path, "g.json", json.dumps(PATH3))
+        doc = json.loads(dump_value_function(solve(field, data)))
+        doc["vertices"][vid] = value
+        u = _put(tmp_path, "u.json", json.dumps(doc, indent=2))
+        text = Path(u).read_text()
+        line = text.count("\n", 0, text.index('"%s"' % vid, text.index('"vertices"'))) + 1
+        return (["verify", g, u, "--mode", "dpp"],
+                lambda: load_value_function(text, field, data, filename=u), {"u": u, "line": line})
+    return setup
+
+
+#: (case, setup(tmp_path) -> (argv, library call, fields), the refusal's
+#: words, with "{u}:{line}" for the file and the line of the refused entry)
+CLI_REFUSALS = [
+    ("reduce-one-knot", _reduce_one_knot, "knot count n_knots must be an int >= 2 (got 1)"),
+    ("viscous-two-points", _viscous_two_points, "grid size n must be an int >= 3 (got 2)"),
+    ("ekeland-start-past-the-space", _ekeland_start_past_the_space, "start index 2 out of range"),
+    ("u-json-nan", _stored_entry("b", math.nan),
+     "{u}:{line}: vertex table: value at 'b' must be a finite number (got nan)"),
+    ("u-json-true", _stored_entry("b", True),
+     "{u}:{line}: vertex table: value at 'b' must be a finite number (got True)"),
+    ("u-json-unknown-vertex", _stored_entry("zz", 1.0),
+     "{u}:{line}: vertex table: 'zz' is not a vertex"),
+]
+
+
+@pytest.mark.parametrize("setup, words", [case[1:] for case in CLI_REFUSALS],
+                         ids=[case[0] for case in CLI_REFUSALS])
+def test_the_cli_prints_the_library_refusal(tmp_path, capsys, setup, words):
+    argv, call, fields = setup(tmp_path)
+    words = words.format(**fields)
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == words
+    capsys.readouterr()
+    assert entry(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s\n" % words)
+    assert not (tmp_path / "out").exists()

