@@ -9,12 +9,16 @@ speed fields.  ``Constant`` is defined in ``graph``, whose unit table is
 made of it, and is imported here with the other profiles.
 
 The profile protocol: ``at(s)``, ``at_array(s)`` (``at`` at each offset, bit
-for bit), ``integral(s0, s1)`` and ``inverse_integral(target)`` (from 0).  Only
+for bit), ``integral(s0, s1)``, ``integral_array(s0, s1)`` (``integral`` at
+each pair of offsets, bit for bit) and ``inverse_integral(target)`` (from 0).
+A class whose ``integral_array`` is one expression in its parameters names
+them in ``PARAMS``, so that a batch gathers them by edge.  Only
 ``bounds(length)`` and ``check(length, fmin)`` take the edge's length; ``check``
 returns the profile a ``CostField`` keeps, its params floats, and changes none.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_right
@@ -24,7 +28,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import InputError, ProfileError
-from .graph import Constant, EdgeInterior, GraphPoint, KnotBatch, MetricGraph, Vertex, _reals
+from .graph import Constant, EdgeInterior, GraphPoint, KnotBatch, MetricGraph, Vertex, _Rates, _reals
 
 #: the positivity floor: every cost field has f >= FMIN > 0
 FMIN = 1e-6
@@ -69,6 +73,10 @@ class Linear:
 
     def integral(self, s0: float, s1: float) -> float:
         return self.a * (s1 - s0) + 0.5 * self.b * (s1 * s1 - s0 * s0)
+
+    # one expression on floats or arrays, the coefficients included
+    integral_array = integral
+    PARAMS = ("a", "b")
 
     def inverse_integral(self, target: float) -> float:
         return _advance(self.a, self.b, target)
@@ -159,6 +167,19 @@ class Samples:
         pre = self._pre or self._prefix()
         return self._F(pre, s1) - self._F(pre, s0)
 
+    def integral_array(self, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+        """``integral`` at every pair of offsets, bit for bit: ``_F``'s steps
+        as array operations, on s1 and s0 together."""
+        k, v = np.array(self.knots), np.array(self.values)
+        pre = np.array(self._pre or self._prefix())
+        s = np.minimum(np.maximum(np.concatenate((s1, s0)), k[0]), k[-1])
+        i = np.minimum(np.maximum(np.searchsorted(k, s, side="right") - 1, 0), len(k) - 2)
+        ki, vi = k[i], v[i]
+        t = s - ki
+        w = t / (k[i + 1] - ki)
+        F = pre[i] + 0.5 * (vi + (vi * (1.0 - w) + v[i + 1] * w)) * t
+        return F[:len(s1)] - F[len(s1):]
+
     def inverse_integral(self, target: float) -> float:
         pre = self._pre or self._prefix()
         k, v = self.knots, self.values
@@ -208,8 +229,16 @@ class CostField:
     def constant(cls, graph: MetricGraph, value: float = 1.0) -> "CostField":
         return cls(graph, {eid: Constant(value) for eid in graph.edges})
 
-    def edge_cost(self, eid: str, s0: float, s1: float) -> float:
-        """∫ f over the within-edge segment [min(s0,s1), max(s0,s1)]."""
+    def edge_cost(self, eid: Union[str, KnotBatch], s0: Union[float, np.ndarray],
+                  s1: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        """∫ f over the within-edge segment [min(s0,s1), max(s0,s1)].
+
+        With a ``KnotBatch`` in place of ``eid``, ``s0`` and ``s1`` are arrays
+        of offsets on each of its rows' edges, and the costs come back as an
+        array, each equal to the scalar call's bit for bit.  A segment outside
+        its edge is refused in the scalar call's words, the first such row."""
+        if isinstance(eid, KnotBatch):
+            return self._edge_costs(eid.edges, s0, s1)
         rec = self.graph.edge(eid)
         lo, hi = (s0, s1) if s0 <= s1 else (s1, s0)
         if lo < -1e-12 or hi > rec.length * (1 + 1e-12):
@@ -217,6 +246,25 @@ class CostField:
         lo = max(lo, 0.0)
         hi = min(hi, rec.length)
         return self.profiles[eid].integral(lo, hi)
+
+    @functools.cached_property
+    def _rates(self) -> _Rates:
+        return _Rates(self.graph, self.profiles)
+
+    def _edge_costs(self, edges: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+        """``edge_cost`` at each row: its steps as array operations."""
+        ids, _, lengths = self.graph._edge_order
+        length = lengths[edges]
+        swap = ~(s0 <= s1)
+        lo, hi = np.where(swap, s1, s0), np.where(swap, s0, s1)
+        bad = (lo < -1e-12) | (hi > length * (1 + 1e-12))
+        if bad.any():
+            i = int(bad.argmax())
+            raise InputError("segment [%r, %r] outside edge %r"
+                             % (s0[i].item(), s1[i].item(), ids[edges[i]]))
+        lo = np.where(0.0 > lo, 0.0, lo)
+        hi = np.where(length < hi, length, hi)
+        return self._rates.integral(edges, lo, hi)
 
     def full_edge_cost(self, eid: str) -> float:
         return self.profiles[eid].integral(0.0, self.graph.edge(eid).length)
@@ -227,8 +275,8 @@ class CostField:
         steepest-descent slope at a vertex is checked against.
 
         A ``KnotBatch`` gets the same values as an (n, 1) column, computed
-        once per batch: interior knots through each profile's ``at_array``,
-        vertex knots as above."""
+        once per batch: rows inside an edge through its profile's
+        ``at_array``, rows at a vertex as above."""
         if isinstance(p, EdgeInterior):
             self.graph.validate_point(p)
             return self.profiles[p.edge].at(p.s)
@@ -237,7 +285,7 @@ class CostField:
         return min(map(self.germ_value, self.graph.germs(p)))
 
     def _knot_values(self, runs) -> np.ndarray:
-        """f at the knots of ``runs`` (see ``KnotBatch``) as a column, each
+        """f at the rows of ``runs`` (see ``KnotBatch``) as a column, each
         vertex's least germ value computed once for the batch."""
         at_vertex: Dict[str, float] = {}
         parts = []
@@ -246,8 +294,10 @@ class CostField:
             for vid in (rec.src, rec.dst):
                 if vid not in at_vertex:
                     at_vertex[vid] = min(map(self.germ_value, self.graph.germs(Vertex(vid))))
-            parts += ([at_vertex[rec.src]], self.profiles[eid].at_array(s[1:-1]),
-                      [at_vertex[rec.dst]])
+            inside = (s > 0.0) & (s < rec.length)
+            col = np.where(s == 0.0, at_vertex[rec.src], at_vertex[rec.dst])
+            col[inside] = self.profiles[eid].at_array(s[inside])
+            parts.append(col)
         return np.concatenate(parts)[:, None]
 
     def germ_value(self, germ) -> float:

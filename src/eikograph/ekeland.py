@@ -35,10 +35,14 @@ class EkelandRecord:
     strictness_ok: bool                  # condition (b)
 
 
-def _validate(space: FiniteMetricSpace, fvals: Sequence[float], x0: int):
+def _one_value_per_point(space: FiniteMetricSpace, fvals: Sequence[float]):
     if len(fvals) != len(space):
         raise InputError("need one value per point (%d points, %d values)"
                          % (len(space), len(fvals)))
+
+
+def _validate(space: FiniteMetricSpace, fvals: Sequence[float], x0: int):
+    _one_value_per_point(space, fvals)
     for v in fvals:
         if math.isnan(v) or v == -math.inf:
             raise InputError("values must be > -inf and not NaN (got %r)" % v)
@@ -110,6 +114,7 @@ def ekeland_maximize(space: FiniteMetricSpace, fvals: Sequence[float], delta: fl
                          % (delta, lam, eps))
     x0 = _count(x0, 0, "start index x0")
     fvals = _reals(fvals, "value")
+    _one_value_per_point(space, fvals)
     for v in fvals:
         if math.isnan(v) or v == math.inf:
             raise InputError("values must be < +inf and not NaN (got %r)" % v)

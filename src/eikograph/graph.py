@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 import operator
@@ -67,28 +68,89 @@ GraphPoint = Union[Vertex, EdgeInterior]
 
 
 class KnotBatch:
-    """Knots on consecutive whole edges of ``graph``, taken together as one
-    column: a Hamiltonian's ``fn`` broadcasts over it as it does over ``p``.
+    """Points of ``graph`` taken together as the rows of one column, each row
+    an (edge, offset) pair with the offset in [0, L].  An offset of 0 or L is
+    the vertex at that end, as ``MetricGraph.point`` has it.  A Hamiltonian's
+    ``fn`` broadcasts over a batch as it does over ``p``; ``SeedMap.evaluate``
+    and ``CostField.edge_cost`` take one in place of a point and make one
+    array pass over its rows, equal row by row to the scalar call.
 
-    ``runs`` holds one (edge id, offsets) pair per edge, each offsets array
-    increasing from 0 to the edge's length, so that an edge's first and last
-    knots are its two vertices.  ``batch[rows]`` is the sub-batch of the
-    given rows of the whole batch (an integer array).  A column computed
-    through ``column`` is computed once for the whole batch and shared with
-    every sub-batch."""
+    ``KnotBatch(graph, runs)`` takes (edge id, offsets) pairs, each a run of
+    consecutive rows on one edge: a whole edge's knots run from 0 to its
+    length, so that its first and last knots are its two vertices.
+    ``KnotBatch.of`` takes graph points.  ``edges`` (each row's edge as its
+    index in graph order) and ``offsets`` are this batch's rows as arrays.
+    ``batch[rows]`` is the sub-batch of the given rows of the whole batch (an
+    integer array); ``runs``, ``points`` and ``point`` read the whole batch.
+    A column computed through ``column`` is computed once for the whole batch
+    and shared with every sub-batch."""
 
-    def __init__(self, graph: MetricGraph, runs: Sequence[Tuple[str, np.ndarray]],
-                 rows: Optional[np.ndarray] = None, memo: Optional[dict] = None):
+    def __init__(self, graph: MetricGraph, runs: Sequence[Tuple[str, np.ndarray]]):
+        index = graph._edge_order[1]
+        self._setup(graph, np.repeat(np.array([index[eid] for eid, _ in runs], dtype=np.intp),
+                                     [len(s) for _, s in runs]),
+                    np.concatenate([np.empty(0)] + [s for _, s in runs]))
+        self._runs = runs
+
+    @classmethod
+    def of(cls, graph: MetricGraph, points: Iterable[GraphPoint]) -> KnotBatch:
+        """The batch of ``points``, each checked by ``validate_point`` in
+        order; a vertex is the row at its end of its first incident edge."""
+        index, edges, adj = graph._edge_order[1], graph.edges, graph._adj
+        rows, offsets = [], []
+        for p in points:
+            graph.validate_point(p)
+            if isinstance(p, Vertex):
+                eid, end = adj[p.id][0]
+                rows.append(index[eid])
+                offsets.append(edges[eid].length if end else 0.0)
+            else:
+                rows.append(index[p.edge])
+                offsets.append(p.s)
+        return cls._of_rows(graph, np.array(rows, dtype=np.intp), np.array(offsets, dtype=float))
+
+    @classmethod
+    def _of_rows(cls, graph: MetricGraph, edges: np.ndarray, offsets: np.ndarray) -> KnotBatch:
+        """The batch of rows (edges[i], offsets[i]), each offset within its edge."""
+        batch = cls.__new__(cls)
+        batch._setup(graph, edges, offsets)
+        return batch
+
+    def _setup(self, graph: MetricGraph, edges: np.ndarray, offsets: np.ndarray):
         self.graph = graph
-        self.runs = runs
-        self.rows = rows
-        self._memo = {} if memo is None else memo
+        self._edges = edges
+        self._offsets = offsets
+        self._runs: Optional[Sequence[Tuple[str, np.ndarray]]] = None
+        self.rows: Optional[np.ndarray] = None
+        self._memo: dict = {}
 
     def __len__(self) -> int:
-        return sum(len(s) for _, s in self.runs) if self.rows is None else len(self.rows)
+        return len(self._edges) if self.rows is None else len(self.rows)
 
     def __getitem__(self, rows: np.ndarray) -> KnotBatch:
-        return KnotBatch(self.graph, self.runs, rows, self._memo)
+        sub = KnotBatch._of_rows(self.graph, self._edges, self._offsets)
+        sub._runs, sub.rows, sub._memo = self._runs, rows, self._memo
+        return sub
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self._edges if self.rows is None else self._edges[self.rows]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._offsets if self.rows is None else self._offsets[self.rows]
+
+    @property
+    def runs(self) -> Sequence[Tuple[str, np.ndarray]]:
+        """The whole batch as (edge id, offsets) pairs, one per run of
+        consecutive rows on one edge."""
+        if self._runs is None:
+            cut = np.flatnonzero(np.diff(self._edges)) + 1
+            ids = self.graph._edge_order[0]
+            self._runs = [(ids[e], s) for e, s in zip(self._edges[np.r_[0, cut]].tolist(),
+                                                      np.split(self._offsets, cut))
+                          ] if len(self._edges) else []
+        return self._runs
 
     def column(self, key: Hashable,
                compute: Callable[[Sequence[Tuple[str, np.ndarray]]], np.ndarray]) -> np.ndarray:
@@ -100,16 +162,13 @@ class KnotBatch:
         return col if self.rows is None else col[self.rows]
 
     def points(self) -> List[GraphPoint]:
-        """Every knot of the whole batch as a graph point, in order."""
-        return [self.graph.point(eid, t) for eid, s in self.runs for t in s.tolist()]
+        """Every row of the whole batch as a graph point, in order."""
+        ids, point = self.graph._edge_order[0], self.graph.point
+        return [point(ids[e], s) for e, s in zip(self._edges.tolist(), self._offsets.tolist())]
 
     def point(self, i: int) -> GraphPoint:
-        """Knot ``i`` of the whole batch as a graph point."""
-        for eid, s in self.runs:
-            if i < len(s):
-                return self.graph.point(eid, float(s[i]))
-            i -= len(s)
-        raise IndexError("knot %d is past the batch" % i)
+        """Row ``i`` of the whole batch as a graph point."""
+        return self.graph.point(self.graph._edge_order[0][self._edges[i]], float(self._offsets[i]))
 
 
 @dataclass(frozen=True)
@@ -146,6 +205,10 @@ class Constant:
     def integral(self, s0: float, s1: float) -> float:
         return self.value * (s1 - s0)
 
+    # one expression on floats or arrays, the value included (see _Rates)
+    integral_array = integral
+    PARAMS = ("value",)
+
     def inverse_integral(self, target: float) -> float:
         """Smallest t >= 0 with ∫_0^t f = target (may exceed the edge)."""
         return target / self.value
@@ -155,8 +218,9 @@ class Constant:
 
 
 def _finite(x) -> bool:
-    """Whether ``x`` is a finite real number, not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    """Whether ``x`` is a finite real number, Python's or a numpy int, not a bool."""
+    return (isinstance(x, (int, float, np.integer)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _reals(xs, what: str) -> Tuple[float, ...]:
@@ -303,6 +367,31 @@ class MetricGraph:
     # basic accessors
     # ------------------------------------------------------------------
 
+    @functools.cached_property
+    def _edge_order(self) -> Tuple[List[str], Dict[str, int], np.ndarray]:
+        """The edges in graph order, as batches index them: their ids, each
+        id's index, and their lengths as an array."""
+        ids = list(self.edges)
+        return (ids, {eid: i for i, eid in enumerate(ids)},
+                np.array([rec.length for rec in self.edges.values()]))
+
+    @functools.cached_property
+    def _incidence(self) -> Tuple[np.ndarray, ...]:
+        """Vertices and germs as arrays over the graph order, for batches:
+        each edge's src and dst as vertex indices, each vertex's boundary
+        flag, and its departures in ``adjacency`` order, as the start of
+        each vertex's run and the edge index and end (0 src, 1 dst) of each."""
+        vindex = {vid: i for i, vid in enumerate(self.vertices)}
+        eindex = self._edge_order[1]
+        recs = self.edges.values()
+        return (np.array([vindex[rec.src] for rec in recs], dtype=np.intp),
+                np.array([vindex[rec.dst] for rec in recs], dtype=np.intp),
+                np.array([rec.boundary for rec in self.vertices.values()], dtype=bool),
+                np.cumsum([0] + [len(self._adj[vid]) for vid in self.vertices]),
+                np.array([eindex[eid] for vid in self.vertices for eid, _ in self._adj[vid]],
+                         dtype=np.intp),
+                np.array([end for vid in self.vertices for _, end in self._adj[vid]], dtype=np.intp))
+
     @property
     def boundary_ids(self) -> List[str]:
         return [vid for vid, rec in self.vertices.items() if rec.boundary]
@@ -439,6 +528,39 @@ class MetricGraph:
         return self.point_cost(x, y, self.unit_profiles)
 
 
+class _Rates:
+    """A profile table (edge id -> profile) read at a batch's rows: the
+    integral between two offsets on each row's edge, bit for bit as the
+    row's profile's ``integral`` gives it.  A profile class whose
+    ``integral_array`` broadcasts over its parameters names them in
+    ``PARAMS``, and its rows make one array expression, on an instance that
+    holds each row's parameters gathered by edge index.  Any other profile,
+    such as ``Samples``, runs its ``integral_array`` once per edge with rows."""
+
+    def __init__(self, graph: MetricGraph, profiles: Dict[str, "Profile"]):
+        self._profiles = [profiles[eid] for eid in graph._edge_order[0]]
+        classes = list(dict.fromkeys(map(type, self._profiles)))
+        self._kind = np.array([classes.index(type(p)) for p in self._profiles], dtype=np.intp)
+        self._classes = [(cls, [np.array([getattr(p, name) if type(p) is cls else 0.0
+                                          for p in self._profiles]) for name in cls.PARAMS]
+                          if hasattr(cls, "PARAMS") else None) for cls in classes]
+
+    def integral(self, edges: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+        out = np.empty(len(edges))
+        kind = self._kind[edges]
+        for k, (cls, params) in enumerate(self._classes):
+            rows = np.flatnonzero(kind == k)
+            e = edges[rows]
+            if params is not None:
+                out[rows] = cls(*(p[e] for p in params)).integral_array(s0[rows], s1[rows])
+                continue
+            order = np.argsort(e, kind="stable")
+            for part in np.split(rows[order], np.flatnonzero(np.diff(e[order])) + 1):
+                if len(part):
+                    out[part] = self._profiles[edges[part[0]]].integral_array(s0[part], s1[part])
+        return out
+
+
 class SeedMap:
     """u(p) = min over seeds q of (seed value + c(q, p)), with c the least
     cost of a path from q to p when each edge runs at the rate of its
@@ -513,7 +635,42 @@ class SeedMap:
                 best = v
         return best
 
-    def evaluate(self, p: GraphPoint) -> float:
+    @functools.cached_property
+    def _along_edges(self) -> Tuple[np.ndarray, np.ndarray, _Rates]:
+        """u at each edge's src and at its dst, in graph order, and the
+        profile table read at batch rows."""
+        vv, recs = self.vertex_values, self.graph.edges.values()
+        return (np.array([vv[rec.src] for rec in recs]), np.array([vv[rec.dst] for rec in recs]),
+                _Rates(self.graph, self.profiles))
+
+    def _values(self, X: KnotBatch) -> np.ndarray:
+        """``_value`` at every row of ``X``, bit for bit: the same branches as
+        arrays, folded in the same order, and a row at an end of its edge
+        that vertex's own value."""
+        e, s = X.edges, X.offsets
+        index, lengths = self.graph._edge_order[1:]
+        at_src, at_dst, rates = self._along_edges
+        at_src, at_dst, length = at_src[e], at_dst[e], lengths[e]
+        # both end branches' integrals in one pass: F(0, s), then F(s, L)
+        cost = rates.integral(np.concatenate((e, e)), np.concatenate((np.zeros(len(s)), s)),
+                              np.concatenate((s, length)))
+        best, v = at_src + cost[:len(s)], at_dst + cost[len(s):]
+        best = np.where(v < best, v, best)
+        for eid, seeds in self._interior_seeds.items():
+            rows = np.flatnonzero(e == index[eid])
+            t = s[rows]
+            integral = self.profiles[eid].integral_array
+            for s0, val in seeds:
+                v = val + integral(np.minimum(t, s0), np.maximum(t, s0))
+                best[rows] = np.where(v < best[rows], v, best[rows])
+        return np.where(s == 0.0, at_src, np.where(s == length, at_dst, best))
+
+    def evaluate(self, p: Union[GraphPoint, KnotBatch]) -> Union[float, np.ndarray]:
+        """u at a point; at a ``KnotBatch``, u at each of its rows as an
+        array, computed in one array pass and equal to the point's value
+        bit for bit."""
+        if isinstance(p, KnotBatch):
+            return self._values(p)
         self.graph.validate_point(p)
         return self._value(p)
 
@@ -554,6 +711,14 @@ def _default_samples(graph: MetricGraph, n_per_edge: int = 3) -> List[GraphPoint
         for k in range(1, n_per_edge + 1):
             pts.append(EdgeInterior(eid, rec.length * k / (n_per_edge + 1)))
     return pts
+
+
+def _values_at(u, X: KnotBatch) -> np.ndarray:
+    """u at every row of ``X``: one batched ``evaluate`` for a ``SeedMap``,
+    ``u.evaluate`` point by point for any other candidate."""
+    if isinstance(u, SeedMap):
+        return u.evaluate(X)
+    return np.array([u.evaluate(p) for p in X.points()], dtype=float)
 
 
 def _as_evaluator(u: Union[float, Callable[[GraphPoint], float]]) -> Callable[[GraphPoint], float]:

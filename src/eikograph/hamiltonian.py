@@ -72,6 +72,7 @@ class Hamiltonian:
     def __post_init__(self):
         if not (_finite(self.pmax) and self.pmax > 0):
             raise InputError("pmax must be finite and > 0 (got %r)" % (self.pmax,))
+        object.__setattr__(self, "pmax", float(self.pmax))
 
     def __call__(self, x: Union[GraphPoint, KnotBatch], r: Union[float, np.ndarray],
                  p: Union[float, np.ndarray]) -> Union[float, np.ndarray]:

@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 from .cost import Constant, CostField, Linear, Profile, Samples
 from .errors import GraphFormatError, InputError, ProfileError, RecordError
-from .graph import EdgeInterior, GraphPoint, MetricGraph, Vertex, _count, _finite
+from .graph import EdgeInterior, GraphPoint, KnotBatch, MetricGraph, Vertex, _count, _finite
 from .optical import OpticalMap, StoredSolution
 from .solver import BoundaryData, ValueFunction
 
@@ -347,11 +347,10 @@ def load_value_function(text: str, field: CostField, data: BoundaryData,
 
 
 def edge_csv(u: OpticalMap, eid: str, n: int = 101) -> str:
-    """(offset, u) samples along one edge, for plotting; ``n`` is an int >= 2."""
+    """(offset, u) samples along one edge, for plotting, u evaluated at all
+    of them as one batch; ``n`` is an int >= 2."""
     n = _count(n, 2, "sample count n")
     rec = u.graph.edge(eid)
-    lines = ["s,u"]
-    for k in range(n):
-        s = rec.length * k / (n - 1)
-        lines.append("%.12g,%.12g" % (s, u.evaluate(u.graph.point(eid, s))))
-    return "\n".join(lines) + "\n"
+    offsets = [rec.length * k / (n - 1) for k in range(n)]
+    values = u.evaluate(KnotBatch.of(u.graph, [u.graph.point(eid, s) for s in offsets]))
+    return "".join(["s,u\n"] + ["%.12g,%.12g\n" % sv for sv in zip(offsets, values.tolist())])

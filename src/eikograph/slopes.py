@@ -318,6 +318,7 @@ def semiconcave_slope_check(xs: Sequence[float], ys: Sequence[float],
     xs, ys = _reals(xs, "sample abscissa"), _reals(ys, "sample value")
     if not _finite(K):
         raise InputError("K must be a finite number (got %r)" % (K,))
+    K = float(K)
     if len(xs) != len(ys) or len(xs) < 3:
         raise InputError("need matching xs/ys with at least 3 samples")
     if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):

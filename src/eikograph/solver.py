@@ -17,10 +17,12 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .cost import CostField
 from .errors import InputError, PreconditionError, RecordError
-from .graph import (Constant, Curve, GraphPoint, MetricGraph, SeedMap, Vertex,
-                    _count, _default_samples, _finite, _tolerance, random_curve)
+from .graph import (Constant, Curve, GraphPoint, KnotBatch, MetricGraph, SeedMap, Vertex,
+                    _count, _default_samples, _finite, _tolerance, _values_at, random_curve)
 from .optical import OpticalMap, optical_length
 
 
@@ -142,39 +144,74 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
     along one edge, so it can stop on a boundary vertex but never pass one,
     and every other point is checked at any radius.  ``tau`` must be a
     finite real number > 0, and ``tol`` must be a finite number >= 0.
+
+    The points make one ``KnotBatch`` and every walk from them another, so
+    the check is a few array passes: one ``evaluate`` at the points, one
+    ``edge_cost`` and one ``evaluate`` at the walks' ends.  Each residual
+    equals the one a point-by-point loop makes, bit for bit.  Every point is
+    validated before any walk is taken, and a walk that rounds past its
+    edge's end is refused as ``MetricGraph.point`` refuses it, the first in
+    point and germ order.  A ``u`` that is not a ``SeedMap`` is evaluated
+    point by point.
     """
     graph = u.graph
     field = u.field
-    if tau is not None and not (_finite(tau) and tau > 0.0):
-        raise InputError("walk radius tau must be a positive finite number (got %r)" % (tau,))
+    if tau is not None:
+        if not (_finite(tau) and tau > 0.0):
+            raise InputError("walk radius tau must be a positive finite number (got %r)" % (tau,))
+        tau = float(tau)
     tol = field.default_tol() if tol is None else _tolerance(tol)
-    if points is None:
-        points = _default_samples(graph)
-    samples: List[DPPSample] = []
-    max_defect = 0.0
-    ok = True
-    for p in points:
-        graph.validate_point(p)
-        if graph.is_boundary(p):
-            samples.append(DPPSample(p, 0.0, 0.0, skipped=True, reason="boundary point"))
-            continue
-        tau_x = tau if tau is not None else graph.half_min_incident(p)
-        ux = u.evaluate(p)
-        best = math.inf
-        for germ in graph.germs(p):
-            t = min(tau_x, graph.germ_available(germ))
-            if t <= 0.0:
-                continue
-            y = graph.germ_point(germ, t)
-            run = field.edge_cost(germ.edge, germ.base, germ.base + germ.sign * t)
-            best = min(best, run + u.evaluate(y))
-        residual = best - ux
-        defect = abs(residual)
-        samples.append(DPPSample(p, tau_x, residual))
-        max_defect = max(max_defect, defect)
-        if defect > tol:
-            ok = False
-    return DPPReport(ok=ok, tol=tol, max_defect=max_defect, samples=samples)
+    points = _default_samples(graph) if points is None else list(points)
+    X = KnotBatch.of(graph, points)
+    e, s = X.edges, X.offsets
+    lengths = graph._edge_order[2]
+    src, dst, boundary, start, adj_edge, adj_end = graph._incidence
+    length = lengths[e]
+    vertex = np.where(s == 0.0, src[e], np.where(s == length, dst[e], -1))
+    skipped = (vertex >= 0) & boundary[vertex]
+    check = np.flatnonzero(~skipped)
+    e, s, length, vertex = e[check], s[check], length[check], vertex[check]
+    at_vertex = vertex >= 0
+    if tau is None:
+        half_min = 0.5 * np.minimum.reduceat(lengths[adj_edge], start[:-1])
+        tau_x = np.where(at_vertex, half_min[vertex], 0.5 * length)
+    else:
+        tau_x = np.full(len(check), tau)
+    # germs, point-major in ``germs`` order: a vertex's departures, or an
+    # interior point's two directions (+1 first)
+    n_germs = np.where(at_vertex, start[vertex + 1] - start[vertex], 2)
+    owner = np.repeat(np.arange(len(check)), n_germs)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(n_germs) - n_germs, n_germs)
+    from_vertex = at_vertex[owner]
+    slot = np.where(from_vertex, start[vertex[owner]] + rank, 0)
+    g_edge = np.where(from_vertex, adj_edge[slot], e[owner])
+    g_length = lengths[g_edge]
+    forward = np.where(from_vertex, adj_end[slot] == 0, rank == 0)
+    base = np.where(from_vertex, np.where(forward, 0.0, g_length), s[owner])
+    sign = np.where(forward, 1.0, -1.0)
+    available = np.where(forward, g_length - base, base)
+    walk = tau_x[owner]
+    walk = np.where(available < walk, available, walk)
+    kept = np.flatnonzero(walk > 0.0)
+    base, end = base[kept], base[kept] + sign[kept] * walk[kept]
+    off = (end < 0.0) | (end > g_length[kept])
+    if off.any():
+        i = int(off.argmax())
+        raise InputError("offset %r outside [0, %r] on edge %r"
+                         % (end[i].item(), g_length[kept][i].item(),
+                            graph._edge_order[0][g_edge[kept][i]]))
+    Y = KnotBatch._of_rows(graph, g_edge[kept], end)
+    offer = np.full(len(owner), math.inf)
+    # a NaN offer is passed over, as min() passes over it
+    offer[kept] = np.fmin(field.edge_cost(Y, base, end) + _values_at(u, Y), math.inf)
+    best = np.minimum.reduceat(offer, np.cumsum(n_germs) - n_germs) if len(owner) else offer
+    residuals = (best - _values_at(u, KnotBatch._of_rows(graph, e, s))).tolist()
+    checked = zip(tau_x.tolist(), residuals)
+    samples = [DPPSample(p, 0.0, 0.0, skipped=True, reason="boundary point") if skip
+               else DPPSample(p, *next(checked)) for p, skip in zip(points, skipped.tolist())]
+    defects = [abs(r) for r in residuals]
+    return DPPReport(ok=not any(d > tol for d in defects), tol=tol,
+                     max_defect=max([0.0] + defects), samples=samples)
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +238,15 @@ def verify_suboptimality(u: OpticalMap, curves: Optional[Iterable[Curve]] = None
     time pairs t0 <= t1.  The value function satisfies this along *every*
     curve (it is 1-Lipschitz for the optical metric), so random wandering
     curves are a fair test set.  ``n_random`` must be an int >= 1, ``rng``
-    a ``random.Random`` or None, and ``tol`` a finite number >= 0."""
+    a ``random.Random`` or None, and ``tol`` a finite number >= 0.
+
+    Drawing each curve's times and locating them stays a loop over the
+    curves, for it consumes ``rng``.  Then every curve's segments and times
+    make one ``KnotBatch``: one ``edge_cost`` gives every segment's cost and
+    every partial cost to a time, one ``evaluate`` u at every time, and the
+    pairs of all curves are one array expression, each pair's defect
+    ``(u_j - u_i) - (F_j - F_i)`` bit for bit.  A ``u`` that is not a
+    ``SeedMap`` is evaluated point by point."""
     field = u.field
     graph = u.graph
     n_random = _count(n_random, 1, "curve count n_random")
@@ -217,29 +262,48 @@ def verify_suboptimality(u: OpticalMap, curves: Optional[Iterable[Curve]] = None
             except InputError:
                 break
     curves = list(curves)
-    max_defect = 0.0
-    n_pairs = 0
     local_rng = rng or random.Random(1)
+    index = graph._edge_order[1]
+    # rows: every curve's segments (edge, start, end), then every curve's
+    # times (edge, its segment's start, its offset) with its segment's number
+    segments: List[Tuple[int, float, float]] = []
+    times: List[Tuple[int, float, float]] = []
+    segment_of: List[int] = []
+    n_times: List[int] = []
     for curve in curves:
+        first = len(segments)
+        segments += [(index[eid], s0, s1) for eid, s0, s1 in curve.segments]
         ts = sorted(set(curve.times()) | {curve.length * local_rng.random()
                                           for _ in range(TIMES_PER_CURVE)})
-        # Cumulative running cost at the curve's breakpoints, computed once;
-        # each query time then needs a single partial-edge integral, and the
-        # pair loop below is plain arithmetic on cached arrays.
-        csum = [0.0]
-        for eid, s0, s1 in curve.segments:
-            csum.append(csum[-1] + field.edge_cost(eid, s0, s1))
-        fvals = []
-        uvals = []
         for t in ts:
             k, s = curve.locate(t)
             eid, s0, _s1 = curve.segments[k]
-            fvals.append(csum[k] + field.edge_cost(eid, s0, s))
-            uvals.append(u.evaluate(graph.point(eid, s)))
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                max_defect = max(max_defect, (uvals[j] - uvals[i]) - (fvals[j] - fvals[i]))
-                n_pairs += 1
+            times.append((index[eid], s0, s))
+            segment_of.append(first + k)
+        n_times.append(len(ts))
+    rows = segments + times
+    edges = np.array([r[0] for r in rows], dtype=np.intp)
+    starts = np.array([r[1] for r in rows], dtype=float)
+    ends = np.array([r[2] for r in rows], dtype=float)
+    costs = field.edge_cost(KnotBatch._of_rows(graph, edges, ends), starts, ends)
+    # each segment's running cost before it along its curve, summed in order
+    seg_costs = iter(costs[:len(segments)].tolist())
+    before: List[float] = []
+    for curve in curves:
+        total = 0.0
+        for _ in curve.segments:
+            before.append(total)
+            total = total + next(seg_costs)
+    fvals = np.array(before)[segment_of] + costs[len(segments):]
+    uvals = _values_at(u, KnotBatch._of_rows(graph, edges[len(segments):], ends[len(segments):]))
+    # every pair i < j of one curve's times, curve by curve and i-major
+    sizes = np.array(n_times, dtype=np.intp)
+    later = np.repeat(np.cumsum(sizes), sizes) - 1 - np.arange(len(fvals))
+    i = np.repeat(np.arange(len(fvals)), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    defects = ((uvals[j] - uvals[i]) - (fvals[j] - fvals[i])).tolist()
+    max_defect = max([0.0] + defects)
+    n_pairs = len(defects)
     return SuboptimalityReport(ok=(max_defect <= tol), tol=tol, max_defect=max_defect,
                                n_curves=len(curves), n_pairs=n_pairs)
 
@@ -293,7 +357,9 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     and that minimum is one map seeded with g at cost C per unit length.  The
     two-sided bound reads two such maps at cost K = 2 sup f + 2 Lip g, seeded
     with g and with -g.  Every pair is covered (``n_checked`` counts them) by
-    one evaluation per point and map.
+    one evaluation per point and map: the points make one ``KnotBatch``, and
+    u and each cone map are one array pass over it (u point by point when it
+    is not a ``SeedMap``), each defect equal to a point-by-point loop's.
 
     u must carry its boundary data (a ``ValueFunction`` does, a
     ``StoredSolution`` when given ``data``); without it this raises
@@ -322,17 +388,17 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     if points is None:
         points = _default_samples(graph)
         points += [Vertex(vid) for vid in graph.boundary_ids]
-    uvals = [(p, u.evaluate(p)) for p in points]
+    X = KnotBatch.of(graph, points)
+    ux = _values_at(u, X)
     upper = _cone(graph, data.values, upper_c)
-    max_upper = max((ux - upper.evaluate(p) for p, ux in uvals), default=-math.inf)
+    max_upper = max((ux - upper.evaluate(X)).tolist(), default=-math.inf)
     max_abs = math.nan
     if comp:
-        above = _cone(graph, data.values, modulus_c)
-        below = _cone(graph, {vid: -g for vid, g in data.items()}, modulus_c)
-        max_abs = max((max(ux - above.evaluate(p), -below.evaluate(p) - ux)
-                       for p, ux in uvals), default=-math.inf)
+        above = ux - _cone(graph, data.values, modulus_c).evaluate(X)
+        below = -_cone(graph, {vid: -g for vid, g in data.items()}, modulus_c).evaluate(X) - ux
+        max_abs = max(np.where(below > above, below, above).tolist(), default=-math.inf)
     ok = max_upper <= tol and (not comp or max_abs <= tol)
     return BoundaryModulusReport(ok=ok, upper_constant=upper_c, modulus_constant=modulus_c,
                                  compatible=comp, max_upper_defect=max_upper,
                                  max_abs_defect=max_abs,
-                                 n_checked=len(uvals) * len(graph.boundary_ids))
+                                 n_checked=len(X) * len(graph.boundary_ids))

@@ -13,11 +13,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from eikograph import (BoundaryData, CostField, FiniteMetricSpace, Hamiltonian, InputError,
-                       MetricGraph, RecordError, StoredSolution, catalog, dump_value_function,
-                       edge_csv, ekeland_maximize, ekeland_point, load_graph, load_value_function,
-                       random_curve, reduce_to_eikonal, semiconcave_slope_check, solve,
-                       solve_general, uniform_grid, verify_suboptimality, weak_solution_zoo)
+from eikograph import (BoundaryData, Constant, CostField, FiniteMetricSpace, Hamiltonian,
+                       InputError, Linear, MetricGraph, RecordError, Samples, StoredSolution,
+                       catalog, dump_json, dump_value_function, edge_csv, ekeland_maximize,
+                       ekeland_point, load_graph, load_value_function, random_curve,
+                       reduce_to_eikonal, semiconcave_slope_check, solve, solve_general,
+                       uniform_grid, verify_dpp, verify_suboptimality, viscous_solution,
+                       weak_solution_zoo)
 from eikograph.cli import entry
 
 UNIT = Hamiltonian(lambda x, r, p: p - 1.0, name="unit")
@@ -59,6 +61,9 @@ REFUSALS = [
      "start index x0 must be an int >= 0 (got 0.0)"),
     ("maximize-start-negative", lambda c: ekeland_maximize(c.space, [0.0, 1.0], 0.5, 1.0, -1),
      "start index x0 must be an int >= 0 (got -1)"),
+    # fewer values than points, with a start past them
+    ("maximize-values-short", lambda c: ekeland_maximize(c.space, [0.0], 0.5, 1.0, 1),
+     "need one value per point (2 points, 1 values)"),
     # numbers, by graph._reals and _finite
     ("space-strings", lambda c: FiniteMetricSpace([["0", "1"], ["1", "0"]]),
      "distance '0' is not a number"),
@@ -114,6 +119,39 @@ def test_counts_accept_numpy_ints(ctx):
     assert ekeland_point(ctx.space, [0.0, 1.0], 0.5, np.int64(1)) == 0
     assert (reduce_to_eikonal(UNIT, 0.0, ctx.graph, n_knots=three).profiles
             == reduce_to_eikonal(UNIT, 0.0, ctx.graph, n_knots=3).profiles)
+
+
+def test_numbers_accept_numpy_ints_where_they_accept_ints(ctx):
+    """A real number is ``_finite`` by type, Python's ints and numpy's alike:
+    each reader of one takes ``np.int64(k)`` as it takes ``k``, and one that
+    keeps the number keeps it as a float."""
+    i = np.int64
+    assert (FiniteMetricSpace(np.array([[0, 1], [1, 0]])).d(0, 1)
+            == FiniteMetricSpace([[0, 1], [1, 0]]).d(0, 1) == 1.0)
+    assert ekeland_point(ctx.space, np.array([1, 0]), i(1), 0) == ekeland_point(
+        ctx.space, [1, 0], 1, 0)
+    assert ekeland_maximize(ctx.space, [0.0, 1.0], i(1), i(2), 1) == ekeland_maximize(
+        ctx.space, [0.0, 1.0], 1, 2, 1)
+    graph = MetricGraph([("a", True), ("b",)], [("e", "a", "b", i(2))])
+    assert graph.edges["e"].length == 2.0
+    for got, want in ((Constant(i(2)), Constant(2)), (Linear(i(1), i(0)), Linear(1, 0)),
+                      (Samples([0, i(2)], [i(1), 3]), Samples([0, 2], [1, 3]))):
+        assert CostField(graph, {"e": got}).profiles == CostField(graph, {"e": want}).profiles
+    field = CostField.constant(graph, 1.0)
+    data = BoundaryData(graph, {"a": i(0)})
+    assert data["a"] == 0.0
+    stored = StoredSolution(field, {"a": i(0), "b": i(2)}, data=data)
+    assert stored.vertex_values == {"a": 0.0, "b": 2.0}
+    u = solve(field, data)
+    # kept numbers are floats: the reports write 1.0 where they wrote 1
+    assert (dump_json(verify_dpp(u, tau=i(1), tol=i(0))) == dump_json(verify_dpp(u, tau=1, tol=0))
+            == dump_json(verify_dpp(u, tau=1.0, tol=0.0)))
+    assert type(verify_dpp(u, tau=i(1)).samples[0].tau) is float
+    reports = [semiconcave_slope_check([0, 1, 2], [0, 1, 0], k) for k in (i(1), 1, 1.0)]
+    assert type(reports[0].K) is float and len({dump_json(r) for r in reports}) == 1
+    assert [Hamiltonian(UNIT.fn, pmax=p).pmax for p in (i(10), 10)] == [10.0, 10.0]
+    assert type(Hamiltonian(UNIT.fn, pmax=i(10)).pmax) is float
+    assert list(viscous_solution(i(1), ctx.grid).ys) == list(viscous_solution(1, ctx.grid).ys)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from eikograph import (BoundaryData, Constant, CostField, Curve, EdgeInterior, I
                        graph_to_dict, optical_length, random_curve, solve, verify_dpp,
                        verify_monge, verify_suboptimality)
 from eikograph.cli import entry
-from eikograph.graph import _default_samples
+from eikograph.graph import SeedMap, _default_samples
 from eikograph.solver import BoundaryModulusReport, _lipschitz_of_g
 from conftest import (build_instance, exact_vertex_values, interval_point, make_interval,
                       random_graph_spec)
@@ -665,13 +665,26 @@ def test_modulus_report_matches_the_point_major_loop_on_doctored_tables():
     assert n_failed[20.0] >= 40 and n_failed[-20.0] >= 25
 
 
-def _north_star_runs(monkeypatch, verifier, scale):
+def _count_scalar_values(monkeypatch):
+    calls = []
+    value = SeedMap._value
+
+    def counting(self, p):
+        calls.append(p)
+        return value(self, p)
+
+    monkeypatch.setattr(SeedMap, "_value", counting)
+    return calls
+
+
+def _north_star_runs(monkeypatch, verifier, scale, count=_count_dijkstras):
     """Dijkstra runs of one verifier on a fresh instance (solve excluded),
-    with ``scale`` times the base point or curve set."""
+    with ``scale`` times the base point or curve set; or what else ``count``
+    records."""
     spec = random_graph_spec(random.Random(5), max_vertices=12, max_extra_edges=10)
     graph, field, data = build_instance(spec)
     u = solve(field, data)
-    runs = _count_dijkstras(monkeypatch)
+    runs = count(monkeypatch)
     if verifier == "subopt":
         rng = random.Random(9)
         curves = [random_curve(graph, rng, steps=4) for _ in range(4 * scale)]
@@ -693,6 +706,17 @@ def test_no_verifier_runs_one_dijkstra_per_sample(monkeypatch, verifier):
     times the points (curves for subopt) cost the same runs."""
     small = _north_star_runs(monkeypatch, verifier, 1)
     large = _north_star_runs(monkeypatch, verifier, 3)
+    assert small == large
+
+
+@pytest.mark.parametrize("verifier", ["dpp", "subopt", "modulus"])
+def test_no_verifier_evaluates_point_by_point(monkeypatch, verifier):
+    """On a ``SeedMap`` a verifier's scalar evaluations do not grow with its
+    sample set: its points (curves for subopt) are one batch through
+    ``evaluate``, and three times as many cost the same scalar calls."""
+    small = _north_star_runs(monkeypatch, verifier, 1, _count_scalar_values)
+    monkeypatch.undo()
+    large = _north_star_runs(monkeypatch, verifier, 3, _count_scalar_values)
     assert small == large
 
 
