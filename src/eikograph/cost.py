@@ -15,15 +15,19 @@ A class whose ``integral_array`` is one expression in its parameters names
 them in ``PARAMS``, so that a batch gathers them by edge.  Only
 ``bounds(length)`` and ``check(length, fmin)`` take the edge's length; ``check``
 returns the profile a ``CostField`` keeps, its params floats, and changes none.
+
+A field checks its sampled profiles together: those with K knots make one
+(n, K) float64 table of knots and values, on which each of ``check``'s rules
+is one array predicate, and F at every knot is built for the whole table at
+once; each profile keeps views of its rows.
 """
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,40 +90,115 @@ class Linear:
         return min(v0, v1), max(v0, v1)
 
 
+def _tabulate(profiles: Sequence["Samples"], knots: np.ndarray, values: np.ndarray) -> None:
+    """Give each profile its row of a table: ``knots`` and ``values`` are
+    (n, K) float64 arrays, one row per profile, and F at every knot is
+    built for all rows at once, each also kept as a tuple.  Accumulate adds
+    in order, so each F equals the loop ``F[i+1] = F[i] + 0.5 (v[i] +
+    v[i+1]) (k[i+1] - k[i])`` bit for bit, and overflows to inf as it does."""
+    pre = np.zeros_like(knots)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(0.5 * (values[:, :-1] + values[:, 1:]) * np.diff(knots), axis=1, out=pre[:, 1:])
+    for prof, k, v, F, t in zip(profiles, knots, values, pre, pre.tolist()):
+        object.__setattr__(prof, "_pre", tuple(t))
+        object.__setattr__(prof, "_rows", (k, v, F))
+
+
+_INCREASING = "sampled profile knots must be strictly increasing"
+
+
+#: ``Samples.check``'s rules, in the order it applies them: for (n, K) float64
+#: tables of knots and values on edges of the given lengths, which rows break
+#: the rule; and the words that refuse one such row, given its knots and
+#: values as tuples of floats and its edge's length.  NaN fails every
+#: comparison, so a NaN knot breaks the increasing rule and a NaN value the
+#: finite one; a value of -inf is named by the floor rule.
+_SAMPLE_RULES = (
+    (lambda k, v, length, fmin: k[:, 0] != 0.0,
+     lambda k, v, length, fmin: "sampled profile must start at offset 0 (got %r)" % (k[0],)),
+    (lambda k, v, length, fmin: ~(k[:, 1:] > k[:, :-1]).all(axis=1),
+     lambda k, v, length, fmin: _INCREASING),
+    (lambda k, v, length, fmin: np.abs(k[:, -1] - length) > 1e-12 * np.maximum(1.0, length),
+     lambda k, v, length, fmin: "sampled profile ends at %r but the edge has length %r"
+     % (k[-1], length)),
+    # snapping the last knot to the length must keep the knots increasing
+    (lambda k, v, length, fmin: ~(k[:, -2] < length), lambda k, v, length, fmin: _INCREASING),
+    (lambda k, v, length, fmin: ~(v < math.inf).all(axis=1),
+     lambda k, v, length, fmin: "sampled profile values %r are not finite"
+     % ([x for x in v if not x < math.inf],)),
+    (lambda k, v, length, fmin: ~(v.min(axis=1) >= fmin),
+     lambda k, v, length, fmin: "sampled profile values %r below floor %r"
+     % ([x for x in v if x < fmin], fmin)),
+)
+
+
 @dataclass(frozen=True)
 class Samples:
     """f given by values at increasing knots along the edge, linearly
     interpolated between them.  Knots must start at 0 and end at the edge
     length (the last knot may be off by float dust; ``check`` snaps it).
 
-    The cumulative table ``F(knot)`` is built once, on first use, and kept on
-    the instance, so a profile costs O(K) once and O(log K) per integral."""
+    A profile has two faces of its knots, values and cumulative table
+    ``F(knot)``: tuples, which the scalar ``at``, ``integral`` and
+    ``inverse_integral`` bisect, and float64 rows, which ``at_array`` and
+    ``integral_array`` read.  ``check`` builds them: a ``CostField`` checks
+    its sampled profiles together (``_check_many``), one (n, K) table for
+    each knot count, and each profile it keeps holds views of its rows; a
+    profile checked alone is a table of one row.  An unchecked profile builds
+    its row on first use.  Either way a profile costs O(K) once and
+    O(log K) per integral."""
 
     knots: Sequence[float]
     values: Sequence[float]
     _pre: Optional[Tuple[float, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _rows: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def check(self, length: float, fmin: float) -> "Samples":
-        k, v = _reals(self.knots, "sampled profile knot"), _reals(self.values, "sampled profile value")
-        if len(k) < 2 or len(k) != len(v):
-            raise InputError("sampled profile needs >= 2 matching knots and values")
-        if k[0] != 0.0:
-            raise InputError("sampled profile must start at offset 0 (got %r)" % (k[0],))
-        increasing = "sampled profile knots must be strictly increasing"
-        if not all(map(operator.lt, k, k[1:])):
-            raise InputError(increasing)
-        if abs(k[-1] - length) > 1e-12 * max(1.0, length):
-            raise InputError("sampled profile ends at %r but the edge has length %r" % (k[-1], length))
-        # snapping the last knot to the length must keep the knots increasing
-        if not k[-2] < length:
-            raise InputError(increasing)
-        if not all(map(math.isfinite, v)) or min(v) < fmin:
-            unbounded = [x for x in v if not x < math.inf]
-            if unbounded:
-                raise InputError("sampled profile values %r are not finite" % (unbounded,))
-            raise InputError("sampled profile values %r below floor %r"
-                             % ([x for x in v if x < fmin], fmin))
-        return Samples(k[:-1] + (length,), v)
+        (checked,) = Samples._check_many([self], [length], fmin)
+        if isinstance(checked, InputError):
+            raise checked
+        return checked
+
+    @staticmethod
+    def _check_many(profiles: Sequence["Samples"], lengths: Sequence[float],
+                    fmin: float) -> List[Union["Samples", InputError]]:
+        """``check`` on each profile, on the edge of the matching length:
+        the checked profile, holding its rows of a table, or the error that
+        refuses it.  The profiles with K knots make one (n, K) table, and
+        each of ``_SAMPLE_RULES`` is one array predicate on it; a row is
+        refused in the words of the first rule it breaks."""
+        out: List[Union[Samples, InputError]] = [None] * len(profiles)
+        groups: Dict[int, list] = {}
+        for i, (prof, length) in enumerate(zip(profiles, lengths)):
+            try:
+                k = _reals(prof.knots, "sampled profile knot")
+                v = _reals(prof.values, "sampled profile value")
+                if len(k) < 2 or len(k) != len(v):
+                    raise InputError("sampled profile needs >= 2 matching knots and values")
+            except InputError as exc:
+                out[i] = exc
+                continue
+            groups.setdefault(len(k), []).append((i, k, v, length))
+        for rows in groups.values():
+            index, ks, vs, ls = zip(*rows)
+            knots, values, length = np.array(ks, dtype=float), np.array(vs, dtype=float), np.array(ls)
+            with np.errstate(invalid="ignore", over="ignore"):
+                broken = [rule(knots, values, length, fmin) for rule, _ in _SAMPLE_RULES]
+            ok = ~np.logical_or.reduce(broken)
+            for j in np.flatnonzero(~ok).tolist():
+                words = next(words for (_, words), row in zip(_SAMPLE_RULES, broken) if row[j])
+                out[index[j]] = InputError(words(ks[j], vs[j], ls[j], fmin))
+            if not ok.all():
+                keep = ok.tolist()
+                index, ks, vs, ls = ([x for x, kept in zip(xs, keep) if kept] for xs in (index, ks, vs, ls))
+                knots, values, length = knots[ok], values[ok], length[ok]
+            knots[:, -1] = length
+            checked = [Samples(k[:-1] + (L,), v) for k, v, L in zip(ks, vs, ls)]
+            _tabulate(checked, knots, values)
+            for i, prof in zip(index, checked):
+                out[i] = prof
+        return out
 
     def _segment(self, s: float) -> int:
         """The knot segment [k[i], k[i+1]] holding s, i clamped to [0, K-2]."""
@@ -136,22 +215,19 @@ class Samples:
 
     def at_array(self, s: np.ndarray) -> np.ndarray:
         """``at`` at every offset of ``s``, bit for bit."""
-        k, v = np.array(self.knots), np.array(self.values)
+        if self._rows is None:
+            self._prefix()
+        k, v, _ = self._rows
         s = np.minimum(np.maximum(s, k[0]), k[-1])
         i = np.clip(np.searchsorted(k, s, side="right") - 1, 0, len(k) - 2)
         w = (s - k[i]) / (k[i + 1] - k[i])
         return v[i] * (1.0 - w) + v[i + 1] * w
 
     def _prefix(self) -> Tuple[float, ...]:
-        """F at every knot: the trapezoid sums, built once per knot set."""
-        k, v = self.knots, self.values
-        out = [0.0]
-        for i in range(len(k) - 1):
-            h = k[i + 1] - k[i]
-            out.append(out[-1] + 0.5 * (v[i] + v[i + 1]) * h)
-        pre = tuple(out)
-        object.__setattr__(self, "_pre", pre)
-        return pre
+        """F at every knot, for a profile that no field tabulated: its table
+        of one row, built once."""
+        _tabulate([self], np.array([self.knots], dtype=float), np.array([self.values], dtype=float))
+        return self._pre
 
     def _F(self, pre: Tuple[float, ...], s: float) -> float:
         """F(s) = ∫_0^s f: one segment lookup, then the trapezoid to s."""
@@ -170,8 +246,9 @@ class Samples:
     def integral_array(self, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
         """``integral`` at every pair of offsets, bit for bit: ``_F``'s steps
         as array operations, on s1 and s0 together."""
-        k, v = np.array(self.knots), np.array(self.values)
-        pre = np.array(self._pre or self._prefix())
+        if self._rows is None:
+            self._prefix()
+        k, v, pre = self._rows
         s = np.minimum(np.maximum(np.concatenate((s1, s0)), k[0]), k[-1])
         i = np.minimum(np.maximum(np.searchsorted(k, s, side="right") - 1, 0), len(k) - 2)
         ki, vi = k[i], v[i]
@@ -202,7 +279,10 @@ class CostField:
 
     Every edge must be covered.  A profile that fails its ``check`` (number
     params, structure, the floor) or whose cost overflows is refused with a
-    ``ProfileError`` naming the edge, so integrals can assume FMIN <= f.
+    ``ProfileError`` naming the edge, the first such edge in the order of
+    ``profiles``, so integrals can assume FMIN <= f.  The sampled profiles
+    are checked together first, one table per knot count, and each that
+    fails is refused in its turn.
     """
 
     def __init__(self, graph: MetricGraph, profiles: Dict[str, Profile]):
@@ -212,11 +292,17 @@ class CostField:
         extra = sorted(set(profiles) - set(graph.edges))
         if extra:
             raise InputError("cost field has profiles for unknown edges: %s" % ", ".join(extra))
+        sampled = [eid for eid, prof in profiles.items() if type(prof) is Samples]
+        checked = dict(zip(sampled, Samples._check_many(
+            [profiles[eid] for eid in sampled], [graph.edges[eid].length for eid in sampled], FMIN)))
         self.profiles: Dict[str, Profile] = {}
         for eid, prof in profiles.items():
             length = graph.edges[eid].length
             try:
-                prof = self.profiles[eid] = prof.check(length, FMIN)
+                prof = checked.get(eid) or prof.check(length, FMIN)
+                if isinstance(prof, InputError):
+                    raise prof
+                self.profiles[eid] = prof
                 # every cost on the edge is at most sup f times its length
                 fmax = prof.bounds(length)[1]
                 if not math.isfinite(fmax * length):

@@ -225,9 +225,13 @@ def _finite(x) -> bool:
 
 def _reals(xs, what: str) -> Tuple[float, ...]:
     """``xs`` as floats, each finite by ``_finite``'s rule or a float, else InputError naming
-    ``what``; one pass over the types suffices when all are exact ints and floats."""
+    ``what``; one pass over the types suffices when all are exact ints and floats, and
+    exact floats are kept as they are."""
     try:
-        if set(map(type, xs)) <= {int, float}:
+        kinds = set(map(type, xs))
+        if kinds <= {float}:
+            return tuple(xs)
+        if kinds <= {int, float}:
             return tuple(map(float, xs))
     except TypeError:
         raise InputError("%ss must be an array of numbers (got %r)" % (what, xs)) from None

@@ -149,9 +149,10 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
     the check is a few array passes: one ``evaluate`` at the points, one
     ``edge_cost`` and one ``evaluate`` at the walks' ends.  Each residual
     equals the one a point-by-point loop makes, bit for bit.  Every point is
-    validated before any walk is taken, and a walk that rounds past its
-    edge's end is refused as ``MetricGraph.point`` refuses it, the first in
-    point and germ order.  A ``u`` that is not a ``SeedMap`` is evaluated
+    validated before any walk is taken.  A walk that takes its germ's whole
+    length ends exactly at the edge's end; any other walk that rounds past
+    it is refused as ``MetricGraph.point`` refuses it, the first in point
+    and germ order.  A ``u`` that is not a ``SeedMap`` is evaluated
     point by point.
     """
     graph = u.graph
@@ -191,9 +192,13 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
     sign = np.where(forward, 1.0, -1.0)
     available = np.where(forward, g_length - base, base)
     walk = tau_x[owner]
-    walk = np.where(available < walk, available, walk)
+    whole = available <= walk
+    walk = np.where(whole, available, walk)
+    # a walk as long as its germ ends at the edge's end, which b + (L - b)
+    # may round past
+    end = np.where(whole, np.where(forward, g_length, 0.0), base + sign * walk)
     kept = np.flatnonzero(walk > 0.0)
-    base, end = base[kept], base[kept] + sign[kept] * walk[kept]
+    base, end = base[kept], end[kept]
     off = (end < 0.0) | (end > g_length[kept])
     if off.any():
         i = int(off.argmax())

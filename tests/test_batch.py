@@ -54,8 +54,11 @@ def scalar_dpp(u, points=None, tau=None, tol=None):
             t = min(tau_x, graph.germ_available(germ))
             if t <= 0.0:
                 continue
-            y = graph.germ_point(germ, t)
-            run = field.edge_cost(germ.edge, germ.base, germ.base + germ.sign * t)
+            end = germ.base + germ.sign * t
+            if t == graph.germ_available(germ):  # a whole germ ends at the edge's end
+                end = graph.edges[germ.edge].length if germ.sign > 0 else 0.0
+            y = graph.point(germ.edge, end)
+            run = field.edge_cost(germ.edge, germ.base, end)
             best = min(best, run + u.evaluate(y))
         residual = best - ux
         samples.append(DPPSample(p, tau_x, residual))
@@ -186,8 +189,8 @@ def _same_outcome(batched, scalar):
 @pytest.mark.parametrize("seed", range(4))
 def test_dpp_report_is_the_point_loops_byte_for_byte(seed):
     """Radii below and past the germs' lengths; an int radius is reported as
-    the float it stands for.  A walk of a whole germ from inside an edge can
-    round past the edge's end, which both refuse."""
+    the float it stands for.  A walk of a whole germ from inside an edge
+    ends at the edge's end in both, where b + (L - b) can round past it."""
     outcomes = []
     for rng, graph, field, data in _instances(seed):
         for u in _candidates(rng, graph, field, data):

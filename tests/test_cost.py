@@ -3,6 +3,7 @@ inversion round trips, and field-level validation."""
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +325,142 @@ def test_samples_build_their_table_once_for_many_integrals(monkeypatch):
         p.integral(s0, s1)
         p.inverse_integral(0.1)
     assert len(builds) == 1
+
+
+# ----------------------------------------------------------------------
+# a field's sampled profiles as one table per knot count
+# ----------------------------------------------------------------------
+
+def _path_graph(lengths):
+    """Edges e0, e1, ... of the given lengths along a path v0 - v1 - ..."""
+    return MetricGraph([("v%d" % i, i == 0) for i in range(len(lengths) + 1)],
+                       [("e%d" % i, "v%d" % i, "v%d" % (i + 1), L) for i, L in enumerate(lengths)])
+
+
+def _mixed_k_field(seed):
+    """A field of sampled profiles at K = 2, 3, 65 and 1025, three edges each,
+    and one at K = 7, in shuffled order, with a linear and a constant edge
+    among them.  Some profiles have int entries, some a last knot off the
+    length by dust."""
+    rng = random.Random(seed)
+    ks = [2, 3, 65, 1025] * 3 + [7]
+    rng.shuffle(ks)
+    lengths = [float(rng.randint(1, 4)) if i % 4 == 0 else rng.uniform(0.2, 3.0)
+               for i in range(len(ks) + 2)]
+    graph = _path_graph(lengths)
+    given = {}
+    for i, n_knots in enumerate(ks):
+        knots, values = _random_samples(rng, n_knots, lengths[i])
+        if i % 4 == 0:  # whole-number length: int ends and int values
+            knots[0], knots[-1] = 0, int(lengths[i])
+            values = [rng.randint(1, 5) if j % 2 else v for j, v in enumerate(values)]
+        elif i % 4 == 1:
+            knots[-1] += 4e-13 * lengths[i]
+        given["e%d" % i] = Samples(knots, values)
+    given["e%d" % len(ks)] = Linear(1.0, 0.25)
+    given["e%d" % (len(ks) + 1)] = Constant(2.0)
+    return graph, given
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_fields_table_is_the_per_profile_path_bit_for_bit(seed):
+    """Each sampled profile a field keeps holds rows of one table per knot
+    count, the one whose count no other shares a table of one row; its
+    knots, values, F table, integrals, array integrals, array rates and full
+    cost equal those of the profile checked on its own (a table of one row)
+    and the per-call formulas, bit for bit."""
+    rng = random.Random(seed)
+    graph, given = _mixed_k_field(seed)
+    field = CostField(graph, given)
+    assert all(p._rows is not None for p in field.profiles.values() if isinstance(p, Samples))
+    tables = {}
+    for eid, prof in given.items():
+        kept, length = field.profiles[eid], graph.edges[eid].length
+        if not isinstance(prof, Samples):
+            assert kept == prof
+            continue
+        alone = prof.check(length, FMIN)
+        k, v = alone.knots, alone.values
+        assert kept.knots == k and kept.values == v and k[-1] == length
+        assert all(type(x) is float for x in k + v)
+        assert field.full_edge_cost(eid) == _ref_integral(k, v, 0.0, length)
+        assert kept._pre == alone._prefix() == _ref_prefix(k, v)
+        rows = kept._rows
+        assert [r.tolist() for r in rows] == [list(k), list(v), list(_ref_prefix(k, v))]
+        tables.setdefault(len(k), set()).add(id(rows[0].base))
+        s = _offsets(length, k[:3] + k[-2:])
+        s0, s1 = rng.sample(s.tolist(), len(s)), s.tolist()
+        want = [_ref_integral(k, v, a, b) for a, b in zip(s0, s1)]
+        assert [kept.integral(a, b) for a, b in zip(s0, s1)] == want
+        for p in (kept, alone):
+            assert p.integral_array(np.array(s0), np.array(s1)).tolist() == want
+            assert p.at_array(s).tolist() == [p.at(x) for x in s.tolist()]
+    # one table per knot count, shared by its rows
+    assert {n: len(bases) for n, bases in tables.items()} == {2: 1, 3: 1, 7: 1, 65: 1, 1025: 1}
+
+
+#: (case, a bad sampled profile for an edge of length 2, its refusal's words)
+BAD_SAMPLES = [
+    ("not-increasing", Samples((0.0, 1.5, 1.0, 2.0), (1.0, 1.0, 1.0, 1.0)),
+     "sampled profile knots must be strictly increasing"),
+    ("snap-collapses", Samples((0.0, 2.0, 2.0 + 1e-12), (1.0, 1.0, 1.0)),
+     "sampled profile knots must be strictly increasing"),
+    ("start", Samples((0.5, 1.0, 2.0), (1.0, 1.0, 1.0)),
+     "sampled profile must start at offset 0 (got 0.5)"),
+    ("nan", Samples((0.0, 1.0, 2.0), (1.0, math.nan, 1.0)),
+     "sampled profile values [nan] are not finite"),
+    ("inf", Samples((0.0, 1.0, 2.0), (1.0, math.inf, 1.0)),
+     "sampled profile values [inf] are not finite"),
+    ("minus-inf", Samples((0.0, 1.0, 2.0), (1.0, -math.inf, 1.0)),
+     "sampled profile values [-inf] below floor 1e-06"),
+    ("nan-knot", Samples((0.0, math.nan, 2.0), (1.0, 1.0, 1.0)),
+     "sampled profile knots must be strictly increasing"),
+    ("nan-end", Samples((0.0, 1.0, math.nan), (1.0, 1.0, 1.0)),
+     "sampled profile knots must be strictly increasing"),
+    ("below-floor", Samples((0.0, 1.0, 2.0), (1.0, 1e-9, 1.0)),
+     "sampled profile values [1e-09] below floor 1e-06"),
+    ("wrong-end", Samples((0.0, 1.0, 1.5), (1.0, 1.0, 1.0)),
+     "sampled profile ends at 1.5 but the edge has length 2.0"),
+    ("bool", Samples((0.0, True, 2.0), (1.0, 1.0, 1.0)),
+     "sampled profile knot True is not a number"),
+    ("overflow", Samples((0.0, 1.0, 2.0), (1.0, 1e308, 1.0)),
+     "cost overflows (f up to 1e+308 over length 2.0)"),
+    ("mismatched", Samples((0.0, 1.0, 2.0), (1.0, 1.0)),
+     "sampled profile needs >= 2 matching knots and values"),
+]
+
+
+@pytest.mark.parametrize("bad, words", [case[1:] for case in BAD_SAMPLES],
+                         ids=[case[0] for case in BAD_SAMPLES])
+def test_a_bad_sampled_profile_among_good_ones_is_refused_in_its_own_words(bad, words):
+    """One bad profile among good sampled ones of its knot count and of
+    another is refused with ``check``'s words, naming its edge, and so is
+    the first of two.  A bad linear or constant edge before it in dict order
+    is refused first; one after it is not reached.  Checked alone, the
+    profile is refused in the same words, but for the field's overflow
+    rule."""
+    rng = random.Random(7)
+    good = [Samples(*_random_samples(rng, n, 2.0)) for n in (3, 65, 4, 3)]
+    graph = _path_graph([2.0] * 6)
+
+    def refusal(*profiles):
+        with pytest.raises(ProfileError) as exc:
+            CostField(graph, {"e%d" % i: p for i, p in enumerate(profiles)})
+        return exc.value.edge, str(exc.value)
+
+    assert refusal(good[0], good[1], bad, good[2], good[3], Constant(1.0)) == (
+        "e2", "edge 'e2': %s" % words)
+    assert refusal(good[0], good[1], bad, good[2], bad, good[3]) == ("e2", "edge 'e2': %s" % words)
+    if not words.startswith("cost overflows"):
+        with pytest.raises(InputError, match="^%s$" % re.escape(words)):
+            bad.check(2.0, FMIN)
+    for early in (Linear(1.0, -0.6), Constant(0.0)):
+        with pytest.raises(InputError) as exc:
+            early.check(2.0, FMIN)
+        assert refusal(good[0], early, bad, good[2], good[3], Constant(1.0)) == (
+            "e1", "edge 'e1': %s" % exc.value)
+        assert refusal(good[0], good[1], bad, good[2], early, good[3]) == (
+            "e2", "edge 'e2': %s" % words)
 
 
 def _offsets(length, knots):

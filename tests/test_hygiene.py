@@ -395,3 +395,33 @@ def test_only_the_number_rule_tests_for_int_or_float():
     and any other such test is allowlisted with its reason."""
     found = {q for p in MODULES for q in _number_tests(ast.parse(p.read_text()), p.stem)}
     assert sorted(found - NUMBER_RULES) == sorted(NUMBER_TESTS_OUTSIDE_THE_RULE)
+
+
+# ----------------------------------------------------------------------
+# sampled profiles: the tuples are turned into arrays once, not per call
+# ----------------------------------------------------------------------
+
+def _reads_of_the_tuples(node):
+    """(line, attribute) of every ``self.knots`` or ``self.values`` under ``node``."""
+    return [(n.lineno, n.attr) for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr in ("knots", "values")
+            and isinstance(n.value, ast.Name) and n.value.id == "self"]
+
+
+def test_sampled_profiles_turn_their_tuples_into_arrays_once():
+    """A ``Samples`` holds its knots, values and F table as float64 rows,
+    built once: no numpy call in ``cost`` takes ``self.knots`` or
+    ``self.values`` as an argument, and the array methods read neither
+    tuple.  Turning 65 floats into an array costs more than the integral
+    that reads it."""
+    tree = ast.parse((PACKAGE / "cost.py").read_text())
+    converted = [read for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                 for arg in node.args for read in _reads_of_the_tuples(arg)
+                 if isinstance(arg, ast.Attribute)]
+    assert converted == []
+    samples = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Samples")
+    methods = {node.name: node for node in samples.body if isinstance(node, ast.FunctionDef)}
+    assert {name: _reads_of_the_tuples(methods[name]) for name in ("at_array", "integral_array")} == {
+        "at_array": [], "integral_array": []}

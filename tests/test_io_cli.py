@@ -821,6 +821,20 @@ def test_cli_verify_dpp_refuses_a_degenerate_radius(tmp_path, capsys, tau):
     assert not (tmp_path / "rd" / "dpp.json").exists()
 
 
+def test_cli_verify_dpp_walks_whole_edges_at_a_long_radius(tmp_path):
+    """``--tau 100`` walks every sample to the ends of its edge, whose
+    lengths are not round numbers, and the report is written."""
+    doc = json.loads(PATH3_DOC)
+    for edge, length in zip(doc["edges"], (1.5545611430984472, 0.7310585786300049)):
+        edge["length"] = length
+    g = put(tmp_path, "g.json", json.dumps(doc))
+    assert entry(["solve", g, "--out-dir", str(tmp_path / "sol")]) == 0
+    assert entry(["verify", g, str(tmp_path / "sol" / "u.json"), "--mode", "dpp", "--tau", "100",
+                  "--out-dir", str(tmp_path / "rd")]) == 0
+    report = json.loads((tmp_path / "rd" / "dpp.json").read_text())
+    assert report["ok"] and {s["tau"] for s in report["samples"]} == {100.0}
+
+
 @pytest.mark.parametrize("command,tol", [("solve", "-1"), ("solve", "nan"), ("solve", "inf"),
                                          ("monge", "nan"), ("modulus", "-1"),
                                          ("dpp", "inf"), ("subopt", "-1e-9"),

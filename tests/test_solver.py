@@ -314,6 +314,26 @@ def test_dpp_refuses_a_radius_that_is_not_positive_and_finite(interval, tau):
         verify_dpp(solve(field, data), tau=tau)
 
 
+def test_dpp_walk_of_a_whole_germ_ends_at_the_edge_end():
+    """With a radius past both ends, a walk from b runs the germ's whole
+    length and ends exactly at 0 or L, where b + (L - b) can round past L
+    (once refused as an offset outside [0, L])."""
+    rng = random.Random(35)
+    overran = 0
+    for _ in range(200):
+        length = rng.uniform(0.05, 20.0)
+        b = rng.uniform(0.0, length)
+        if not 0.0 < b < length:
+            continue
+        overran += b + (length - b) > length
+        graph = MetricGraph([("a", True), ("b", True)], [("e", "a", "b", length)])
+        u = solve(CostField.constant(graph), BoundaryData(graph, {"a": 0.0, "b": 0.0}))
+        rep = verify_dpp(u, [EdgeInterior("e", b)], tau=100.0)
+        assert rep.samples[0].tau == 100.0
+        assert rep.ok, (b, length, rep.max_defect)
+    assert overran > 0
+
+
 def test_solve_is_within_8_ulps_of_the_exact_rational_solve():
     """Every vertex value of ``solve`` on 20 random linear-profile graphs
     (up to 60 vertices and about 140 edges) lies within 8 ulps of
