@@ -19,7 +19,9 @@ returns the profile a ``CostField`` keeps, its params floats, and changes none.
 A field checks its sampled profiles together: those with K knots make one
 (n, K) float64 table of knots and values, on which each of ``check``'s rules
 is one array predicate, and F at every knot is built for the whole table at
-once; each profile keeps views of its rows.
+once; each profile keeps its place in the table, and its values' bounds,
+read off the table, for the field's overflow rule.  A batch reads the rows
+of one table together (``Samples._table_at`` and ``_table_integral``).
 """
 from __future__ import annotations
 
@@ -99,9 +101,44 @@ def _tabulate(profiles: Sequence["Samples"], knots: np.ndarray, values: np.ndarr
     pre = np.zeros_like(knots)
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(0.5 * (values[:, :-1] + values[:, 1:]) * np.diff(knots), axis=1, out=pre[:, 1:])
-    for prof, k, v, F, t in zip(profiles, knots, values, pre, pre.tolist()):
+    for j, (prof, t) in enumerate(zip(profiles, pre.tolist())):
         object.__setattr__(prof, "_pre", tuple(t))
-        object.__setattr__(prof, "_rows", (k, v, F))
+        object.__setattr__(prof, "_table", (knots, values, pre, j))
+
+
+def _lerp(k, v, i, s):
+    """f at offsets ``s``, each on the knot segment that starts at index
+    ``i`` of knots ``k`` and values ``v``."""
+    w = (s - k[i]) / (k[i + 1] - k[i])
+    return v[i] * (1.0 - w) + v[i + 1] * w
+
+
+def _trapezoid(k, v, pre, i, s):
+    """F at offsets ``s``, each on the knot segment that starts at index
+    ``i``: F at its start (``pre``) plus the trapezoid from there to s."""
+    ki, vi = k[i], v[i]
+    t = s - ki
+    w = t / (k[i + 1] - ki)
+    return pre[i] + 0.5 * (vi + (vi * (1.0 - w) + v[i + 1] * w)) * t
+
+
+def _lockstep(knots: np.ndarray, row: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets ``s`` on rows ``row`` of an (n, K) knot table: each clamped
+    to its row's knots, and the flat index of the knot that starts its
+    segment, which is ``searchsorted(side="right") - 1`` in its row clipped
+    to [0, K-2].  All rows bisect together: each of the ceil(log2(K-1))
+    steps gathers one knot per row and compares."""
+    K = knots.shape[1]
+    flat, first = knots.ravel(), row * K
+    s = np.minimum(np.maximum(s, flat[first]), flat[first + (K - 1)])
+    last, i = K - 2, np.zeros(len(s), dtype=np.intp)
+    step = 1 << (last.bit_length() - 1) if last else 0
+    while step:
+        j = i + step
+        # not s < knot, so that NaN goes right, where searchsorted puts it
+        i = np.where((j <= last) & ~(s < flat[first + np.minimum(j, last)]), j, i)
+        step >>= 1
+    return s, first + i
 
 
 _INCREASING = "sampled profile knots must be strictly increasing"
@@ -143,16 +180,19 @@ class Samples:
     ``inverse_integral`` bisect, and float64 rows, which ``at_array`` and
     ``integral_array`` read.  ``check`` builds them: a ``CostField`` checks
     its sampled profiles together (``_check_many``), one (n, K) table for
-    each knot count, and each profile it keeps holds views of its rows; a
-    profile checked alone is a table of one row.  An unchecked profile builds
-    its row on first use.  Either way a profile costs O(K) once and
-    O(log K) per integral."""
+    each knot count, and each profile it keeps is a row of it (``_table``,
+    its rows as views ``_rows``); a profile checked alone is a table of one
+    row.  An unchecked profile builds its row on first use.  Either way a
+    profile costs O(K) once and O(log K) per integral."""
 
     knots: Sequence[float]
     values: Sequence[float]
     _pre: Optional[Tuple[float, ...]] = field(default=None, init=False, repr=False, compare=False)
-    _rows: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+    #: the knot, value and F tables this profile is row ``j`` of
+    _table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = field(
         default=None, init=False, repr=False, compare=False)
+    #: (min, max) of the values, read off the table by the check that built it
+    _bounds: Optional[Tuple[float, float]] = field(default=None, init=False, repr=False, compare=False)
 
     def check(self, length: float, fmin: float) -> "Samples":
         (checked,) = Samples._check_many([self], [length], fmin)
@@ -196,7 +236,9 @@ class Samples:
             knots[:, -1] = length
             checked = [Samples(k[:-1] + (L,), v) for k, v, L in zip(ks, vs, ls)]
             _tabulate(checked, knots, values)
-            for i, prof in zip(index, checked):
+            for i, prof, bounds in zip(index, checked, zip(values.min(axis=1).tolist(),
+                                                             values.max(axis=1).tolist())):
+                object.__setattr__(prof, "_bounds", bounds)
                 out[i] = prof
         return out
 
@@ -213,15 +255,30 @@ class Samples:
         w = (s - k[i]) / (k[i + 1] - k[i])
         return v[i] * (1.0 - w) + v[i + 1] * w
 
+    @property
+    def _rows(self) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """This profile's rows of its knot, value and F tables, if it has them."""
+        if self._table is None:
+            return None
+        knots, values, pre, j = self._table
+        return knots[j], values[j], pre[j]
+
     def at_array(self, s: np.ndarray) -> np.ndarray:
         """``at`` at every offset of ``s``, bit for bit."""
-        if self._rows is None:
+        if self._table is None:
             self._prefix()
         k, v, _ = self._rows
         s = np.minimum(np.maximum(s, k[0]), k[-1])
-        i = np.clip(np.searchsorted(k, s, side="right") - 1, 0, len(k) - 2)
-        w = (s - k[i]) / (k[i + 1] - k[i])
-        return v[i] * (1.0 - w) + v[i + 1] * w
+        return _lerp(k, v, np.clip(np.searchsorted(k, s, side="right") - 1, 0, len(k) - 2), s)
+
+    @staticmethod
+    def _table_at(table: Tuple[np.ndarray, ...], row: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """``at`` at each offset of ``s`` on the profile that is row ``row``
+        of ``table`` (a profile's ``_table`` without its row index), bit for
+        bit; the rows find their segments together (``_lockstep``)."""
+        knots, values, _ = table
+        s, i = _lockstep(knots, row, s)
+        return _lerp(knots.ravel(), values.ravel(), i, s)
 
     def _prefix(self) -> Tuple[float, ...]:
         """F at every knot, for a profile that no field tabulated: its table
@@ -246,15 +303,22 @@ class Samples:
     def integral_array(self, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
         """``integral`` at every pair of offsets, bit for bit: ``_F``'s steps
         as array operations, on s1 and s0 together."""
-        if self._rows is None:
+        if self._table is None:
             self._prefix()
         k, v, pre = self._rows
         s = np.minimum(np.maximum(np.concatenate((s1, s0)), k[0]), k[-1])
         i = np.minimum(np.maximum(np.searchsorted(k, s, side="right") - 1, 0), len(k) - 2)
-        ki, vi = k[i], v[i]
-        t = s - ki
-        w = t / (k[i + 1] - ki)
-        F = pre[i] + 0.5 * (vi + (vi * (1.0 - w) + v[i + 1] * w)) * t
+        F = _trapezoid(k, v, pre, i, s)
+        return F[:len(s1)] - F[len(s1):]
+
+    @staticmethod
+    def _table_integral(table: Tuple[np.ndarray, ...], row: np.ndarray, s0: np.ndarray,
+                        s1: np.ndarray) -> np.ndarray:
+        """``integral`` at each pair of offsets as ``_table_at`` reads
+        ``at``, bit for bit."""
+        knots, values, pre = table
+        s, i = _lockstep(knots, np.concatenate((row, row)), np.concatenate((s1, s0)))
+        F = _trapezoid(knots.ravel(), values.ravel(), pre.ravel(), i, s)
         return F[:len(s1)] - F[len(s1):]
 
     def inverse_integral(self, target: float) -> float:
@@ -268,7 +332,7 @@ class Samples:
         return k[i] + _advance(v[i], (v[i + 1] - v[i]) / (k[i + 1] - k[i]), remaining)
 
     def bounds(self, length: float) -> Tuple[float, float]:
-        return min(self.values), max(self.values)
+        return self._bounds or (min(self.values), max(self.values))
 
 
 Profile = Union[Constant, Linear, Samples]
@@ -335,7 +399,7 @@ class CostField:
 
     @functools.cached_property
     def _rates(self) -> _Rates:
-        return _Rates(self.graph, self.profiles)
+        return self.graph._rates(self.profiles)
 
     def _edge_costs(self, edges: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
         """``edge_cost`` at each row: its steps as array operations."""

@@ -123,6 +123,7 @@ class KnotBatch:
         self._runs: Optional[Sequence[Tuple[str, np.ndarray]]] = None
         self.rows: Optional[np.ndarray] = None
         self._memo: dict = {}
+        self._germs: Optional[Tuple[np.ndarray, KnotBatch, np.ndarray]] = None
 
     def __len__(self) -> int:
         return len(self._edges) if self.rows is None else len(self.rows)
@@ -160,6 +161,35 @@ class KnotBatch:
         if col is None:
             col = self._memo[key] = compute(self.runs)
         return col if self.rows is None else col[self.rows]
+
+    def vertices(self) -> np.ndarray:
+        """Each row's vertex as its index in graph order, or -1 for a row
+        inside its edge."""
+        e, s = self.edges, self.offsets
+        src, dst = self.graph._incidence[:2]
+        return np.where(s == 0.0, src[e], np.where(s == self.graph._edge_order[2][e], dst[e], -1))
+
+    def germs(self) -> Tuple[np.ndarray, KnotBatch, np.ndarray]:
+        """Every departure from every row, row by row in ``MetricGraph.germs``
+        order (a vertex's in ``adjacency`` order, an interior row's +1
+        first): the row each leaves, the batch of their bases on their own
+        edges, and their signs as +1.0 or -1.0.  Computed once per batch."""
+        if self._germs is None:
+            start, adj_edge, adj_end = self.graph._incidence[3:]
+            e, s, vertex = self.edges, self.offsets, self.vertices()
+            at_vertex = vertex >= 0
+            n = np.where(at_vertex, start[vertex + 1] - start[vertex], 2)
+            owner = np.arange(len(e)).repeat(n)
+            rank = np.arange(len(owner)) - (n.cumsum() - n).repeat(n)
+            from_vertex = at_vertex[owner]
+            slot = np.where(from_vertex, start[vertex[owner]] + rank, 0)
+            edge = np.where(from_vertex, adj_edge[slot], e[owner])
+            forward = np.where(from_vertex, adj_end[slot] == 0, rank == 0)
+            base = np.where(from_vertex, np.where(forward, 0.0, self.graph._edge_order[2][edge]),
+                            s[owner])
+            self._germs = (owner, KnotBatch._of_rows(self.graph, edge, base),
+                           np.where(forward, 1.0, -1.0))
+        return self._germs
 
     def points(self) -> List[GraphPoint]:
         """Every row of the whole batch as a graph point, in order."""
@@ -355,9 +385,10 @@ class MetricGraph:
         self.unit_profiles = dict.fromkeys(self.edges, Constant(1.0))
 
         # point_cost's one-entry memo: the source of the last query and the
-        # map seeded there
+        # map seeded there; and _rates', the last profile table read
         self._last_source: Optional[GraphPoint] = None
         self._last_map: Optional[SeedMap] = None
+        self._last_rates: Optional[Tuple[Dict[str, "Profile"], _Rates]] = None
 
         self._check_connected()
 
@@ -384,17 +415,13 @@ class MetricGraph:
         """Vertices and germs as arrays over the graph order, for batches:
         each edge's src and dst as vertex indices, each vertex's boundary
         flag, and its departures in ``adjacency`` order, as the start of
-        each vertex's run and the edge index and end (0 src, 1 dst) of each."""
+        each vertex's run and the edge index and end (0 src, 1 dst) of each:
+        the edges' ends, src before dst, stably sorted by vertex."""
         vindex = {vid: i for i, vid in enumerate(self.vertices)}
-        eindex = self._edge_order[1]
-        recs = self.edges.values()
-        return (np.array([vindex[rec.src] for rec in recs], dtype=np.intp),
-                np.array([vindex[rec.dst] for rec in recs], dtype=np.intp),
-                np.array([rec.boundary for rec in self.vertices.values()], dtype=bool),
-                np.cumsum([0] + [len(self._adj[vid]) for vid in self.vertices]),
-                np.array([eindex[eid] for vid in self.vertices for eid, _ in self._adj[vid]],
-                         dtype=np.intp),
-                np.array([end for vid in self.vertices for _, end in self._adj[vid]], dtype=np.intp))
+        ends = np.array([vindex[v] for rec in self.edges.values() for v in (rec.src, rec.dst)])
+        order = ends.argsort(kind="stable")
+        return (ends[0::2], ends[1::2], np.array([rec.boundary for rec in self.vertices.values()]),
+                ends[order].searchsorted(np.arange(len(vindex) + 1)), order >> 1, order & 1)
 
     @property
     def boundary_ids(self) -> List[str]:
@@ -531,38 +558,69 @@ class MetricGraph:
         """The intrinsic metric: length of a shortest path between x and y."""
         return self.point_cost(x, y, self.unit_profiles)
 
+    def _rates(self, profiles: Dict[str, "Profile"]) -> _Rates:
+        """``profiles`` read at batch rows, kept for the last table asked for
+        (which must be immutable, as the graph is): a field and its maps share it."""
+        if self._last_rates is None or self._last_rates[0] is not profiles:
+            self._last_rates = profiles, _Rates(self, profiles)
+        return self._last_rates[1]
+
 
 class _Rates:
-    """A profile table (edge id -> profile) read at a batch's rows: the
-    integral between two offsets on each row's edge, bit for bit as the
-    row's profile's ``integral`` gives it.  A profile class whose
-    ``integral_array`` broadcasts over its parameters names them in
-    ``PARAMS``, and its rows make one array expression, on an instance that
-    holds each row's parameters gathered by edge index.  Any other profile,
-    such as ``Samples``, runs its ``integral_array`` once per edge with rows."""
+    """A profile table (edge id -> profile) read at a batch's rows, bit for
+    bit as each row's profile's ``at`` and ``integral``.  The rows of a
+    class whose array methods broadcast over the parameters it names in
+    ``PARAMS`` make one expression on those parameters gathered by edge.
+    Any other profile (``Samples``) is a row of a table (its ``_table``),
+    and each table's rows are read together by its class's ``_table_at``
+    and ``_table_integral``, which search their segments in lockstep."""
 
     def __init__(self, graph: MetricGraph, profiles: Dict[str, "Profile"]):
-        self._profiles = [profiles[eid] for eid in graph._edge_order[0]]
-        classes = list(dict.fromkeys(map(type, self._profiles)))
-        self._kind = np.array([classes.index(type(p)) for p in self._profiles], dtype=np.intp)
-        self._classes = [(cls, [np.array([getattr(p, name) if type(p) is cls else 0.0
-                                          for p in self._profiles]) for name in cls.PARAMS]
-                          if hasattr(cls, "PARAMS") else None) for cls in classes]
+        profs = [profiles[eid] for eid in graph._edge_order[0]]
+        parts: Dict[Hashable, int] = {}
+        self._parts: List[Tuple[type, Sequence[np.ndarray]]] = []
+        kind, row = [], []
+        for p in profs:
+            if not hasattr(p, "PARAMS") and p._table is None:
+                p._prefix()
+            table = getattr(p, "_table", None)
+            key = type(p) if table is None else id(table[0])
+            if key not in parts:
+                parts[key] = len(self._parts)
+                self._parts.append((type(p), table[:3] if table else [
+                    np.array([getattr(q, name) if type(q) is type(p) else 0.0 for q in profs])
+                    for name in type(p).PARAMS]))
+            kind.append(parts[key])
+            row.append(table[3] if table else 0)
+        self._kind, self._row = np.array(kind, dtype=np.intp), np.array(row, dtype=np.intp)
 
-    def integral(self, edges: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    def _read(self, edges: np.ndarray, method: Callable, table_method: Callable,
+              *offsets: np.ndarray) -> np.ndarray:
+        """``method(profile)`` or, for a table's rows, ``table_method(cls)`` at each row."""
         out = np.empty(len(edges))
         kind = self._kind[edges]
-        for k, (cls, params) in enumerate(self._classes):
-            rows = np.flatnonzero(kind == k)
-            e = edges[rows]
-            if params is not None:
-                out[rows] = cls(*(p[e] for p in params)).integral_array(s0[rows], s1[rows])
-                continue
-            order = np.argsort(e, kind="stable")
-            for part in np.split(rows[order], np.flatnonzero(np.diff(e[order])) + 1):
-                if len(part):
-                    out[part] = self._profiles[edges[part[0]]].integral_array(s0[part], s1[part])
+        for k, (cls, data) in enumerate(self._parts):
+            rows = np.flatnonzero(kind == k) if len(self._parts) > 1 else slice(None)
+            e, part = edges[rows], [s[rows] for s in offsets]
+            if hasattr(cls, "PARAMS"):
+                out[rows] = method(cls(*(p[e] for p in data)))(*part)
+            elif len(e):
+                out[rows] = table_method(cls)(data, self._row[e], *part)
         return out
+
+    def at(self, edges: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return self._read(edges, lambda prof: prof.at_array, lambda cls: cls._table_at, s)
+
+    def at_rows(self, X: KnotBatch) -> np.ndarray:
+        """``at`` at every row of ``X``, kept on it for this table unless it is a sub-batch."""
+        memo = X._memo if X.rows is None else {}
+        if self not in memo:
+            memo[self] = self.at(X.edges, X.offsets)
+        return memo[self]
+
+    def integral(self, edges: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+        return self._read(edges, lambda prof: prof.integral_array,
+                          lambda cls: cls._table_integral, s0, s1)
 
 
 class SeedMap:
@@ -606,20 +664,6 @@ class SeedMap:
         self.vertex_values: Dict[str, float] = graph.shortest_from_seeds(
             vseeds, lambda eid: profiles[eid].integral(0.0, edges[eid].length))
 
-    def _branches(self, eid: str, s: float) -> Tuple[List[float], List[int]]:
-        """The branch values at offset ``s`` on edge ``eid``, whose least is
-        the map there, and the sign of each branch's slope in +s.  A seed's
-        own branch has sign 0 at the seed, where both departures ascend."""
-        rec = self.graph.edge(eid)
-        integral = self.profiles[eid].integral
-        values = [self.vertex_values[rec.src] + integral(0.0, s),
-                  self.vertex_values[rec.dst] + integral(s, rec.length)]
-        signs = [1, -1]
-        for s0, val in self._interior_seeds.get(eid, ()):
-            values.append(val + integral(min(s, s0), max(s, s0)))
-            signs.append((s > s0) - (s < s0))
-        return values, signs
-
     def _value(self, p: GraphPoint) -> float:
         """``evaluate`` at a point the caller has already validated: the
         least of ``_branches``' values, folded as each is made (the first
@@ -645,29 +689,43 @@ class SeedMap:
         profile table read at batch rows."""
         vv, recs = self.vertex_values, self.graph.edges.values()
         return (np.array([vv[rec.src] for rec in recs]), np.array([vv[rec.dst] for rec in recs]),
-                _Rates(self.graph, self.profiles))
+                self.graph._rates(self.profiles))
+
+    def _branches(self, X: KnotBatch) -> Tuple[np.ndarray, list]:
+        """The least branch at each row of ``X``, folded as ``_value`` folds,
+        and the branches as (rows, values, slope sign in +s): u(src) + F(0, s)
+        rising and u(dst) + F(s, L) falling, in one ``integral`` pass, then
+        each interior seed's, of sign 0 at the seed.  Kept on ``X`` for this
+        map unless it is a sub-batch."""
+        memo = X._memo if X.rows is None else {}
+        if self not in memo:
+            e, s = X.edges, X.offsets
+            index, lengths = self.graph._edge_order[1:]
+            at_src, at_dst, rates = self._along_edges
+            n, every = len(s), slice(None)
+            cost = rates.integral(np.concatenate((e, e)), np.concatenate((np.zeros(n), s)),
+                                  np.concatenate((s, lengths[e])))
+            branches = [(every, at_src[e] + cost[:n], 1.0), (every, at_dst[e] + cost[n:], -1.0)]
+            for eid, seeds in self._interior_seeds.items():
+                rows = np.flatnonzero(e == index[eid])
+                t = s[rows]
+                integral = self.profiles[eid].integral_array
+                branches += [(rows, val + integral(np.minimum(t, s0), np.maximum(t, s0)),
+                              np.sign(t - s0)) for s0, val in seeds]
+            (_, least, _), (_, v, _) = branches[:2]
+            least = np.where(v < least, v, least)
+            for rows, v, _ in branches[2:]:
+                least[rows] = np.where(v < least[rows], v, least[rows])
+            memo[self] = least, branches
+        return memo[self]
 
     def _values(self, X: KnotBatch) -> np.ndarray:
-        """``_value`` at every row of ``X``, bit for bit: the same branches as
-        arrays, folded in the same order, and a row at an end of its edge
-        that vertex's own value."""
+        """``_value`` at every row of ``X``, bit for bit: the least of its
+        ``_branches``, and at an end of its edge that vertex's own value."""
         e, s = X.edges, X.offsets
-        index, lengths = self.graph._edge_order[1:]
-        at_src, at_dst, rates = self._along_edges
-        at_src, at_dst, length = at_src[e], at_dst[e], lengths[e]
-        # both end branches' integrals in one pass: F(0, s), then F(s, L)
-        cost = rates.integral(np.concatenate((e, e)), np.concatenate((np.zeros(len(s)), s)),
-                              np.concatenate((s, length)))
-        best, v = at_src + cost[:len(s)], at_dst + cost[len(s):]
-        best = np.where(v < best, v, best)
-        for eid, seeds in self._interior_seeds.items():
-            rows = np.flatnonzero(e == index[eid])
-            t = s[rows]
-            integral = self.profiles[eid].integral_array
-            for s0, val in seeds:
-                v = val + integral(np.minimum(t, s0), np.maximum(t, s0))
-                best[rows] = np.where(v < best[rows], v, best[rows])
-        return np.where(s == 0.0, at_src, np.where(s == length, at_dst, best))
+        at_src, at_dst, _ = self._along_edges
+        return np.where(s == 0.0, at_src[e], np.where(s == self.graph._edge_order[2][e], at_dst[e],
+                                                      self._branches(X)[0]))
 
     def evaluate(self, p: Union[GraphPoint, KnotBatch]) -> Union[float, np.ndarray]:
         """u at a point; at a ``KnotBatch``, u at each of its rows as an
@@ -680,22 +738,24 @@ class SeedMap:
 
     __call__ = evaluate
 
-    def germ_sign(self, germ: Germ) -> int:
-        """-1 if the map descends along ``germ`` and +1 if it ascends: the
-        steepest of the branches that are least at the germ's base (to a
-        relative BRANCH_TIE)."""
-        values, signs = self._branches(germ.edge, germ.base)
-        m = min(values)
-        tol = BRANCH_TIE * (1.0 + abs(m))
-        for v, sign in zip(values, signs):
-            if v <= m + tol and germ.sign * sign < 0:
-                return -1
-        return 1
-
-    def germ_derivative(self, p: GraphPoint, germ: Germ) -> float:
+    def germ_derivative(self, p: Union[GraphPoint, KnotBatch],
+                        germ: Union[Germ, np.ndarray]) -> Union[float, np.ndarray]:
         """Exact one-sided derivative of u along ``germ`` at its base point:
-        the rate there, with the sign of the steepest least branch."""
-        return self.germ_sign(germ) * self.profiles[germ.edge].at(germ.base)
+        the rate there, negative when a branch least at the base (to a
+        relative BRANCH_TIE) falls along the germ.  At a ``KnotBatch`` of
+        bases with an array of signs, as ``KnotBatch.germs`` gives them, an
+        array of the scalar calls' values from one ``_branches`` pass."""
+        if not isinstance(p, KnotBatch):
+            self.graph.edge(germ.edge)  # refuses an unknown edge
+            G = KnotBatch._of_rows(self.graph, np.array([self.graph._edge_order[1][germ.edge]]),
+                                   np.array([germ.base], dtype=float))
+            return float(self.germ_derivative(G, np.array([germ.sign], dtype=float))[0])
+        least, branches = self._branches(p)
+        near = least + BRANCH_TIE * (1.0 + np.abs(least))
+        descends = np.zeros(len(least), dtype=bool)
+        for rows, v, slope in branches:
+            descends[rows] |= (v <= near[rows]) & (germ[rows] * slope < 0)
+        return np.where(descends, -1.0, 1.0) * self._along_edges[2].at_rows(p)
 
 
 class DistanceField(SeedMap):
@@ -723,6 +783,14 @@ def _values_at(u, X: KnotBatch) -> np.ndarray:
     if isinstance(u, SeedMap):
         return u.evaluate(X)
     return np.array([u.evaluate(p) for p in X.points()], dtype=float)
+
+
+def _per_row(fold: np.ufunc, values: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """``fold`` (say ``np.maximum``) over each row's run of germ values along
+    the last axis, ``owner`` each germ's row as ``KnotBatch.germs`` gives it."""
+    if not len(owner):
+        return values
+    return fold.reduceat(values, owner.searchsorted(np.arange(owner[-1] + 1)), axis=-1)
 
 
 def _as_evaluator(u: Union[float, Callable[[GraphPoint], float]]) -> Callable[[GraphPoint], float]:

@@ -17,13 +17,15 @@ sense when |∇⁻u| = f away from the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .cost import CostField
 from .errors import InputError, PreconditionError, VerificationError
-from .graph import (BRANCH_TIE, DistanceField, EdgeInterior, Germ, GraphPoint, MetricGraph,
+from .graph import (BRANCH_TIE, DistanceField, EdgeInterior, GraphPoint, KnotBatch, MetricGraph,
                     SeedMap, Vertex, _as_evaluator, _ComposedDiff, _default_samples, _finite,
-                    _reals, _tolerance)
+                    _per_row, _reals, _tolerance)
 from .optical import OpticalMap
 
 #: radius schedule for the sampling estimator: r0 * 2^-k for k = 0..12,
@@ -58,14 +60,24 @@ class SlopeEstimate:
         return EXACT_TOL if self.method == "exact-directional" else SAMPLED_TOL
 
 
-def slopes(u, x: GraphPoint, graph: Optional[MetricGraph] = None,
-           method: str = "auto") -> SlopeEstimate:
+def slopes(u, x: Union[GraphPoint, KnotBatch], graph: Optional[MetricGraph] = None,
+           method: str = "auto") -> Union[SlopeEstimate, Tuple[np.ndarray, np.ndarray]]:
     """Slope triple of ``u`` at ``x``.
 
     ``method`` is "exact" (one-sided germ derivatives; requires the function
     to expose ``germ_derivative``), "sampled" (shrinking-radius quotients
     needing only point evaluation), or "auto" to prefer exact when available.
+
+    At a ``KnotBatch`` of a ``SeedMap``'s points: the exact |∇⁺u| and |∇⁻u|
+    at each row as two arrays, from one ``germ_derivative`` call at all
+    their germs (``KnotBatch.germs``), bit for bit as at each point.
     """
+    if isinstance(x, KnotBatch):
+        if not isinstance(u, SeedMap):
+            raise PreconditionError("slopes at a batch of points need a SeedMap")
+        owner, G, sign = x.germs()
+        d = u.germ_derivative(G, sign)
+        return tuple(_per_row(np.maximum, np.maximum(np.array((d, -d)), 0.0), owner))
     g = getattr(u, "graph", None) or graph
     if g is None:
         raise PreconditionError("no graph: pass graph= or use a graph-aware function")
@@ -148,15 +160,6 @@ def _monge_seeded_samples(u: OpticalMap) -> List[GraphPoint]:
     return pts
 
 
-def _vertex_jump(u: SeedMap, vid: str, germs: Sequence[Germ]) -> float:
-    """How far u's value at vertex ``vid`` sits above the least branch at it
-    over its incident germs (to a relative BRANCH_TIE): 0 for a map that
-    Dijkstra computed, the height of the drop where a table jumps down."""
-    m = min(min(u._branches(germ.edge, germ.base)[0]) for germ in germs)
-    jump = u.vertex_values[vid] - m
-    return jump if jump > BRANCH_TIE * (1.0 + abs(m)) else 0.0
-
-
 def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = None,
                  tol: Optional[float] = None) -> MongeReport:
     """Check |∇⁻u| = f where u should solve, inequality-style where it can't.
@@ -178,53 +181,83 @@ def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = N
     per edge besides the interior vertices.  Slopes are exact (``tol``
     EXACT_TOL) when u has ``germ_derivative``, else sampled (SAMPLED_TOL);
     a given ``tol`` must be a finite number >= 0.
+
+    A ``SeedMap`` on the field's graph is checked in a few array passes over
+    one ``KnotBatch`` of its points, all validated first
+    (``_seeded_map_rows``); any other candidate point by point.  Both give
+    the report of a loop over the points.
     """
     graph = field.graph
     tol = _tolerance((EXACT_TOL if hasattr(u, "germ_derivative") else SAMPLED_TOL)
                      if tol is None else tol)
     if points is not None:
-        sample_set = "given"
+        sample_set, points = "given", list(points)
     elif isinstance(u, OpticalMap) and u.field is field:
         sample_set, points = "seeded", _monge_seeded_samples(u)
     else:
         sample_set, points = "dense", _default_samples(graph, 5)
+    rows = (_seeded_map_rows(u, field, points) if isinstance(u, SeedMap) and u.graph is graph
+            else (_point_row(u, field, p) for p in points))
     samples: List[MongeSample] = []
     sub_ok = super_ok = True
     worst = 0.0
     worst_point: Optional[GraphPoint] = None
-    for p in points:
-        graph.validate_point(p)
-        if graph.is_boundary(p):
+    for p, row in zip(points, rows):
+        if row is None:
             samples.append(MongeSample(p, "skipped", 0.0, 0.0, 0.0, 0.0, True, True,
                                        reason="boundary vertex"))
             continue
-        est = slopes(u, p, graph=graph)
-        jump = 0.0
-        reason = ""
-        if isinstance(p, Vertex):
-            germs = graph.germs(p)
-            fvals = [field.germ_value(germ) for germ in germs]
-            f_lo, f_hi = min(fvals), max(fvals)
-            kind = "vertex"
-            if isinstance(u, SeedMap):
-                jump = _vertex_jump(u, p.id, germs)
-                if jump:
-                    reason = "jump: the vertex sits %.17g above its least incident branch" % jump
-        else:
-            f_lo = f_hi = field.value_at(p)
-            kind = "edge" if abs(est.up - est.down) <= tol else "edge-kink"
-        s_ok = est.down <= f_hi + tol and not jump
-        p_ok = est.down >= f_lo - tol
-        viol = max(est.down - f_hi, f_lo - est.down, jump, 0.0)
+        up, down, f_lo, f_hi, jump = row
+        kind = ("vertex" if isinstance(p, Vertex)
+                else "edge" if abs(up - down) <= tol else "edge-kink")
+        s_ok = down <= f_hi + tol and not jump
+        p_ok = down >= f_lo - tol
+        viol = max(down - f_hi, f_lo - down, jump, 0.0)
         if viol > worst:
             worst, worst_point = viol, p
         sub_ok &= s_ok
         super_ok &= p_ok
-        samples.append(MongeSample(p, kind, est.down, f_lo, f_hi, est.down - f_lo,
-                                   s_ok, p_ok, reason))
+        reason = "jump: the vertex sits %.17g above its least incident branch" % jump if jump else ""
+        samples.append(MongeSample(p, kind, down, f_lo, f_hi, down - f_lo, s_ok, p_ok, reason))
     return MongeReport(ok=(sub_ok and super_ok), subsolution_ok=sub_ok,
                        supersolution_ok=super_ok, tol=tol, worst_violation=worst,
                        worst_point=worst_point, sample_set=sample_set, samples=samples)
+
+
+def _seeded_map_rows(u: SeedMap, field: CostField, points: List[GraphPoint]) -> list:
+    """``verify_monge``'s (|∇⁺u|, |∇⁻u|, f_lo, f_hi, jump) at each point, None
+    at a boundary vertex, from one batch of the points: one ``slopes`` call,
+    one read of f at their germs, and the least branches that gave the
+    germs' signs, which a vertex's value may sit above (a jump)."""
+    graph, vertex_values = u.graph, u.vertex_values
+    X = KnotBatch.of(graph, points)
+    owner, G, _ = X.germs()
+    up, down = slopes(u, X)
+    f = field._rates.at_rows(G)
+    # each point's least f, least branch and, negated, greatest f
+    f_lo, least, f_hi = _per_row(np.minimum, np.array((f, u._branches(G)[0], -f)), owner)
+    rows = []
+    for p, *row, m in zip(points, up.tolist(), down.tolist(), f_lo.tolist(), (-f_hi).tolist(),
+                          least.tolist()):
+        jump = vertex_values[p.id] - m if isinstance(p, Vertex) else 0.0
+        rows.append(None if graph.is_boundary(p)
+                    else (*row, jump if jump > BRANCH_TIE * (1.0 + abs(m)) else 0.0))
+    return rows
+
+
+def _point_row(u, field: CostField, p: GraphPoint) -> Optional[Tuple[float, ...]]:
+    """``_seeded_map_rows``' row at one point of any candidate, the point
+    validated first, its slopes by ``slopes``; it never jumps."""
+    graph = field.graph
+    graph.validate_point(p)
+    if graph.is_boundary(p):
+        return None
+    est = slopes(u, p, graph=graph)
+    if isinstance(p, Vertex):
+        fvals = [field.germ_value(germ) for germ in graph.germs(p)]
+        return est.up, est.down, min(fvals), max(fvals), 0.0
+    f = field.value_at(p)
+    return est.up, est.down, f, f, 0.0
 
 
 def monge_samples_csv(report: MongeReport) -> str:

@@ -22,7 +22,8 @@ import numpy as np
 from .cost import CostField
 from .errors import InputError, PreconditionError, RecordError
 from .graph import (Constant, Curve, GraphPoint, KnotBatch, MetricGraph, SeedMap, Vertex,
-                    _count, _default_samples, _finite, _tolerance, _values_at, random_curve)
+                    _count, _default_samples, _finite, _per_row, _tolerance, _values_at,
+                    random_curve)
 from .optical import OpticalMap, optical_length
 
 
@@ -164,32 +165,22 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
     tol = field.default_tol() if tol is None else _tolerance(tol)
     points = _default_samples(graph) if points is None else list(points)
     X = KnotBatch.of(graph, points)
-    e, s = X.edges, X.offsets
     lengths = graph._edge_order[2]
-    src, dst, boundary, start, adj_edge, adj_end = graph._incidence
-    length = lengths[e]
-    vertex = np.where(s == 0.0, src[e], np.where(s == length, dst[e], -1))
+    boundary, start, adj_edge = graph._incidence[2:5]
+    vertex = X.vertices()
     skipped = (vertex >= 0) & boundary[vertex]
     check = np.flatnonzero(~skipped)
-    e, s, length, vertex = e[check], s[check], length[check], vertex[check]
-    at_vertex = vertex >= 0
+    C = KnotBatch._of_rows(graph, X.edges[check], X.offsets[check])
+    vertex = vertex[check]
     if tau is None:
         half_min = 0.5 * np.minimum.reduceat(lengths[adj_edge], start[:-1])
-        tau_x = np.where(at_vertex, half_min[vertex], 0.5 * length)
+        tau_x = np.where(vertex >= 0, half_min[vertex], 0.5 * lengths[C.edges])
     else:
         tau_x = np.full(len(check), tau)
-    # germs, point-major in ``germs`` order: a vertex's departures, or an
-    # interior point's two directions (+1 first)
-    n_germs = np.where(at_vertex, start[vertex + 1] - start[vertex], 2)
-    owner = np.repeat(np.arange(len(check)), n_germs)
-    rank = np.arange(len(owner)) - np.repeat(np.cumsum(n_germs) - n_germs, n_germs)
-    from_vertex = at_vertex[owner]
-    slot = np.where(from_vertex, start[vertex[owner]] + rank, 0)
-    g_edge = np.where(from_vertex, adj_edge[slot], e[owner])
+    owner, G, sign = C.germs()
+    g_edge, base = G.edges, G.offsets
     g_length = lengths[g_edge]
-    forward = np.where(from_vertex, adj_end[slot] == 0, rank == 0)
-    base = np.where(from_vertex, np.where(forward, 0.0, g_length), s[owner])
-    sign = np.where(forward, 1.0, -1.0)
+    forward = sign > 0.0
     available = np.where(forward, g_length - base, base)
     walk = tau_x[owner]
     whole = available <= walk
@@ -209,8 +200,7 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
     offer = np.full(len(owner), math.inf)
     # a NaN offer is passed over, as min() passes over it
     offer[kept] = np.fmin(field.edge_cost(Y, base, end) + _values_at(u, Y), math.inf)
-    best = np.minimum.reduceat(offer, np.cumsum(n_germs) - n_germs) if len(owner) else offer
-    residuals = (best - _values_at(u, KnotBatch._of_rows(graph, e, s))).tolist()
+    residuals = (_per_row(np.minimum, offer, owner) - _values_at(u, C)).tolist()
     checked = zip(tau_x.tolist(), residuals)
     samples = [DPPSample(p, 0.0, 0.0, skipped=True, reason="boundary point") if skip
                else DPPSample(p, *next(checked)) for p, skip in zip(points, skipped.tolist())]

@@ -463,6 +463,37 @@ def test_a_bad_sampled_profile_among_good_ones_is_refused_in_its_own_words(bad, 
             "e2", "edge 'e2': %s" % words)
 
 
+def test_the_overflow_rule_reads_each_sampled_rows_bounds_off_its_table():
+    """A field's sampled profiles keep their values' (min, max), read off
+    their table by the check; the overflow rule reads the max there.  An
+    overflowing row among good ones of its knot count and another is
+    refused as before, naming its edge, unless a bad linear edge comes
+    first in dict order; a bad one after it is not reached."""
+    rng = random.Random(11)
+    good = [Samples(*_random_samples(rng, n, 3.0)) for n in (65, 65, 3)]
+    knots, values = _random_samples(rng, 65, 3.0)
+    values[40] = 7.5e307
+    wide = Samples(knots, values)
+    graph = _path_graph([3.0] * 5)
+
+    def refusal(*profiles):
+        with pytest.raises(ProfileError) as exc:
+            CostField(graph, {"e%d" % i: p for i, p in enumerate(profiles)})
+        return exc.value.edge, str(exc.value)
+
+    assert refusal(good[0], wide, good[1], Linear(1.0, -0.6), good[2]) == (
+        "e1", "edge 'e1': cost overflows (f up to 7.5e+307 over length 3.0)")
+    assert refusal(Linear(1.0, -0.6), good[0], wide, good[1], good[2]) == (
+        "e0", "edge 'e0': linear profile dips to -0.7999999999999998, below floor 1e-06")
+    values[40] = 4.0
+    field = CostField(graph, {"e%d" % i: p for i, p in enumerate(
+        good + [Samples(knots, values), Linear(1.0, 0.5)])})
+    for prof in field.profiles.values():
+        if isinstance(prof, Samples):
+            assert prof._bounds == prof.bounds(3.0) == (min(prof.values), max(prof.values))
+    assert field.sup_value() == max(max(p.values) for p in good + [Samples(knots, values)])
+
+
 def _offsets(length, knots):
     """0, the length, the knots, one ulp either side of each, and uniform draws."""
     base = [0.0, length, *knots]

@@ -439,7 +439,7 @@ def test_seed_map_is_the_one_seeded_map_evaluator():
     assert {cls.__name__ for cls in maps} >= {"DistanceField", "OpticalMap", "StoredSolution",
                                                "ValueFunction"}
     for cls in maps:
-        for name in ("_value", "_branches", "germ_sign", "germ_derivative", "evaluate"):
+        for name in ("_value", "_branches", "germ_derivative", "evaluate"):
             assert vars(cls).get(name, vars(SeedMap)[name]) is vars(SeedMap)[name], (cls, name)
     for name in ("evaluate", "germ_derivative"):
         assert vars(OpticalMap)[name] is vars(SeedMap)[name]

@@ -282,8 +282,6 @@ UNREAD_BY_THE_BODY = {
     "graph.Constant.check(length)": "profile protocol: a constant's floor holds on any edge",
     "graph.Constant.bounds(length)": "profile protocol: a constant is its own bounds",
     "cost.Samples.bounds(length)": "profile protocol: the knots already span the edge",
-    "graph.SeedMap.germ_derivative(p)": "the test functions' germ_derivative(p, germ), which "
-                                        "the verifiers call alike",
     "hamiltonian.catalog.quadratic(r)": "a Hamiltonian's fn takes (x, r, p); this one is "
                                         "r-independent",
     "io._emit_float(depth)": "every emitter takes (obj, depth); a float reads alike at any depth",

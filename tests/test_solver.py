@@ -686,14 +686,18 @@ def test_modulus_report_matches_the_point_major_loop_on_doctored_tables():
 
 
 def _count_scalar_values(monkeypatch):
+    """Calls of ``SeedMap._value`` and ``SeedMap._branches``, the map's reads
+    of its value and of its branches; a verifier that read each point's
+    or each germ's on its own would make more of them for more points."""
     calls = []
-    value = SeedMap._value
+    for name in ("_value", "_branches"):
+        read = getattr(SeedMap, name)
 
-    def counting(self, p):
-        calls.append(p)
-        return value(self, p)
+        def counting(self, *args, read=read):
+            calls.append(args)
+            return read(self, *args)
 
-    monkeypatch.setattr(SeedMap, "_value", counting)
+        monkeypatch.setattr(SeedMap, name, counting)
     return calls
 
 
@@ -729,11 +733,12 @@ def test_no_verifier_runs_one_dijkstra_per_sample(monkeypatch, verifier):
     assert small == large
 
 
-@pytest.mark.parametrize("verifier", ["dpp", "subopt", "modulus"])
+@pytest.mark.parametrize("verifier", ["monge", "dpp", "subopt", "modulus"])
 def test_no_verifier_evaluates_point_by_point(monkeypatch, verifier):
-    """On a ``SeedMap`` a verifier's scalar evaluations do not grow with its
-    sample set: its points (curves for subopt) are one batch through
-    ``evaluate``, and three times as many cost the same scalar calls."""
+    """On a ``SeedMap`` a verifier's reads of u do not grow with its sample
+    set: its points (curves for subopt) are one batch through ``evaluate``
+    (monge: through ``slopes`` and the germs' branches), and three times as
+    many cost the same calls."""
     small = _north_star_runs(monkeypatch, verifier, 1, _count_scalar_values)
     monkeypatch.undo()
     large = _north_star_runs(monkeypatch, verifier, 3, _count_scalar_values)
