@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import itertools
 import math
 import operator
 import random
@@ -169,14 +170,17 @@ class KnotBatch:
         src, dst = self.graph._incidence[:2]
         return np.where(s == 0.0, src[e], np.where(s == self.graph._edge_order[2][e], dst[e], -1))
 
-    def germs(self) -> Tuple[np.ndarray, KnotBatch, np.ndarray]:
+    def germs(self, vertex: Optional[np.ndarray] = None) -> Tuple[np.ndarray, KnotBatch, np.ndarray]:
         """Every departure from every row, row by row in ``MetricGraph.germs``
         order (a vertex's in ``adjacency`` order, an interior row's +1
         first): the row each leaves, the batch of their bases on their own
-        edges, and their signs as +1.0 or -1.0.  Computed once per batch."""
+        edges, and their signs as +1.0 or -1.0.  Computed once per batch.
+        ``vertex``, when given, is this batch's ``vertices()``, which the
+        caller already holds."""
         if self._germs is None:
             start, adj_edge, adj_end = self.graph._incidence[3:]
-            e, s, vertex = self.edges, self.offsets, self.vertices()
+            e, s = self.edges, self.offsets
+            vertex = self.vertices() if vertex is None else vertex
             at_vertex = vertex >= 0
             n = np.where(at_vertex, start[vertex + 1] - start[vertex], 2)
             owner = np.arange(len(e)).repeat(n)
@@ -422,6 +426,11 @@ class MetricGraph:
         order = ends.argsort(kind="stable")
         return (ends[0::2], ends[1::2], np.array([rec.boundary for rec in self.vertices.values()]),
                 ends[order].searchsorted(np.arange(len(vindex) + 1)), order >> 1, order & 1)
+
+    @functools.cached_property
+    def _sorted_ids(self) -> List[str]:
+        """The edge ids sorted, the order ``random_curve`` draws its first edge in."""
+        return sorted(self.edges)
 
     @property
     def boundary_ids(self) -> List[str]:
@@ -766,15 +775,35 @@ class DistanceField(SeedMap):
         super().__init__(graph, {x0: 0.0}, graph.unit_profiles)
 
 
-def _default_samples(graph: MetricGraph, n_per_edge: int = 3) -> List[GraphPoint]:
+def _default_samples(graph: MetricGraph, n_per_edge: int = 3,
+                     boundary: bool = False) -> Tuple[List[GraphPoint], KnotBatch]:
     """The interior vertices, then ``n_per_edge`` evenly spaced points inside
-    each edge, in graph order."""
-    pts: List[GraphPoint] = [Vertex(vid) for vid, rec in graph.vertices.items()
-                             if not rec.boundary]
-    for eid, rec in graph.edges.items():
-        for k in range(1, n_per_edge + 1):
-            pts.append(EdgeInterior(eid, rec.length * k / (n_per_edge + 1)))
-    return pts
+    each edge, in graph order, then with ``boundary`` the boundary vertices;
+    and their batch, built from arrays and row for row the one
+    ``KnotBatch.of`` builds from the points: a vertex is the row at its end
+    of its first incident edge, and point k of an edge of length L sits at
+    L * k / (n_per_edge + 1).  Only an offset that rounds onto its edge's
+    end (a subnormal or near-overflow length) sends the points through
+    ``KnotBatch.of``, for its refusal."""
+    vids = list(graph.vertices)
+    ids, _, lengths = graph._edge_order
+    is_boundary, start, adj_edge, adj_end = graph._incidence[2:]
+    inner, outer = np.flatnonzero(~is_boundary), np.flatnonzero(is_boundary)
+    with np.errstate(over="ignore"):
+        on_edges = lengths[:, None] * np.arange(1, n_per_edge + 1) / (n_per_edge + 1)
+    vertex = np.concatenate((inner, outer)) if boundary else inner
+    slot = start[vertex]
+    v_edge = adj_edge[slot]
+    points: List[GraphPoint] = [Vertex(vids[v]) for v in inner.tolist()]
+    points += [EdgeInterior(eid, s) for eid, row in zip(ids, on_edges.tolist()) for s in row]
+    points += [Vertex(vids[v]) for v in outer.tolist()] if boundary else []
+    n = len(inner)
+    rows = np.concatenate((v_edge[:n], np.arange(len(ids)).repeat(n_per_edge), v_edge[n:]))
+    v_offsets = np.where(adj_end[slot] == 1, lengths[v_edge], 0.0)
+    offsets = np.concatenate((v_offsets[:n], on_edges.ravel(), v_offsets[n:]))
+    if not ((on_edges > 0.0) & (on_edges < lengths[:, None])).all():
+        return points, KnotBatch.of(graph, points)
+    return points, KnotBatch._of_rows(graph, rows, offsets)
 
 
 def _values_at(u, X: KnotBatch) -> np.ndarray:
@@ -867,6 +896,12 @@ def _point_offsets_on_edge(graph: MetricGraph, p: GraphPoint, eid: str) -> List[
     return out
 
 
+def _loop_end(length: float, s: float) -> float:
+    """The end of a self-loop of ``length`` nearer offset ``s``, 0 on a tie:
+    where a step between ``s`` and the loop's vertex meets the loop."""
+    return length if length - s < s else 0.0
+
+
 def _resolve_step(graph: MetricGraph, p: GraphPoint, q: GraphPoint,
                   hint: Optional[str]) -> Tuple[str, float, float]:
     """Pick the (edge, s0, s1) realization of one polyline step."""
@@ -875,11 +910,13 @@ def _resolve_step(graph: MetricGraph, p: GraphPoint, q: GraphPoint,
         offs_q = _point_offsets_on_edge(graph, q, hint)
         if not offs_p or not offs_q:
             raise InputError("curve step does not lie on the annotated edge %r" % hint)
-        if p == q and isinstance(p, Vertex) and len(offs_p) == 2:
+        # a vertex has two offsets on a self-loop, one on any other edge
+        length = graph.edges[hint].length
+        if len(offs_p) == len(offs_q) == 2:
             # full traversal of a self-loop
-            return hint, 0.0, graph.edge(hint).length
-        s0 = min(offs_p, key=lambda s: min(abs(s - t) for t in offs_q))
-        s1 = min(offs_q, key=lambda t: abs(t - s0))
+            return hint, 0.0, length
+        s0 = offs_p[0] if len(offs_p) == 1 else _loop_end(length, offs_q[0])
+        s1 = offs_q[0] if len(offs_q) == 1 else _loop_end(length, s0)
         return hint, s0, s1
     candidates: List[Tuple[float, str, float, float]] = []
     edge_pool = set()
@@ -901,7 +938,9 @@ def _resolve_step(graph: MetricGraph, p: GraphPoint, q: GraphPoint,
 class Curve:
     """A polyline path: an ordered sequence of points, consecutive points on a
     common edge.  ``edges`` may annotate each step explicitly, which is the
-    only unambiguous way to traverse a specific parallel edge."""
+    only unambiguous way to traverse a specific parallel edge.  The points
+    are validated and each step resolved to its (edge, s0, s1) segment;
+    ``Curve._of_segments`` takes points whose segments are already known."""
 
     def __init__(self, graph: MetricGraph, points: Sequence[GraphPoint],
                  edges: Optional[Sequence[str]] = None):
@@ -911,16 +950,26 @@ class Curve:
             graph.validate_point(p)
         if edges is not None and len(edges) != len(points) - 1:
             raise InputError("curve edge annotations must have one entry per step")
+        self._setup(graph, points, [
+            _resolve_step(graph, points[i], points[i + 1], None if edges is None else edges[i])
+            for i in range(len(points) - 1)])
+
+    @classmethod
+    def _of_segments(cls, graph: MetricGraph, points: Sequence[GraphPoint],
+                     segments: Sequence[Tuple[str, float, float]]) -> Curve:
+        """The curve through ``points`` along ``segments``, one (edge, s0, s1)
+        per step, taken as given."""
+        curve = cls.__new__(cls)
+        curve._setup(graph, points, segments)
+        return curve
+
+    def _setup(self, graph: MetricGraph, points: Sequence[GraphPoint],
+               segments: Sequence[Tuple[str, float, float]]):
         self.graph = graph
         self.points: Tuple[GraphPoint, ...] = tuple(points)
-        segs: List[Tuple[str, float, float]] = []
-        for i in range(len(points) - 1):
-            hint = edges[i] if edges is not None else None
-            segs.append(_resolve_step(graph, points[i], points[i + 1], hint))
-        self.segments: Tuple[Tuple[str, float, float], ...] = tuple(segs)
-        self._cum = [0.0]
-        for _eid, s0, s1 in segs:
-            self._cum.append(self._cum[-1] + abs(s1 - s0))
+        self.segments: Tuple[Tuple[str, float, float], ...] = tuple(segments)
+        self._cum = list(itertools.accumulate([abs(s1 - s0) for _eid, s0, s1 in segments],
+                                              initial=0.0))
 
     @property
     def length(self) -> float:
@@ -953,47 +1002,51 @@ class Curve:
 def random_curve(graph: MetricGraph, rng: random.Random, steps: int = 6) -> Curve:
     """A random wandering polyline that avoids boundary vertices entirely, so
     it stays inside the open domain; ``rng`` must be a ``random.Random`` and
-    ``steps`` an int >= 1."""
+    ``steps`` an int >= 1.
+
+    The walk keeps the (edge, s0, s1) segment of each step it takes, so its
+    points are neither validated nor resolved again: a step onto a vertex
+    ends at that vertex's offset on its edge, and one off it starts there,
+    at the end of a self-loop nearer the step's other offset (``_loop_end``,
+    ``_resolve_step``'s rule).  A step never ends on a boundary vertex."""
     if not isinstance(rng, random.Random):
         raise InputError("rng must be a random.Random (got %r)" % (rng,))
     steps = _count(steps, 1, "step count steps")
-    eids = sorted(graph.edges)
+    eids, edges, vertices, adj = graph._sorted_ids, graph.edges, graph.vertices, graph._adj
     for _attempt in range(64):
         eid = eids[rng.randrange(len(eids))]
-        rec = graph.edges[eid]
+        rec = edges[eid]
         s = rng.uniform(0.2, 0.8) * rec.length
         pts: List[GraphPoint] = [EdgeInterior(eid, s)]
-        hints: List[str] = []
-        cur_eid, cur_s = eid, s
+        segs: List[Tuple[str, float, float]] = []
         for _ in range(steps):
-            rec = graph.edges[cur_eid]
             go_up = rng.random() < 0.5
             if go_up:
                 target_vid, vertex_s = rec.dst, rec.length
             else:
                 target_vid, vertex_s = rec.src, 0.0
-            boundary = graph.vertices[target_vid].boundary
+            boundary = vertices[target_vid].boundary
             if boundary or rng.random() < 0.35:
                 # stop short of a boundary vertex, or wander within the edge
-                ns = cur_s + (vertex_s - cur_s) * (rng.uniform(0.3, 0.9) if boundary
-                                                   else rng.uniform(0.2, 0.8))
-                if 0.0 < ns < rec.length and ns != cur_s:
-                    pts.append(EdgeInterior(cur_eid, ns))
-                    hints.append(cur_eid)
-                    cur_s = ns
+                ns = s + (vertex_s - s) * (rng.uniform(0.3, 0.9) if boundary
+                                           else rng.uniform(0.2, 0.8))
+                if 0.0 < ns < rec.length and ns != s:
+                    pts.append(EdgeInterior(eid, ns))
+                    segs.append((eid, s, ns))
+                    s = ns
                 continue
             # pass through the vertex into a random incident edge
             pts.append(Vertex(target_vid))
-            hints.append(cur_eid)
-            nxt = graph.adjacency(target_vid)
-            neid, nend = nxt[rng.randrange(len(nxt))]
-            nrec = graph.edges[neid]
-            base = 0.0 if nend == 0 else nrec.length
+            segs.append((eid, s, _loop_end(rec.length, s) if rec.src == rec.dst else vertex_s))
+            nxt = adj[target_vid]
+            eid, nend = nxt[rng.randrange(len(nxt))]
+            rec = edges[eid]
+            base = 0.0 if nend == 0 else rec.length
             direction = 1.0 if nend == 0 else -1.0
-            ns = base + direction * rng.uniform(0.2, 0.8) * nrec.length
-            pts.append(EdgeInterior(neid, ns))
-            hints.append(neid)
-            cur_eid, cur_s = neid, ns
-        if len(pts) >= 2 and not any(graph.is_boundary(p) for p in pts):
-            return Curve(graph, pts, hints)
+            ns = base + direction * rng.uniform(0.2, 0.8) * rec.length
+            pts.append(EdgeInterior(eid, ns))
+            segs.append((eid, _loop_end(rec.length, ns) if rec.src == rec.dst else base, ns))
+            s = ns
+        if len(pts) >= 2:
+            return Curve._of_segments(graph, pts, segs)
     raise InputError("could not sample a curve avoiding the boundary; is every vertex a boundary vertex?")

@@ -190,13 +190,14 @@ def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = N
     graph = field.graph
     tol = _tolerance((EXACT_TOL if hasattr(u, "germ_derivative") else SAMPLED_TOL)
                      if tol is None else tol)
+    X = None
     if points is not None:
         sample_set, points = "given", list(points)
     elif isinstance(u, OpticalMap) and u.field is field:
         sample_set, points = "seeded", _monge_seeded_samples(u)
     else:
-        sample_set, points = "dense", _default_samples(graph, 5)
-    rows = (_seeded_map_rows(u, field, points) if isinstance(u, SeedMap) and u.graph is graph
+        sample_set, (points, X) = "dense", _default_samples(graph, 5)
+    rows = (_seeded_map_rows(u, field, points, X) if isinstance(u, SeedMap) and u.graph is graph
             else (_point_row(u, field, p) for p in points))
     samples: List[MongeSample] = []
     sub_ok = super_ok = True
@@ -224,13 +225,15 @@ def verify_monge(u, field: CostField, points: Optional[Sequence[GraphPoint]] = N
                        worst_point=worst_point, sample_set=sample_set, samples=samples)
 
 
-def _seeded_map_rows(u: SeedMap, field: CostField, points: List[GraphPoint]) -> list:
+def _seeded_map_rows(u: SeedMap, field: CostField, points: List[GraphPoint],
+                     X: Optional[KnotBatch] = None) -> list:
     """``verify_monge``'s (|∇⁺u|, |∇⁻u|, f_lo, f_hi, jump) at each point, None
-    at a boundary vertex, from one batch of the points: one ``slopes`` call,
-    one read of f at their germs, and the least branches that gave the
-    germs' signs, which a vertex's value may sit above (a jump)."""
+    at a boundary vertex, from one batch of the points (``X`` when given,
+    else ``KnotBatch.of`` the points): one ``slopes`` call, one read of f at
+    their germs, and the least branches that gave the germs' signs, which a
+    vertex's value may sit above (a jump)."""
     graph, vertex_values = u.graph, u.vertex_values
-    X = KnotBatch.of(graph, points)
+    X = KnotBatch.of(graph, points) if X is None else X
     owner, G, _ = X.germs()
     up, down = slopes(u, X)
     f = field._rates.at_rows(G)

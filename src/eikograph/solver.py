@@ -149,12 +149,13 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
     The points make one ``KnotBatch`` and every walk from them another, so
     the check is a few array passes: one ``evaluate`` at the points, one
     ``edge_cost`` and one ``evaluate`` at the walks' ends.  Each residual
-    equals the one a point-by-point loop makes, bit for bit.  Every point is
-    validated before any walk is taken.  A walk that takes its germ's whole
-    length ends exactly at the edge's end; any other walk that rounds past
-    it is refused as ``MetricGraph.point`` refuses it, the first in point
-    and germ order.  A ``u`` that is not a ``SeedMap`` is evaluated
-    point by point.
+    equals the one a point-by-point loop makes, bit for bit.  The default
+    samples are built as rows (``_default_samples``); given points go
+    through ``KnotBatch.of``, each validated before any walk is taken.  A
+    walk that takes its germ's whole length ends exactly at the edge's end;
+    any other walk that rounds past it is refused as ``MetricGraph.point``
+    refuses it, the first in point and germ order.  A ``u`` that is not a
+    ``SeedMap`` is evaluated point by point.
     """
     graph = u.graph
     field = u.field
@@ -163,8 +164,11 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
             raise InputError("walk radius tau must be a positive finite number (got %r)" % (tau,))
         tau = float(tau)
     tol = field.default_tol() if tol is None else _tolerance(tol)
-    points = _default_samples(graph) if points is None else list(points)
-    X = KnotBatch.of(graph, points)
+    if points is None:
+        points, X = _default_samples(graph)
+    else:
+        points = list(points)
+        X = KnotBatch.of(graph, points)
     lengths = graph._edge_order[2]
     boundary, start, adj_edge = graph._incidence[2:5]
     vertex = X.vertices()
@@ -177,7 +181,7 @@ def verify_dpp(u: OpticalMap, points: Optional[Sequence[GraphPoint]] = None,
         tau_x = np.where(vertex >= 0, half_min[vertex], 0.5 * lengths[C.edges])
     else:
         tau_x = np.full(len(check), tau)
-    owner, G, sign = C.germs()
+    owner, G, sign = C.germs(vertex)
     g_edge, base = G.edges, G.offsets
     g_length = lengths[g_edge]
     forward = sign > 0.0
@@ -235,12 +239,14 @@ def verify_suboptimality(u: OpticalMap, curves: Optional[Iterable[Curve]] = None
     curves are a fair test set.  ``n_random`` must be an int >= 1, ``rng``
     a ``random.Random`` or None, and ``tol`` a finite number >= 0.
 
-    Drawing each curve's times and locating them stays a loop over the
-    curves, for it consumes ``rng``.  Then every curve's segments and times
-    make one ``KnotBatch``: one ``edge_cost`` gives every segment's cost and
-    every partial cost to a time, one ``evaluate`` u at every time, and the
-    pairs of all curves are one array expression, each pair's defect
-    ``(u_j - u_i) - (F_j - F_i)`` bit for bit.  A ``u`` that is not a
+    The default curves are ``random_curve``'s, each keeping the segments
+    its walk took, so none is validated or resolved again.  Drawing each
+    curve's times and locating them by ``Curve.locate`` stays a loop over
+    the curves, for it consumes ``rng``.  Then every curve's segments and
+    times make one ``KnotBatch``: one ``edge_cost`` gives every segment's
+    cost and every partial cost to a time, one ``evaluate`` u at every
+    time, and the pairs of all curves are one array expression, each pair's
+    defect ``(u_j - u_i) - (F_j - F_i)`` bit for bit.  A ``u`` that is not a
     ``SeedMap`` is evaluated point by point."""
     field = u.field
     graph = u.graph
@@ -352,7 +358,8 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     and that minimum is one map seeded with g at cost C per unit length.  The
     two-sided bound reads two such maps at cost K = 2 sup f + 2 Lip g, seeded
     with g and with -g.  Every pair is covered (``n_checked`` counts them) by
-    one evaluation per point and map: the points make one ``KnotBatch``, and
+    one evaluation per point and map: the points make one ``KnotBatch`` (the
+    default ones built as rows, given ones validated by ``KnotBatch.of``), and
     u and each cone map are one array pass over it (u point by point when it
     is not a ``SeedMap``), each defect equal to a point-by-point loop's.
 
@@ -380,10 +387,7 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     # a solve's own map is the compatibility check's map; a stored table is
     # not, for an edited one must not stand in for the true solve
     comp = check_compatibility(field, data, u=u if isinstance(u, ValueFunction) else None).ok
-    if points is None:
-        points = _default_samples(graph)
-        points += [Vertex(vid) for vid in graph.boundary_ids]
-    X = KnotBatch.of(graph, points)
+    X = _default_samples(graph, boundary=True)[1] if points is None else KnotBatch.of(graph, points)
     ux = _values_at(u, X)
     upper = _cone(graph, data.values, upper_c)
     max_upper = max((ux - upper.evaluate(X)).tolist(), default=-math.inf)

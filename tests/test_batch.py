@@ -5,14 +5,15 @@ check are checked against test-local copies of the point-by-point loops
 they replaced, byte for byte through ``dump_json``."""
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eikograph import (Constant, CostField, EdgeInterior, InputError, Linear, MetricGraph,
-                       OpticalMap, Samples, StoredSolution, Vertex, boundary_modulus, dump_json,
-                       solve, verify_dpp, verify_monge, verify_suboptimality)
+from eikograph import (BoundaryData, Constant, CostField, EdgeInterior, InputError, Linear,
+                       MetricGraph, OpticalMap, Samples, StoredSolution, Vertex, boundary_modulus,
+                       dump_json, solve, verify_dpp, verify_monge, verify_suboptimality)
 from eikograph.graph import (BRANCH_TIE, DistanceField, KnotBatch, SeedMap, _Rates, _compose,
                              _default_samples, random_curve)
 from eikograph.slopes import (EXACT_TOL, SAMPLED_TOL, MongeReport, MongeSample,
@@ -20,6 +21,7 @@ from eikograph.slopes import (EXACT_TOL, SAMPLED_TOL, MongeReport, MongeSample,
 from eikograph.solver import (TIMES_PER_CURVE, BoundaryModulusReport, DPPReport, DPPSample,
                               SuboptimalityReport, _cone, _lipschitz_of_g, check_compatibility)
 from conftest import build_instance, random_graph_spec
+from test_graph import reference_random_curve
 from test_cost import _mixed_k_field, _path_graph, _random_samples
 
 
@@ -43,7 +45,7 @@ def scalar_dpp(u, points=None, tau=None, tol=None):
     graph, field = u.graph, u.field
     tol = field.default_tol() if tol is None else tol
     if points is None:
-        points = _default_samples(graph)
+        points = _default_samples(graph)[0]
     samples, max_defect, ok = [], 0.0, True
     for p in points:
         graph.validate_point(p)
@@ -102,7 +104,7 @@ def scalar_modulus(u, points=None, tol=1e-9):
     upper_c, modulus_c = max(supf, lipg), 2.0 * supf + 2.0 * lipg
     comp = check_compatibility(field, data).ok
     if points is None:
-        points = _default_samples(graph) + [Vertex(vid) for vid in graph.boundary_ids]
+        points = _default_samples(graph)[0] + [Vertex(vid) for vid in graph.boundary_ids]
     uvals = [(p, u.evaluate(p)) for p in points]
     upper = _cone(graph, data.values, upper_c)
     max_upper = max((ux - upper.evaluate(p) for p, ux in uvals), default=-math.inf)
@@ -152,7 +154,7 @@ def scalar_monge(u, field, points=None, tol=None):
     elif isinstance(u, OpticalMap) and u.field is field:
         sample_set, points = "seeded", _monge_seeded_samples(u)
     else:
-        sample_set, points = "dense", _default_samples(graph, 5)
+        sample_set, points = "dense", _default_samples(graph, 5)[0]
     samples, sub_ok, super_ok, worst, worst_point = [], True, True, 0.0, None
     for p in points:
         graph.validate_point(p)
@@ -301,6 +303,111 @@ def test_suboptimality_report_is_the_pair_loops_byte_for_byte(seed):
             rng0 = random.Random(0)
             curves = [random_curve(graph, rng0, steps=rng0.randrange(3, 9)) for _ in range(4)]
             assert dump_json(got) == dump_json(scalar_suboptimality(u, curves, rng0))
+
+
+def located_suboptimality(u, rng=None, n_random=12):
+    """``verify_suboptimality`` on its default curves as it was before random
+    curves kept their segments: each curve is drawn by the walk that hands
+    its points to ``Curve``, and its times are located one by one."""
+    graph, field = u.graph, u.field
+    rng = rng or random.Random(0)
+    curves = []
+    for _ in range(n_random):
+        try:
+            curves.append(reference_random_curve(graph, rng, steps=rng.randrange(3, 9)))
+        except InputError:
+            break
+    index = graph._edge_order[1]
+    segments, times, segment_of, n_times = [], [], [], []
+    for curve in curves:
+        first = len(segments)
+        segments += [(index[eid], s0, s1) for eid, s0, s1 in curve.segments]
+        ts = sorted(set(curve.times()) | {curve.length * rng.random()
+                                          for _ in range(TIMES_PER_CURVE)})
+        for t in ts:
+            k, s = curve.locate(t)
+            eid, s0, _s1 = curve.segments[k]
+            times.append((index[eid], s0, s))
+            segment_of.append(first + k)
+        n_times.append(len(ts))
+    rows = segments + times
+    edges = np.array([r[0] for r in rows], dtype=np.intp)
+    starts = np.array([r[1] for r in rows], dtype=float)
+    ends = np.array([r[2] for r in rows], dtype=float)
+    costs = field.edge_cost(KnotBatch._of_rows(graph, edges, ends), starts, ends)
+    seg_costs = iter(costs[:len(segments)].tolist())
+    before = []
+    for curve in curves:
+        total = 0.0
+        for _ in curve.segments:
+            before.append(total)
+            total = total + next(seg_costs)
+    fvals = (np.array(before)[segment_of] + costs[len(segments):]).tolist()
+    n = len(segments)
+    Y = KnotBatch._of_rows(graph, edges[n:], ends[n:])
+    uvals = (u.evaluate(Y).tolist() if isinstance(u, SeedMap)
+             else [u.evaluate(p) for p in Y.points()])
+    defects = [0.0] + [(uvals[j] - uvals[i]) - (fvals[j] - fvals[i])
+                       for first, size in zip(np.cumsum([0] + n_times).tolist(), n_times)
+                       for i in range(first, first + size) for j in range(i + 1, first + size)]
+    tol = field.default_tol()
+    return SuboptimalityReport(ok=max(defects) <= tol, tol=tol, max_defect=max(defects),
+                               n_curves=len(curves), n_pairs=len(defects) - 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_default_suboptimality_is_the_located_loops_byte_for_byte(seed):
+    """The default curves, drawn from the given rng or from the default one,
+    on fields mixing constant, linear and sampled profiles."""
+    for rng, graph, field, data in _instances(seed):
+        for u in _candidates(rng, graph, field, data):
+            if all(rec.boundary for rec in graph.vertices.values()):
+                continue
+            n_random, rng_seed = rng.randint(1, 25), rng.random()
+            assert dump_json(verify_suboptimality(u, n_random=n_random)) == dump_json(
+                located_suboptimality(u, n_random=n_random))
+            assert dump_json(verify_suboptimality(u, rng=random.Random(rng_seed))) == dump_json(
+                located_suboptimality(u, random.Random(rng_seed)))
+
+
+@pytest.mark.parametrize("n_per_edge", [3, 5])
+def test_the_default_batch_is_the_batch_of_its_points(n_per_edge):
+    """Row for row what ``KnotBatch.of`` makes of the points, which are the
+    interior vertices, the evenly spaced edge points and, when asked for,
+    the boundary vertices; on graphs with no boundary vertex, some, and all."""
+    rng = random.Random(n_per_edge)
+    for k in range(60):
+        spec = random_graph_spec(rng, max_vertices=9, max_extra_edges=8)
+        spec["boundary"] = ([] if k % 3 == 0 else spec["vertices"] if k % 3 == 1
+                            else spec["boundary"])
+        graph = MetricGraph([(v, v in spec["boundary"]) for v in spec["vertices"]],
+                            [(e["id"], e["src"], e["dst"], e["length"]) for e in spec["edges"]])
+        for boundary in (False, True):
+            points, X = _default_samples(graph, n_per_edge, boundary)
+            want = [Vertex(v) for v, rec in graph.vertices.items() if not rec.boundary]
+            want += [EdgeInterior(eid, rec.length * i / (n_per_edge + 1))
+                     for eid, rec in graph.edges.items() for i in range(1, n_per_edge + 1)]
+            want += [Vertex(v) for v in graph.boundary_ids] if boundary else []
+            assert points == want
+            Y = KnotBatch.of(graph, want)
+            assert X.edges.dtype == Y.edges.dtype and X.offsets.dtype == Y.offsets.dtype
+            assert np.array_equal(X.edges, Y.edges) and np.array_equal(X.offsets, Y.offsets)
+
+
+@pytest.mark.parametrize("length, offset", [(5e-324, "0.0"), (1.5e308, "inf")])
+def test_a_default_sample_off_its_edge_is_refused_as_the_batch_of_points_refuses_it(
+        length, offset):
+    """On a subnormal or near-overflow length an evenly spaced offset rounds
+    to 0 or overflows, and the default samples are refused in
+    ``KnotBatch.of``'s words, as their point list would be."""
+    graph = MetricGraph([("a",), ("b", True)], [("e", "a", "b", length), ("f", "a", "b", 1.0)])
+    field = CostField(graph, {"e": Constant(1.0), "f": Constant(1.0)})
+    u = solve(field, BoundaryData(graph, {"b": 0.0}))
+    words = "^%s$" % re.escape("interior offset %s outside (0, %r) on edge 'e'" % (offset, length))
+    for check in (lambda: verify_dpp(u), lambda: boundary_modulus(u),
+                  lambda: verify_monge(DistanceField(graph, Vertex("b")), field)):
+        with pytest.raises(InputError, match=words):
+            check()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -540,3 +540,110 @@ def test_random_curve_avoids_boundary_vertices(seed):
         if isinstance(p, Vertex):
             assert p.id not in boundary
     assert c.length > 0.0
+
+
+def reference_random_curve(graph, rng, steps=6):
+    """The walk ``random_curve`` takes, written as it was before it kept its
+    own segments: its points and edge hints go through ``Curve``, which
+    validates the points and resolves each step again."""
+    eids = sorted(graph.edges)
+    for _attempt in range(64):
+        eid = eids[rng.randrange(len(eids))]
+        rec = graph.edges[eid]
+        s = rng.uniform(0.2, 0.8) * rec.length
+        pts, hints = [EdgeInterior(eid, s)], []
+        cur_eid, cur_s = eid, s
+        for _ in range(steps):
+            rec = graph.edges[cur_eid]
+            go_up = rng.random() < 0.5
+            if go_up:
+                target_vid, vertex_s = rec.dst, rec.length
+            else:
+                target_vid, vertex_s = rec.src, 0.0
+            boundary = graph.vertices[target_vid].boundary
+            if boundary or rng.random() < 0.35:
+                ns = cur_s + (vertex_s - cur_s) * (rng.uniform(0.3, 0.9) if boundary
+                                                   else rng.uniform(0.2, 0.8))
+                if 0.0 < ns < rec.length and ns != cur_s:
+                    pts.append(EdgeInterior(cur_eid, ns))
+                    hints.append(cur_eid)
+                    cur_s = ns
+                continue
+            pts.append(Vertex(target_vid))
+            hints.append(cur_eid)
+            nxt = graph.adjacency(target_vid)
+            neid, nend = nxt[rng.randrange(len(nxt))]
+            nrec = graph.edges[neid]
+            base = 0.0 if nend == 0 else nrec.length
+            direction = 1.0 if nend == 0 else -1.0
+            ns = base + direction * rng.uniform(0.2, 0.8) * nrec.length
+            pts.append(EdgeInterior(neid, ns))
+            hints.append(neid)
+            cur_eid, cur_s = neid, ns
+        if len(pts) >= 2 and not any(graph.is_boundary(p) for p in pts):
+            return Curve(graph, pts, hints)
+    raise InputError("could not sample a curve avoiding the boundary")
+
+
+def _walk_graph(rng):
+    """A connected multigraph thick with self-loops and parallel edges, its
+    boundary anything from empty to every vertex."""
+    n = rng.randint(1, 7)
+    vids = ["v%d" % i for i in range(n)]
+    pairs = [(vids[rng.randrange(i)], vids[i]) for i in range(1, n)]
+    for _ in range(rng.randint(1, 10)):
+        kind = rng.random()
+        if kind < 0.4:
+            a = rng.choice(vids)
+            pairs.append((a, a))
+        elif kind < 0.7 and pairs:
+            pairs.append(rng.choice(pairs)[::rng.choice((1, -1))])
+        else:
+            pairs.append((rng.choice(vids), rng.choice(vids)))
+    boundary = set(rng.sample(vids, rng.randint(0, n)))
+    return MetricGraph([(v, v in boundary) for v in vids],
+                       [("e%d" % i, a, b, rng.choice((1.0, 2.0, rng.uniform(0.01, 3.0))))
+                        for i, (a, b) in enumerate(pairs)])
+
+
+def test_random_curve_keeps_the_segments_curve_would_resolve():
+    """The walk's own segments are the ones ``Curve`` resolves from its
+    points and hints, a step touching a self-loop's vertex at the loop's
+    nearer end (offset 0 on a tie); the rng is left in the same state, and
+    no point is on the boundary, even where every vertex is."""
+    rng = random.Random(2024)
+    loop_steps = 0
+    for _ in range(1500):
+        graph = _walk_graph(rng)
+        seed, steps = rng.random(), rng.randint(1, 9)
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            got = random_curve(graph, got_rng, steps)
+            want = reference_random_curve(graph, want_rng, steps)
+            assert got.points == want.points
+            assert got.segments == want.segments
+            assert got._cum == want._cum
+            assert got_rng.getstate() == want_rng.getstate()
+            assert not any(graph.is_boundary(p) for p in got.points)
+            loop_steps += sum(graph.edges[eid].src == graph.edges[eid].dst
+                              for eid, _, _ in got.segments)
+    assert loop_steps >= 10000
+
+
+class _Midpoints(random.Random):
+    """Every uniform draw at its interval's midpoint, and ``random()`` at 0.6:
+    each step heads for an edge's src and passes through its vertex."""
+
+    def uniform(self, a, b):
+        return 0.5 * (a + b)
+
+    def random(self):
+        return 0.6
+
+
+def test_a_walk_from_a_self_loops_midpoint_meets_its_vertex_at_offset_zero():
+    graph = MetricGraph([("a",)], [("loop", "a", "a", 2.0)])
+    got = random_curve(graph, _Midpoints(3), 2)
+    want = reference_random_curve(graph, _Midpoints(3), 2)
+    assert got.segments[:2] == (("loop", 1.0, 0.0), ("loop", 0.0, 1.0))
+    assert (got.points, got.segments, got._cum) == (want.points, want.segments, want._cum)

@@ -266,7 +266,7 @@ def test_monge_on_a_table_is_the_bellman_check():
         assert seeded.ok == bellman_ok(spec, table)
         if raised:
             assert not seeded.ok
-        dense = verify_monge(u, field, points=_default_samples(field.graph, 5))
+        dense = verify_monge(u, field, points=_default_samples(field.graph, 5)[0])
         assert dense.sample_set == "given"
         assert seeded.ok <= dense.ok
 

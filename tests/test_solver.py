@@ -15,7 +15,8 @@ from eikograph import (BoundaryData, Constant, CostField, Curve, EdgeInterior, I
                        graph_to_dict, optical_length, random_curve, solve, verify_dpp,
                        verify_monge, verify_suboptimality)
 from eikograph.cli import entry
-from eikograph.graph import SeedMap, _default_samples
+from eikograph import graph as graph_module
+from eikograph.graph import KnotBatch, SeedMap, _default_samples
 from eikograph.solver import BoundaryModulusReport, _lipschitz_of_g
 from conftest import (build_instance, exact_vertex_values, interval_point, make_interval,
                       random_graph_spec)
@@ -250,7 +251,7 @@ def test_dpp_rejects_a_dip_next_to_the_boundary(interval, tau):
 def test_dpp_checks_every_sample_at_a_radius_past_the_boundary(interval):
     graph, field, data = interval
     rep = verify_dpp(solve(field, data), tau=10.0)
-    assert len(rep.samples) == len(_default_samples(graph)) == 3
+    assert len(rep.samples) == len(_default_samples(graph)[0]) == 3
     assert not any(s.skipped for s in rep.samples)
     assert rep.ok and rep.max_defect == 0.0
     assert not verify_dpp(_dip(field)[1], tau=10.0).ok
@@ -300,7 +301,7 @@ def test_dpp_runs_no_dijkstra_whatever_the_sample_count(monkeypatch, n_points):
 
     monkeypatch.setattr(MetricGraph, "shortest_from_seeds", counting)
     rep = verify_dpp(u, points=points)
-    assert len(rep.samples) == (n_points or len(_default_samples(graph)))
+    assert len(rep.samples) == (n_points or len(_default_samples(graph)[0]))
     assert runs == []
 
 
@@ -547,7 +548,7 @@ def test_modulus_runs_one_dijkstra_per_boundary_vertex_whatever_the_point_count(
     for scale in (1, 3):
         graph, field, data = build_instance(spec)
         u = solve(field, data)
-        points = (_default_samples(graph, n_per_edge=scale)
+        points = (_default_samples(graph, n_per_edge=scale)[0]
                   + [Vertex(b) for b in graph.boundary_ids])
         runs.clear()
         rep = boundary_modulus(u, points=points)
@@ -592,7 +593,7 @@ def _point_major_modulus(u, points=None, tol=1e-9):
     upper_c = max(supf, lipg)
     comp = check_compatibility(field, data).ok
     if points is None:
-        points = _default_samples(graph) + [Vertex(b) for b in graph.boundary_ids]
+        points = _default_samples(graph)[0] + [Vertex(b) for b in graph.boundary_ids]
     max_upper = max_abs = -math.inf
     n = 0
     for p in points:
@@ -714,7 +715,7 @@ def _north_star_runs(monkeypatch, verifier, scale, count=_count_dijkstras):
         curves = [random_curve(graph, rng, steps=4) for _ in range(4 * scale)]
         verify_suboptimality(u, curves=curves, rng=random.Random(1))
         return len(runs)
-    points = _default_samples(graph, n_per_edge=scale)
+    points = _default_samples(graph, n_per_edge=scale)[0]
     if verifier == "monge":
         verify_monge(u, field, points=points)
     elif verifier == "dpp":
@@ -743,6 +744,64 @@ def test_no_verifier_evaluates_point_by_point(monkeypatch, verifier):
     monkeypatch.undo()
     large = _north_star_runs(monkeypatch, verifier, 3, _count_scalar_values)
     assert small == large
+
+
+def _count_validation(monkeypatch):
+    """(name, args) of every ``MetricGraph.validate_point``,
+    ``graph._resolve_step`` and ``KnotBatch.of`` call."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(MetricGraph, "validate_point",
+                        counting("validate_point", MetricGraph.validate_point))
+    monkeypatch.setattr(graph_module, "_resolve_step",
+                        counting("_resolve_step", graph_module._resolve_step))
+    monkeypatch.setattr(KnotBatch, "of", classmethod(counting("of", KnotBatch.of.__func__)))
+    return calls
+
+
+def test_default_samples_and_random_curves_are_not_validated_again(monkeypatch, tmp_path):
+    """The default dpp and modulus samples are built as a batch, and random
+    curves keep the segments they walk, so neither is validated again; the
+    modulus check validates only the boundary vertices its maps are seeded
+    at.  Points and curves from the caller still are validated."""
+    spec = random_graph_spec(random.Random(5), max_vertices=12, max_extra_edges=10)
+    graph, field, data = build_instance(spec)
+    u = solve(field, data)
+    calls = _count_validation(monkeypatch)
+    assert verify_suboptimality(u).n_curves == 12 and verify_dpp(u).samples
+    assert calls == []
+    boundary_modulus(u)
+    assert calls and all(name == "validate_point" and graph.is_boundary(args[1])
+                         for name, args in calls)
+    calls.clear()
+    points = [Vertex(v) for v in graph.vertices]
+    verify_dpp(u, points=points)
+    assert [name for name, _ in calls] == ["of"] + ["validate_point"] * len(points)
+    calls.clear()
+    boundary_modulus(u, points=points)
+    first = calls.index(("of", (KnotBatch, graph, points)))
+    assert calls[first + 1:first + 1 + len(points)] == [("validate_point", (graph, p))
+                                                        for p in points]
+    # a curves file goes through Curve, which validates and resolves its points
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(graph_to_dict(graph, field, data)))
+    assert entry(["solve", str(g), "--out-dir", str(tmp_path)]) in (0, 2)
+    eid = next(eid for eid, rec in graph.edges.items()
+               if not (graph.vertices[rec.src].boundary or graph.vertices[rec.dst].boundary))
+    curves = tmp_path / "curves.json"
+    curves.write_text(json.dumps([{"points": [{"edge": eid, "s": 0.25 * graph.edges[eid].length},
+                                              {"edge": eid, "s": 0.5 * graph.edges[eid].length}]}]))
+    calls.clear()
+    assert entry(["verify", str(g), str(tmp_path / "u.json"), "--mode", "subopt",
+                  "--curves-file", str(curves), "--out-dir", str(tmp_path)]) == 0
+    assert [name for name, _ in calls].count("_resolve_step") == 1
+    assert [name for name, _ in calls].count("validate_point") >= 2
 
 
 # ----------------------------------------------------------------------
