@@ -8,11 +8,11 @@ lengths and kink offsets stay at full float accuracy for constant and linear
 speed fields.  ``Constant`` is defined in ``graph``, whose unit table is
 made of it, and is imported here with the other profiles.
 
-The profile protocol: ``at(s)``, ``at_array(s)`` (``at`` at each offset, bit
-for bit), ``integral(s0, s1)``, ``integral_array(s0, s1)`` (``integral`` at
-each pair of offsets, bit for bit) and ``inverse_integral(target)`` (from 0).
-A class whose ``integral_array`` is one expression in its parameters names
-them in ``PARAMS``, so that a batch gathers them by edge.  Only
+The profile protocol: ``at(s)``, ``integral(s0, s1)`` and
+``inverse_integral(target)`` (from 0), plus either ``PARAMS`` or a table.  A
+class whose ``at`` and ``integral`` are one expression in its parameters names
+them in ``PARAMS``, so that a batch gathers them by edge and calls those
+methods on arrays; any other profile is a row of a table.  Only
 ``bounds(length)`` and ``check(length, fmin)`` take the edge's length; ``check``
 returns the profile a ``CostField`` keeps, its params floats, and changes none.
 
@@ -21,7 +21,8 @@ A field checks its sampled profiles together: those with K knots make one
 is one array predicate, and F at every knot is built for the whole table at
 once; each profile keeps its place in the table, and its values' bounds,
 read off the table, for the field's overflow rule.  A batch reads the rows
-of one table together (``Samples._table_at`` and ``_table_integral``).
+of one table together (``Samples._table_at`` and ``_table_integral``, which
+only ``graph._Rates`` calls).
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import InputError, ProfileError
-from .graph import Constant, EdgeInterior, GraphPoint, KnotBatch, MetricGraph, Vertex, _Rates, _reals
+from .graph import Constant, EdgeInterior, GraphPoint, KnotBatch, MetricGraph, _per_row, _Rates, _reals
 
 #: the positivity floor: every cost field has f >= FMIN > 0
 FMIN = 1e-6
@@ -74,14 +75,10 @@ class Linear:
     def at(self, s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         return self.a + self.b * s
 
-    # one expression on a float or an array
-    at_array = at
-
     def integral(self, s0: float, s1: float) -> float:
         return self.a * (s1 - s0) + 0.5 * self.b * (s1 * s1 - s0 * s0)
 
-    # one expression on floats or arrays, the coefficients included
-    integral_array = integral
+    # at and integral are one expression on floats or arrays, the coefficients included
     PARAMS = ("a", "b")
 
     def inverse_integral(self, target: float) -> float:
@@ -104,22 +101,6 @@ def _tabulate(profiles: Sequence["Samples"], knots: np.ndarray, values: np.ndarr
     for j, (prof, t) in enumerate(zip(profiles, pre.tolist())):
         object.__setattr__(prof, "_pre", tuple(t))
         object.__setattr__(prof, "_table", (knots, values, pre, j))
-
-
-def _lerp(k, v, i, s):
-    """f at offsets ``s``, each on the knot segment that starts at index
-    ``i`` of knots ``k`` and values ``v``."""
-    w = (s - k[i]) / (k[i + 1] - k[i])
-    return v[i] * (1.0 - w) + v[i + 1] * w
-
-
-def _trapezoid(k, v, pre, i, s):
-    """F at offsets ``s``, each on the knot segment that starts at index
-    ``i``: F at its start (``pre``) plus the trapezoid from there to s."""
-    ki, vi = k[i], v[i]
-    t = s - ki
-    w = t / (k[i + 1] - ki)
-    return pre[i] + 0.5 * (vi + (vi * (1.0 - w) + v[i + 1] * w)) * t
 
 
 def _lockstep(knots: np.ndarray, row: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -175,15 +156,15 @@ class Samples:
     interpolated between them.  Knots must start at 0 and end at the edge
     length (the last knot may be off by float dust; ``check`` snaps it).
 
-    A profile has two faces of its knots, values and cumulative table
-    ``F(knot)``: tuples, which the scalar ``at``, ``integral`` and
-    ``inverse_integral`` bisect, and float64 rows, which ``at_array`` and
-    ``integral_array`` read.  ``check`` builds them: a ``CostField`` checks
-    its sampled profiles together (``_check_many``), one (n, K) table for
-    each knot count, and each profile it keeps is a row of it (``_table``,
-    its rows as views ``_rows``); a profile checked alone is a table of one
-    row.  An unchecked profile builds its row on first use.  Either way a
-    profile costs O(K) once and O(log K) per integral."""
+    A profile holds its knots, values and cumulative table ``F(knot)`` as
+    tuples, which the scalar ``at``, ``integral`` and ``inverse_integral``
+    bisect, and as a row of float64 tables, which a batch reads through
+    ``graph._Rates``.  ``check`` builds both: a ``CostField`` checks its
+    sampled profiles together (``_check_many``), one (n, K) table for each
+    knot count, and each profile it keeps is a row of it (``_table``); a
+    profile checked alone is a table of one row.  An unchecked profile
+    builds its row on first use.  Either way a profile costs O(K) once and
+    O(log K) per integral."""
 
     knots: Sequence[float]
     values: Sequence[float]
@@ -255,22 +236,6 @@ class Samples:
         w = (s - k[i]) / (k[i + 1] - k[i])
         return v[i] * (1.0 - w) + v[i + 1] * w
 
-    @property
-    def _rows(self) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """This profile's rows of its knot, value and F tables, if it has them."""
-        if self._table is None:
-            return None
-        knots, values, pre, j = self._table
-        return knots[j], values[j], pre[j]
-
-    def at_array(self, s: np.ndarray) -> np.ndarray:
-        """``at`` at every offset of ``s``, bit for bit."""
-        if self._table is None:
-            self._prefix()
-        k, v, _ = self._rows
-        s = np.minimum(np.maximum(s, k[0]), k[-1])
-        return _lerp(k, v, np.clip(np.searchsorted(k, s, side="right") - 1, 0, len(k) - 2), s)
-
     @staticmethod
     def _table_at(table: Tuple[np.ndarray, ...], row: np.ndarray, s: np.ndarray) -> np.ndarray:
         """``at`` at each offset of ``s`` on the profile that is row ``row``
@@ -278,7 +243,9 @@ class Samples:
         bit; the rows find their segments together (``_lockstep``)."""
         knots, values, _ = table
         s, i = _lockstep(knots, row, s)
-        return _lerp(knots.ravel(), values.ravel(), i, s)
+        k, v = knots.ravel(), values.ravel()
+        w = (s - k[i]) / (k[i + 1] - k[i])
+        return v[i] * (1.0 - w) + v[i + 1] * w
 
     def _prefix(self) -> Tuple[float, ...]:
         """F at every knot, for a profile that no field tabulated: its table
@@ -300,17 +267,6 @@ class Samples:
         pre = self._pre or self._prefix()
         return self._F(pre, s1) - self._F(pre, s0)
 
-    def integral_array(self, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-        """``integral`` at every pair of offsets, bit for bit: ``_F``'s steps
-        as array operations, on s1 and s0 together."""
-        if self._table is None:
-            self._prefix()
-        k, v, pre = self._rows
-        s = np.minimum(np.maximum(np.concatenate((s1, s0)), k[0]), k[-1])
-        i = np.minimum(np.maximum(np.searchsorted(k, s, side="right") - 1, 0), len(k) - 2)
-        F = _trapezoid(k, v, pre, i, s)
-        return F[:len(s1)] - F[len(s1):]
-
     @staticmethod
     def _table_integral(table: Tuple[np.ndarray, ...], row: np.ndarray, s0: np.ndarray,
                         s1: np.ndarray) -> np.ndarray:
@@ -318,7 +274,11 @@ class Samples:
         ``at``, bit for bit."""
         knots, values, pre = table
         s, i = _lockstep(knots, np.concatenate((row, row)), np.concatenate((s1, s0)))
-        F = _trapezoid(knots.ravel(), values.ravel(), pre.ravel(), i, s)
+        k, v = knots.ravel(), values.ravel()
+        ki, vi = k[i], v[i]
+        t = s - ki
+        w = t / (k[i + 1] - ki)
+        F = pre.ravel()[i] + 0.5 * (vi + (vi * (1.0 - w) + v[i + 1] * w)) * t
         return F[:len(s1)] - F[len(s1):]
 
     def inverse_integral(self, target: float) -> float:
@@ -388,7 +348,7 @@ class CostField:
         array, each equal to the scalar call's bit for bit.  A segment outside
         its edge is refused in the scalar call's words, the first such row."""
         if isinstance(eid, KnotBatch):
-            return self._edge_costs(eid.edges, s0, s1)
+            return self._edge_costs(eid._on(self.graph).edges, s0, s1)
         rec = self.graph.edge(eid)
         lo, hi = (s0, s1) if s0 <= s1 else (s1, s0)
         if lo < -1e-12 or hi > rec.length * (1 + 1e-12):
@@ -425,30 +385,19 @@ class CostField:
         steepest-descent slope at a vertex is checked against.
 
         A ``KnotBatch`` gets the same values as an (n, 1) column, computed
-        once per batch: rows inside an edge through its profile's
-        ``at_array``, rows at a vertex as above."""
+        once per batch: the least f over each row's germs (``KnotBatch.germs``,
+        read by the field's ``_Rates``), one germ each way inside an edge."""
         if isinstance(p, EdgeInterior):
             self.graph.validate_point(p)
             return self.profiles[p.edge].at(p.s)
         if isinstance(p, KnotBatch):
-            return p.column(self, self._knot_values)
+            return p._on(self.graph).column(self, self._least_germ_values)
         return min(map(self.germ_value, self.graph.germs(p)))
 
-    def _knot_values(self, runs) -> np.ndarray:
-        """f at the rows of ``runs`` (see ``KnotBatch``) as a column, each
-        vertex's least germ value computed once for the batch."""
-        at_vertex: Dict[str, float] = {}
-        parts = []
-        for eid, s in runs:
-            rec = self.graph.edges[eid]
-            for vid in (rec.src, rec.dst):
-                if vid not in at_vertex:
-                    at_vertex[vid] = min(map(self.germ_value, self.graph.germs(Vertex(vid))))
-            inside = (s > 0.0) & (s < rec.length)
-            col = np.where(s == 0.0, at_vertex[rec.src], at_vertex[rec.dst])
-            col[inside] = self.profiles[eid].at_array(s[inside])
-            parts.append(col)
-        return np.concatenate(parts)[:, None]
+    def _least_germ_values(self, X: KnotBatch) -> np.ndarray:
+        """The least f over each row's germs, as a column."""
+        owner, G, _ = X.germs()
+        return _per_row(np.minimum, self._rates.at_rows(G), owner)[:, None]
 
     def germ_value(self, germ) -> float:
         self.graph.edge(germ.edge)  # refuses an unknown edge

@@ -73,8 +73,10 @@ class KnotBatch:
     an (edge, offset) pair with the offset in [0, L].  An offset of 0 or L is
     the vertex at that end, as ``MetricGraph.point`` has it.  A Hamiltonian's
     ``fn`` broadcasts over a batch as it does over ``p``; ``SeedMap.evaluate``
-    and ``CostField.edge_cost`` take one in place of a point and make one
-    array pass over its rows, equal row by row to the scalar call.
+    and ``germ_derivative``, ``CostField.edge_cost`` and ``value_at`` take one
+    in place of a point and make one array pass over its rows, equal row by
+    row to the scalar call.  Each refuses a batch built on another graph
+    object, whose rows index that object's edges.
 
     ``KnotBatch(graph, runs)`` takes (edge id, offsets) pairs, each a run of
     consecutive rows on one edge: a whole edge's knots run from 0 to its
@@ -82,16 +84,15 @@ class KnotBatch:
     ``KnotBatch.of`` takes graph points.  ``edges`` (each row's edge as its
     index in graph order) and ``offsets`` are this batch's rows as arrays.
     ``batch[rows]`` is the sub-batch of the given rows of the whole batch (an
-    integer array); ``runs``, ``points`` and ``point`` read the whole batch.
-    A column computed through ``column`` is computed once for the whole batch
-    and shared with every sub-batch."""
+    integer array); ``points`` and ``point`` read the whole batch.  A column
+    computed through ``column`` is computed once for the whole batch and
+    shared with every sub-batch."""
 
     def __init__(self, graph: MetricGraph, runs: Sequence[Tuple[str, np.ndarray]]):
         index = graph._edge_order[1]
         self._setup(graph, np.repeat(np.array([index[eid] for eid, _ in runs], dtype=np.intp),
                                      [len(s) for _, s in runs]),
                     np.concatenate([np.empty(0)] + [s for _, s in runs]))
-        self._runs = runs
 
     @classmethod
     def of(cls, graph: MetricGraph, points: Iterable[GraphPoint]) -> KnotBatch:
@@ -121,7 +122,6 @@ class KnotBatch:
         self.graph = graph
         self._edges = edges
         self._offsets = offsets
-        self._runs: Optional[Sequence[Tuple[str, np.ndarray]]] = None
         self.rows: Optional[np.ndarray] = None
         self._memo: dict = {}
         self._germs: Optional[Tuple[np.ndarray, KnotBatch, np.ndarray]] = None
@@ -131,7 +131,7 @@ class KnotBatch:
 
     def __getitem__(self, rows: np.ndarray) -> KnotBatch:
         sub = KnotBatch._of_rows(self.graph, self._edges, self._offsets)
-        sub._runs, sub.rows, sub._memo = self._runs, rows, self._memo
+        sub.rows, sub._memo = rows, self._memo
         return sub
 
     @property
@@ -142,26 +142,22 @@ class KnotBatch:
     def offsets(self) -> np.ndarray:
         return self._offsets if self.rows is None else self._offsets[self.rows]
 
-    @property
-    def runs(self) -> Sequence[Tuple[str, np.ndarray]]:
-        """The whole batch as (edge id, offsets) pairs, one per run of
-        consecutive rows on one edge."""
-        if self._runs is None:
-            cut = np.flatnonzero(np.diff(self._edges)) + 1
-            ids = self.graph._edge_order[0]
-            self._runs = [(ids[e], s) for e, s in zip(self._edges[np.r_[0, cut]].tolist(),
-                                                      np.split(self._offsets, cut))
-                          ] if len(self._edges) else []
-        return self._runs
-
-    def column(self, key: Hashable,
-               compute: Callable[[Sequence[Tuple[str, np.ndarray]]], np.ndarray]) -> np.ndarray:
-        """``compute(runs)``, an (n, 1) column over the whole batch, kept
-        under ``key``: this batch's rows of it."""
+    def column(self, key: Hashable, compute: Callable[[KnotBatch], np.ndarray]) -> np.ndarray:
+        """``compute`` of the whole batch, an (n, 1) column kept under
+        ``key``: this batch's rows of it."""
         col = self._memo.get(key)
         if col is None:
-            col = self._memo[key] = compute(self.runs)
+            whole = self if self.rows is None else KnotBatch._of_rows(self.graph, self._edges,
+                                                                      self._offsets)
+            col = self._memo[key] = compute(whole)
         return col if self.rows is None else col[self.rows]
+
+    def _on(self, graph: MetricGraph) -> KnotBatch:
+        """This batch, refused unless it was built on ``graph`` itself: its
+        rows index their edges in that object's order."""
+        if self.graph is not graph:
+            raise InputError("a KnotBatch is read only on the graph object it was built on")
+        return self
 
     def vertices(self) -> np.ndarray:
         """Each row's vertex as its index in graph order, or -1 for a row
@@ -233,14 +229,10 @@ class Constant:
     def at(self, s: float) -> float:
         return self.value
 
-    def at_array(self, s: np.ndarray) -> np.ndarray:
-        return np.full(s.shape, self.value, dtype=float)
-
     def integral(self, s0: float, s1: float) -> float:
         return self.value * (s1 - s0)
 
-    # one expression on floats or arrays, the value included (see _Rates)
-    integral_array = integral
+    # at and integral are one expression on floats or arrays, the value included (see _Rates)
     PARAMS = ("value",)
 
     def inverse_integral(self, target: float) -> float:
@@ -577,12 +569,13 @@ class MetricGraph:
 
 class _Rates:
     """A profile table (edge id -> profile) read at a batch's rows, bit for
-    bit as each row's profile's ``at`` and ``integral``.  The rows of a
-    class whose array methods broadcast over the parameters it names in
-    ``PARAMS`` make one expression on those parameters gathered by edge.
-    Any other profile (``Samples``) is a row of a table (its ``_table``),
-    and each table's rows are read together by its class's ``_table_at``
-    and ``_table_integral``, which search their segments in lockstep."""
+    bit as each row's profile's ``at`` and ``integral``: the one reader of
+    profiles at batch rows.  The rows of a class that names its parameters
+    in ``PARAMS`` make one profile of that class whose parameters are
+    arrays gathered by edge, read by its own ``at`` and ``integral``.  Any
+    other profile (``Samples``) is a row of a table (its ``_table``), and
+    each table's rows are read together by its class's ``_table_at`` and
+    ``_table_integral``, which search their segments in lockstep."""
 
     def __init__(self, graph: MetricGraph, profiles: Dict[str, "Profile"]):
         profs = [profiles[eid] for eid in graph._edge_order[0]]
@@ -618,7 +611,7 @@ class _Rates:
         return out
 
     def at(self, edges: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return self._read(edges, lambda prof: prof.at_array, lambda cls: cls._table_at, s)
+        return self._read(edges, lambda prof: prof.at, lambda cls: cls._table_at, s)
 
     def at_rows(self, X: KnotBatch) -> np.ndarray:
         """``at`` at every row of ``X``, kept on it for this table unless it is a sub-batch."""
@@ -628,8 +621,7 @@ class _Rates:
         return memo[self]
 
     def integral(self, edges: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-        return self._read(edges, lambda prof: prof.integral_array,
-                          lambda cls: cls._table_integral, s0, s1)
+        return self._read(edges, lambda prof: prof.integral, lambda cls: cls._table_integral, s0, s1)
 
 
 class SeedMap:
@@ -717,9 +709,8 @@ class SeedMap:
             branches = [(every, at_src[e] + cost[:n], 1.0), (every, at_dst[e] + cost[n:], -1.0)]
             for eid, seeds in self._interior_seeds.items():
                 rows = np.flatnonzero(e == index[eid])
-                t = s[rows]
-                integral = self.profiles[eid].integral_array
-                branches += [(rows, val + integral(np.minimum(t, s0), np.maximum(t, s0)),
+                t, on = s[rows], e[rows]
+                branches += [(rows, val + rates.integral(on, np.minimum(t, s0), np.maximum(t, s0)),
                               np.sign(t - s0)) for s0, val in seeds]
             (_, least, _), (_, v, _) = branches[:2]
             least = np.where(v < least, v, least)
@@ -741,7 +732,7 @@ class SeedMap:
         array, computed in one array pass and equal to the point's value
         bit for bit."""
         if isinstance(p, KnotBatch):
-            return self._values(p)
+            return self._values(p._on(self.graph))
         self.graph.validate_point(p)
         return self._value(p)
 
@@ -759,7 +750,7 @@ class SeedMap:
             G = KnotBatch._of_rows(self.graph, np.array([self.graph._edge_order[1][germ.edge]]),
                                    np.array([germ.base], dtype=float))
             return float(self.germ_derivative(G, np.array([germ.sign], dtype=float))[0])
-        least, branches = self._branches(p)
+        least, branches = self._branches(p._on(self.graph))
         near = least + BRANCH_TIE * (1.0 + np.abs(least))
         descends = np.zeros(len(least), dtype=bool)
         for rows, v, slope in branches:
@@ -775,35 +766,39 @@ class DistanceField(SeedMap):
         super().__init__(graph, {x0: 0.0}, graph.unit_profiles)
 
 
-def _default_samples(graph: MetricGraph, n_per_edge: int = 3,
-                     boundary: bool = False) -> Tuple[List[GraphPoint], KnotBatch]:
+def _default_batch(graph: MetricGraph, n_per_edge: int = 3, boundary: bool = False) -> KnotBatch:
     """The interior vertices, then ``n_per_edge`` evenly spaced points inside
-    each edge, in graph order, then with ``boundary`` the boundary vertices;
-    and their batch, built from arrays and row for row the one
-    ``KnotBatch.of`` builds from the points: a vertex is the row at its end
-    of its first incident edge, and point k of an edge of length L sits at
-    L * k / (n_per_edge + 1).  Only an offset that rounds onto its edge's
-    end (a subnormal or near-overflow length) sends the points through
-    ``KnotBatch.of``, for its refusal."""
-    vids = list(graph.vertices)
+    each edge, in graph order, then with ``boundary`` the boundary vertices,
+    as a batch built from arrays, no point object made: row for row the
+    batch ``KnotBatch.of`` builds from the points.  A vertex is the row at
+    its end of its first incident edge, and point k of an edge of length L
+    sits at L * k / (n_per_edge + 1).  Only an offset that rounds onto its
+    edge's end (a subnormal or near-overflow length) sends the edges' points
+    through ``KnotBatch.of``, for its refusal."""
     ids, _, lengths = graph._edge_order
     is_boundary, start, adj_edge, adj_end = graph._incidence[2:]
     inner, outer = np.flatnonzero(~is_boundary), np.flatnonzero(is_boundary)
     with np.errstate(over="ignore"):
         on_edges = lengths[:, None] * np.arange(1, n_per_edge + 1) / (n_per_edge + 1)
+    if not ((on_edges > 0.0) & (on_edges < lengths[:, None])).all():
+        return KnotBatch.of(graph, [EdgeInterior(eid, s) for eid, row in zip(ids, on_edges.tolist())
+                                    for s in row])
     vertex = np.concatenate((inner, outer)) if boundary else inner
     slot = start[vertex]
     v_edge = adj_edge[slot]
-    points: List[GraphPoint] = [Vertex(vids[v]) for v in inner.tolist()]
-    points += [EdgeInterior(eid, s) for eid, row in zip(ids, on_edges.tolist()) for s in row]
-    points += [Vertex(vids[v]) for v in outer.tolist()] if boundary else []
     n = len(inner)
     rows = np.concatenate((v_edge[:n], np.arange(len(ids)).repeat(n_per_edge), v_edge[n:]))
     v_offsets = np.where(adj_end[slot] == 1, lengths[v_edge], 0.0)
     offsets = np.concatenate((v_offsets[:n], on_edges.ravel(), v_offsets[n:]))
-    if not ((on_edges > 0.0) & (on_edges < lengths[:, None])).all():
-        return points, KnotBatch.of(graph, points)
-    return points, KnotBatch._of_rows(graph, rows, offsets)
+    return KnotBatch._of_rows(graph, rows, offsets)
+
+
+def _default_samples(graph: MetricGraph, n_per_edge: int = 3) -> Tuple[List[GraphPoint], KnotBatch]:
+    """``_default_batch``'s rows as graph points, and the batch."""
+    X = _default_batch(graph, n_per_edge)
+    ids, vids = graph._edge_order[0], list(graph.vertices)
+    return [Vertex(vids[v]) if v >= 0 else EdgeInterior(ids[e], s) for v, e, s in
+            zip(X.vertices().tolist(), X.edges.tolist(), X.offsets.tolist())], X
 
 
 def _values_at(u, X: KnotBatch) -> np.ndarray:

@@ -265,9 +265,9 @@ def reduce_to_eikonal(H: Hamiltonian, u: Union[float, Callable[[GraphPoint], flo
     per_batch = max(1, BATCH_KNOTS // n_knots)
     profiles: Dict[str, Samples] = {}
     for b in range(0, len(edge_knots), per_batch):
-        X = KnotBatch(graph, edge_knots[b:b + per_batch])
-        h = np.maximum(_batch_slopes(H, u, X, grid), FMIN).tolist()
-        for j, (eid, knots) in enumerate(X.runs):
+        runs = edge_knots[b:b + per_batch]
+        h = np.maximum(_batch_slopes(H, u, KnotBatch(graph, runs), grid), FMIN).tolist()
+        for j, (eid, knots) in enumerate(runs):
             profiles[eid] = Samples(knots.tolist(), h[j * n_knots:(j + 1) * n_knots])
     return CostField(graph, profiles)
 

@@ -22,8 +22,8 @@ import numpy as np
 from .cost import CostField
 from .errors import InputError, PreconditionError, RecordError
 from .graph import (Constant, Curve, GraphPoint, KnotBatch, MetricGraph, SeedMap, Vertex,
-                    _count, _default_samples, _finite, _per_row, _tolerance, _values_at,
-                    random_curve)
+                    _count, _default_batch, _default_samples, _finite, _per_row, _tolerance,
+                    _values_at, random_curve)
 from .optical import OpticalMap, optical_length
 
 
@@ -387,7 +387,7 @@ def boundary_modulus(u: ValueFunction, points: Optional[Sequence[GraphPoint]] = 
     # a solve's own map is the compatibility check's map; a stored table is
     # not, for an edited one must not stand in for the true solve
     comp = check_compatibility(field, data, u=u if isinstance(u, ValueFunction) else None).ok
-    X = _default_samples(graph, boundary=True)[1] if points is None else KnotBatch.of(graph, points)
+    X = _default_batch(graph, boundary=True) if points is None else KnotBatch.of(graph, points)
     ux = _values_at(u, X)
     upper = _cone(graph, data.values, upper_c)
     max_upper = max((ux - upper.evaluate(X)).tolist(), default=-math.inf)

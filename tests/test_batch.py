@@ -15,7 +15,7 @@ from eikograph import (BoundaryData, Constant, CostField, EdgeInterior, InputErr
                        MetricGraph, OpticalMap, Samples, StoredSolution, Vertex, boundary_modulus,
                        dump_json, solve, verify_dpp, verify_monge, verify_suboptimality)
 from eikograph.graph import (BRANCH_TIE, DistanceField, KnotBatch, SeedMap, _Rates, _compose,
-                             _default_samples, random_curve)
+                             _default_batch, _default_samples, random_curve)
 from eikograph.slopes import (EXACT_TOL, SAMPLED_TOL, MongeReport, MongeSample,
                               _monge_seeded_samples, monge_samples_csv, slopes)
 from eikograph.solver import (TIMES_PER_CURVE, BoundaryModulusReport, DPPReport, DPPSample,
@@ -383,12 +383,15 @@ def test_the_default_batch_is_the_batch_of_its_points(n_per_edge):
         graph = MetricGraph([(v, v in spec["boundary"]) for v in spec["vertices"]],
                             [(e["id"], e["src"], e["dst"], e["length"]) for e in spec["edges"]])
         for boundary in (False, True):
-            points, X = _default_samples(graph, n_per_edge, boundary)
+            X = _default_batch(graph, n_per_edge, boundary)
             want = [Vertex(v) for v, rec in graph.vertices.items() if not rec.boundary]
             want += [EdgeInterior(eid, rec.length * i / (n_per_edge + 1))
                      for eid, rec in graph.edges.items() for i in range(1, n_per_edge + 1)]
             want += [Vertex(v) for v in graph.boundary_ids] if boundary else []
-            assert points == want
+            assert X.points() == want
+            if not boundary:
+                points, Z = _default_samples(graph, n_per_edge)
+                assert points == want and np.array_equal(Z.offsets, X.offsets)
             Y = KnotBatch.of(graph, want)
             assert X.edges.dtype == Y.edges.dtype and X.offsets.dtype == Y.offsets.dtype
             assert np.array_equal(X.edges, Y.edges) and np.array_equal(X.offsets, Y.offsets)
@@ -528,26 +531,35 @@ def test_a_seeded_maps_germ_derivative_is_the_branch_loops():
 
 @st.composite
 def _profile_and_offsets(draw):
-    """A profile of each kind on an edge of random length, with offsets at
-    its knots, at 0 and L and in between, paired in either order."""
+    """A profile of each kind on an edge of random length, checked or not,
+    with offsets at its knots, at 0 and L and in between, paired in either
+    order."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     length = rng.uniform(0.1, 4.0)
     knots, values = _random_samples(rng, rng.choice([2, 3, 9, 65]), length)
     profile = draw(st.sampled_from([
         Constant(values[0]), Linear(values[0], (values[-1] - values[0]) / length),
-        Samples(knots, values)])).check(length, 1e-6)
+        Samples(knots, values)]))
+    if draw(st.booleans()):
+        profile = profile.check(length, 1e-6)
     offsets = knots + [0.0, length] + [rng.uniform(0.0, length) for _ in range(12)]
     s0 = [rng.choice(offsets) for _ in range(40)]
     s1 = [rng.choice(offsets) for _ in range(40)]
-    return profile, np.array(s0), np.array(s1)
+    return profile, length, np.array(s0), np.array(s1)
 
 
 @given(_profile_and_offsets())
-def test_each_profile_integral_array_is_its_integral_bit_for_bit(case):
-    profile, s0, s1 = case
-    got = profile.integral_array(s0, s1)
-    want = [profile.integral(a, b) for a, b in zip(s0.tolist(), s1.tolist())]
-    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+def test_each_profile_read_at_batch_rows_is_its_scalar_call_bit_for_bit(case):
+    """``_Rates`` at rows of one edge, the one reader of profiles at batch
+    rows, equals the edge's profile's scalar ``at`` and ``integral`` bit
+    for bit, for every kind, checked or not."""
+    profile, length, s0, s1 = case
+    graph = MetricGraph([("a",), ("b",)], [("e", "a", "b", length)])
+    rates, edges = _Rates(graph, {"e": profile}), np.zeros(len(s0), dtype=np.intp)
+    got = rates.at(edges, s0).tolist() + rates.integral(edges, s0, s1).tolist()
+    want = [profile.at(a) for a in s0.tolist()] + [profile.integral(a, b)
+                                                    for a, b in zip(s0.tolist(), s1.tolist())]
+    assert [x.hex() for x in got] == [float(x).hex() for x in want]
 
 
 @st.composite
@@ -576,21 +588,17 @@ def _table_rows(draw):
 @given(_table_rows())
 def test_rates_read_every_row_as_its_own_profile_bit_for_bit(case):
     """``_Rates.at`` and ``_Rates.integral`` on rows of many edges, each
-    table's rows searched together, equal each row's profile's ``at_array``
-    and ``integral_array`` bit for bit, in either order of each pair; for a
-    field's checked profiles and for unchecked ones, whose tables of one
-    row are built on first use.  (Each of those equals its scalar call:
-    see ``test_each_profile_integral_array_is_its_integral_bit_for_bit``.)"""
+    table's rows searched together, equal each row's profile's scalar
+    ``at`` and ``integral`` bit for bit, in either order of each pair; for
+    a field's checked profiles and for unchecked ones, whose tables of one
+    row are built on first use."""
     graph, given_profiles, edges, s0, s1 = case
     ids = list(graph.edges)
     for profiles in (CostField(graph, given_profiles).profiles, given_profiles):
         rates = _Rates(graph, profiles)
-        want = np.empty((3, len(edges)))
-        for e in np.unique(edges).tolist():
-            rows = np.flatnonzero(edges == e)
-            prof = profiles[ids[e]]
-            want[:, rows] = (prof.at_array(s0[rows]), prof.integral_array(s0[rows], s1[rows]),
-                             prof.integral_array(s1[rows], s0[rows]))
+        want = np.array([(prof.at(a), prof.integral(a, b), prof.integral(b, a))
+                         for prof, a, b in zip([profiles[ids[e]] for e in edges.tolist()],
+                                               s0.tolist(), s1.tolist())], dtype=float).T
         got = np.array([rates.at(edges, s0), rates.integral(edges, s0, s1),
                         rates.integral(edges, s1, s0)])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -598,9 +606,9 @@ def test_rates_read_every_row_as_its_own_profile_bit_for_bit(case):
 
 def test_a_batch_of_many_sampled_edges_makes_no_call_per_profile(monkeypatch):
     """500 sampled edges (K = 65, every tenth 1025) read at a batch of rows
-    on all of them: costs, rates, values and germ derivatives make no
-    per-profile array call, but for the branch of the one interior seed,
-    read on its own edge's rows once per pass."""
+    on all of them: costs, rates, values and germ derivatives call no
+    profile's own method, and read each of the two tables once per pass,
+    the branch of the one interior seed once more on its own edge's rows."""
     rng = random.Random(2)
     lengths = [rng.uniform(0.2, 3.0) for _ in range(500)]
     graph = _path_graph(lengths)
@@ -608,20 +616,49 @@ def test_a_batch_of_many_sampled_edges_makes_no_call_per_profile(monkeypatch):
                               for i, L in enumerate(lengths)})
     u = OpticalMap(field, {Vertex("v0"): 0.0, EdgeInterior("e7", 0.5 * lengths[7]): 0.1})
     X = KnotBatch.of(graph, [EdgeInterior("e%d" % i, rng.uniform(0.05, 0.95) * L)
-                             for i, L in enumerate(lengths) if i != 7] + [Vertex("v3")])
+                             for i, L in enumerate(lengths)] + [Vertex("v3")])
     calls = []
-    for name in ("at_array", "integral_array"):
-        def counting(self, *args, name=name, read=getattr(Samples, name)):
-            calls.append((name, self is field.profiles["e7"]))
-            return read(self, *args)
+    for name in ("at", "integral", "inverse_integral", "_table_at", "_table_integral"):
+        def counting(*args, name=name, read=getattr(Samples, name)):
+            calls.append((name, len(args[1]) if name.startswith("_") else None))
+            return read(*args)
 
-        monkeypatch.setattr(Samples, name, counting)
+        monkeypatch.setattr(Samples, name, staticmethod(counting) if name.startswith("_") else counting)
     field.edge_cost(X, np.zeros(len(X)), X.offsets)
     field._rates.at(X.edges, X.offsets)
     u.evaluate(X)
     _, G, sign = X.germs()
     u.germ_derivative(G, sign)
-    assert calls == [("integral_array", True)] * 2
+    # 50 rows of X and 100 of G are on the K = 1025 table; a map's branches
+    # read each row twice in one call, then the seed's rows on e7
+    n, m = len(X), len(G)
+    assert calls == [("_table_integral", 50), ("_table_integral", n - 50),
+                     ("_table_at", 50), ("_table_at", n - 50),
+                     ("_table_integral", 100), ("_table_integral", 2 * n - 100), ("_table_integral", 1),
+                     ("_table_integral", 200), ("_table_integral", 2 * m - 200), ("_table_integral", 2),
+                     ("_table_at", 100), ("_table_at", m - 100)]
+
+
+def test_a_batch_built_on_another_graph_object_is_refused():
+    """A batch's rows index the edges of the graph object it was built on.
+    Read on another one, even with the same edges listed in another order,
+    each batch entry refuses it rather than read other edges' rows."""
+    records = [("e1", "a", "b", 1.0), ("e2", "b", "c", 2.0)]
+    graph = MetricGraph([("a", True), ("b",), ("c",)], records)
+    other = MetricGraph([("a", True), ("b",), ("c",)], records[::-1])
+    field = CostField(graph, {"e1": Linear(1.0, 0.5), "e2": Linear(0.5, 1.0)})
+    u = OpticalMap(field, {Vertex("a"): 0.0})
+    points = [EdgeInterior("e1", 0.5), EdgeInterior("e2", 0.5)]
+    X = KnotBatch.of(other, points)
+    _, G, sign = X.germs()
+    words = "^a KnotBatch is read only on the graph object it was built on$"
+    for read in (lambda: u.evaluate(X), lambda: u.germ_derivative(G, sign),
+                 lambda: field.edge_cost(X, np.zeros(2), X.offsets), lambda: field.value_at(X)):
+        with pytest.raises(InputError, match=words):
+            read()
+    X = KnotBatch.of(graph, points)
+    assert u.evaluate(X).tolist() == [u.evaluate(p) for p in points]
+    assert field.value_at(X)[:, 0].tolist() == [field.value_at(p) for p in points]
 
 
 @given(st.integers(0, 10_000))

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from eikograph import (Constant, CostField, Germ, GraphFormatError, InputError, Linear,
                        MetricGraph, ProfileError, Samples, Vertex, load_graph)
 from eikograph.cost import FMIN
-from eikograph.graph import KnotBatch
+from eikograph.graph import KnotBatch, _Rates
 from conftest import build_instance, make_interval, random_graph_spec
 
 
@@ -366,13 +366,13 @@ def _mixed_k_field(seed):
 def test_a_fields_table_is_the_per_profile_path_bit_for_bit(seed):
     """Each sampled profile a field keeps holds rows of one table per knot
     count, the one whose count no other shares a table of one row; its
-    knots, values, F table, integrals, array integrals, array rates and full
-    cost equal those of the profile checked on its own (a table of one row)
-    and the per-call formulas, bit for bit."""
+    knots, values, F table, integrals (scalar and at batch rows), rates at
+    batch rows and full cost equal those of the profile checked on its own
+    (a table of one row) and the per-call formulas, bit for bit."""
     rng = random.Random(seed)
     graph, given = _mixed_k_field(seed)
     field = CostField(graph, given)
-    assert all(p._rows is not None for p in field.profiles.values() if isinstance(p, Samples))
+    assert all(p._table is not None for p in field.profiles.values() if isinstance(p, Samples))
     tables = {}
     for eid, prof in given.items():
         kept, length = field.profiles[eid], graph.edges[eid].length
@@ -385,16 +385,18 @@ def test_a_fields_table_is_the_per_profile_path_bit_for_bit(seed):
         assert all(type(x) is float for x in k + v)
         assert field.full_edge_cost(eid) == _ref_integral(k, v, 0.0, length)
         assert kept._pre == alone._prefix() == _ref_prefix(k, v)
-        rows = kept._rows
-        assert [r.tolist() for r in rows] == [list(k), list(v), list(_ref_prefix(k, v))]
-        tables.setdefault(len(k), set()).add(id(rows[0].base))
+        *table, j = kept._table
+        assert [r[j].tolist() for r in table] == [list(k), list(v), list(_ref_prefix(k, v))]
+        tables.setdefault(len(k), set()).add(id(table[0]))
         s = _offsets(length, k[:3] + k[-2:])
         s0, s1 = rng.sample(s.tolist(), len(s)), s.tolist()
         want = [_ref_integral(k, v, a, b) for a, b in zip(s0, s1)]
         assert [kept.integral(a, b) for a, b in zip(s0, s1)] == want
+        edges = np.full(len(s), list(graph.edges).index(eid))
         for p in (kept, alone):
-            assert p.integral_array(np.array(s0), np.array(s1)).tolist() == want
-            assert p.at_array(s).tolist() == [p.at(x) for x in s.tolist()]
+            rates = _Rates(graph, dict(field.profiles, **{eid: p}))
+            assert rates.integral(edges, np.array(s0), np.array(s1)).tolist() == want
+            assert rates.at(edges, s).tolist() == [p.at(x) for x in s.tolist()]
     # one table per knot count, shared by its rows
     assert {n: len(bases) for n, bases in tables.items()} == {2: 1, 3: 1, 7: 1, 65: 1, 1025: 1}
 
@@ -503,23 +505,26 @@ def _offsets(length, knots):
 
 @given(st.integers(0, 10_000))
 def test_array_at_is_scalar_at_bit_for_bit(seed):
+    """f read at batch rows (``_Rates.at``) is the scalar ``at``, at and
+    either side of every knot."""
     rng = random.Random(seed)
     length = rng.uniform(0.05, 4.0)
     knots, values = _random_samples(rng, rng.choice((2, 3, 9, 65)), length)
+    graph = MetricGraph([("a",), ("b",)], [("e", "a", "b", length)])
     for prof in (Constant(rng.uniform(0.1, 5.0)), Linear(rng.uniform(0.1, 5.0), rng.uniform(-0.02, 1.0)),
                  Samples(knots, values)):
         prof.check(length, 1e-6)
         s = _offsets(length, knots)
-        got = prof.at_array(s)
+        got = _Rates(graph, {"e": prof}).at(np.zeros(len(s), dtype=np.intp), s)
         assert got.dtype == np.float64 and got.shape == s.shape
         assert [x.hex() for x in got.tolist()] == [float(prof.at(x)).hex() for x in s.tolist()]
 
 
 @given(st.integers(0, 10_000))
 def test_a_knot_batch_reads_f_as_value_at_does_at_every_knot(seed):
-    """Interior knots through the array ``at``, vertex knots through the
-    least germ value: the column equals ``value_at`` knot by knot, on linear
-    and on sampled profiles, and a sub-batch takes its rows of it."""
+    """The least f over each knot's germs: the column equals ``value_at``
+    knot by knot, on linear and on sampled profiles, and a sub-batch takes
+    its rows of it, whether or not the whole batch was read first."""
     rng = random.Random(seed)
     graph, field, _ = build_instance(random_graph_spec(rng, max_vertices=7, max_extra_edges=5))
     sampled = CostField(graph, {eid: Samples(*_random_samples(rng, 9, rec.length))
@@ -532,3 +537,13 @@ def test_a_knot_batch_reads_f_as_value_at_does_at_every_knot(seed):
         col = f.value_at(X)
         assert col.shape == (len(X), 1) and col[:, 0].tolist() == want
         assert f.value_at(X[rows])[:, 0].tolist() == [want[i] for i in rows]
+        Y = KnotBatch(graph, runs)
+        assert f.value_at(Y[rows])[:, 0].tolist() == [want[i] for i in rows]
+        assert f.value_at(Y)[:, 0].tolist() == want
+
+
+def test_f_at_an_empty_batch_is_an_empty_column():
+    """As ``evaluate`` and ``edge_cost`` give an empty array for no rows."""
+    graph, field, _ = make_interval()
+    col = field.value_at(KnotBatch.of(graph, []))
+    assert col.shape == (0, 1) and col.dtype == np.float64

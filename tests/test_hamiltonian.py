@@ -581,32 +581,36 @@ def test_the_array_clamp_is_the_where_clamp_bit_for_bit(p):
 @pytest.mark.parametrize("name", ["eikonal-affine", "quadratic"])
 def test_catalog_reduction_reads_f_once_per_knot(monkeypatch, name):
     """f is computed once per knot in a whole reduction: one column per batch
-    of knots, its interior knots through each profile's array ``at``; the
-    scan and every root step take rows of that column."""
+    of knots, the least f over each knot's germs, from one call of the
+    linear profiles' ``at`` on every germ's row; the scan and every root
+    step take rows of that column."""
     spec = random_graph_spec(random.Random(3), max_vertices=6, max_extra_edges=4)
     graph, field, _ = build_instance(spec)
-    columns, interior, reads = [], [], []
-    knot_values, at_array, value_at = CostField._knot_values, Linear.at_array, CostField.value_at
+    columns, rows, reads = [], [], []
+    least, at, value_at = CostField._least_germ_values, Linear.at, CostField.value_at
 
-    def counting_column(self, runs):
-        col = knot_values(self, runs)
+    def counting_column(self, X):
+        col = least(self, X)
         columns.append(col.shape)
         return col
 
     def counting_at(self, s):
-        interior.append(len(s))
-        return at_array(self, s)
+        rows.append(np.shape(s))
+        return at(self, s)
 
     def counting_read(self, p):
         reads.append(p)
         return value_at(self, p)
 
-    monkeypatch.setattr(CostField, "_knot_values", counting_column)
-    monkeypatch.setattr(Linear, "at_array", counting_at)
+    monkeypatch.setattr(CostField, "_least_germ_values", counting_column)
+    monkeypatch.setattr(Linear, "at", counting_at)
     monkeypatch.setattr(CostField, "value_at", counting_read)
     reduce_to_eikonal(catalog(name, field), 0.0, graph, n_knots=9)
     assert columns == [(9 * len(graph.edges), 1)]  # 81 knots at most: one batch
-    assert interior == [7] * len(graph.edges)
+    # two germs at each of an edge's 7 interior knots, and all of each end vertex's
+    germs = sum(14 + len(graph.adjacency(rec.src)) + len(graph.adjacency(rec.dst))
+                for rec in graph.edges.values())
+    assert rows == [(germs,)]
     assert reads and all(isinstance(p, KnotBatch) for p in reads)
 
 

@@ -399,6 +399,10 @@ def test_only_the_number_rule_tests_for_int_or_float():
 # sampled profiles: the tuples are turned into arrays once, not per call
 # ----------------------------------------------------------------------
 
+#: the methods that read a table's rows of sampled profiles
+TABLE_READERS = ("_table_at", "_table_integral")
+
+
 def _reads_of_the_tuples(node):
     """(line, attribute) of every ``self.knots`` or ``self.values`` under ``node``."""
     return [(n.lineno, n.attr) for n in ast.walk(node)
@@ -409,7 +413,7 @@ def _reads_of_the_tuples(node):
 def test_sampled_profiles_turn_their_tuples_into_arrays_once():
     """A ``Samples`` holds its knots, values and F table as float64 rows,
     built once: no numpy call in ``cost`` takes ``self.knots`` or
-    ``self.values`` as an argument, and the array methods read neither
+    ``self.values`` as an argument, and the table readers read neither
     tuple.  Turning 65 floats into an array costs more than the integral
     that reads it."""
     tree = ast.parse((PACKAGE / "cost.py").read_text())
@@ -421,5 +425,32 @@ def test_sampled_profiles_turn_their_tuples_into_arrays_once():
     assert converted == []
     samples = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Samples")
     methods = {node.name: node for node in samples.body if isinstance(node, ast.FunctionDef)}
-    assert {name: _reads_of_the_tuples(methods[name]) for name in ("at_array", "integral_array")} == {
-        "at_array": [], "integral_array": []}
+    assert {name: _reads_of_the_tuples(methods[name]) for name in TABLE_READERS} == {
+        name: [] for name in TABLE_READERS}
+
+
+# ----------------------------------------------------------------------
+# profiles are read at batch rows in one place
+# ----------------------------------------------------------------------
+
+def test_profiles_are_read_at_batch_rows_by_rates_alone():
+    """No class defines a per-profile array face (``at_array`` or
+    ``integral_array``), and ``graph._Rates`` is the only code that reads a
+    table's rows (``_table_at`` and ``_table_integral``): a profile at
+    batch rows is read by one class."""
+    faces, callers = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in ast.walk(cls):
+                name = (node.name if isinstance(node, ast.FunctionDef)
+                        else node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                        else None)
+                if name in ("at_array", "integral_array"):
+                    faces.append((path.name, cls.name, name))
+        readers = {id(n) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "_Rates"
+                   for n in ast.walk(cls)}
+        callers += [(path.name, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in TABLE_READERS
+                    and id(node) not in readers]
+    assert faces == [] and callers == []

@@ -804,6 +804,27 @@ def test_default_samples_and_random_curves_are_not_validated_again(monkeypatch, 
     assert [name for name, _ in calls].count("validate_point") >= 2
 
 
+def test_the_default_modulus_samples_build_no_point_object(monkeypatch):
+    """The default modulus samples are a batch built from arrays, so a
+    default call makes as many graph points as a call given no points: the
+    ones its maps are seeded at and Lip g is read at, none per sample."""
+    spec = random_graph_spec(random.Random(5), max_vertices=12, max_extra_edges=10)
+    graph, field, data = build_instance(spec)
+    u = solve(field, data)
+    made = []
+    for cls in (Vertex, EdgeInterior):
+        def counting(self, *args, init=cls.__init__, cls=cls, **kwargs):
+            made.append(cls)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert boundary_modulus(u, points=[]).n_checked == 0
+    without = len(made)
+    made.clear()
+    assert boundary_modulus(u).n_checked > 0
+    assert len(made) == without and EdgeInterior not in made
+
+
 # ----------------------------------------------------------------------
 # metamorphic relations of the solve
 # ----------------------------------------------------------------------
