@@ -16,26 +16,25 @@ methods on arrays; any other profile is a row of a table.  Only
 ``bounds(length)`` and ``check(length, fmin)`` take the edge's length; ``check``
 returns the profile a ``CostField`` keeps, its params floats, and changes none.
 
-A field checks its sampled profiles together: those with K knots make one
-(n, K) float64 table of knots and values, on which each of ``check``'s rules
-is one array predicate, and F at every knot is built for the whole table at
-once; each profile keeps its place in the table, and its values' bounds,
-read off the table, for the field's overflow rule.  A batch reads the rows
-of one table together (``Samples._table_at`` and ``_table_integral``, which
-only ``graph._Rates`` calls).
+A sampled profile is a row of float64 tables and nothing else.  A field
+checks its sampled profiles together: those with K knots make one (n, K)
+table of knots and one of values, on which each of ``check``'s rules is one
+array predicate, and F is built for the whole table at once.  A batch reads
+the rows of one table together (``Samples._table_at`` and
+``_table_integral``, which only ``graph._Rates`` calls).
 """
 from __future__ import annotations
 
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import InputError, ProfileError
-from .graph import Constant, EdgeInterior, GraphPoint, KnotBatch, MetricGraph, _per_row, _Rates, _reals
+from .graph import Constant, EdgeInterior, GraphPoint, KnotBatch, MetricGraph, _floats, _per_row, _Rates, _reals
 
 #: the positivity floor: every cost field has f >= FMIN > 0
 FMIN = 1e-6
@@ -90,17 +89,19 @@ class Linear:
 
 
 def _tabulate(profiles: Sequence["Samples"], knots: np.ndarray, values: np.ndarray) -> None:
-    """Give each profile its row of a table: ``knots`` and ``values`` are
-    (n, K) float64 arrays, one row per profile, and F at every knot is
-    built for all rows at once, each also kept as a tuple.  Accumulate adds
-    in order, so each F equals the loop ``F[i+1] = F[i] + 0.5 (v[i] +
-    v[i+1]) (k[i+1] - k[i])`` bit for bit, and overflows to inf as it does."""
-    pre = np.zeros_like(knots)
+    """Make each profile a row of one table: ``knots`` and ``values`` are
+    (n, K) float64 arrays, one row per profile, and F at every knot and its
+    steps ``F[i] - F[i-1]`` (0 at the first) are built for all rows at once.
+    Accumulate adds in order, so each F equals the loop ``F[i+1] = F[i] +
+    0.5 (v[i] + v[i+1]) (k[i+1] - k[i])`` bit for bit, and overflows to inf
+    as it does."""
+    F = np.zeros_like(knots)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(0.5 * (values[:, :-1] + values[:, 1:]) * np.diff(knots), axis=1, out=pre[:, 1:])
-    for j, (prof, t) in enumerate(zip(profiles, pre.tolist())):
-        object.__setattr__(prof, "_pre", tuple(t))
-        object.__setattr__(prof, "_table", (knots, values, pre, j))
+        np.cumsum(0.5 * (values[:, :-1] + values[:, 1:]) * np.diff(knots), axis=1, out=F[:, 1:])
+        table, K = (knots, values, F, np.diff(F, prepend=0.0)), knots.shape[1]
+    k, v, f = (memoryview(t.ravel()) for t in table[:3])
+    for j, prof in enumerate(profiles):
+        prof._table, prof._row, prof._flat = table, j, (k, v, f, j * K, j * K + K - 1)
 
 
 def _lockstep(knots: np.ndarray, row: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -128,7 +129,7 @@ _INCREASING = "sampled profile knots must be strictly increasing"
 #: ``Samples.check``'s rules, in the order it applies them: for (n, K) float64
 #: tables of knots and values on edges of the given lengths, which rows break
 #: the rule; and the words that refuse one such row, given its knots and
-#: values as tuples of floats and its edge's length.  NaN fails every
+#: values as lists of floats and its edge's length.  NaN fails every
 #: comparison, so a NaN knot breaks the increasing rule and a NaN value the
 #: finite one; a value of -inf is named by the floor rule.
 _SAMPLE_RULES = (
@@ -150,30 +151,66 @@ _SAMPLE_RULES = (
 )
 
 
-@dataclass(frozen=True)
+def _F(row: Tuple[memoryview, memoryview, memoryview, int, int], s: float) -> float:
+    """F(s) = ∫_0^s f on a row (``Samples._flat``): the segment holding s,
+    then the trapezoid to s; from the last knot on, F's last entry, which
+    is that trapezoid bit for bit (``cumsum``'s last term) where the knots
+    increase and the values are finite, as a checked profile's are."""
+    k, v, F, first, last = row
+    if s >= k[last]:
+        return F[last]
+    s = max(s, k[first])
+    i = bisect_right(k, s, first + 1, last) - 1
+    ki, vi = k[i], v[i]
+    t = s - ki
+    w = t / (k[i + 1] - ki)
+    return F[i] + 0.5 * (vi + (vi * (1.0 - w) + v[i + 1] * w)) * t
+
+
 class Samples:
     """f given by values at increasing knots along the edge, linearly
     interpolated between them.  Knots must start at 0 and end at the edge
     length (the last knot may be off by float dust; ``check`` snaps it).
 
-    A profile holds its knots, values and cumulative table ``F(knot)`` as
-    tuples, which the scalar ``at``, ``integral`` and ``inverse_integral``
-    bisect, and as a row of float64 tables, which a batch reads through
-    ``graph._Rates``.  ``check`` builds both: a ``CostField`` checks its
-    sampled profiles together (``_check_many``), one (n, K) table for each
-    knot count, and each profile it keeps is a row of it (``_table``); a
-    profile checked alone is a table of one row.  An unchecked profile
-    builds its row on first use.  Either way a profile costs O(K) once and
-    O(log K) per integral."""
+    A checked profile is row ``_row`` of float64 tables (``_table``) of
+    knots, values, F at each knot and F's steps, and holds no copy of them:
+    ``knots`` and ``values`` read its row as tuples of floats, and the
+    scalar methods read it through flat memoryviews (``_flat``, with the
+    flat indices of its first and last knot).  ``_bounds`` are its values'
+    (min, max).  A ``CostField`` checks its sampled profiles together, one
+    table for each knot count.  An unchecked profile keeps its lists as
+    given (``_given``) and builds a table of one row on first use."""
 
-    knots: Sequence[float]
-    values: Sequence[float]
-    _pre: Optional[Tuple[float, ...]] = field(default=None, init=False, repr=False, compare=False)
-    #: the knot, value and F tables this profile is row ``j`` of
-    _table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = field(
-        default=None, init=False, repr=False, compare=False)
-    #: (min, max) of the values, read off the table by the check that built it
-    _bounds: Optional[Tuple[float, float]] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("_given", "_table", "_row", "_flat", "_bounds")
+
+    def __init__(self, knots: Sequence[float], values: Sequence[float]):
+        self._given: Optional[Tuple[Sequence[float], Sequence[float]]] = (knots, values)
+        self._table = self._flat = self._bounds = None
+        self._row = 0
+
+    @property
+    def knots(self) -> Sequence[float]:
+        return self._given[0] if self._given else tuple(self._table[0][self._row].tolist())
+
+    @property
+    def values(self) -> Sequence[float]:
+        return self._given[1] if self._given else tuple(self._table[1][self._row].tolist())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Samples:
+            return NotImplemented
+        return (self.knots, self.values) == (other.knots, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.knots, self.values))
+
+    def __repr__(self) -> str:
+        return "Samples(knots=%r, values=%r)" % (self.knots, self.values)
+
+    def __getstate__(self):
+        # a memoryview does not pickle: a copy makes its views on first use
+        return None, {"_given": self._given, "_table": self._table, "_row": self._row, "_flat": None,
+                      "_bounds": self._bounds}
 
     def check(self, length: float, fmin: float) -> "Samples":
         (checked,) = Samples._check_many([self], [length], fmin)
@@ -185,21 +222,25 @@ class Samples:
     def _check_many(profiles: Sequence["Samples"], lengths: Sequence[float],
                     fmin: float) -> List[Union["Samples", InputError]]:
         """``check`` on each profile, on the edge of the matching length:
-        the checked profile, holding its rows of a table, or the error that
-        refuses it.  The profiles with K knots make one (n, K) table, and
-        each of ``_SAMPLE_RULES`` is one array predicate on it; a row is
-        refused in the words of the first rule it breaks."""
+        the checked profile, a row of a table, or the error that refuses it.
+        The profiles with K knots make one (n, K) table of knots and one of
+        values, and a row is refused in the words of the first of
+        ``_SAMPLE_RULES`` it breaks.  Lists of floats of one length
+        (``graph._floats``) go into the tables as they are; any others go
+        through ``_reals``, which names what it refuses."""
         out: List[Union[Samples, InputError]] = [None] * len(profiles)
         groups: Dict[int, list] = {}
         for i, (prof, length) in enumerate(zip(profiles, lengths)):
-            try:
-                k = _reals(prof.knots, "sampled profile knot")
-                v = _reals(prof.values, "sampled profile value")
-                if len(k) < 2 or len(k) != len(v):
-                    raise InputError("sampled profile needs >= 2 matching knots and values")
-            except InputError as exc:
-                out[i] = exc
-                continue
+            k, v = prof._given or (prof.knots, prof.values)
+            if not (_floats(k) and _floats(v) and 2 <= len(k) == len(v)):
+                try:
+                    k = _reals(k, "sampled profile knot")
+                    v = _reals(v, "sampled profile value")
+                    if len(k) < 2 or len(k) != len(v):
+                        raise InputError("sampled profile needs >= 2 matching knots and values")
+                except InputError as exc:
+                    out[i] = exc
+                    continue
             groups.setdefault(len(k), []).append((i, k, v, length))
         for rows in groups.values():
             index, ks, vs, ls = zip(*rows)
@@ -209,70 +250,60 @@ class Samples:
             ok = ~np.logical_or.reduce(broken)
             for j in np.flatnonzero(~ok).tolist():
                 words = next(words for (_, words), row in zip(_SAMPLE_RULES, broken) if row[j])
-                out[index[j]] = InputError(words(ks[j], vs[j], ls[j], fmin))
+                out[index[j]] = InputError(words(knots[j].tolist(), values[j].tolist(), ls[j], fmin))
             if not ok.all():
-                keep = ok.tolist()
-                index, ks, vs, ls = ([x for x, kept in zip(xs, keep) if kept] for xs in (index, ks, vs, ls))
+                index = [i for i, kept in zip(index, ok.tolist()) if kept]
                 knots, values, length = knots[ok], values[ok], length[ok]
             knots[:, -1] = length
-            checked = [Samples(k[:-1] + (L,), v) for k, v, L in zip(ks, vs, ls)]
+            checked = [Samples.__new__(Samples) for _ in index]
             _tabulate(checked, knots, values)
             for i, prof, bounds in zip(index, checked, zip(values.min(axis=1).tolist(),
                                                              values.max(axis=1).tolist())):
-                object.__setattr__(prof, "_bounds", bounds)
+                prof._given, prof._bounds = None, bounds
                 out[i] = prof
         return out
 
-    def _segment(self, s: float) -> int:
-        """The knot segment [k[i], k[i+1]] holding s, i clamped to [0, K-2]."""
-        i = bisect_right(self.knots, s) - 1
-        last = len(self.knots) - 2
-        return 0 if i < 0 else (last if i > last else i)
+    def _rows(self) -> Tuple[memoryview, memoryview, memoryview, int, int]:
+        """``_flat``, made on first use: a copy's views of its table, or an
+        unchecked profile's table of one row."""
+        if self._flat is None and self._table is None:
+            knots, values = self._given
+            _tabulate([self], np.array([knots], dtype=float), np.array([values], dtype=float))
+        elif self._flat is None:
+            K = self._table[0].shape[1]
+            self._flat = (*(memoryview(t.ravel()) for t in self._table[:3]), self._row * K,
+                          self._row * K + K - 1)
+        return self._flat
 
     def at(self, s: float) -> float:
-        k, v = self.knots, self.values
-        s = min(max(s, k[0]), k[-1])
-        i = self._segment(s)
-        w = (s - k[i]) / (k[i + 1] - k[i])
+        k, v, _, first, last = self._flat or self._rows()
+        s = min(max(s, k[first]), k[last])
+        i = bisect_right(k, s, first + 1, last) - 1
+        ki = k[i]
+        w = (s - ki) / (k[i + 1] - ki)
         return v[i] * (1.0 - w) + v[i + 1] * w
 
     @staticmethod
     def _table_at(table: Tuple[np.ndarray, ...], row: np.ndarray, s: np.ndarray) -> np.ndarray:
         """``at`` at each offset of ``s`` on the profile that is row ``row``
-        of ``table`` (a profile's ``_table`` without its row index), bit for
-        bit; the rows find their segments together (``_lockstep``)."""
-        knots, values, _ = table
+        of ``table`` (a profile's ``_table``), bit for bit; the rows find
+        their segments together (``_lockstep``)."""
+        knots, values = table[:2]
         s, i = _lockstep(knots, row, s)
         k, v = knots.ravel(), values.ravel()
         w = (s - k[i]) / (k[i + 1] - k[i])
         return v[i] * (1.0 - w) + v[i + 1] * w
 
-    def _prefix(self) -> Tuple[float, ...]:
-        """F at every knot, for a profile that no field tabulated: its table
-        of one row, built once."""
-        _tabulate([self], np.array([self.knots], dtype=float), np.array([self.values], dtype=float))
-        return self._pre
-
-    def _F(self, pre: Tuple[float, ...], s: float) -> float:
-        """F(s) = ∫_0^s f: one segment lookup, then the trapezoid to s."""
-        k, v = self.knots, self.values
-        s = min(max(s, k[0]), k[-1])
-        i = self._segment(s)
-        t = s - k[i]
-        w = t / (k[i + 1] - k[i])
-        fi = v[i] * (1.0 - w) + v[i + 1] * w
-        return pre[i] + 0.5 * (v[i] + fi) * t
-
     def integral(self, s0: float, s1: float) -> float:
-        pre = self._pre or self._prefix()
-        return self._F(pre, s1) - self._F(pre, s0)
+        row = self._flat or self._rows()
+        return _F(row, s1) - _F(row, s0)
 
     @staticmethod
     def _table_integral(table: Tuple[np.ndarray, ...], row: np.ndarray, s0: np.ndarray,
                         s1: np.ndarray) -> np.ndarray:
         """``integral`` at each pair of offsets as ``_table_at`` reads
         ``at``, bit for bit."""
-        knots, values, pre = table
+        knots, values, pre = table[:3]
         s, i = _lockstep(knots, np.concatenate((row, row)), np.concatenate((s1, s0)))
         k, v = knots.ravel(), values.ravel()
         ki, vi = k[i], v[i]
@@ -282,14 +313,18 @@ class Samples:
         return F[:len(s1)] - F[len(s1):]
 
     def inverse_integral(self, target: float) -> float:
-        pre = self._pre or self._prefix()
-        k, v = self.knots, self.values
-        # march knot segments (f linear on each); the last takes what remains
-        i, last, remaining = 0, len(k) - 2, target
-        while i < last and remaining > pre[i + 1] - pre[i]:
-            remaining -= pre[i + 1] - pre[i]
-            i += 1
-        return k[i] + _advance(v[i], (v[i + 1] - v[i]) / (k[i + 1] - k[i]), remaining)
+        k, v, _, first, _ = self._flat or self._rows()
+        # march knot segments (f linear on each), subtracting F's steps in
+        # order, to the first step not below what remains, or the last one
+        steps = self._table[3][self._row]
+        remaining = steps.copy()
+        remaining[0] = target
+        np.subtract.accumulate(remaining, out=remaining)
+        going = remaining[:-1] > steps[1:]
+        going[-1] = False
+        j = int(going.argmin())
+        i = first + j
+        return k[i] + _advance(v[i], (v[i + 1] - v[i]) / (k[i + 1] - k[i]), remaining[j].item())
 
     def bounds(self, length: float) -> Tuple[float, float]:
         return self._bounds or (min(self.values), max(self.values))
@@ -377,7 +412,11 @@ class CostField:
         return self._rates.integral(edges, lo, hi)
 
     def full_edge_cost(self, eid: str) -> float:
-        return self.profiles[eid].integral(0.0, self.graph.edge(eid).length)
+        prof = self.profiles[eid]
+        if type(prof) is Samples:  # F at the last knot is integral(0.0, L), bit for bit
+            _, _, F, _, last = prof._flat or prof._rows()
+            return F[last]
+        return prof.integral(0.0, self.graph.edge(eid).length)
 
     def value_at(self, p: Union[GraphPoint, KnotBatch]) -> Union[float, np.ndarray]:
         """Pointwise f.  At a vertex where incident profiles disagree this

@@ -274,6 +274,15 @@ def _reals(xs, what: str) -> Tuple[float, ...]:
     return tuple(map(float, xs))
 
 
+def _floats(xs) -> bool:
+    """Whether ``xs`` is a list or tuple of Python floats, which ``_reals``
+    keeps as they are, so that ``np.array`` of such lists is their table
+    under ``_reals``' rule.  The types are counted in one pass in C:
+    ``np.array`` turns True, numpy's float32 and a 0-d array into float64
+    among floats, so no test on the table's values could see them."""
+    return type(xs) in (list, tuple) and list(map(type, xs)).count(float) == len(xs)
+
+
 def _count(n, least: int, what: str) -> int:
     """``n`` as an int if it is one, Python or numpy but not a bool, >= ``least``; else InputError."""
     try:
@@ -578,23 +587,32 @@ class _Rates:
     ``_table_integral``, which search their segments in lockstep."""
 
     def __init__(self, graph: MetricGraph, profiles: Dict[str, "Profile"]):
-        profs = [profiles[eid] for eid in graph._edge_order[0]]
-        parts: Dict[Hashable, int] = {}
+        profs = list(map(profiles.__getitem__, graph._edge_order[0]))
+        classes, n = list(map(type, profs)), len(profs)
         self._parts: List[Tuple[type, Sequence[np.ndarray]]] = []
-        kind, row = [], []
-        for p in profs:
-            if not hasattr(p, "PARAMS") and p._table is None:
-                p._prefix()
-            table = getattr(p, "_table", None)
-            key = type(p) if table is None else id(table[0])
-            if key not in parts:
-                parts[key] = len(self._parts)
-                self._parts.append((type(p), table[:3] if table else [
-                    np.array([getattr(q, name) if type(q) is type(p) else 0.0 for q in profs])
-                    for name in type(p).PARAMS]))
-            kind.append(parts[key])
-            row.append(table[3] if table else 0)
-        self._kind, self._row = np.array(kind, dtype=np.intp), np.array(row, dtype=np.intp)
+        self._kind, self._row = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+        kinds = dict.fromkeys(classes)
+        # the edges of each class are read in passes over their profiles
+        for cls in kinds:
+            on = slice(None) if len(kinds) == 1 else np.flatnonzero(
+                np.fromiter(map(operator.is_, classes, itertools.repeat(cls)), bool, n))
+            mine = profs if len(kinds) == 1 else list(map(profs.__getitem__, on.tolist()))
+            if hasattr(cls, "PARAMS"):
+                self._kind[on] = len(self._parts)
+                columns = [np.zeros(n) for _ in cls.PARAMS]
+                for column, name in zip(columns, cls.PARAMS):
+                    column[on] = np.fromiter(map(operator.attrgetter(name), mine), float, len(mine))
+                self._parts.append((cls, columns))
+                continue
+            key = np.fromiter(map(id, map(operator.attrgetter("_table"), mine)), np.uintp, len(mine))
+            if (key == id(None)).any():  # an unchecked profile builds its table of one row
+                key = np.fromiter((id(p._rows() and p._table) for p in mine), np.uintp, len(mine))
+            kind = np.empty(len(mine), dtype=np.intp)
+            for first in np.sort(np.unique(key, return_index=True)[1]).tolist():
+                kind[key == key[first]] = len(self._parts)
+                self._parts.append((cls, mine[first]._table))
+            self._kind[on] = kind
+            self._row[on] = np.fromiter(map(operator.attrgetter("_row"), mine), np.intp, len(mine))
 
     def _read(self, edges: np.ndarray, method: Callable, table_method: Callable,
               *offsets: np.ndarray) -> np.ndarray:

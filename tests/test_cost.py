@@ -1,7 +1,9 @@
 """Cost profiles: closed-form integrals against midpoint-rule quadrature,
 inversion round trips, and field-level validation."""
+import copy
 import json
 import math
+import pickle
 import random
 import re
 
@@ -257,6 +259,13 @@ def _ref_inverse(k, v, target):
     return k[-1]
 
 
+def _ref_at(k, v, s):
+    s = min(max(s, k[0]), k[-1])
+    i = _ref_segment(k, s)
+    w = (s - k[i]) / (k[i + 1] - k[i])
+    return v[i] * (1.0 - w) + v[i + 1] * w
+
+
 def _random_samples(rng, n_knots, length):
     inner = sorted({rng.uniform(0.0, length) for _ in range(n_knots - 2)} - {0.0, length})
     knots = [0.0] + inner + [length]
@@ -287,6 +296,11 @@ def test_samples_cached_table_is_bit_identical_to_per_call_formulas(n_knots):
             assert p.inverse_integral(target) == _ref_inverse(k, v, target)
 
 
+def _F_row(p):
+    """F at each knot: the profile's row of its table's F column."""
+    return tuple(p._table[2][p._row].tolist())
+
+
 def test_samples_table_follows_the_last_knot_snap():
     knots = (0.0, 0.5, 1.25, 2.0 + 1e-13)
     values = (1.0, 3.0, 0.5, 2.0)
@@ -296,12 +310,12 @@ def test_samples_table_follows_the_last_knot_snap():
     p = unsnapped.check(2.0, 1e-6)
     snapped = knots[:-1] + (2.0,)
     assert p.knots == snapped and unsnapped.knots == knots
-    assert unsnapped._pre == _ref_prefix(knots, values)
+    assert _F_row(unsnapped) == _ref_prefix(knots, values)
     # F at the last knot is the one entry the snap moves; no query reads it,
     # so the table itself is compared
     assert _ref_prefix(snapped, values) != _ref_prefix(knots, values)
     p.integral(0.0, 1.0)
-    assert p._pre == _ref_prefix(snapped, values)
+    assert _F_row(p) == _ref_prefix(snapped, values)
     assert p.integral(0.0, 2.0) == _ref_integral(snapped, values, 0.0, 2.0)
     assert p.integral(0.3, 1.9) == _ref_integral(snapped, values, 0.3, 1.9)
     assert p.inverse_integral(1.0) == _ref_inverse(snapped, values, 1.0)
@@ -309,13 +323,13 @@ def test_samples_table_follows_the_last_knot_snap():
 
 def test_samples_build_their_table_once_for_many_integrals(monkeypatch):
     builds = []
-    build = Samples._prefix
+    build = Samples._rows
 
     def counting(self):
         builds.append(self)
         return build(self)
 
-    monkeypatch.setattr(Samples, "_prefix", counting)
+    monkeypatch.setattr(Samples, "_rows", counting)
     rng = random.Random(3)
     knots, values = _random_samples(rng, 65, 2.0)
     p = Samples(knots, values)
@@ -384,9 +398,9 @@ def test_a_fields_table_is_the_per_profile_path_bit_for_bit(seed):
         assert kept.knots == k and kept.values == v and k[-1] == length
         assert all(type(x) is float for x in k + v)
         assert field.full_edge_cost(eid) == _ref_integral(k, v, 0.0, length)
-        assert kept._pre == alone._prefix() == _ref_prefix(k, v)
-        *table, j = kept._table
-        assert [r[j].tolist() for r in table] == [list(k), list(v), list(_ref_prefix(k, v))]
+        assert _F_row(kept) == _F_row(alone) == _ref_prefix(k, v)
+        table, j = kept._table, kept._row
+        assert [r[j].tolist() for r in table[:3]] == [list(k), list(v), list(_ref_prefix(k, v))]
         tables.setdefault(len(k), set()).add(id(table[0]))
         s = _offsets(length, k[:3] + k[-2:])
         s0, s1 = rng.sample(s.tolist(), len(s)), s.tolist()
@@ -399,6 +413,67 @@ def test_a_fields_table_is_the_per_profile_path_bit_for_bit(seed):
             assert rates.at(edges, s).tolist() == [p.at(x) for x in s.tolist()]
     # one table per knot count, shared by its rows
     assert {n: len(bases) for n, bases in tables.items()} == {2: 1, 3: 1, 7: 1, 65: 1, 1025: 1}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_scalar_readers_of_a_fields_rows_are_the_per_call_formulas_bit_for_bit(seed):
+    """On the rows of a field's tables (K from 2 to 1025, every other last
+    knot off its length by float dust), ``full_edge_cost`` is
+    ``integral(0.0, L)`` and the per-call formula, and the scalar ``at``,
+    ``integral`` and ``inverse_integral`` are the per-call formulas, at and
+    either side of knots, at 0 and L and past both ends, and for targets at
+    F of a knot, bit for bit.  A
+    linear and a constant edge's full cost is their ``integral(0.0, L)``."""
+    rng = random.Random(seed)
+    ks = [rng.randint(2, 1025) if i % 3 == 0 else rng.choice((2, 3, 65, 1025)) for i in range(60)]
+    lengths = [rng.uniform(0.05, 4.0) for _ in ks] + [1.5, 2.5]
+    given = {}
+    for i, n_knots in enumerate(ks):
+        knots, values = _random_samples(rng, n_knots, lengths[i])
+        if i % 2:
+            knots[-1] = lengths[i] * (1.0 + rng.choice((-4e-13, 4e-13)))
+        given["e%d" % i] = Samples(knots, values)
+    given["e%d" % len(ks)], given["e%d" % (len(ks) + 1)] = Linear(1.0, 0.25), Constant(2.0)
+    graph = _path_graph(lengths)
+    field = CostField(graph, given)
+
+    def hexes(xs):
+        return [float(x).hex() for x in xs]
+
+    for eid, prof in field.profiles.items():
+        length = graph.edges[eid].length
+        cost = field.full_edge_cost(eid)
+        assert cost.hex() == prof.integral(0.0, length).hex()
+        if not isinstance(prof, Samples):
+            continue
+        k, v = prof.knots, prof.values
+        assert cost.hex() == _ref_integral(k, v, 0.0, length).hex()
+        s = _offsets(length, k[:3] + k[-2:]).tolist() + [-0.5, length + 0.5]
+        pairs = list(zip(s, rng.sample(s, len(s))))
+        targets = [rng.uniform(0.0, 1.2 * cost) for _ in range(20)] + [0.0, cost] + list(_ref_prefix(k, v)[1:4])
+        assert hexes(map(prof.at, s)) == hexes(_ref_at(k, v, x) for x in s)
+        assert hexes(prof.integral(a, b) for a, b in pairs) == hexes(_ref_integral(k, v, a, b) for a, b in pairs)
+        assert hexes(map(prof.inverse_integral, targets)) == hexes(_ref_inverse(k, v, t) for t in targets)
+
+
+def test_a_fields_rows_pickle_and_copy():
+    """A field's sampled profiles read their rows through memoryviews, which
+    do not pickle: a pickled or deep-copied field keeps equal profiles, and
+    each reads the same full cost, integral, inverse and rate, bit for bit,
+    and the same rates at batch rows."""
+    graph, given = _mixed_k_field(0)
+    field = CostField(graph, given)
+    for copied in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
+        assert copied.profiles == field.profiles
+        for eid, prof in field.profiles.items():
+            other, length = copied.profiles[eid], graph.edges[eid].length
+            assert copied.full_edge_cost(eid).hex() == field.full_edge_cost(eid).hex()
+            assert other.integral(0.1 * length, 0.7 * length) == prof.integral(0.1 * length, 0.7 * length)
+            assert other.inverse_integral(0.5) == prof.inverse_integral(0.5)
+            assert other.at(0.3 * length) == prof.at(0.3 * length)
+        s = np.linspace(0.0, 1.0, len(graph.edges)) * copied.graph._edge_order[2]
+        edges = np.arange(len(graph.edges))
+        assert copied._rates.at(edges, s).tolist() == field._rates.at(edges, s).tolist()
 
 
 #: (case, a bad sampled profile for an edge of length 2, its refusal's words)

@@ -4,8 +4,12 @@ file format and kernel is imported by one module only."""
 import ast
 import math
 import pathlib
+import random
 
+import numpy as np
 import pytest
+
+from eikograph import CostField, MetricGraph, Samples, cost, graph
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "eikograph"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -332,8 +336,9 @@ def test_every_parameter_is_read_or_allowlisted():
 # number census: one rule says what a real number is
 # ----------------------------------------------------------------------
 
-#: the rules that say what a real number and a count are
-NUMBER_RULES = {"graph._finite", "graph._reals", "graph._count"}
+#: the rules that say what a real number and a count are; ``_floats`` says
+#: which lists ``_reals`` keeps as they are
+NUMBER_RULES = {"graph._finite", "graph._reals", "graph._floats", "graph._count"}
 
 #: functions that test a value for an int outside the rules, and why each
 #: stays
@@ -388,15 +393,16 @@ def _number_tests(tree: ast.Module, module: str):
 
 def test_only_the_number_rule_tests_for_int_or_float():
     """``isinstance(x, (int, float))`` admits True as 1, and ``type(n) is
-    int`` refuses numpy's ints: ``graph._finite``, ``_reals`` and
-    ``_count`` are the rules that say what a real number and a count are,
-    and any other such test is allowlisted with its reason."""
+    int`` refuses numpy's ints: ``graph._finite``, ``_reals`` (with
+    ``_floats``, the lists it keeps as they are) and ``_count`` are the rules
+    that say what a real number and a count are, and any other such test is
+    allowlisted with its reason."""
     found = {q for p in MODULES for q in _number_tests(ast.parse(p.read_text()), p.stem)}
     assert sorted(found - NUMBER_RULES) == sorted(NUMBER_TESTS_OUTSIDE_THE_RULE)
 
 
 # ----------------------------------------------------------------------
-# sampled profiles: the tuples are turned into arrays once, not per call
+# sampled profiles: rows of float64 tables, with no tuple face
 # ----------------------------------------------------------------------
 
 #: the methods that read a table's rows of sampled profiles
@@ -410,12 +416,38 @@ def _reads_of_the_tuples(node):
             and isinstance(n.value, ast.Name) and n.value.id == "self"]
 
 
-def test_sampled_profiles_turn_their_tuples_into_arrays_once():
-    """A ``Samples`` holds its knots, values and F table as float64 rows,
-    built once: no numpy call in ``cost`` takes ``self.knots`` or
-    ``self.values`` as an argument, and the table readers read neither
-    tuple.  Turning 65 floats into an array costs more than the integral
-    that reads it."""
+def test_a_sampled_field_keeps_rows_alone_and_reads_its_numbers_as_arrays(monkeypatch):
+    """A ``Samples`` holds its knots, values and F only as rows of float64
+    tables: it has no ``_pre`` field, and a checked one keeps no tuple or
+    list of its numbers, nor its lists as given.  A 500-edge field of float
+    lists is checked without calling ``graph._reals``: the lists go into
+    each knot count's tables as they are.  No numpy call in ``cost``
+    takes ``self.knots`` or ``self.values``, and the table readers read
+    neither."""
+    assert not hasattr(Samples([0.0, 1.0], [1.0, 1.0]), "_pre")
+    calls = []
+
+    def counting(xs, what):
+        calls.append(what)
+        return reals(xs, what)
+
+    reals = graph._reals
+    monkeypatch.setattr(graph, "_reals", counting)
+    monkeypatch.setattr(cost, "_reals", counting)
+    rng = random.Random(5)
+    lengths = [rng.uniform(0.2, 3.0) for _ in range(500)]
+    g = MetricGraph([("v%d" % i, i == 0) for i in range(501)],
+                    [("e%d" % i, "v%d" % i, "v%d" % (i + 1), L) for i, L in enumerate(lengths)])
+    given = {"e%d" % i: Samples(np.linspace(0.0, L, 1025 if i % 10 == 0 else 65).tolist(),
+                                [rng.uniform(0.5, 2.0) for _ in range(1025 if i % 10 == 0 else 65)])
+             for i, L in enumerate(lengths)}
+    field = CostField(g, given)
+    assert calls == []
+    for prof in field.profiles.values():
+        assert prof._given is None and not hasattr(prof, "_pre") and type(prof._row) is int
+        assert [type(x) for x in prof._table] == [np.ndarray] * 4
+        assert [type(x) for x in prof._flat] == [memoryview] * 3 + [int] * 2
+        assert [type(x) for x in prof._bounds] == [float] * 2
     tree = ast.parse((PACKAGE / "cost.py").read_text())
     converted = [read for node in ast.walk(tree)
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from eikograph import (BoundaryData, Constant, CostField, FiniteMetricSpace, Hamiltonian,
-                       InputError, Linear, MetricGraph, RecordError, Samples, StoredSolution,
+                       InputError, Linear, MetricGraph, ProfileError, RecordError, Samples, StoredSolution,
                        catalog, dump_json, dump_value_function, edge_csv, ekeland_maximize,
                        ekeland_point, load_graph, load_value_function, random_curve,
                        reduce_to_eikonal, semiconcave_slope_check, solve, solve_general,
                        uniform_grid, verify_dpp, verify_suboptimality, viscous_solution,
                        weak_solution_zoo)
 from eikograph.cli import entry
+from eikograph.graph import _floats, _reals
 
 UNIT = Hamiltonian(lambda x, r, p: p - 1.0, name="unit")
 
@@ -231,3 +232,88 @@ def test_the_cli_prints_the_library_refusal(tmp_path, capsys, setup, words):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: %s\n" % words)
     assert not (tmp_path / "out").exists()
+
+
+# ----------------------------------------------------------------------
+# sampled profiles: a field's tables keep ``_reals``' rule
+# ----------------------------------------------------------------------
+
+def _reals_on(knots, values):
+    """A sampled profile's numbers by ``_reals``, one list at a time, then the
+    count rule: the words a profile was refused in before its lists were
+    read as tables."""
+    k, v = _reals(knots, "sampled profile knot"), _reals(values, "sampled profile value")
+    if len(k) < 2 or len(k) != len(v):
+        raise InputError("sampled profile needs >= 2 matching knots and values")
+    return k, v
+
+
+#: (case, knots, values) of a sampled profile on an edge of length 2
+NUMBER_CASES = [
+    ("int-knots", [0, 1, 2], [1.0, 2.0, 3.0]),
+    ("int-ones", [0.0, 1, 2.0], [1, 1.0, 1]),
+    ("int-2-63", [0.0, 1.0, 2.0], [1.0, 2 ** 63, 3.0]),
+    ("int-2-63-plus-1", [0.0, 1.0, 2.0], [1.0, 2 ** 63 + 1, 3.0]),
+    ("int-10-400", [0.0, 1.0, 2.0], [1.0, 10 ** 400, 1.0]),
+    ("int-10-400-knot", [0, 10 ** 400, 2], [1.0, 1.0, 1.0]),
+    ("numpy-scalars", [np.float64(0.0), np.int64(1), 2.0], [np.float64(1.5), 2.0, np.int64(3)]),
+    ("true-at-one", [0.0, True, 2.0], [1.0, 1.0, 1.0]),
+    ("false-at-zero", [False, 1.0, 2.0], [1.0, 1.0, 1.0]),
+    ("true-among-ones", [0.0, 1.0, 2.0], [1.0, True, 1.0]),
+    ("true-elsewhere", [0.0, 0.5, 2.0], [2.5, True, 3.0]),
+    ("numpy-true", [0.0, 1.0, 2.0], [2.5, np.True_, 3.0]),
+    ("numpy-false-at-zero", [np.False_, 1.0, 2.0], [1.0, 1.0, 1.0]),
+    ("all-bool-values", [0.0, 1.0, 2.0], [True, True, True]),
+    ("all-bool-knots", [False, True, True], [1.0, 1.0, 1.0]),
+    ("string", [0.0, 1.0, 2.0], [1.0, "2", 3.0]),
+    ("string-as-list", "012", [1.0, 1.0, 1.0]),
+    ("none", [0.0, 1.0, 2.0], [1.0, None, 1.0]),
+    ("nested", [0.0, [1.0], 2.0], [1.0, 1.0, 1.0]),
+    ("2-d-array", np.array([[0.0, 1.0, 2.0]] * 3), [1.0, 1.0, 1.0]),
+    ("float32-at-one", [0.0, np.float32(1.0), 2.0], [1.0, 1.0, 1.0]),
+    ("float32-elsewhere", [0.0, 1.0, 2.0], [1.0, np.float32(0.5), 3.0]),
+    ("float32-all", [0.0, 1.0, 2.0], [np.float32(1.0)] * 3),
+    ("float16", [0.0, 1.0, 2.0], [1.0, np.float16(0.5), 1.0]),
+    ("0-d-array", [0.0, 1.0, 2.0], [1.0, np.array(2.5), 3.0]),
+    ("not-a-list", 5, [1.0, 1.0, 1.0]),
+    ("short-and-bad", [0.0, "x"], [1.0]),
+]
+
+
+@pytest.mark.parametrize("knots, values", [case[1:] for case in NUMBER_CASES],
+                         ids=[case[0] for case in NUMBER_CASES])
+def test_a_fields_tables_take_the_numbers_reals_takes_and_refuse_the_rest_in_its_words(knots, values):
+    """Among good sampled profiles of its knot count and of another, a
+    profile's lists are taken exactly when ``_reals`` takes them, with
+    ``_reals``' floats bit for bit (the last knot snapped), and refused
+    otherwise in ``_reals``' words, naming its edge, the first of two bad
+    ones.  A list that ``_floats`` lets into a table as it is, ``_reals``
+    takes as it is, and ``np.array`` reads it as ``_reals``' floats, bit for
+    bit."""
+    rng = random.Random(3)
+    good = [Samples(*_good_lists(rng, n)) for n in (3, 65, 3, 65)]
+    graph = MetricGraph([("v%d" % i, i == 0) for i in range(7)],
+                        [("e%d" % i, "v%d" % i, "v%d" % (i + 1), 2.0) for i in range(6)])
+    profiles = {"e0": good[0], "e1": good[1], "e2": Samples(knots, values), "e3": good[2],
+                "e4": Samples([0.0, "bad", 2.0], [1.0, 1.0, 1.0]), "e5": good[3]}
+    try:
+        k, v = _reals_on(knots, values)
+    except InputError as exc:
+        with pytest.raises(ProfileError) as refused:
+            CostField(graph, profiles)
+        assert (refused.value.edge, str(refused.value)) == ("e2", "edge 'e2': %s" % exc)
+    else:
+        profiles["e4"] = Samples(*_good_lists(rng, 4))
+        kept = CostField(graph, profiles).profiles["e2"]
+        assert [x.hex() for x in kept.knots] == [x.hex() for x in k[:-1] + (2.0,)]
+        assert [x.hex() for x in kept.values] == [x.hex() for x in v]
+    for given in (knots, values):
+        if _floats(given):
+            assert _reals(given, "number") == tuple(given)
+            assert [x.hex() for x in np.array(given, dtype=float).tolist()] == [x.hex() for x in given]
+
+
+def _good_lists(rng, n):
+    """Knots from 0 to 2 and values in [0.5, 2], as float lists."""
+    knots = [2.0 * i / (n - 1) for i in range(n)]
+    return knots, [rng.uniform(0.5, 2.0) for _ in knots]
