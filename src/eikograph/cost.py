@@ -90,18 +90,21 @@ class Linear:
 
 def _tabulate(profiles: Sequence["Samples"], knots: np.ndarray, values: np.ndarray) -> None:
     """Make each profile a row of one table: ``knots`` and ``values`` are
-    (n, K) float64 arrays, one row per profile, and F at every knot and its
-    steps ``F[i] - F[i-1]`` (0 at the first) are built for all rows at once.
-    Accumulate adds in order, so each F equals the loop ``F[i+1] = F[i] +
-    0.5 (v[i] + v[i+1]) (k[i+1] - k[i])`` bit for bit, and overflows to inf
-    as it does."""
-    F = np.zeros_like(knots)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(0.5 * (values[:, :-1] + values[:, 1:]) * np.diff(knots), axis=1, out=F[:, 1:])
-        table, K = (knots, values, F, np.diff(F, prepend=0.0)), knots.shape[1]
-    k, v, f = (memoryview(t.ravel()) for t in table[:3])
+    (n, K) float64 arrays, one row per profile, and F at every knot, its
+    steps ``F[i] - F[i-1]`` (0 at the first) and each segment's slope
+    ``(v[i+1] - v[i]) / (k[i+1] - k[i])`` (0 at the last knot) are built for
+    all rows at once.  Accumulate adds in order, so each F equals the loop
+    ``F[i+1] = F[i] + 0.5 (v[i] + v[i+1]) (k[i+1] - k[i])`` bit for bit, and
+    overflows to inf as it does."""
+    (F, steps, slope), dk = np.zeros((3,) + knots.shape), np.diff(knots)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.cumsum(0.5 * (values[:, :-1] + values[:, 1:]) * dk, axis=1, out=F[:, 1:])
+        np.subtract(F[:, 1:], F[:, :-1], out=steps[:, 1:])
+        np.divide(np.diff(values), dk, out=slope[:, :-1])
+    table, K = (knots, values, F, steps, slope), knots.shape[1]
+    views = tuple(memoryview(t.ravel()) for t in table)
     for j, prof in enumerate(profiles):
-        prof._table, prof._row, prof._flat = table, j, (k, v, f, j * K, j * K + K - 1)
+        prof._table, prof._row, prof._flat = table, j, (*views, j * K, j * K + K - 1)
 
 
 def _lockstep(knots: np.ndarray, row: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,12 +154,12 @@ _SAMPLE_RULES = (
 )
 
 
-def _F(row: Tuple[memoryview, memoryview, memoryview, int, int], s: float) -> float:
+def _F(row: Tuple[memoryview, ...], s: float) -> float:
     """F(s) = ∫_0^s f on a row (``Samples._flat``): the segment holding s,
     then the trapezoid to s; from the last knot on, F's last entry, which
     is that trapezoid bit for bit (``cumsum``'s last term) where the knots
     increase and the values are finite, as a checked profile's are."""
-    k, v, F, first, last = row
+    k, v, F, _, _, first, last = row
     if s >= k[last]:
         return F[last]
     s = max(s, k[first])
@@ -173,7 +176,8 @@ class Samples:
     length (the last knot may be off by float dust; ``check`` snaps it).
 
     A checked profile is row ``_row`` of float64 tables (``_table``) of
-    knots, values, F at each knot and F's steps, and holds no copy of them:
+    knots, values, F at each knot, F's steps and the segments' slopes, and
+    holds no copy of them:
     ``knots`` and ``values`` read its row as tuples of floats, and the
     scalar methods read it through flat memoryviews (``_flat``, with the
     flat indices of its first and last knot).  ``_bounds`` are its values'
@@ -263,7 +267,7 @@ class Samples:
                 out[i] = prof
         return out
 
-    def _rows(self) -> Tuple[memoryview, memoryview, memoryview, int, int]:
+    def _rows(self) -> Tuple[memoryview, ...]:
         """``_flat``, made on first use: a copy's views of its table, or an
         unchecked profile's table of one row."""
         if self._flat is None and self._table is None:
@@ -271,12 +275,12 @@ class Samples:
             _tabulate([self], np.array([knots], dtype=float), np.array([values], dtype=float))
         elif self._flat is None:
             K = self._table[0].shape[1]
-            self._flat = (*(memoryview(t.ravel()) for t in self._table[:3]), self._row * K,
+            self._flat = (*(memoryview(t.ravel()) for t in self._table), self._row * K,
                           self._row * K + K - 1)
         return self._flat
 
     def at(self, s: float) -> float:
-        k, v, _, first, last = self._flat or self._rows()
+        k, v, _, _, _, first, last = self._flat or self._rows()
         s = min(max(s, k[first]), k[last])
         i = bisect_right(k, s, first + 1, last) - 1
         ki = k[i]
@@ -313,18 +317,13 @@ class Samples:
         return F[:len(s1)] - F[len(s1):]
 
     def inverse_integral(self, target: float) -> float:
-        k, v, _, first, _ = self._flat or self._rows()
-        # march knot segments (f linear on each), subtracting F's steps in
-        # order, to the first step not below what remains, or the last one
-        steps = self._table[3][self._row]
-        remaining = steps.copy()
-        remaining[0] = target
-        np.subtract.accumulate(remaining, out=remaining)
-        going = remaining[:-1] > steps[1:]
-        going[-1] = False
-        j = int(going.argmin())
-        i = first + j
-        return k[i] + _advance(v[i], (v[i + 1] - v[i]) / (k[i + 1] - k[i]), remaining[j].item())
+        k, v, _, steps, slope, i, last = self._flat or self._rows()
+        end = last - 1
+        # march knot segments (f linear on each); the last takes what remains
+        while i < end and target > (step := steps[i + 1]):
+            target -= step
+            i += 1
+        return k[i] + _advance(v[i], slope[i], target)
 
     def bounds(self, length: float) -> Tuple[float, float]:
         return self._bounds or (min(self.values), max(self.values))
@@ -412,11 +411,7 @@ class CostField:
         return self._rates.integral(edges, lo, hi)
 
     def full_edge_cost(self, eid: str) -> float:
-        prof = self.profiles[eid]
-        if type(prof) is Samples:  # F at the last knot is integral(0.0, L), bit for bit
-            _, _, F, _, last = prof._flat or prof._rows()
-            return F[last]
-        return prof.integral(0.0, self.graph.edge(eid).length)
+        return self.profiles[eid].integral(0.0, self.graph.edge(eid).length)
 
     def value_at(self, p: Union[GraphPoint, KnotBatch]) -> Union[float, np.ndarray]:
         """Pointwise f.  At a vertex where incident profiles disagree this

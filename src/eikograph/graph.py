@@ -591,12 +591,10 @@ class _Rates:
         classes, n = list(map(type, profs)), len(profs)
         self._parts: List[Tuple[type, Sequence[np.ndarray]]] = []
         self._kind, self._row = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-        kinds = dict.fromkeys(classes)
         # the edges of each class are read in passes over their profiles
-        for cls in kinds:
-            on = slice(None) if len(kinds) == 1 else np.flatnonzero(
-                np.fromiter(map(operator.is_, classes, itertools.repeat(cls)), bool, n))
-            mine = profs if len(kinds) == 1 else list(map(profs.__getitem__, on.tolist()))
+        for cls in dict.fromkeys(classes):
+            on = np.flatnonzero(np.fromiter(map(operator.is_, classes, itertools.repeat(cls)), bool, n))
+            mine = list(map(profs.__getitem__, on.tolist()))
             if hasattr(cls, "PARAMS"):
                 self._kind[on] = len(self._parts)
                 columns = [np.zeros(n) for _ in cls.PARAMS]

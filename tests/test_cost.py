@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -311,8 +312,8 @@ def test_samples_table_follows_the_last_knot_snap():
     snapped = knots[:-1] + (2.0,)
     assert p.knots == snapped and unsnapped.knots == knots
     assert _F_row(unsnapped) == _ref_prefix(knots, values)
-    # F at the last knot is the one entry the snap moves; no query reads it,
-    # so the table itself is compared
+    # F at the last knot is the one entry the snap moves; the table itself is
+    # compared, and an integral to the edge's end reads that entry
     assert _ref_prefix(snapped, values) != _ref_prefix(knots, values)
     p.integral(0.0, 1.0)
     assert _F_row(p) == _ref_prefix(snapped, values)
@@ -454,6 +455,17 @@ def test_the_scalar_readers_of_a_fields_rows_are_the_per_call_formulas_bit_for_b
         assert hexes(map(prof.at, s)) == hexes(_ref_at(k, v, x) for x in s)
         assert hexes(prof.integral(a, b) for a, b in pairs) == hexes(_ref_integral(k, v, a, b) for a, b in pairs)
         assert hexes(map(prof.inverse_integral, targets)) == hexes(_ref_inverse(k, v, t) for t in targets)
+
+
+def test_inverse_integral_past_an_overflowing_F_is_nan_without_a_warning():
+    """An unchecked profile whose F overflows to inf: the march stops at the
+    first infinite step and gives nan, as the per-call loop does, and
+    raises no floating-point warning."""
+    p = Samples([0.0, 1.0, 2.0, 3.0], [1e308, 1.7e308, 1.7e308, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(p.inverse_integral(math.inf))
+        assert math.isnan(_ref_inverse(p.knots, p.values, math.inf))
 
 
 def test_a_fields_rows_pickle_and_copy():

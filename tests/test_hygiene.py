@@ -445,8 +445,8 @@ def test_a_sampled_field_keeps_rows_alone_and_reads_its_numbers_as_arrays(monkey
     assert calls == []
     for prof in field.profiles.values():
         assert prof._given is None and not hasattr(prof, "_pre") and type(prof._row) is int
-        assert [type(x) for x in prof._table] == [np.ndarray] * 4
-        assert [type(x) for x in prof._flat] == [memoryview] * 3 + [int] * 2
+        assert [type(x) for x in prof._table] == [np.ndarray] * 5
+        assert [type(x) for x in prof._flat] == [memoryview] * 5 + [int] * 2
         assert [type(x) for x in prof._bounds] == [float] * 2
     tree = ast.parse((PACKAGE / "cost.py").read_text())
     converted = [read for node in ast.walk(tree)
